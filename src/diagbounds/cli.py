@@ -75,7 +75,6 @@ def _add_common(p: argparse.ArgumentParser, inference: bool = False) -> None:
         p.add_argument("--bootstrap", type=int, default=500, metavar="B")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--theta-grid", type=int, default=316, help="grid points per theta axis")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument(
             "--dump-moment-cells",
             action="store_true",
@@ -120,7 +119,6 @@ def _study_config(args, toggles: ReportToggles, **extra) -> StudyConfig:
         toggles=toggles,
         out_dir=args.out,
         formats=tuple(args.format),
-        workers=getattr(args, "workers", 1),
         dump_moment_cells=getattr(args, "dump_moment_cells", False),
         label=args.dataset or (args.input.stem if args.input else "study"),
         **extra,

@@ -30,11 +30,16 @@ def load_dataset(name: str) -> CellCounts:
     return _counts_from_json(json.loads(text))
 
 
+def _count(value):
+    """An integral JSON number as an int; CellCounts rejects anything else."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def _counts_from_json(obj: dict) -> CellCounts:
     try:
-        return CellCounts(
-            n11=int(obj["n11"]), n01=int(obj["n01"]), n10=int(obj["n10"]), n00=int(obj["n00"])
-        )
+        return CellCounts(*(_count(obj[key]) for key in ("n11", "n01", "n10", "n00")))
     except KeyError as exc:
         raise ValueError(f"counts JSON must contain keys n11, n01, n10, n00; missing {exc}")
 

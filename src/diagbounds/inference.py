@@ -16,12 +16,26 @@ cells, and the components are affine in (theta1, theta0), so per-point
 statistics are fused multiply-adds over precomputed tables.  The same B
 multinomial draws are shared across all grid points, which also makes
 confidence sets nested across significance levels for a fixed seed.
+
+A third structural fact lets the inversion skip the bootstrap at almost
+every point.  Every step-one and step-two bootstrap term is a studentized
+deviation sqrt(n) sum_c (F_bc - f_c) m_c / sd_f(m) plus a recentering that
+is zero or negative.  Since the deviations F_b - f sum to zero, the
+Cauchy-Schwarz inequality bounds it by sqrt(X2_b), with
+X2_b = n sum_c (F_bc - f_c)^2 / f_c the Pearson statistic of draw b.
+Quantiles are monotone in the draws, so at every theta, (s1, s0) and
+assumption the critical value is at most c_bar, the same-level quantile
+of sqrt(X2_b) floored at zero: one scalar per dataset and seed.  A grid point whose closed-form T_n exceeds c_bar
+is rejected without its bootstrap.  The bound holds in exact arithmetic,
+so the screen asks T_n to clear c_bar by a small relative and absolute
+margin and applies only where every studentizing variance, computed as
+E[m^2] - mu^2, is well above rounding error of its second moment; every
+other point goes through the full evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +56,14 @@ __all__ = [
 ]
 
 _QUANTILE_METHOD = "higher"
+
+# The chi-square screen rejects a point only when T_n clears the bound by
+# this relative and absolute margin, and only when every studentizing
+# variance there exceeds this share of its second moment (below it,
+# E[m^2] - mu^2 may have lost the digits the bound relies on).
+_SCREEN_RTOL = 1e-9
+_SCREEN_ATOL = 1e-12
+_SCREEN_VAR_FLOOR = 1e-6
 
 # Substream tags keep bootstrap draws, simulated datasets, and derived
 # seeds in disjoint regions of the counter-based key space.
@@ -137,6 +159,17 @@ def bootstrap_cell_frequencies(counts: CellCounts, cfg: TestConfig) -> np.ndarra
     return out
 
 
+def _chi_square_bound(counts: CellCounts, boot_freqs: np.ndarray, level: float) -> float:
+    """c_bar: the ``level`` quantile of sqrt(X2_b) over the draws, floored at 0.
+
+    An upper bound on the critical value at every grid point (see the
+    module docstring) when ``level`` is the step-two level 1 - alpha + beta.
+    """
+    f = np.asarray(counts.cells, dtype=float) / counts.n
+    x2 = counts.n * np.sum((boot_freqs - f) ** 2 / f, axis=1)
+    return max(float(np.quantile(np.sqrt(x2), level, method=_QUANTILE_METHOD)), 0.0)
+
+
 def _stud(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den with the zero-denominator convention.
 
@@ -229,6 +262,28 @@ class _SPointKernel:
         base = self.PA[:, j] + self.PU[:, j] * u
         return base[None, :] + v[:, None] * self.PV[None, :, j]
 
+    def _statistic(self, u: float, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Data-side means, SDs and T_n along a vector of the non-driving theta."""
+        rn = self.sqrt_n
+        mu6, s6 = self._ineq_stats(u)
+        mu7, s7 = self._eq_stats(u, v)
+        t6 = float(np.max(_stud(rn * mu6, s6)))
+        t7 = _stud(rn * np.abs(mu7), s7)
+        return mu6, s6, mu7, s7, np.maximum(np.maximum(t6, t7), 0.0)
+
+    def needs_bootstrap(self, u: float, v: np.ndarray, cutoff: float) -> np.ndarray:
+        """Mask of the points along ``v`` that the chi-square screen cannot reject.
+
+        A point is rejected outright when its T_n exceeds ``cutoff`` (the
+        chi-square bound with its margin) and every studentizing variance
+        there is well conditioned.
+        """
+        mu6, s6, mu7, s7, tn = self._statistic(u, v)
+        floor = _SCREEN_VAR_FLOOR
+        exact6 = bool(np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6)))
+        exact7 = s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
+        return ~((tn > cutoff) & exact6 & exact7)
+
     # -- full evaluation ------------------------------------------------
 
     def evaluate(
@@ -236,11 +291,7 @@ class _SPointKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """T_n and critical value along a vector of the non-driving theta."""
         rn = self.sqrt_n
-        mu6, s6 = self._ineq_stats(u)
-        mu7, s7 = self._eq_stats(u, v)
-        t6 = float(np.max(_stud(rn * mu6, s6)))
-        t7 = _stud(rn * np.abs(mu7), s7)
-        tn = np.maximum(np.maximum(t6, t7), 0.0)
+        mu6, s6, mu7, s7, tn = self._statistic(u, v)
 
         Mb6 = self._boot_ineq_means(u)
         Mb7 = self._boot_eq_means(u, v)
@@ -400,111 +451,62 @@ def confidence_set(
     S: SRegion,
     a: DependenceAssumption,
     cfg: TestConfig,
-    workers: int = 1,
 ) -> ConfidenceSet:
     """Invert the test over a theta grid crossed with the reference grid.
 
     The (theta1, theta0) grid spans [0, 1]^2 at the configured resolution;
     points outside the parameter-space box of ``a`` at a given (s1, s0)
     are excluded a priori.  Bootstrap draws are generated once and shared
-    by every grid point, so results are independent of ``workers``.
+    by every grid point.  Points the chi-square screen rejects skip the
+    bootstrap; the rest are evaluated in full, row by row.
     """
     counts.require_positive_cells()
     boot_freqs = bootstrap_cell_frequencies(counts, cfg)
-    t1_axis = np.linspace(0.0, 1.0, cfg.theta_grid)
-    t0_axis = np.linspace(0.0, 1.0, cfg.theta_grid)
+    axis = np.linspace(0.0, 1.0, cfg.theta_grid)
     s_points = tuple(sorted(S.points, key=lambda q: (q.s1, q.s0)))
     alpha, beta = cfg.alpha, cfg.beta_value
+    cbar = _chi_square_bound(counts, boot_freqs, 1.0 - alpha + beta)
+    cutoff = cbar * (1.0 + _SCREEN_RTOL) + _SCREEN_ATOL
 
-    retained_blocks: list[np.ndarray] = []
-    tn_blocks: list[np.ndarray] = []
-    crit_blocks: list[np.ndarray] = []
+    # Retained points as blocks of (theta1 index, theta0 index, s index, T_n, crit).
+    blocks: list[tuple[np.ndarray, ...]] = []
     n_tested = 0
-
-    per_s: list[tuple[np.ndarray, np.ndarray]] = []
-    for s in s_points:
+    for s_idx, s in enumerate(s_points):
         kernel = _SPointKernel(counts, a, s, boot_freqs)
         (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
-        m1 = (t1_axis >= lo1) & (t1_axis <= hi1)
-        m0 = (t0_axis >= lo0) & (t0_axis <= hi0)
-        u_axis, v_axis = (t1_axis[m1], t0_axis[m0]) if kernel.u_is_theta1 else (
-            t0_axis[m0],
-            t1_axis[m1],
-        )
-        n_tested += u_axis.size * v_axis.size
+        idx1 = np.flatnonzero((axis >= lo1) & (axis <= hi1))
+        idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
+        n_tested += idx1.size * idx0.size
+        iu, iv = (idx1, idx0) if kernel.u_is_theta1 else (idx0, idx1)
+        for i in iu:
+            u = float(axis[i])
+            live = iv[kernel.needs_bootstrap(u, axis[iv], cutoff)]
+            if live.size == 0:
+                continue
+            tn, crit = kernel.evaluate(u, axis[live], alpha, beta)
+            keep = ~(tn > crit) & np.isfinite(tn)
+            j, row = live[keep], np.full(np.count_nonzero(keep), i)
+            i1, i0 = (row, j) if kernel.u_is_theta1 else (j, row)
+            blocks.append((i1, i0, np.full(j.size, s_idx), tn[keep], crit[keep]))
 
-        tn_grid = np.empty((u_axis.size, v_axis.size))
-        crit_grid = np.empty_like(tn_grid)
-
-        def fill(rows: range, kern=kernel, ua=u_axis, va=v_axis, tg=tn_grid, cg=crit_grid):
-            for i in rows:
-                tg[i], cg[i] = kern.evaluate(float(ua[i]), va, alpha, beta)
-
-        if workers > 1 and u_axis.size > 1:
-            chunks = np.array_split(np.arange(u_axis.size), workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill, [range(c[0], c[-1] + 1) for c in chunks if c.size]))
-        else:
-            fill(range(u_axis.size))
-
-        if not kernel.u_is_theta1:
-            tn_grid = tn_grid.T
-            crit_grid = crit_grid.T
-        per_s.append((tn_grid, crit_grid))
-
-    # Assemble retained points in (theta1 index, theta0 index, s index) order.
-    keep_i1, keep_i0, keep_is = [], [], []
-    for s_idx, s in enumerate(s_points):
-        (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
-        idx1 = np.flatnonzero((t1_axis >= lo1) & (t1_axis <= hi1))
-        idx0 = np.flatnonzero((t0_axis >= lo0) & (t0_axis <= hi0))
-        tn_grid, crit_grid = per_s[s_idx]
-        keep = ~(tn_grid > crit_grid) & np.isfinite(tn_grid)
-        ii, jj = np.nonzero(keep)
-        if ii.size == 0:
-            continue
-        keep_i1.append(idx1[ii])
-        keep_i0.append(idx0[jj])
-        keep_is.append(np.full(ii.size, s_idx))
-        retained_blocks.append(
-            np.column_stack(
-                [
-                    t1_axis[idx1[ii]],
-                    t0_axis[idx0[jj]],
-                    np.full(ii.size, s.s1),
-                    np.full(ii.size, s.s0),
-                ]
-            )
-        )
-        tn_blocks.append(tn_grid[ii, jj])
-        crit_blocks.append(crit_grid[ii, jj])
-
-    if retained_blocks:
-        pts = np.vstack(retained_blocks)
-        tns = np.concatenate(tn_blocks)
-        crs = np.concatenate(crit_blocks)
-        order = np.lexsort(
-            (
-                np.concatenate(keep_is),
-                np.concatenate(keep_i0),
-                np.concatenate(keep_i1),
-            )
-        )
-        pts, tns, crs = pts[order], tns[order], crs[order]
+    if blocks:
+        i1, i0, si, tns, crs = (np.concatenate(col) for col in zip(*blocks))
     else:
-        pts = np.empty((0, 4))
-        tns = np.empty(0)
-        crs = np.empty(0)
+        i1 = i0 = si = np.empty(0, dtype=int)
+        tns = crs = np.empty(0)
+    order = np.lexsort((si, i0, i1))
+    s_arr = np.array([[s.s1, s.s0] for s in s_points])
+    pts = np.column_stack([axis[i1[order]], axis[i0[order]], s_arr[si[order]]])
 
     return ConfidenceSet(
         config=cfg,
         assumption=a,
-        theta1_axis=t1_axis,
-        theta0_axis=t0_axis,
+        theta1_axis=axis,
+        theta0_axis=axis,
         s_points=s_points,
         points=pts,
-        t_n=tns,
-        crit=crs,
+        t_n=tns[order],
+        crit=crs[order],
         n_tested=n_tested,
     )
 

@@ -33,7 +33,7 @@ from .identification import (
     project,
     sharp_union,
 )
-from .inference import TestConfig, confidence_set
+from .inference import _QUANTILE_METHOD, TestConfig, confidence_set
 from .moments import ThetaPoint, build_moment_system
 from .probability import (
     CellCounts,
@@ -77,7 +77,6 @@ class StudyConfig:
     formats: tuple[str, ...] = ("json", "csv", "svg")
     screen_q: float | None = None
     pretest: PretestRange | None = None
-    workers: int = 1
     dump_moment_cells: bool = False
     label: str = "study"
 
@@ -226,7 +225,7 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
             "seed": cfg.test_config.seed,
             "alpha": cfg.test_config.alpha,
             "beta": cfg.test_config.beta_value,
-            "quantile_method": "higher",
+            "quantile_method": _QUANTILE_METHOD,
         },
         "config": config,
         "n": counts.n,
@@ -304,9 +303,7 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
 
     cs = None
     if cfg.toggles.confidence:
-        cs = confidence_set(
-            counts, cfg.s_region, cfg.assumption, cfg.test_config, workers=cfg.workers
-        )
+        cs = confidence_set(counts, cfg.s_region, cfg.assumption, cfg.test_config)
         proj = cs.projections
         data["confidence_set"] = {
             "n_tested": cs.n_tested,

@@ -4,11 +4,16 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; the full-grid inversion criterion takes a few minutes.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diagbounds
 from diagbounds import (
     CellCounts,
     DependenceAssumption,
@@ -31,13 +36,14 @@ from diagbounds import (
     sharp_union,
     variance_floor,
 )
+from diagbounds.cli import main
 from diagbounds.derived import (
     prevalence_bounds_rect,
     prevalence_bounds_segment,
 )
 from diagbounds.moments import N_COMPONENTS, moment_cell_tables
 from diagbounds.probability import derived_prevalence
-from diagbounds.report import ReportToggles, StudyConfig, run_analysis, run_sensitivity
+from diagbounds.report import StudyConfig, run_sensitivity
 
 from helpers import (
     TABLE_DATASETS,
@@ -303,7 +309,7 @@ def eua_full_inversion():
     cfg = TestConfig(alpha=0.05, seed=SEED, theta_grid=316, s_grid=10)
     region = SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=10)
     t0 = time.perf_counter()
-    cs = confidence_set(TABLE_DATASETS["eua_sx"], region, WA1, cfg, workers=2)
+    cs = confidence_set(TABLE_DATASETS["eua_sx"], region, WA1, cfg)
     elapsed = time.perf_counter() - t0
     return cs, elapsed
 
@@ -384,25 +390,28 @@ def test_criterion_10_monte_carlo_coverage():
     )
 
 
-def test_criterion_11_determinism_across_parallelism(tmp_path):
-    outputs = []
-    for workers, sub in ((1, "w1"), (2, "w2")):
-        cfg = StudyConfig(
-            counts=TABLE_DATASETS["eua_sx"],
-            s_region=SRegion.singleton(0.9, 1.0),
-            assumption=WA1,
-            test_config=TestConfig(alpha=0.05, seed=SEED, theta_grid=60),
-            toggles=ReportToggles(confidence=True),
-            out_dir=tmp_path / sub,
-            workers=workers,
-            label="eua",
+def test_criterion_11_determinism_across_processes(tmp_path):
+    # The same CLI call in this process and in a fresh interpreter with a
+    # different hash seed must write the same bytes.
+    argv = [
+        "infer", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0",
+        "--assumption", "wa1", "--theta-grid", "60", "--seed", str(SEED),
+        "--format", "json", "csv",
+    ]
+    assert main(argv + ["--out", str(tmp_path / "here")]) == 0
+    src = str(Path(diagbounds.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["PYTHONHASHSEED"] = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    subprocess.run(
+        [sys.executable, "-m", "diagbounds.cli", *argv, "--out", str(tmp_path / "child")],
+        env=env, check=True, capture_output=True,
+    )
+    outputs = [
+        tuple(
+            (tmp_path / sub / fname).read_bytes()
+            for fname in ("report.json", "confidence_set.csv", "estimates.csv")
         )
-        run_analysis(cfg)
-        outputs.append(
-            tuple(
-                (tmp_path / sub / fname).read_bytes()
-                for fname in ("report.json", "confidence_set.csv", "estimates.csv")
-            )
-        )
+        for sub in ("here", "child")
+    ]
     ok = outputs[0] == outputs[1]
-    _report(11, "reports byte-identical across parallelism settings", ok)
+    _report(11, "reports byte-identical across processes and hash seeds", ok)

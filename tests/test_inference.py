@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diagbounds import (
     CellCounts,
@@ -16,10 +18,12 @@ from diagbounds import (
     sharp_segment,
 )
 from diagbounds.inference import (
+    _SPointKernel,
     _stud,
     bootstrap_cell_frequencies,
     derive_seed,
 )
+from diagbounds.moments import param_space_box
 
 from helpers import TABLE_DATASETS, WA1
 
@@ -124,15 +128,6 @@ def test_confidence_sets_nest_in_alpha_under_shared_seed():
     pts05 = {tuple(np.round(r, 10)) for r in cs05.points}
     pts10 = {tuple(np.round(r, 10)) for r in cs10.points}
     assert pts10 <= pts05
-
-
-def test_confidence_set_deterministic_across_workers():
-    cs1 = confidence_set(EUA, SRegion.singleton(0.9, 1.0), WA1, SMALL, workers=1)
-    cs2 = confidence_set(EUA, SRegion.singleton(0.9, 1.0), WA1, SMALL, workers=2)
-    np.testing.assert_array_equal(cs1.points, cs2.points)
-    np.testing.assert_array_equal(cs1.t_n, cs2.t_n)
-    np.testing.assert_array_equal(cs1.crit, cs2.crit)
-    assert "\n".join(cs1.to_csv_rows()) == "\n".join(cs2.to_csv_rows())
 
 
 def test_confidence_set_respects_parameter_space_box():
@@ -318,3 +313,133 @@ def test_coverage_simulation_checks_cell_floor():
             thin, RefPerf(0.9, 0.9), DependenceAssumption.NO_RESTRICTION, n=500, reps=5,
             cfg=TestConfig(alpha=0.05, seed=1), eps=0.01,
         )
+
+
+def _chi_square_bound(counts, boot, level):
+    """The level quantile of the square-rooted Pearson statistics of the draws."""
+    f = np.asarray(counts.cells, dtype=float) / counts.n
+    x2 = [counts.n * sum((fb[c] - f[c]) ** 2 / f[c] for c in range(4)) for fb in boot]
+    return max(float(np.quantile(np.sqrt(x2), level, method="higher")), 0.0)
+
+
+def _unscreened_confidence_set(counts, S, a, cfg):
+    """Confidence set from full-row kernel evaluations, with no screen.
+
+    Also checks the screen's invariant at every finite grid point: the
+    critical value never exceeds the chi-square bound.  The bound can be
+    attained (a component parallel to a draw's deviation), so rounding may
+    put the critical value an ulp above it; the screen's margin covers that.
+    """
+    boot = bootstrap_cell_frequencies(counts, cfg)
+    axis = np.linspace(0.0, 1.0, cfg.theta_grid)
+    cbar = _chi_square_bound(counts, boot, 1.0 - cfg.alpha + cfg.beta_value)
+    retained = []
+    n_tested = 0
+    for s_idx, s in enumerate(sorted(S.points, key=lambda q: (q.s1, q.s0))):
+        kernel = _SPointKernel(counts, a, s, boot)
+        (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
+        idx1 = np.flatnonzero((axis >= lo1) & (axis <= hi1))
+        idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
+        n_tested += idx1.size * idx0.size
+        iu, iv = (idx1, idx0) if kernel.u_is_theta1 else (idx0, idx1)
+        for i in iu:
+            tn, crit = kernel.evaluate(float(axis[i]), axis[iv], cfg.alpha, cfg.beta_value)
+            finite = np.isfinite(tn)
+            assert np.all(crit[finite] <= cbar * (1.0 + 1e-12)), (crit[finite].max(), cbar)
+            for j, t, c in zip(iv[finite], tn[finite], crit[finite]):
+                if t <= c:
+                    i1, i0 = (i, j) if kernel.u_is_theta1 else (j, i)
+                    retained.append((i1, i0, s_idx, s, t, c))
+    retained.sort(key=lambda r: r[:3])
+    points = np.array([[axis[r[0]], axis[r[1]], r[3].s1, r[3].s0] for r in retained])
+    t_n = np.array([r[4] for r in retained])
+    crit = np.array([r[5] for r in retained])
+    return points.reshape(-1, 4), t_n, crit, n_tested
+
+
+def _assert_matches_unscreened(counts, S, a, cfg):
+    cs = confidence_set(counts, S, a, cfg)
+    points, t_n, crit, n_tested = _unscreened_confidence_set(counts, S, a, cfg)
+    np.testing.assert_array_equal(cs.points, points)
+    np.testing.assert_array_equal(cs.t_n, t_n)
+    np.testing.assert_array_equal(cs.crit, crit)
+    assert cs.n_tested == n_tested
+    return cs
+
+
+@st.composite
+def _s_regions(draw):
+    points = []
+    for _ in range(draw(st.integers(1, 2))):
+        s0 = draw(st.floats(0.5, 1.0))
+        s1 = draw(st.floats(max(1.02 - s0, 0.3), 1.0))
+        points.append(RefPerf(s1, s0))
+    return SRegion(points=tuple(points))
+
+
+@settings(max_examples=100, deadline=None)
+@example(
+    cells=[1, 1, 1, 1], a=DependenceAssumption.NO_RESTRICTION,
+    S=SRegion.singleton(1.0, 1.0), bootstrap=20, seed=12, grid=15, alpha=0.05,
+)
+@given(
+    cells=st.lists(st.integers(1, 75), min_size=4, max_size=4),
+    a=st.sampled_from(list(DependenceAssumption)),
+    S=_s_regions(),
+    bootstrap=st.integers(20, 200),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.integers(15, 40),
+    alpha=st.sampled_from([0.05, 0.10]),
+)
+def test_screened_confidence_set_equals_unscreened(cells, a, S, bootstrap, seed, grid, alpha):
+    cfg = TestConfig(alpha=alpha, seed=seed, bootstrap=bootstrap, theta_grid=grid)
+    _assert_matches_unscreened(CellCounts(*cells), S, a, cfg)
+
+
+def _spy_on_evaluate(monkeypatch):
+    """Record (u, v) -> (T_n, crit) for every point the kernel evaluates."""
+    evaluated = {}
+    evaluate = _SPointKernel.evaluate
+
+    def spy(self, u, v, alpha, beta):
+        tn, crit = evaluate(self, u, v, alpha, beta)
+        evaluated.update({(u, float(x)): (t, c) for x, t, c in zip(v, tn, crit)})
+        return tn, crit
+
+    monkeypatch.setattr(_SPointKernel, "evaluate", spy)
+    return evaluated
+
+
+def test_screen_skips_the_bootstrap_at_most_grid_points(monkeypatch):
+    evaluated = _spy_on_evaluate(monkeypatch)
+    cs = confidence_set(EUA, SRegion.singleton(0.9, 1.0), WA1, SMALL)
+    assert len(cs) <= len(evaluated) < cs.n_tested / 20
+
+
+def test_ill_conditioned_points_take_the_full_evaluation(monkeypatch):
+    # Two single-observation cells among two million: at the theta0 edges
+    # (the driving coordinate under wa0) the variance of a moment component
+    # is about 5e-7 of its second moment, so the screen must leave those
+    # rows to the bootstrap even though their T_n is in the thousands.
+    counts = CellCounts(1, 1, 1_000_000, 1_000_000)
+    a = DependenceAssumption.WRONGLY_AGREE_Y0
+    s = RefPerf(1.0, 1.0)
+    cfg = TestConfig(alpha=0.05, seed=3, bootstrap=50, theta_grid=5)
+    axis = np.linspace(0.0, 1.0, cfg.theta_grid)
+    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, cfg))
+    assert not kernel.u_is_theta1
+    for edge in (0.0, 1.0):
+        mu6, s6, _, _, tn = kernel._statistic(edge, axis)
+        assert np.min(s6 * s6 / (s6 * s6 + mu6 * mu6)) < 1e-6
+        assert np.all(tn > 1e3) and np.all(kernel.needs_bootstrap(edge, axis, 0.0))
+
+    evaluated = _spy_on_evaluate(monkeypatch)
+    cs = confidence_set(counts, SRegion.singleton(1.0, 1.0), a, cfg)
+    monkeypatch.undo()
+    for edge in (0.0, 1.0):
+        for theta1 in axis:
+            res = rsw2_test(counts, ThetaPoint(float(theta1), edge, s), a, cfg)
+            assert res.reject
+            assert evaluated[(edge, float(theta1))] == (res.t_n, res.crit)
+    assert not np.any(np.isin(cs.points[:, 1], [0.0, 1.0]))
+    _assert_matches_unscreened(counts, SRegion.singleton(1.0, 1.0), a, cfg)

@@ -238,6 +238,29 @@ def test_cli_invalid_input_exit_code(tmp_path):
     assert rc == 3  # missing reference performance
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [
+        {"n11": 99.7, "n01": 18, "n10": 5, "n00": 338.9},
+        {"n11": True, "n01": 18, "n10": 5, "n00": 338},
+    ],
+    ids=["fractional", "boolean"],
+)
+def test_cli_rejects_non_integral_counts(tmp_path, capsys, cells):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(cells))
+    argv = ["estimate", "--input", str(path), "--s1", "0.9", "--s0", "1.0", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_read_counts_accepts_integral_json_numbers(tmp_path):
+    path = tmp_path / "counts.json"
+    path.write_text('{"n11": 99.0, "n01": 18, "n10": 5, "n00": 338}')
+    assert read_counts(path).cells == (99, 18, 5, 338)
+
+
 def test_cli_sensitivity(tmp_path, capsys):
     rc = main(
         [
