@@ -42,7 +42,7 @@ import numpy as np
 
 from .identification import DependenceAssumption, Interval
 from .moments import ThetaPoint, moment_cell_tables, param_space_box
-from .probability import CellCounts, JointTR, RefPerf, SRegion
+from .probability import CellCounts, JointTR, RefPerf, SRegion, default_cell_floor
 
 __all__ = [
     "TestConfig",
@@ -66,7 +66,13 @@ _SCREEN_ATOL = 1e-12
 _SCREEN_VAR_FLOOR = 1e-6
 
 # Substream tags keep bootstrap draws, simulated datasets, and derived
-# seeds in disjoint regions of the counter-based key space.
+# seeds in disjoint regions of the counter-based key space: substream
+# (seed, tag, index) is Philox keyed by [seed, (tag << 48) | index].
+# _Substreams re-keys one generator to it in place instead of building a
+# generator per substream; the state it sets (that key, counter 0, empty
+# output buffer, no spare 32-bit word) is exactly the state a fresh
+# Philox(key=...) starts from, so every draw is bit-identical to one from
+# a newly built generator.
 _TAG_BOOTSTRAP = 1
 _TAG_DATASET = 2
 _TAG_DERIVED = 3
@@ -126,18 +132,36 @@ class TestResult:
     crit: float
 
 
-def _substream(seed: int, tag: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one replicate, independent of call order."""
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((tag << 48) | index)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+class _Substreams:
+    """Counter-based substreams of one seed, served by one re-keyed generator.
 
+    ``at(tag, index)`` returns the object's single generator, re-keyed to
+    substream (seed, tag, index); it is valid until the next ``at`` call.
+    Mutable state: create one per call, never share one across threads.
+    """
 
-def derive_seed(seed: int, index: int) -> int:
-    """Stable 63-bit child seed for nested simulations."""
-    return int(_substream(seed, _TAG_DERIVED, index).integers(0, 2**63))
+    def __init__(self, seed: int) -> None:
+        self._bitgen = np.random.Philox(0)  # any seed: ``at`` sets the whole state
+        self._gen = np.random.Generator(self._bitgen)
+        # Plain ints: the state setter reads lists faster than arrays.
+        self._key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def at(self, tag: int, index: int) -> np.random.Generator:
+        self._key[1] = (tag << 48) | index
+        self._bitgen.state = self._state
+        return self._gen
+
+    def derive_seed(self, index: int) -> int:
+        """Stable 63-bit child seed for nested simulations."""
+        return int(self.at(_TAG_DERIVED, index).integers(0, 2**63))
 
 
 def bootstrap_cell_frequencies(counts: CellCounts, cfg: TestConfig) -> np.ndarray:
@@ -146,14 +170,17 @@ def bootstrap_cell_frequencies(counts: CellCounts, cfg: TestConfig) -> np.ndarra
     Resampling n observations with replacement and tabulating is exactly a
     multinomial draw over the cells, so one vector per replicate carries
     all the information the moment machinery needs.  Each replicate has
-    its own counter-based substream keyed by (seed, replicate).
+    its own counter-based substream keyed by (seed, replicate), so draws
+    do not depend on call order.  One generator is re-keyed per replicate
+    (see ``_TAG_BOOTSTRAP``); its draws are bit-identical to those of a
+    generator built per replicate.
     """
     n = counts.n
     pvals = np.asarray(counts.cells, dtype=float) / n
+    streams = _Substreams(cfg.seed)
     out = np.empty((cfg.bootstrap, 4))
     for b in range(cfg.bootstrap):
-        rng = _substream(cfg.seed, _TAG_BOOTSTRAP, b)
-        out[b] = rng.multinomial(n, pvals)
+        out[b] = streams.at(_TAG_BOOTSTRAP, b).multinomial(n, pvals)
     out /= n
     out.setflags(write=False)
     return out
@@ -546,7 +573,7 @@ def coverage_simulation(
 
     if reps < 1:
         raise ValueError(f"need at least one replication, got {reps}")
-    floor = eps if eps is not None else 1.0 / (2.0 * n)
+    floor = eps if eps is not None else default_cell_floor(n)
     if not true_p.satisfies_cell_floor(floor):
         raise ValueError(
             f"true distribution violates the cell floor {floor}: cells {true_p.cells}"
@@ -561,12 +588,12 @@ def coverage_simulation(
         _check_in_box(tp, a)
 
     pvals = np.asarray(true_p.cells, dtype=float)
+    streams = _Substreams(cfg.seed)
     accept = np.zeros((reps, len(theta_points)), dtype=int)
     for r in range(reps):
-        rng = _substream(cfg.seed, _TAG_DATASET, r)
-        draw = rng.multinomial(n, pvals)
+        draw = streams.at(_TAG_DATASET, r).multinomial(n, pvals)
         counts = CellCounts(*(int(c) for c in draw))
-        rep_cfg = replace(cfg, seed=derive_seed(cfg.seed, r))
+        rep_cfg = replace(cfg, seed=streams.derive_seed(r))
         boot = bootstrap_cell_frequencies(counts, rep_cfg)
         for k, tp in enumerate(theta_points):
             res = _point_test(counts, tp, a, rep_cfg, boot_freqs=boot)

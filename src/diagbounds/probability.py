@@ -316,9 +316,9 @@ def validate_assumptions(
     )
 
 
-def default_cell_floor(counts: CellCounts) -> float:
-    """Default family-membership floor: half the weight of one observation."""
-    return 1.0 / (2.0 * counts.n)
+def default_cell_floor(n: int) -> float:
+    """Default family-membership floor for n observations: half the weight of one."""
+    return 1.0 / (2.0 * n)
 
 
 def _require_valid(p: JointTR, s: RefPerf) -> None:
@@ -373,8 +373,3 @@ def apparent_measures(p: JointTR) -> tuple[float, float]:
     theta1_tilde = p.p11 / pr1
     theta0_tilde = p.p00 / (1.0 - pr1)
     return (theta1_tilde, theta0_tilde)
-
-
-def counts_from_joint(p: JointTR, n: int) -> CellCounts:
-    """Reconstruct integer counts from frequencies (inverse of estimation)."""
-    return CellCounts(*(int(round(c * n)) for c in p.cells))

@@ -40,6 +40,7 @@ from .probability import (
     RefutationError,
     SRegion,
     apparent_measures,
+    default_cell_floor,
     estimate_joint,
     validate_assumptions,
 )
@@ -185,7 +186,7 @@ class ReportBundle:
 
 def _validation_records(counts: CellCounts, s_region: SRegion) -> list[dict]:
     p = estimate_joint(counts)
-    eps = 1.0 / (2.0 * counts.n)
+    eps = default_cell_floor(counts.n)
     out = []
     for s in s_region.points:
         rep = validate_assumptions(p, s, eps=eps)

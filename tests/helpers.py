@@ -29,6 +29,11 @@ S_POINT = RefPerf(0.9, 1.0)
 WA1 = DependenceAssumption.WRONGLY_AGREE_Y1
 
 
+def counts_from_joint(p: JointTR, n: int) -> CellCounts:
+    """Reconstruct integer counts from frequencies (inverse of estimation)."""
+    return CellCounts(*(int(round(c * n)) for c in p.cells))
+
+
 def random_valid_instance(rng, min_cell=0.02, prev_range=(0.1, 0.9)):
     """A joint distribution and reference point surviving validation."""
     while True:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +22,8 @@ from diagbounds import (
 from diagbounds.inference import (
     _SPointKernel,
     _stud,
+    _Substreams,
     bootstrap_cell_frequencies,
-    derive_seed,
 )
 from diagbounds.moments import param_space_box
 
@@ -55,8 +57,76 @@ def test_bootstrap_frequencies_shape_and_determinism():
 
 
 def test_derive_seed_stable():
-    assert derive_seed(1, 2) == derive_seed(1, 2)
-    assert derive_seed(1, 2) != derive_seed(1, 3)
+    assert _Substreams(1).derive_seed(2) == _Substreams(1).derive_seed(2)
+    assert _Substreams(1).derive_seed(2) != _Substreams(1).derive_seed(3)
+
+
+def _sha256(arr: np.ndarray) -> str:
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+def test_random_streams_pinned():
+    # Digests of the seeded streams as a generator built per substream drew
+    # them: any change to how draws are generated fails here.
+    boot = bootstrap_cell_frequencies(EUA, CFG)
+    assert _sha256(boot) == "da1bb149c92297f458ddfb5de957842a8d518ab6ba46dd2d012f0047abd92048"
+    assert _Substreams(1).derive_seed(2) == 6203319792959033197
+    p = estimate_joint(EUA)
+    pinned = {  # coverage (0.9, 0.9, 0.9) and (0.75, 0.75, 0.8)
+        2: "d88e5d6278e85925673fe7082bbc80680c2447486b3becd30102a6e0a5b7552b",
+        3: "18c07d6898d9c2733d99c37387ad519cbd90c691f3561858f66af6bf3e4cd3ef",
+    }
+    for seed, digest in pinned.items():
+        cfg = TestConfig(alpha=0.05, seed=seed, bootstrap=100)
+        res = coverage_simulation(p, S91, WA1, n=200, reps=20, cfg=cfg)
+        assert _sha256(res.coverage) == digest, (seed, res.coverage)
+
+
+def _fresh_substream(seed: int, tag: int, index: int) -> np.random.Generator:
+    """The generator a substream stands for, built from scratch."""
+    key = np.array([seed, (tag << 48) | index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+_TAGS = st.sampled_from([1, 2, 3])
+_INDICES = st.integers(0, 2**48 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@example(seed=0, tag=1, index=0, others=[(1, 1)], n=2, weights=[1, 0, 0, 1])
+@example(
+    seed=2**64 - 1, tag=3, index=2**48 - 1, others=[(2, 0)], n=5000, weights=[0, 3, 1, 0]
+)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    tag=_TAGS,
+    index=_INDICES,
+    others=st.lists(st.tuples(_TAGS, _INDICES), min_size=1, max_size=3),
+    n=st.integers(2, 5000),
+    weights=st.lists(st.integers(0, 20), min_size=4, max_size=4).filter(lambda w: sum(w) > 0),
+)
+def test_rekeyed_substream_draws_match_a_fresh_generator(seed, tag, index, others, n, weights):
+    pvals = np.asarray(weights, dtype=float) / sum(weights)
+    fresh = _fresh_substream(seed, tag, index)
+    want_counts = fresh.multinomial(n, pvals)
+    want_int = fresh.integers(0, 2**63)
+
+    streams = _Substreams(seed)
+    rng = streams.at(tag, index)
+    np.testing.assert_array_equal(rng.multinomial(n, pvals), want_counts)
+    assert rng.integers(0, 2**63) == want_int
+
+    # Re-keying after other substreams, the last of which leaves half of a
+    # 64-bit output word buffered, gives the same draws as keying alone.
+    for other_tag, other_index in others:
+        rng = streams.at(other_tag, other_index)
+        rng.multinomial(n, pvals)
+        rng.integers(0, 2**63)
+        rng.integers(0, 10)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    rng = streams.at(tag, index)
+    np.testing.assert_array_equal(rng.multinomial(n, pvals), want_counts)
+    assert rng.integers(0, 2**63) == want_int
 
 
 def test_stud_zero_denominator_conventions():

@@ -15,9 +15,7 @@ from diagbounds import (
     estimate_joint,
     validate_assumptions,
 )
-from diagbounds.probability import counts_from_joint
-
-from helpers import TABLE_DATASETS
+from helpers import TABLE_DATASETS, counts_from_joint
 
 
 def test_estimate_joint_eua_row():

@@ -193,21 +193,22 @@ def test_cli_estimate_and_exit_codes(tmp_path, capsys):
 
 
 def test_cli_refuted_exit_code(tmp_path):
-    rc = main(
-        [
-            "estimate",
-            "--dataset",
-            "eua_symptomatic",
-            "--s1",
-            "0.45",
-            "--s0",
-            "0.7",
-            "--assumption",
-            "none",
-            "--out",
-            str(tmp_path),
-        ]
-    )
+    with pytest.warns(UserWarning, match="dropping refuted reference point"):
+        rc = main(
+            [
+                "estimate",
+                "--dataset",
+                "eua_symptomatic",
+                "--s1",
+                "0.45",
+                "--s0",
+                "0.7",
+                "--assumption",
+                "none",
+                "--out",
+                str(tmp_path),
+            ]
+        )
     assert rc == 2
 
 
