@@ -19,8 +19,8 @@ from pathlib import Path
 from .datasets import list_datasets, load_dataset, read_counts
 from .derived import PretestRange
 from .identification import DependenceAssumption
-from .inference import TestConfig, coverage_simulation
-from .probability import RefutationError, SRegion, estimate_joint
+from .inference import BETA_PRESETS, TestConfig, coverage_simulation
+from .probability import CellCounts, RefutationError, SRegion, estimate_joint
 from .report import (
     EXTRAPOLATION_NOTE,
     ReportToggles,
@@ -54,8 +54,8 @@ def _add_common(p: argparse.ArgumentParser, inference: bool = False) -> None:
         default="none",
         help="dependence restriction between the tests",
     )
-    p.add_argument("--s-grid", type=int, default=10, help="grid points per reference axis")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--s-grid", type=int, default=TestConfig.s_grid, help="grid points per reference axis")
+    p.add_argument("--alpha", type=float, default=TestConfig.alpha, help="significance level")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     p.add_argument(
         "--format",
@@ -68,13 +68,13 @@ def _add_common(p: argparse.ArgumentParser, inference: bool = False) -> None:
         p.add_argument(
             "--beta-preset",
             type=int,
-            choices=[5, 10, 20],
+            choices=BETA_PRESETS,
             default=10,
             help="first-stage level beta = alpha / PRESET",
         )
-        p.add_argument("--bootstrap", type=int, default=500, metavar="B")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--theta-grid", type=int, default=316, help="grid points per theta axis")
+        p.add_argument("--bootstrap", type=int, default=TestConfig.bootstrap, metavar="B")
+        p.add_argument("--seed", type=int, default=TestConfig.seed)
+        p.add_argument("--theta-grid", type=int, default=TestConfig.theta_grid, help="grid points per theta axis")
         p.add_argument(
             "--dump-moment-cells",
             action="store_true",
@@ -82,7 +82,7 @@ def _add_common(p: argparse.ArgumentParser, inference: bool = False) -> None:
         )
 
 
-def _counts(args) -> "CellCounts":
+def _counts(args) -> CellCounts:
     if args.dataset:
         return load_dataset(args.dataset)
     return read_counts(args.input)
@@ -99,14 +99,11 @@ def _s_region(args) -> SRegion:
 
 
 def _test_config(args) -> TestConfig:
-    divisor = getattr(args, "beta_preset", 10)
-    return TestConfig(
-        alpha=args.alpha,
-        beta=args.alpha / divisor,
-        bootstrap=getattr(args, "bootstrap", 500),
-        seed=getattr(args, "seed", 0),
-        theta_grid=getattr(args, "theta_grid", 316),
-        s_grid=args.s_grid,
+    if "beta_preset" not in args:  # a verb without the inference options
+        return TestConfig(alpha=args.alpha, s_grid=args.s_grid)
+    return TestConfig.with_beta_preset(
+        args.alpha, args.beta_preset, bootstrap=args.bootstrap, seed=args.seed,
+        theta_grid=args.theta_grid, s_grid=args.s_grid,
     )
 
 

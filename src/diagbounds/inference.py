@@ -31,16 +31,19 @@ so the screen asks T_n to clear c_bar by a small relative and absolute
 margin and applies only where every studentizing variance, computed as
 E[m^2] - mu^2, is well above rounding error of its second moment; every
 other point goes through the full evaluation.
+
+One kernel per (dataset, reference point) decides every test: a single
+point, each replicate of a coverage simulation, each grid-inversion row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .identification import DependenceAssumption, Interval
+from .identification import DependenceAssumption, Interval, sharp_segment
 from .moments import ThetaPoint, moment_cell_tables, param_space_box
 from .probability import CellCounts, JointTR, RefPerf, SRegion, default_cell_floor
 
@@ -56,6 +59,7 @@ __all__ = [
 ]
 
 _QUANTILE_METHOD = "higher"
+BETA_PRESETS = (5, 10, 20)  # first-stage levels beta = alpha / preset
 
 # The chi-square screen rejects a point only when T_n clears the bound by
 # this relative and absolute margin, and only when every studentizing
@@ -118,8 +122,8 @@ class TestConfig:
     @classmethod
     def with_beta_preset(cls, alpha: float = 0.05, divisor: int = 10, **kwargs) -> "TestConfig":
         """Presets for the first-stage level: alpha/10, alpha/5, alpha/20."""
-        if divisor not in (5, 10, 20):
-            raise ValueError(f"beta preset divisor must be 5, 10 or 20, got {divisor}")
+        if divisor not in BETA_PRESETS:
+            raise ValueError(f"beta preset divisor must be one of {BETA_PRESETS}, got {divisor}")
         return cls(alpha=alpha, beta=alpha / divisor, **kwargs)
 
 
@@ -164,22 +168,22 @@ class _Substreams:
         return int(self.at(_TAG_DERIVED, index).integers(0, 2**63))
 
 
-def bootstrap_cell_frequencies(counts: CellCounts, cfg: TestConfig) -> np.ndarray:
-    """B multinomial resamples of the four cells, as frequencies.
+def bootstrap_cell_frequencies(counts: CellCounts, bootstrap: int, seed: int) -> np.ndarray:
+    """``bootstrap`` multinomial resamples of the four cells, as frequencies.
 
     Resampling n observations with replacement and tabulating is exactly a
     multinomial draw over the cells, so one vector per replicate carries
     all the information the moment machinery needs.  Each replicate has
-    its own counter-based substream keyed by (seed, replicate), so draws
+    its own counter-based substream keyed by (``seed``, replicate), so draws
     do not depend on call order.  One generator is re-keyed per replicate
     (see ``_TAG_BOOTSTRAP``); its draws are bit-identical to those of a
     generator built per replicate.
     """
     n = counts.n
     pvals = np.asarray(counts.cells, dtype=float) / n
-    streams = _Substreams(cfg.seed)
-    out = np.empty((cfg.bootstrap, 4))
-    for b in range(cfg.bootstrap):
+    streams = _Substreams(seed)
+    out = np.empty((bootstrap, 4))
+    for b in range(bootstrap):
         out[b] = streams.at(_TAG_BOOTSTRAP, b).multinomial(n, pvals)
     out /= n
     out.setflags(write=False)
@@ -211,6 +215,11 @@ def _stud(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rejects(tn: np.ndarray, crit: np.ndarray) -> np.ndarray:
+    """The reject rule: T_n above its critical value, or T_n not finite."""
+    return (tn > crit) | ~np.isfinite(tn)
+
+
 class _SPointKernel:
     """Vectorized test evaluation for one (s1, s0) and one dataset.
 
@@ -236,7 +245,7 @@ class _SPointKernel:
         self.sqrt_n = math.sqrt(n)
         # Driving coordinate: theta0 for the wrongly-agree-y0 system.
         self.u_is_theta1 = a is not DependenceAssumption.WRONGLY_AGREE_Y0
-        U, V = (B, C) if self.u_is_theta1 else (C, B)
+        U, V = self.orient(B, C)
 
         f = np.asarray(counts.cells, dtype=float) / n
         F = boot_freqs
@@ -258,6 +267,10 @@ class _SPointKernel:
         # resamples that nearly empty a thin cell and loses the published
         # rejections.
         self.PA, self.PU, self.PV = F @ A, F @ U, F @ V
+
+    def orient(self, x1, x0):
+        """A (theta1, theta0) pair as (u, v); the swap also maps (u, v) back."""
+        return (x1, x0) if self.u_is_theta1 else (x0, x1)
 
     # -- data-side statistics ------------------------------------------
 
@@ -348,22 +361,11 @@ class _SPointKernel:
         crit = np.quantile(gmax, 1.0 - alpha + beta, axis=1, method=_QUANTILE_METHOD)
         return tn, np.maximum(crit, 0.0)
 
-
-def _point_test(
-    counts: CellCounts,
-    theta: ThetaPoint,
-    a: DependenceAssumption,
-    cfg: TestConfig,
-    boot_freqs: np.ndarray | None = None,
-) -> TestResult:
-    if boot_freqs is None:
-        boot_freqs = bootstrap_cell_frequencies(counts, cfg)
-    kernel = _SPointKernel(counts, a, theta.s, boot_freqs)
-    u, v = (theta.theta1, theta.theta0) if kernel.u_is_theta1 else (theta.theta0, theta.theta1)
-    tn, crit = kernel.evaluate(u, np.array([v]), cfg.alpha, cfg.beta_value)
-    t_n, c = float(tn[0]), float(crit[0])
-    reject = bool(t_n > c) or math.isinf(t_n)
-    return TestResult(reject=reject, t_n=t_n, crit=c)
+    def test(self, theta: ThetaPoint, alpha: float, beta: float) -> TestResult:
+        """The test at one point whose reference values are this kernel's."""
+        u, v = self.orient(theta.theta1, theta.theta0)
+        tn, crit = self.evaluate(u, np.array([v]), alpha, beta)
+        return TestResult(reject=bool(_rejects(tn, crit)[0]), t_n=float(tn[0]), crit=float(crit[0]))
 
 
 def rsw2_test(
@@ -380,7 +382,8 @@ def rsw2_test(
     """
     counts.require_positive_cells()
     _check_in_box(theta, a)
-    return _point_test(counts, theta, a, cfg)
+    boot_freqs = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
+    return _SPointKernel(counts, a, theta.s, boot_freqs).test(theta, cfg.alpha, cfg.beta_value)
 
 
 def _check_in_box(theta: ThetaPoint, a: DependenceAssumption) -> None:
@@ -412,7 +415,6 @@ class ConfidenceSet:
     t_n: np.ndarray
     crit: np.ndarray
     n_tested: int
-    quantile_method: str = _QUANTILE_METHOD
 
     def __post_init__(self) -> None:
         for arr in (self.theta1_axis, self.theta0_axis, self.points, self.t_n, self.crit):
@@ -449,7 +451,7 @@ class ConfidenceSet:
             "beta": self.config.beta_value,
             "bootstrap": self.config.bootstrap,
             "seed": self.config.seed,
-            "quantile_method": self.quantile_method,
+            "quantile_method": _QUANTILE_METHOD,
             "assumption": self.assumption.value,
             "s_points": [[s.s1, s.s0] for s in self.s_points],
             "theta1_axis": self.theta1_axis.tolist(),
@@ -488,7 +490,7 @@ def confidence_set(
     bootstrap; the rest are evaluated in full, row by row.
     """
     counts.require_positive_cells()
-    boot_freqs = bootstrap_cell_frequencies(counts, cfg)
+    boot_freqs = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
     s_points = tuple(sorted(S.points, key=lambda q: (q.s1, q.s0)))
     alpha, beta = cfg.alpha, cfg.beta_value
@@ -504,16 +506,16 @@ def confidence_set(
         idx1 = np.flatnonzero((axis >= lo1) & (axis <= hi1))
         idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
         n_tested += idx1.size * idx0.size
-        iu, iv = (idx1, idx0) if kernel.u_is_theta1 else (idx0, idx1)
+        iu, iv = kernel.orient(idx1, idx0)
         for i in iu:
             u = float(axis[i])
             live = iv[kernel.needs_bootstrap(u, axis[iv], cutoff)]
             if live.size == 0:
                 continue
             tn, crit = kernel.evaluate(u, axis[live], alpha, beta)
-            keep = ~(tn > crit) & np.isfinite(tn)
+            keep = ~_rejects(tn, crit)
             j, row = live[keep], np.full(np.count_nonzero(keep), i)
-            i1, i0 = (row, j) if kernel.u_is_theta1 else (j, row)
+            i1, i0 = kernel.orient(row, j)
             blocks.append((i1, i0, np.full(j.size, s_idx), tn[keep], crit[keep]))
 
     if blocks:
@@ -567,10 +569,9 @@ def coverage_simulation(
     each candidate theta (by default three interior points of the true
     segment), the fraction of replications in which the test accepts.
     Replicate r uses its own dataset substream and a derived bootstrap
-    seed, so results do not depend on evaluation order.
+    seed, so results do not depend on evaluation order; its draws are
+    shared by one kernel per distinct reference point of the candidates.
     """
-    from .identification import sharp_segment
-
     if reps < 1:
         raise ValueError(f"need at least one replication, got {reps}")
     floor = eps if eps is not None else default_cell_floor(n)
@@ -586,6 +587,7 @@ def coverage_simulation(
         )
     for tp in theta_points:
         _check_in_box(tp, a)
+    s_points = tuple(dict.fromkeys(tp.s for tp in theta_points))
 
     pvals = np.asarray(true_p.cells, dtype=float)
     streams = _Substreams(cfg.seed)
@@ -593,11 +595,10 @@ def coverage_simulation(
     for r in range(reps):
         draw = streams.at(_TAG_DATASET, r).multinomial(n, pvals)
         counts = CellCounts(*(int(c) for c in draw))
-        rep_cfg = replace(cfg, seed=streams.derive_seed(r))
-        boot = bootstrap_cell_frequencies(counts, rep_cfg)
+        boot = bootstrap_cell_frequencies(counts, cfg.bootstrap, streams.derive_seed(r))
+        kernels = {s: _SPointKernel(counts, a, s, boot) for s in s_points}
         for k, tp in enumerate(theta_points):
-            res = _point_test(counts, tp, a, rep_cfg, boot_freqs=boot)
-            accept[r, k] = 0 if res.reject else 1
+            accept[r, k] = 0 if kernels[tp.s].test(tp, cfg.alpha, cfg.beta_value).reject else 1
     coverage = accept.mean(axis=0)
     return CoverageResult(
         theta_points=tuple(theta_points), coverage=coverage, reps=reps, n=n

@@ -315,7 +315,7 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
 
     bundle = ReportBundle(data=data)
     if cfg.out_dir is not None:
-        _write_outputs(cfg, bundle, identified, cs, p)
+        _write_outputs(cfg, bundle, identified, cs)
     return bundle
 
 
@@ -394,7 +394,7 @@ def run_sensitivity(
     return bundle
 
 
-def _write_outputs(cfg, bundle, identified, cs, p) -> None:
+def _write_outputs(cfg, bundle, identified, cs) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.formats:

@@ -20,6 +20,7 @@ from diagbounds import (
     sharp_segment,
 )
 from diagbounds.inference import (
+    _rejects,
     _SPointKernel,
     _stud,
     _Substreams,
@@ -47,12 +48,12 @@ def test_config_validation():
 
 
 def test_bootstrap_frequencies_shape_and_determinism():
-    f1 = bootstrap_cell_frequencies(EUA, CFG)
-    f2 = bootstrap_cell_frequencies(EUA, CFG)
+    f1 = bootstrap_cell_frequencies(EUA, 500, CFG.seed)
+    f2 = bootstrap_cell_frequencies(EUA, 500, CFG.seed)
     assert f1.shape == (500, 4)
     np.testing.assert_array_equal(f1, f2)
     np.testing.assert_allclose(f1.sum(axis=1), 1.0, atol=1e-12)
-    f3 = bootstrap_cell_frequencies(EUA, TestConfig(alpha=0.05, seed=2))
+    f3 = bootstrap_cell_frequencies(EUA, 500, 2)
     assert not np.array_equal(f1, f3)
 
 
@@ -68,7 +69,7 @@ def _sha256(arr: np.ndarray) -> str:
 def test_random_streams_pinned():
     # Digests of the seeded streams as a generator built per substream drew
     # them: any change to how draws are generated fails here.
-    boot = bootstrap_cell_frequencies(EUA, CFG)
+    boot = bootstrap_cell_frequencies(EUA, CFG.bootstrap, CFG.seed)
     assert _sha256(boot) == "da1bb149c92297f458ddfb5de957842a8d518ab6ba46dd2d012f0047abd92048"
     assert _Substreams(1).derive_seed(2) == 6203319792959033197
     p = estimate_joint(EUA)
@@ -127,6 +128,12 @@ def test_rekeyed_substream_draws_match_a_fresh_generator(seed, tag, index, other
     rng = streams.at(tag, index)
     np.testing.assert_array_equal(rng.multinomial(n, pvals), want_counts)
     assert rng.integers(0, 2**63) == want_int
+
+
+def test_reject_rule_rejects_non_finite_statistics():
+    tn = np.array([np.nan, np.inf, 1.0, 0.5, 1.0])
+    crit = np.array([1.0, 1.0, 0.5, 1.0, 1.0])
+    np.testing.assert_array_equal(_rejects(tn, crit), [True, True, True, False, False])
 
 
 def test_stud_zero_denominator_conventions():
@@ -298,19 +305,16 @@ def test_kernel_matches_loop_reference(a):
     counts = CellCounts(80, 30, 12, 140)
     s = RefPerf(0.88, 0.9)
     cfg = TestConfig(alpha=0.05, seed=41, bootstrap=200)
-    boot = bootstrap_cell_frequencies(counts, cfg)
+    boot = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
+    kernel = _SPointKernel(counts, a, s, boot)
     rng = np.random.default_rng(abs(hash(a.value)) % 2**32)
-    from diagbounds import param_space_box
-
     box = param_space_box(a, s)
     for _ in range(6):
         theta = ThetaPoint(
             float(rng.uniform(0.05, box[0][1])), float(rng.uniform(0.05, box[1][1])), s
         )
         want_tn, want_crit = _reference_two_step(counts, theta, a, cfg, boot)
-        from diagbounds.inference import _point_test
-
-        got = _point_test(counts, theta, a, cfg, boot_freqs=boot)
+        got = kernel.test(theta, cfg.alpha, cfg.beta_value)
         assert got.t_n == pytest.approx(want_tn, abs=1e-10)
         assert got.crit == pytest.approx(want_crit, abs=1e-10)
 
@@ -376,6 +380,30 @@ def test_coverage_simulation_far_point_rejected():
     assert res.coverage[0] == 0.0
 
 
+def test_coverage_simulation_mixed_reference_points():
+    # One kernel per reference point and replicate: candidates at two
+    # reference points see the same draws as when simulated apart.
+    p = JointTR(0.45, 0.05, 0.05, 0.45)
+    a = DependenceAssumption.NO_RESTRICTION
+    cfg = TestConfig(alpha=0.05, seed=8, bootstrap=100)
+
+    def on_segment(s):
+        seg = sharp_segment(p, s, a)
+        return tuple(ThetaPoint(*seg.point_at(f), s) for f in (0.2, 0.8))
+
+    def run(points):
+        res = coverage_simulation(p, RefPerf(0.9, 0.9), a, n=300, reps=12, cfg=cfg, theta_points=points)
+        return res.coverage
+
+    s_b = RefPerf(0.95, 0.85)
+    first, second = on_segment(RefPerf(0.9, 0.9)), on_segment(s_b) + (ThetaPoint(0.82, 0.82, s_b),)
+    apart = np.concatenate([run(first), run(second)])
+    np.testing.assert_array_equal(run(first + second), apart)
+    interleaved = (first[0], second[0], first[1], second[1], second[2])
+    np.testing.assert_array_equal(run(interleaved), apart[[0, 2, 1, 3, 4]])
+    assert 0.0 < apart.min() < apart.max() < 1.0
+
+
 def test_coverage_simulation_checks_cell_floor():
     thin = JointTR(0.499, 0.499, 0.001, 0.001)
     with pytest.raises(ValueError, match="cell floor"):
@@ -399,11 +427,12 @@ def _unscreened_confidence_set(counts, S, a, cfg):
     critical value never exceeds the chi-square bound.  The bound can be
     attained (a component parallel to a draw's deviation), so rounding may
     put the critical value an ulp above it; the screen's margin covers that.
+    Returns the tested points that are not retained as well.
     """
-    boot = bootstrap_cell_frequencies(counts, cfg)
+    boot = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
     cbar = _chi_square_bound(counts, boot, 1.0 - cfg.alpha + cfg.beta_value)
-    retained = []
+    retained, rejected = [], []
     n_tested = 0
     for s_idx, s in enumerate(sorted(S.points, key=lambda q: (q.s1, q.s0))):
         kernel = _SPointKernel(counts, a, s, boot)
@@ -411,29 +440,43 @@ def _unscreened_confidence_set(counts, S, a, cfg):
         idx1 = np.flatnonzero((axis >= lo1) & (axis <= hi1))
         idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
         n_tested += idx1.size * idx0.size
-        iu, iv = (idx1, idx0) if kernel.u_is_theta1 else (idx0, idx1)
+        iu, iv = kernel.orient(idx1, idx0)
         for i in iu:
             tn, crit = kernel.evaluate(float(axis[i]), axis[iv], cfg.alpha, cfg.beta_value)
             finite = np.isfinite(tn)
             assert np.all(crit[finite] <= cbar * (1.0 + 1e-12)), (crit[finite].max(), cbar)
-            for j, t, c in zip(iv[finite], tn[finite], crit[finite]):
-                if t <= c:
-                    i1, i0 = (i, j) if kernel.u_is_theta1 else (j, i)
+            for j, t, c in zip(iv, tn, crit):
+                i1, i0 = kernel.orient(i, j)
+                if np.isfinite(t) and t <= c:
                     retained.append((i1, i0, s_idx, s, t, c))
+                else:
+                    rejected.append(ThetaPoint(float(axis[i1]), float(axis[i0]), s))
     retained.sort(key=lambda r: r[:3])
     points = np.array([[axis[r[0]], axis[r[1]], r[3].s1, r[3].s0] for r in retained])
     t_n = np.array([r[4] for r in retained])
     crit = np.array([r[5] for r in retained])
-    return points.reshape(-1, 4), t_n, crit, n_tested
+    return points.reshape(-1, 4), t_n, crit, n_tested, rejected
+
+
+def _spread(n, k=3):
+    """Up to k indices spread evenly over range(n)."""
+    return np.unique(np.linspace(0, n - 1, min(n, k)).astype(int))
 
 
 def _assert_matches_unscreened(counts, S, a, cfg):
     cs = confidence_set(counts, S, a, cfg)
-    points, t_n, crit, n_tested = _unscreened_confidence_set(counts, S, a, cfg)
+    points, t_n, crit, n_tested, rejected = _unscreened_confidence_set(counts, S, a, cfg)
     np.testing.assert_array_equal(cs.points, points)
     np.testing.assert_array_equal(cs.t_n, t_n)
     np.testing.assert_array_equal(cs.crit, crit)
     assert cs.n_tested == n_tested
+    # One point at a time, the test agrees with the inversion.
+    for k in _spread(len(cs)):
+        t1, t0, s1, s0 = (float(x) for x in cs.points[k])
+        res = rsw2_test(counts, ThetaPoint(t1, t0, RefPerf(s1, s0)), a, cfg)
+        assert not res.reject and (res.t_n, res.crit) == (cs.t_n[k], cs.crit[k])
+    for k in _spread(len(rejected)):
+        assert rsw2_test(counts, rejected[k], a, cfg).reject
     return cs
 
 
@@ -496,7 +539,7 @@ def test_ill_conditioned_points_take_the_full_evaluation(monkeypatch):
     s = RefPerf(1.0, 1.0)
     cfg = TestConfig(alpha=0.05, seed=3, bootstrap=50, theta_grid=5)
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
-    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, cfg))
+    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed))
     assert not kernel.u_is_theta1
     for edge in (0.0, 1.0):
         mu6, s6, _, _, tn = kernel._statistic(edge, axis)

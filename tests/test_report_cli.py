@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from diagbounds import DependenceAssumption, SRegion, TestConfig
-from diagbounds.cli import main
+from diagbounds.cli import _test_config, build_parser, main
 from diagbounds.datasets import list_datasets, load_dataset, read_counts
 from diagbounds.report import ReportBundle, ReportToggles, StudyConfig, run_analysis, run_sensitivity
 
@@ -190,6 +191,14 @@ def test_cli_estimate_and_exit_codes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "sharp projections" in text
     assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["estimate"], ["infer"], ["simulate-coverage", "--n", "9", "--reps", "1"]])
+def test_cli_test_config_defaults_are_test_config_defaults(argv):
+    args = build_parser().parse_args([argv[0], "--dataset", "eua_symptomatic", *argv[1:]])
+    cfg = _test_config(args)
+    assert dataclasses.replace(cfg, beta=None) == TestConfig()
+    assert cfg.beta_value == TestConfig().beta_value
 
 
 def test_cli_refuted_exit_code(tmp_path):
