@@ -19,7 +19,7 @@ from pathlib import Path
 from .datasets import list_datasets, load_dataset, read_counts
 from .derived import PretestRange
 from .identification import DependenceAssumption
-from .inference import BETA_PRESETS, TestConfig, coverage_simulation
+from .inference import BETA_PRESETS, DEFAULT_BETA_PRESET, TestConfig, coverage_simulation
 from .probability import CellCounts, RefutationError, SRegion, estimate_joint
 from .report import (
     EXTRAPOLATION_NOTE,
@@ -69,7 +69,7 @@ def _add_common(p: argparse.ArgumentParser, inference: bool = False) -> None:
             "--beta-preset",
             type=int,
             choices=BETA_PRESETS,
-            default=10,
+            default=DEFAULT_BETA_PRESET,
             help="first-stage level beta = alpha / PRESET",
         )
         p.add_argument("--bootstrap", type=int, default=TestConfig.bootstrap, metavar="B")

@@ -1,12 +1,15 @@
 """Bounds on screened-population prevalence and on predictive values.
 
 Prevalence in a population screened with the index test satisfies
-P(y=1) = (P(t=1) + theta0 - 1) / (theta1 + theta0 - 1).  Because the
+P(y=1) = (q + theta0 - 1) / (theta1 + theta0 - 1), where q = P(t=1) is
+the screened positive rate, a plain float in [0, 1].  Because the
 identified set for (theta1, theta0) is a line segment (or a union of
 them), the ratio is monotone along each segment and its extremes sit at
 segment endpoints; treating the identified set as a rectangle of its
 projections forgets that structure and strictly widens the bounds
-whenever the segment is non-degenerate.
+whenever the segment is non-degenerate.  Both bounds are one rule,
+``_ratio_bounds``: the ratio at candidate points (the two endpoints, or
+the rectangle's four corners), clamped into [0, 1].
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass, field
 from .identification import IdentifiedSet, Interval, ThetaSegment
 
 __all__ = [
-    "ScreeningInput",
     "PretestRange",
     "PrevalenceBounds",
     "prevalence_bounds_segment",
@@ -28,17 +30,6 @@ __all__ = [
 
 # Sign-change detection tolerance for theta1 + theta0 - 1 along a segment.
 SIGN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ScreeningInput:
-    """Positive rate P(t=1) observed in the screened population."""
-
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"screened positive rate must lie in [0, 1], got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -82,41 +73,44 @@ class PrevalenceBounds:
 _VACUOUS = Interval(0.0, 1.0)
 
 
-def _ratio_interval(values: list[float]) -> tuple[Interval, bool]:
-    """Clamp candidate prevalence values into [0, 1]; flag infeasibility."""
+def _ratio_bounds(
+    q: float, points: list[tuple[float, float]], vacuous: bool
+) -> PrevalenceBounds:
+    """Prevalence at candidate (theta1, theta0) points, clamped into [0, 1].
+
+    ``vacuous`` is the caller's test that theta1 + theta0 - 1 can vanish
+    on its set; every prevalence is then feasible.  When every candidate
+    falls outside [0, 1] the screened rate is impossible
+    (``q_consistent`` False) and the interval is the nearest boundary.
+    """
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"screened positive rate must lie in [0, 1], got {q}")
+    if vacuous:
+        return PrevalenceBounds(_VACUOUS, vacuous=True, components=(_VACUOUS,))
+    values = [(q + t0 - 1.0) / (t1 + t0 - 1.0) for t1, t0 in points]
     lo, hi = min(values), max(values)
     if hi < 0.0:
-        return Interval(0.0, 0.0), False
-    if lo > 1.0:
-        return Interval(1.0, 1.0), False
-    return Interval(max(lo, 0.0), min(hi, 1.0)), True
+        interval, ok = Interval(0.0, 0.0), False
+    elif lo > 1.0:
+        interval, ok = Interval(1.0, 1.0), False
+    else:
+        interval, ok = Interval(max(lo, 0.0), min(hi, 1.0)), True
+    return PrevalenceBounds(interval, q_consistent=ok, components=(interval,))
 
 
-def _q(q: "ScreeningInput | float") -> float:
-    return q.q if isinstance(q, ScreeningInput) else ScreeningInput(q).q
-
-
-def prevalence_bounds_segment(
-    seg: ThetaSegment, q: "ScreeningInput | float"
-) -> PrevalenceBounds:
+def prevalence_bounds_segment(seg: ThetaSegment, q: float) -> PrevalenceBounds:
     """Sharp prevalence bounds from a segment: evaluate at its endpoints.
 
     If theta1 + theta0 - 1 vanishes or changes sign along the segment,
     every prevalence in [0, 1] is feasible and the bounds are vacuous.
     """
-    qv = _q(q)
     d_lo = seg.lo[0] + seg.lo[1] - 1.0
     d_hi = seg.hi[0] + seg.hi[1] - 1.0
-    if d_lo * d_hi <= 0.0 or abs(d_lo) <= SIGN_TOL or abs(d_hi) <= SIGN_TOL:
-        return PrevalenceBounds(_VACUOUS, vacuous=True, components=(_VACUOUS,))
-    values = [(qv + seg.lo[1] - 1.0) / d_lo, (qv + seg.hi[1] - 1.0) / d_hi]
-    interval, ok = _ratio_interval(values)
-    return PrevalenceBounds(interval, q_consistent=ok, components=(interval,))
+    crosses = d_lo * d_hi <= 0.0 or abs(d_lo) <= SIGN_TOL or abs(d_hi) <= SIGN_TOL
+    return _ratio_bounds(q, [seg.lo, seg.hi], crosses)
 
 
-def prevalence_bounds_rect(
-    seg: ThetaSegment, q: "ScreeningInput | float"
-) -> PrevalenceBounds:
+def prevalence_bounds_rect(seg: ThetaSegment, q: float) -> PrevalenceBounds:
     """Prevalence bounds ignoring the segment's linear structure.
 
     Treats the identified set as the rectangle of its projections, which
@@ -124,51 +118,30 @@ def prevalence_bounds_rect(
     contains the sharp bounds; strictly wider unless the segment is a
     single point.  The rectangle reaches the theta1 = 1 - theta0 line as
     soon as its lower-left corner does, in which case every prevalence is
-    feasible.
+    feasible.  Clear of that line the ratio is coordinate-wise monotone,
+    so its extremes sit at corners.
     """
-    qv = _q(q)
-    if seg.lo[0] + seg.lo[1] - 1.0 <= SIGN_TOL:
-        return PrevalenceBounds(_VACUOUS, vacuous=True, components=(_VACUOUS,))
-    # The ratio is coordinate-wise monotone on a rectangle clear of the
-    # anti-diagonal, so its extremes sit at corners.
-    corners = [
-        (seg.lo[0], seg.lo[1]),
-        (seg.lo[0], seg.hi[1]),
-        (seg.hi[0], seg.lo[1]),
-        (seg.hi[0], seg.hi[1]),
-    ]
-    values = [(qv + t0 - 1.0) / (t1 + t0 - 1.0) for t1, t0 in corners]
-    interval, ok = _ratio_interval(values)
-    return PrevalenceBounds(interval, q_consistent=ok, components=(interval,))
+    (t1l, t0l), (t1u, t0u) = seg.lo, seg.hi
+    corners = [(t1l, t0l), (t1l, t0u), (t1u, t0l), (t1u, t0u)]
+    return _ratio_bounds(q, corners, t1l + t0l - 1.0 <= SIGN_TOL)
 
 
 def _combine(parts: list[PrevalenceBounds]) -> PrevalenceBounds:
+    components = tuple(b.interval for b in parts)
     if any(b.vacuous for b in parts):
-        return PrevalenceBounds(
-            _VACUOUS, vacuous=True, components=tuple(b.interval for b in parts)
-        )
-    consistent = [b for b in parts if b.q_consistent]
-    pool = consistent if consistent else parts
-    hull = pool[0].interval
-    for b in pool[1:]:
-        hull = hull.hull(b.interval)
-    return PrevalenceBounds(
-        hull,
-        q_consistent=bool(consistent),
-        components=tuple(b.interval for b in parts),
-    )
+        return PrevalenceBounds(_VACUOUS, vacuous=True, components=components)
+    consistent = [b.interval for b in parts if b.q_consistent]
+    pool = consistent or components
+    hull = Interval(min(iv.lo for iv in pool), max(iv.hi for iv in pool))
+    return PrevalenceBounds(hull, q_consistent=bool(consistent), components=components)
 
 
-def prevalence_bounds_union(
-    identified: IdentifiedSet, q: "ScreeningInput | float"
-) -> PrevalenceBounds:
+def prevalence_bounds_union(identified: IdentifiedSet, q: float) -> PrevalenceBounds:
     """Union of per-segment sharp bounds, reported as hull plus components."""
     return _combine([prevalence_bounds_segment(seg, q) for seg in identified])
 
 
-def prevalence_bounds_rect_union(
-    identified: IdentifiedSet, q: "ScreeningInput | float"
-) -> PrevalenceBounds:
+def prevalence_bounds_rect_union(identified: IdentifiedSet, q: float) -> PrevalenceBounds:
     """Union of per-segment rectangular bounds (the non-sharp comparator)."""
     return _combine([prevalence_bounds_rect(seg, q) for seg in identified])
 

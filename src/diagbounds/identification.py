@@ -82,13 +82,6 @@ class Interval:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
 
 @dataclass(frozen=True)
 class ThetaSegment:
@@ -137,11 +130,6 @@ class ThetaSegment:
         """Point a fraction ``frac`` of the way from the low to high endpoint."""
         t1 = self.lo[0] + frac * (self.hi[0] - self.lo[0])
         return (t1, self.theta0_at(t1))
-
-    def distance_linf(self, theta1: float, theta0: float) -> float:
-        """L-infinity distance from a point to the segment."""
-        c1 = min(max(theta1, self.lo[0]), self.hi[0])
-        return max(abs(theta1 - c1), abs(theta0 - self.theta0_at(c1)))
 
 
 @dataclass(frozen=True)
@@ -307,7 +295,7 @@ def sharp_union(
     the union.  All points refuted is an error.
     """
     segments = []
-    for s in sorted(S.points, key=lambda q: (q.s1, q.s0)):
+    for s in sorted(S.points):
         try:
             segments.append(sharp_segment(p, s, a))
         except RefutationError as exc:

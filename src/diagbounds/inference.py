@@ -60,6 +60,7 @@ __all__ = [
 
 _QUANTILE_METHOD = "higher"
 BETA_PRESETS = (5, 10, 20)  # first-stage levels beta = alpha / preset
+DEFAULT_BETA_PRESET = 10
 
 # The chi-square screen rejects a point only when T_n clears the bound by
 # this relative and absolute margin, and only when every studentizing
@@ -117,10 +118,12 @@ class TestConfig:
 
     @property
     def beta_value(self) -> float:
-        return self.alpha / 10.0 if self.beta is None else self.beta
+        return self.alpha / DEFAULT_BETA_PRESET if self.beta is None else self.beta
 
     @classmethod
-    def with_beta_preset(cls, alpha: float = 0.05, divisor: int = 10, **kwargs) -> "TestConfig":
+    def with_beta_preset(
+        cls, alpha: float = 0.05, divisor: int = DEFAULT_BETA_PRESET, **kwargs
+    ) -> "TestConfig":
         """Presets for the first-stage level: alpha/10, alpha/5, alpha/20."""
         if divisor not in BETA_PRESETS:
             raise ValueError(f"beta preset divisor must be one of {BETA_PRESETS}, got {divisor}")
@@ -492,7 +495,7 @@ def confidence_set(
     counts.require_positive_cells()
     boot_freqs = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
-    s_points = tuple(sorted(S.points, key=lambda q: (q.s1, q.s0)))
+    s_points = tuple(sorted(S.points))
     alpha, beta = cfg.alpha, cfg.beta_value
     cbar = _chi_square_bound(counts, boot_freqs, 1.0 - alpha + beta)
     cutoff = cbar * (1.0 + _SCREEN_RTOL) + _SCREEN_ATOL

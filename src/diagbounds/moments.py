@@ -57,9 +57,6 @@ class ThetaPoint:
             )
         self.s.require_informative()
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.theta1, self.theta0, self.s.s1, self.s.s0)
-
 
 @dataclass(frozen=True)
 class MomentSystem:

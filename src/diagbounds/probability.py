@@ -119,14 +119,14 @@ class JointTR:
         return self.min_cell >= eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class RefPerf:
     """Reference-test sensitivity s1 and specificity s0.
 
     A usable reference must satisfy s1 > 1 - s0 (it carries diagnostic
     value).  Construction only checks the [0, 1] ranges so that refuted
     configurations can still be *reported*; operations that need the
-    inequality enforce it.
+    inequality enforce it.  Points order by (s1, s0).
     """
 
     s1: float

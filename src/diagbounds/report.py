@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +85,7 @@ class StudyConfig:
         tc = self.test_config
         return {
             "label": self.label,
-            "counts": dict(zip(("n11", "n01", "n10", "n00"), self.counts.cells)),
+            "counts": asdict(self.counts),
             "s_points": [[s.s1, s.s0] for s in self.s_region.points],
             "assumption": self.assumption.value,
             "alpha": tc.alpha,
@@ -96,19 +96,7 @@ class StudyConfig:
             "s_grid": tc.s_grid,
             "screen_q": self.screen_q,
             "pretest": None if self.pretest is None else [self.pretest.pi_lo, self.pretest.pi_hi],
-            "toggles": {
-                k: getattr(self.toggles, k)
-                for k in (
-                    "apparent",
-                    "sharp",
-                    "frechet",
-                    "prevalence_curve",
-                    "predictive_values",
-                    "confidence",
-                    "sensitivity",
-                    "figures",
-                )
-            },
+            "toggles": asdict(self.toggles),
         }
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,6 @@ from diagbounds import (
     JointTR,
     PretestRange,
     RefPerf,
-    ScreeningInput,
     SRegion,
     estimate_joint,
     predictive_value_bounds,
@@ -18,6 +20,7 @@ from diagbounds import (
     sharp_segment,
     sharp_union,
 )
+from diagbounds.datasets import list_datasets, load_dataset
 from diagbounds.derived import prevalence_bounds_rect_union, prevalence_width_curve
 from diagbounds.identification import RefutationError, ThetaSegment
 
@@ -44,20 +47,20 @@ def _singleton_segment(theta1, theta0):
 
 def test_singleton_segment_point_value():
     seg = _singleton_segment(0.8, 0.9)
-    b = prevalence_bounds_segment(seg, ScreeningInput(0.3))
+    b = prevalence_bounds_segment(seg, 0.3)
     assert b.interval.lo == pytest.approx(0.285714, abs=1e-6)
     assert b.interval.hi == pytest.approx(0.285714, abs=1e-6)
     assert not b.vacuous
 
 
 def test_worked_example_point_identification_despite_partial_id():
-    b = prevalence_bounds_segment(EX1_SEG, ScreeningInput(0.5))
+    b = prevalence_bounds_segment(EX1_SEG, 0.5)
     assert b.interval.lo == pytest.approx(0.5, abs=1e-12)
     assert b.interval.hi == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rect_bounds_worked_example():
-    b = prevalence_bounds_rect(EX1_SEG, ScreeningInput(0.5))
+    b = prevalence_bounds_rect(EX1_SEG, 0.5)
     assert b.interval.lo == pytest.approx(0.375, abs=1e-12)
     assert b.interval.hi == pytest.approx(0.625, abs=1e-12)
 
@@ -245,7 +248,7 @@ def test_width_curve_singleton_theta_zero_everywhere():
 
 def test_screening_input_validation():
     with pytest.raises(ValueError):
-        ScreeningInput(1.2)
+        prevalence_bounds_segment(EX1_SEG, 1.2)
     with pytest.raises(ValueError):
         PretestRange(0.5, 0.4)
 
@@ -278,3 +281,38 @@ def test_dominance_property_over_random_segments(t1_lo, width, prev, q):
     rect = prevalence_bounds_rect(seg, q)
     assert sharp.interval.lo >= rect.interval.lo - 1e-9
     assert sharp.interval.hi <= rect.interval.hi + 1e-9
+
+
+def _bounds_record(b):
+    comps = tuple((c.lo, c.hi) for c in b.components)
+    return (b.interval.lo, b.interval.hi, b.vacuous, b.q_consistent, comps)
+
+
+def test_derived_outputs_pinned():
+    # Exact floats and flags of every derived quantity on the bundled
+    # tables, recorded before the endpoint rule was written once.
+    regions = (
+        SRegion.singleton(0.9, 1.0),
+        SRegion.rectangle(0.8, 0.9, 0.98, 1.0, s1_points=10, s0_points=10),
+    )
+    h = hashlib.sha256()
+    for name in list_datasets():
+        p = estimate_joint(load_dataset(name))
+        for a in DependenceAssumption:
+            for region in regions:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        union = sharp_union(p, region, a)
+                except RefutationError:
+                    continue
+                rows = [
+                    (q, _bounds_record(sharp), _bounds_record(rect))
+                    for q, sharp, rect in prevalence_width_curve(union)
+                ]
+                rows.append(_bounds_record(prevalence_bounds_union(union, 0.23)))
+                rows.append(_bounds_record(prevalence_bounds_rect_union(union, 0.23)))
+                ppv, npv = predictive_value_bounds(union, PretestRange(0.1, 0.3))
+                rows.append((ppv.lo, ppv.hi, npv.lo, npv.hi))
+                h.update(repr((name, a.value, len(union), rows)).encode())
+    assert h.hexdigest() == "e552476ba41140e3162c29f45ac8414ab6b4039436cb61bec1097a1aed258cf4"
