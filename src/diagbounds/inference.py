@@ -32,6 +32,14 @@ margin and applies only where every studentizing variance, computed as
 E[m^2] - mu^2, is well above rounding error of its second moment; every
 other point goes through the full evaluation.
 
+The screen's closed-form T_n and conditioning gate are evaluated over the
+whole (u, v) grid block of a reference point at once, in chunks of rows
+whose temporaries stay under a fixed element budget; the survivors of a
+row are evaluated in chunks under a second budget.  Both use the same
+elementwise formulas as a single point, so chunking changes no bit.  The
+"higher" bootstrap quantile is one order statistic, the element at index
+ceil((B - 1) q) of the sorted draws, found by a partial sort.
+
 One kernel per (dataset, reference point) decides every test: a single
 point, each replicate of a coverage simulation, each grid-inversion row.
 """
@@ -39,6 +47,7 @@ point, each replicate of a coverage simulation, each grid-inversion row.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +78,14 @@ DEFAULT_BETA_PRESET = 10
 _SCREEN_RTOL = 1e-9
 _SCREEN_ATOL = 1e-12
 _SCREEN_VAR_FLOOR = 1e-6
+
+# Element budgets of the kernel's float temporaries.  The screen takes a
+# reference point's (u, v) block in chunks of rows of at most
+# _SCREEN_BLOCK points; a row's survivors are evaluated in chunks of at
+# most _EVAL_BLOCK (point x draw) elements, so a full 316-point row at
+# B = 500 is still one chunk.  Neither changes a result, only peak memory.
+_SCREEN_BLOCK = 2**13
+_EVAL_BLOCK = 2**18
 
 # Substream tags keep bootstrap draws, simulated datasets, and derived
 # seeds in disjoint regions of the counter-based key space: substream
@@ -201,7 +218,22 @@ def _chi_square_bound(counts: CellCounts, boot_freqs: np.ndarray, level: float) 
     """
     f = np.asarray(counts.cells, dtype=float) / counts.n
     x2 = counts.n * np.sum((boot_freqs - f) ** 2 / f, axis=1)
-    return max(float(np.quantile(np.sqrt(x2), level, method=_QUANTILE_METHOD)), 0.0)
+    return max(float(_quantile(np.sqrt(x2), level)), 0.0)
+
+
+def _quantile(x: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(x, q, axis=-1, method=_QUANTILE_METHOD)`` as one order statistic.
+
+    The "higher" quantile of m values is the element at index
+    ceil((m - 1) q) of the sorted values.  Partitioning at that index and
+    at the last one, the kth list np.quantile passes, puts the same
+    element there (of equal values such as 0.0 and -0.0, the same one) and
+    any NaN last, from where it is propagated as np.quantile does.
+    """
+    k = math.ceil((x.shape[-1] - 1) * q)
+    part = np.partition(x, (k, -1), axis=-1)
+    last = part[..., -1]
+    return np.where(np.isnan(last), last, part[..., k])
 
 
 def _stud(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -213,9 +245,10 @@ def _stud(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
+    if (den > 0.0).all():
+        return num / den  # what the masked form below gives, without the masks
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
-    return out
+        return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
 
 
 def _rejects(tn: np.ndarray, crit: np.ndarray) -> np.ndarray:
@@ -276,13 +309,15 @@ class _SPointKernel:
         return (x1, x0) if self.u_is_theta1 else (x0, x1)
 
     # -- data-side statistics ------------------------------------------
+    # ``u`` is a scalar or a column of shape (r, 1); a column broadcasts
+    # every formula over r rows with the same elementwise operations.
 
-    def _ineq_stats(self, u: float) -> tuple[np.ndarray, np.ndarray]:
+    def _ineq_stats(self, u) -> tuple[np.ndarray, np.ndarray]:
         mu = self.fA[:6] + self.fU[:6] * u
         var = self.fAA[:6] + 2.0 * u * self.fAU[:6] + u * u * self.fUU[:6] - mu * mu
         return mu, np.sqrt(np.maximum(var, 0.0))
 
-    def _eq_stats(self, u: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _eq_stats(self, u, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         j = 6
         mu = self.fA[j] + self.fU[j] * u + self.fV[j] * v
         var = (
@@ -295,74 +330,82 @@ class _SPointKernel:
         )
         return mu, np.sqrt(np.maximum(var, 0.0))
 
-    # -- bootstrap-side statistics -------------------------------------
-
-    def _boot_ineq_means(self, u: float) -> np.ndarray:
-        return self.PA[:, :6] + self.PU[:, :6] * u
-
-    def _boot_eq_means(self, u: float, v: np.ndarray) -> np.ndarray:
-        j = 6
-        base = self.PA[:, j] + self.PU[:, j] * u
-        return base[None, :] + v[:, None] * self.PV[None, :, j]
-
-    def _statistic(self, u: float, v: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Data-side means, SDs and T_n along a vector of the non-driving theta."""
+    def _statistic(self, u, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Data-side means, SDs and T_n along ``v`` (per row of a column ``u``)."""
         rn = self.sqrt_n
         mu6, s6 = self._ineq_stats(u)
         mu7, s7 = self._eq_stats(u, v)
-        t6 = float(np.max(_stud(rn * mu6, s6)))
+        t6 = np.max(_stud(rn * mu6, s6), axis=-1, keepdims=True)
         t7 = _stud(rn * np.abs(mu7), s7)
         return mu6, s6, mu7, s7, np.maximum(np.maximum(t6, t7), 0.0)
 
-    def needs_bootstrap(self, u: float, v: np.ndarray, cutoff: float) -> np.ndarray:
-        """Mask of the points along ``v`` that the chi-square screen cannot reject.
+    def screen(
+        self, u: np.ndarray, v: np.ndarray, cutoff: float
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """The rows of the (u, v) block with points the chi-square screen cannot reject.
 
-        A point is rejected outright when its T_n exceeds ``cutoff`` (the
-        chi-square bound with its margin) and every studentizing variance
-        there is well conditioned.
+        Yields (row index into ``u``, mask along ``v``) for every row with a
+        point left.  A point is rejected outright when its T_n exceeds
+        ``cutoff`` (the chi-square bound with its margin) and every
+        studentizing variance there is well conditioned.  Rows are taken
+        in chunks of at most ``_SCREEN_BLOCK`` points.
         """
-        mu6, s6, mu7, s7, tn = self._statistic(u, v)
         floor = _SCREEN_VAR_FLOOR
-        exact6 = bool(np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6)))
-        exact7 = s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
-        return ~((tn > cutoff) & exact6 & exact7)
+        step = max(1, _SCREEN_BLOCK // max(v.size, 1))
+        for lo in range(0, u.size, step):
+            mu6, s6, mu7, s7, tn = self._statistic(u[lo : lo + step, None], v)
+            exact6 = np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6), axis=-1, keepdims=True)
+            exact7 = s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
+            live = ~((tn > cutoff) & exact6 & exact7)
+            for r in np.flatnonzero(live.any(axis=1)):
+                yield lo + int(r), live[r]
 
     # -- full evaluation ------------------------------------------------
 
     def evaluate(
         self, u: float, v: np.ndarray, alpha: float, beta: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """T_n and critical value along a vector of the non-driving theta."""
+        """T_n and critical value along a vector of the non-driving theta.
+
+        The inequality part of step one depends on ``u`` alone and is
+        computed once; the rest runs over chunks of ``v`` with at most
+        ``_EVAL_BLOCK`` (point x draw) elements.
+        """
         rn = self.sqrt_n
-        mu6, s6, mu7, s7, tn = self._statistic(u, v)
-
-        Mb6 = self._boot_ineq_means(u)
-        Mb7 = self._boot_eq_means(u, v)
-        s7c = s7[:, None]
-
-        # Step 1: joint upper confidence bounds for the moments.
-        d6max = np.max(_stud(rn * (Mb6 - mu6[None, :]), s6[None, :]), axis=1)
-        d7 = rn * (Mb7 - mu7[:, None])
-        g1 = np.maximum(
-            d6max[None, :], np.maximum(_stud(d7, s7c), _stud(-d7, s7c))
-        )
-        bhat = np.quantile(g1, 1.0 - beta, axis=1, method=_QUANTILE_METHOD)
-
-        # Step 2: recenter by the bounds truncated at zero.
+        mu6, s6 = self._ineq_stats(u)
+        dev6 = self.PA[:, :6] + self.PU[:, :6] * u - mu6  # (B, 6)
+        d6max = np.max(_stud(rn * dev6, s6), axis=1)
         scale = np.where(s6 > 0.0, s6 / rn, 0.0)
-        lam6 = np.minimum(mu6[None, :] + bhat[:, None] * scale[None, :], 0.0)
-        scale7 = np.where(s7 > 0.0, s7 / rn, 0.0)
-        lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
-        lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
+        base7 = self.PA[:, 6] + self.PU[:, 6] * u
 
-        gmax = np.full(g1.shape, -np.inf)
-        for j in range(6):
-            num = rn * (Mb6[None, :, j] - mu6[j] + lam6[:, j, None])
-            np.maximum(gmax, _stud(num, s6[j]), out=gmax)
-        np.maximum(gmax, _stud(d7 + rn * lam7a[:, None], s7c), out=gmax)
-        np.maximum(gmax, _stud(-d7 + rn * lam7b[:, None], s7c), out=gmax)
-        crit = np.quantile(gmax, 1.0 - alpha + beta, axis=1, method=_QUANTILE_METHOD)
-        return tn, np.maximum(crit, 0.0)
+        tn_out, crit_out = np.empty(v.size), np.empty(v.size)
+        step = max(1, _EVAL_BLOCK // d6max.size)
+        for lo in range(0, v.size, step):
+            w = v[lo : lo + step]
+            _, _, mu7, s7, tn = self._statistic(u, w)
+            s7c = s7[:, None]
+
+            # Step 1: joint upper confidence bounds for the moments.
+            d7 = rn * (base7[None, :] + w[:, None] * self.PV[None, :, 6] - mu7[:, None])
+            g1 = np.maximum(d6max[None, :], np.maximum(_stud(d7, s7c), _stud(-d7, s7c)))
+            bhat = _quantile(g1, 1.0 - beta)
+
+            # Step 2: recenter by the bounds truncated at zero.
+            lam6 = np.minimum(mu6[None, :] + bhat[:, None] * scale[None, :], 0.0)
+            scale7 = np.where(s7 > 0.0, s7 / rn, 0.0)
+            lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
+            lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
+
+            # Seeding the maximum with the first term gives what max(-inf, term) gives.
+            gmax = _stud(rn * (dev6[None, :, 0] + lam6[:, 0, None]), s6[0])
+            for j in range(1, 6):
+                num = rn * (dev6[None, :, j] + lam6[:, j, None])
+                np.maximum(gmax, _stud(num, s6[j]), out=gmax)
+            np.maximum(gmax, _stud(d7 + rn * lam7a[:, None], s7c), out=gmax)
+            np.maximum(gmax, _stud(-d7 + rn * lam7b[:, None], s7c), out=gmax)
+            tn_out[lo : lo + step] = tn
+            crit_out[lo : lo + step] = np.maximum(_quantile(gmax, 1.0 - alpha + beta), 0.0)
+        return tn_out, crit_out
 
     def test(self, theta: ThetaPoint, alpha: float, beta: float) -> TestResult:
         """The test at one point whose reference values are this kernel's."""
@@ -407,12 +450,12 @@ class ConfidenceSet:
     row-major order over the theta1 index, then theta0, then the s-grid
     index; ``t_n`` and ``crit`` align with it.  ``projections`` are the
     retained ranges of theta1 and theta0 (None when nothing is retained).
+    ``theta_axis`` is the grid of each of theta1 and theta0.
     """
 
     config: TestConfig
     assumption: DependenceAssumption
-    theta1_axis: np.ndarray
-    theta0_axis: np.ndarray
+    theta_axis: np.ndarray
     s_points: tuple[RefPerf, ...]
     points: np.ndarray
     t_n: np.ndarray
@@ -420,7 +463,7 @@ class ConfidenceSet:
     n_tested: int
 
     def __post_init__(self) -> None:
-        for arr in (self.theta1_axis, self.theta0_axis, self.points, self.t_n, self.crit):
+        for arr in (self.theta_axis, self.points, self.t_n, self.crit):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -457,8 +500,8 @@ class ConfidenceSet:
             "quantile_method": _QUANTILE_METHOD,
             "assumption": self.assumption.value,
             "s_points": [[s.s1, s.s0] for s in self.s_points],
-            "theta1_axis": self.theta1_axis.tolist(),
-            "theta0_axis": self.theta0_axis.tolist(),
+            "theta1_axis": self.theta_axis.tolist(),
+            "theta0_axis": self.theta_axis.tolist(),
             "n_tested": self.n_tested,
             "n_retained": len(self),
             "theta1_projection": None if proj is None else [proj[0].lo, proj[0].hi],
@@ -510,14 +553,11 @@ def confidence_set(
         idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
         n_tested += idx1.size * idx0.size
         iu, iv = kernel.orient(idx1, idx0)
-        for i in iu:
-            u = float(axis[i])
-            live = iv[kernel.needs_bootstrap(u, axis[iv], cutoff)]
-            if live.size == 0:
-                continue
-            tn, crit = kernel.evaluate(u, axis[live], alpha, beta)
+        for r, live in kernel.screen(axis[iu], axis[iv], cutoff):
+            i, j = iu[r], iv[live]
+            tn, crit = kernel.evaluate(float(axis[i]), axis[j], alpha, beta)
             keep = ~_rejects(tn, crit)
-            j, row = live[keep], np.full(np.count_nonzero(keep), i)
+            j, row = j[keep], np.full(np.count_nonzero(keep), i)
             i1, i0 = kernel.orient(row, j)
             blocks.append((i1, i0, np.full(j.size, s_idx), tn[keep], crit[keep]))
 
@@ -533,8 +573,7 @@ def confidence_set(
     return ConfidenceSet(
         config=cfg,
         assumption=a,
-        theta1_axis=axis,
-        theta0_axis=axis,
+        theta_axis=axis,
         s_points=s_points,
         points=pts,
         t_n=tns[order],

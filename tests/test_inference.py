@@ -1,4 +1,6 @@
 import hashlib
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,14 +21,18 @@ from diagbounds import (
     rsw2_test,
     sharp_segment,
 )
+from diagbounds import inference
 from diagbounds.inference import (
+    _QUANTILE_METHOD,
+    BETA_PRESETS,
+    _quantile,
     _rejects,
     _SPointKernel,
     _stud,
     _Substreams,
     bootstrap_cell_frequencies,
 )
-from diagbounds.moments import param_space_box
+from diagbounds.moments import build_moment_system, param_space_box
 
 from helpers import TABLE_DATASETS, WA1
 
@@ -141,6 +147,90 @@ def test_stud_zero_denominator_conventions():
     assert out[0] == np.inf and out[1] == -np.inf and out[2] == -np.inf
 
 
+def _stud_masked(num, den):
+    """The studentization as it was written before its all-positive fast path."""
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Magnitudes are bounded so that no quotient overflows (which warns either way).
+_NUMS = st.one_of(
+    st.floats(-1e100, 1e100), st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0])
+)
+_DENS = st.one_of(
+    st.floats(1e-100, 1e100), st.sampled_from([0.0, -0.0, -1.0, -1e-100, np.nan])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num=st.lists(_NUMS, min_size=1, max_size=12),
+    den=st.one_of(_DENS, st.lists(_DENS, min_size=12, max_size=12)),
+)
+def test_stud_fast_path_matches_the_masked_formula(num, den):
+    num = np.array(num)
+    if isinstance(den, list):  # one denominator per numerator
+        den = np.array(den[: num.size])
+    assert _same_bits(_stud(num, den), _stud_masked(num, den))
+    # A column of denominators against a (rows, draws) block, as in the kernel.
+    block = np.tile(num, (np.size(den), 1))
+    col = np.reshape(den, (-1, 1))
+    assert _same_bits(_stud(block, col), _stud_masked(block, col))
+
+
+def _levels():
+    """Every step-one and step-two level of the CLI's alphas and beta presets."""
+    out = []
+    for alpha in (0.01, 0.05, 0.10, 0.20):
+        for divisor in BETA_PRESETS:
+            beta = TestConfig.with_beta_preset(alpha, divisor).beta_value
+            out += [1.0 - beta, 1.0 - alpha + beta]
+    return out
+
+
+def test_quantile_picks_numpys_order_statistic_for_every_draw_count():
+    levels = _levels()
+    assert len(levels) == 24
+    rng = np.random.default_rng(6)
+    for m in range(1, 2001):
+        x = rng.permutation(m).astype(float)  # distinct values name their rank
+        want = np.quantile(x, levels, method=_QUANTILE_METHOD)
+        got = [_quantile(x, q) for q in levels]
+        assert _same_bits(got, want), m
+
+
+_QUANTILE_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([np.inf, -np.inf, np.nan, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(rows=2, m=50, values=[0.0, -0.0], shuffle=0, q=0.955)  # fails if partitioned at k alone
+@given(
+    rows=st.integers(1, 4),
+    m=st.integers(1, 600),
+    values=st.lists(_QUANTILE_VALUES, min_size=1, max_size=20),
+    shuffle=st.integers(0, 2**32 - 1),
+    q=st.sampled_from(_levels() + [0.0, 0.5, 1.0]),
+)
+def test_quantile_matches_numpy_with_ties_infinities_and_nans(rows, m, values, shuffle, q):
+    # A few values repeated in random order: many ties, signed zeros among them.
+    pool = np.resize(np.array(values), rows * m)
+    x = np.random.default_rng(shuffle).permutation(pool).reshape(rows, m)
+    want = np.quantile(x, q, axis=-1, method=_QUANTILE_METHOD)
+    assert _same_bits(_quantile(x, q), want)
+    assert _same_bits(_quantile(x[0], q), np.quantile(x[0], q, method=_QUANTILE_METHOD))
+
+
 def test_apparent_point_rejected_on_eua():
     res = rsw2_test(EUA, ThetaPoint(0.846, 0.985, S91), WA1, CFG)
     assert res.reject
@@ -186,11 +276,11 @@ def test_confidence_set_retains_estimated_segment_neighborhood():
     cs = confidence_set(EUA, SRegion.singleton(0.9, 1.0), WA1, SMALL)
     seg = sharp_segment(estimate_joint(EUA), S91, WA1)
     pitch = 1.0 / (SMALL.theta_grid - 1)
-    for t1 in cs.theta1_axis:
+    for t1 in cs.theta_axis:
         if seg.lo[0] <= t1 <= seg.hi[0]:
             t0_line = seg.theta0_at(t1)
             j = int(round(t0_line * (SMALL.theta_grid - 1)))
-            t0 = cs.theta0_axis[min(j, SMALL.theta_grid - 1)]
+            t0 = cs.theta_axis[min(j, SMALL.theta_grid - 1)]
             assert cs.contains(t1, t0, S91), (t1, t0)
     proj = cs.projections
     assert proj is not None
@@ -217,8 +307,8 @@ def test_confidence_set_respects_parameter_space_box():
 
 def test_confidence_set_grid_order():
     cs = confidence_set(EUA, SRegion.singleton(0.9, 1.0), WA1, TestConfig(alpha=0.05, seed=3, theta_grid=40))
-    idx1 = np.searchsorted(cs.theta1_axis, cs.points[:, 0])
-    idx0 = np.searchsorted(cs.theta0_axis, cs.points[:, 1])
+    idx1 = np.searchsorted(cs.theta_axis, cs.points[:, 0])
+    idx0 = np.searchsorted(cs.theta_axis, cs.points[:, 1])
     keys = list(zip(idx1, idx0))
     assert keys == sorted(keys)
 
@@ -541,10 +631,11 @@ def test_ill_conditioned_points_take_the_full_evaluation(monkeypatch):
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
     kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed))
     assert not kernel.u_is_theta1
-    for edge in (0.0, 1.0):
+    live = dict(kernel.screen(np.array([0.0, 1.0]), axis, 0.0))
+    for r, edge in enumerate((0.0, 1.0)):
         mu6, s6, _, _, tn = kernel._statistic(edge, axis)
         assert np.min(s6 * s6 / (s6 * s6 + mu6 * mu6)) < 1e-6
-        assert np.all(tn > 1e3) and np.all(kernel.needs_bootstrap(edge, axis, 0.0))
+        assert np.all(tn > 1e3) and np.all(live[r])
 
     evaluated = _spy_on_evaluate(monkeypatch)
     cs = confidence_set(counts, SRegion.singleton(1.0, 1.0), a, cfg)
@@ -556,3 +647,148 @@ def test_ill_conditioned_points_take_the_full_evaluation(monkeypatch):
             assert evaluated[(edge, float(theta1))] == (res.t_n, res.crit)
     assert not np.any(np.isin(cs.points[:, 1], [0.0, 1.0]))
     _assert_matches_unscreened(counts, SRegion.singleton(1.0, 1.0), a, cfg)
+
+
+def _row_screen(kernel, u, v, cutoff):
+    """The screen's mask along one row, computed row by row with a scalar u."""
+    rn = kernel.sqrt_n
+    mu6, s6 = kernel._ineq_stats(u)
+    mu7, s7 = kernel._eq_stats(u, v)
+    t6 = float(np.max(_stud(rn * mu6, s6)))
+    tn = np.maximum(np.maximum(t6, _stud(rn * np.abs(mu7), s7)), 0.0)
+    floor = inference._SCREEN_VAR_FLOOR
+    exact6 = bool(np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6)))
+    exact7 = s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
+    return ~((tn > cutoff) & exact6 & exact7)
+
+
+@settings(max_examples=150, deadline=None)
+@example(
+    cells=[1, 1, 10**6, 10**6], a=DependenceAssumption.WRONGLY_AGREE_Y0,
+    S=SRegion.singleton(1.0, 1.0), grid=5, cutoff=0.0, budget=10,
+)
+@example(  # only the first row is ill-conditioned; it shares a chunk with the second
+    cells=[10**6, 10**6, 10**6, 2], a=DependenceAssumption.WRONGLY_AGREE_BOTH,
+    S=SRegion.singleton(1.0, 1.0), grid=7, cutoff=1.0, budget=14,
+)
+@example(
+    cells=[99, 18, 5, 338], a=WA1, S=SRegion.singleton(0.9, 1.0), grid=60, cutoff=3.0, budget=200,
+)
+@given(
+    cells=st.one_of(
+        st.lists(st.integers(1, 75), min_size=4, max_size=4),
+        st.lists(st.integers(1, 10**6), min_size=4, max_size=4),
+    ),
+    a=st.sampled_from(list(DependenceAssumption)),
+    S=_s_regions(),
+    grid=st.integers(2, 60),
+    cutoff=st.floats(0.0, 20.0),
+    budget=st.integers(1, 400),
+)
+def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cutoff, budget):
+    counts = CellCounts(*cells)
+    axis = np.linspace(0.0, 1.0, grid)
+    s = S.points[0]
+    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
+    (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
+    u, v = kernel.orient(
+        axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)]
+    )
+    with mock.patch.object(inference, "_SCREEN_BLOCK", budget):
+        rows = list(kernel.screen(u, v, cutoff))
+    got = np.zeros((u.size, v.size), dtype=bool)
+    for r, live in rows:
+        assert live.any()
+        got[r] = live
+    assert [r for r, _ in rows] == sorted({r for r, _ in rows})
+    want = np.array([_row_screen(kernel, float(x), v, cutoff) for x in u]).reshape(got.shape)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("budget", ["_SCREEN_BLOCK", "_EVAL_BLOCK"])
+def test_memory_budgets_change_no_bit(monkeypatch, budget):
+    # A small table screens out little, so rows keep many survivors.
+    counts = CellCounts(12, 3, 4, 20)
+    S = SRegion.rectangle(0.85, 0.95, 0.95, 1.0, s1_points=2, s0_points=1)
+    cfg = TestConfig(alpha=0.05, seed=4, bootstrap=60, theta_grid=25)
+    eq_stats = _SPointKernel._eq_stats
+    shapes = []
+
+    def spy(self, u, v):
+        shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return eq_stats(self, u, v)
+
+    def run():
+        shapes.clear()
+        cs = confidence_set(counts, S, WA1, cfg)
+        # Screen chunks are (rows, v) blocks, evaluation chunks vectors of survivors.
+        return cs, [sh for sh in shapes if len(sh) == 2], [sh[0] for sh in shapes if len(sh) == 1]
+
+    monkeypatch.setattr(_SPointKernel, "_eq_stats", spy)
+    want, screened, evaluated = run()
+    monkeypatch.setattr(inference, budget, 1)
+    got, screened_1, evaluated_1 = run()
+    if budget == "_SCREEN_BLOCK":
+        assert max(sh[0] for sh in screened) > 1 and {sh[0] for sh in screened_1} == {1}
+    else:
+        assert max(evaluated) > 1 and set(evaluated_1) == {1}
+        assert sum(evaluated_1) == sum(evaluated)
+    for field in ("points", "t_n", "crit"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert got.n_tested == want.n_tested
+
+
+def _direct_variances(counts, theta, a):
+    """Exact per-observation mean, centered variance and second moment per component.
+
+    Every observation in a cell has that cell's component value, so the
+    sums over observations are count-weighted sums over cells, taken here
+    in rational arithmetic.
+    """
+    values = build_moment_system(theta, a).cell_values  # (4 cells, 8)
+    n = counts.n
+    out = []
+    for col in values.T:
+        m = [Fraction(float(x)) for x in col]
+        mean = sum(k * x for k, x in zip(counts.cells, m)) / n
+        var = sum(k * (x - mean) ** 2 for k, x in zip(counts.cells, m)) / n
+        second = sum(k * x * x for k, x in zip(counts.cells, m)) / n
+        out.append((float(mean), float(var), float(second)))
+    return (np.array(col) for col in zip(*out))
+
+
+@settings(max_examples=100, deadline=None)
+@example(
+    cells=[1, 1, 10**6, 10**6], a=DependenceAssumption.WRONGLY_AGREE_Y0,
+    s=(1.0, 1.0), f1=0.0, f0=1.0,
+)
+@given(
+    cells=st.lists(st.integers(1, 10**6), min_size=4, max_size=4),
+    a=st.sampled_from(list(DependenceAssumption)),
+    s=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)).filter(lambda p: p[0] + p[1] >= 1.02),
+    f1=st.floats(0.0, 1.0),
+    f0=st.floats(0.0, 1.0),
+)
+def test_kernel_variances_match_per_observation_sums(cells, a, s, f1, f0):
+    # The kernel computes each variance as E[m^2] - mu^2.  Wherever a variance
+    # is above 1e-6 of its second moment, it must agree with the centered
+    # per-observation sum to 1e-6, and the screen's gate, evaluated on the
+    # kernel's figures, must classify every variance a factor of two away
+    # from that threshold as the exact figures do.
+    counts = CellCounts(*cells)
+    s = RefPerf(*s)
+    (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
+    theta = ThetaPoint(lo1 + f1 * (hi1 - lo1), lo0 + f0 * (hi0 - lo0), s)
+    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
+    u, v = kernel.orient(theta.theta1, theta.theta0)
+    mu6, s6 = kernel._ineq_stats(u)
+    mu7, s7 = kernel._eq_stats(u, np.array([v]))
+    # The kernel's seven components: six inequalities and the equality pair.
+    mean, var, second = (x[:7] for x in _direct_variances(counts, theta, a))
+    got = np.concatenate([s6 * s6, s7 * s7])
+    np.testing.assert_allclose(np.concatenate([mu6, mu7]), mean, rtol=1e-12, atol=1e-12)
+    floor = inference._SCREEN_VAR_FLOOR
+    trusted = var > floor * second
+    np.testing.assert_allclose(got[trusted], var[trusted], rtol=1e-6)
+    gate = got > floor * (got + np.concatenate([mu6, mu7]) ** 2)
+    assert np.all(gate[var > 2 * floor * second]) and not np.any(gate[var < floor / 2 * second])
