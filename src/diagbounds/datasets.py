@@ -37,7 +37,9 @@ def _count(value):
     return value
 
 
-def _counts_from_json(obj: dict) -> CellCounts:
+def _counts_from_json(obj) -> CellCounts:
+    if not isinstance(obj, dict):
+        raise ValueError(f"counts JSON must be an object, got {type(obj).__name__}")
     try:
         return CellCounts(*(_count(obj[key]) for key in ("n11", "n01", "n10", "n00")))
     except KeyError as exc:
@@ -48,8 +50,11 @@ def _counts_from_csv(text: str) -> CellCounts:
     reader = csv.DictReader(text.splitlines())
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["t", "r", "count"]:
         raise ValueError("counts CSV must have header 't,r,count'")
+    reader.fieldnames = ["t", "r", "count"]  # without the header's padding
     cells = {}
     for row in reader:
+        if None in row or None in row.values():
+            raise ValueError(f"counts CSV row {reader.line_num} must have 3 fields")
         key = (int(row["t"]), int(row["r"]))
         if key[0] not in (0, 1) or key[1] not in (0, 1):
             raise ValueError(f"t and r must be binary, got {key}")
@@ -69,7 +74,10 @@ def read_counts(path: "str | Path") -> CellCounts:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"counts file not found: {p}")
-    text = p.read_text()
+    try:
+        text = p.read_text()
+    except OSError as exc:  # a directory, an unreadable file
+        raise ValueError(f"cannot read counts file {p}: {exc.strerror}") from exc
     if p.suffix.lower() == ".csv":
         return _counts_from_csv(text)
     return _counts_from_json(json.loads(text))

@@ -7,14 +7,24 @@ identified set for (theta1, theta0) is a line segment (or a union of
 them), the ratio is monotone along each segment and its extremes sit at
 segment endpoints; treating the identified set as a rectangle of its
 projections forgets that structure and strictly widens the bounds
-whenever the segment is non-degenerate.  Both bounds are one rule,
-``_ratio_bounds``: the ratio at candidate points (the two endpoints, or
-the rectangle's four corners), clamped into [0, 1].
+whenever the segment is non-degenerate.
+
+Every prevalence bound is one array rule, ``_ratio_bounds``: the ratio at
+every (rate, segment, candidate point) at once, the candidates being a
+segment's two endpoints or its rectangle's four corners, reduced to one
+interval per (rate, segment) clamped into [0, 1]; ``_combine`` takes the
+hull over the segments.  Of equal values such as 0.0 and -0.0 each step
+keeps the one Python's ``min`` and ``max`` keep, so every float is that
+of a scalar evaluation.  The per-rate functions report each segment's
+interval as ``components``; ``prevalence_width_curve`` takes its whole
+grid at once and builds only the hulls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .identification import IdentifiedSet, Interval, ThetaSegment
 
@@ -57,7 +67,9 @@ class PrevalenceBounds:
     is False when the screened rate is impossible under every point of
     the segment; the interval then degenerates to the nearest boundary.
     ``components`` preserves the per-segment intervals behind a union
-    hull, which can in principle be disconnected.
+    hull, which can in principle be disconnected.  Entries of
+    ``prevalence_width_curve`` carry no components; the per-rate functions
+    give them at any rate.
     """
 
     interval: Interval
@@ -70,44 +82,99 @@ class PrevalenceBounds:
         return self.interval.width
 
 
-_VACUOUS = Interval(0.0, 1.0)
+def _first(x: np.ndarray, pick) -> np.ndarray:
+    """Row minima or maxima (``pick`` is np.argmin or np.argmax), each the
+    first of equal values as Python's ``min`` and ``max`` keep it."""
+    return x[np.arange(len(x)), pick(x, axis=1)]
+
+
+def _clamp(x: np.ndarray) -> np.ndarray:
+    """``min(max(x, 0.0), 1.0)`` as Python evaluates it: -0.0 stays -0.0."""
+    return np.where(x > 1.0, 1.0, np.where(x < 0.0, 0.0, x))
 
 
 def _ratio_bounds(
-    q: float, points: list[tuple[float, float]], vacuous: bool
-) -> PrevalenceBounds:
+    qs: list[float], points: np.ndarray, vacuous: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prevalence at candidate (theta1, theta0) points, clamped into [0, 1].
 
-    ``vacuous`` is the caller's test that theta1 + theta0 - 1 can vanish
-    on its set; every prevalence is then feasible.  When every candidate
-    falls outside [0, 1] the screened rate is impossible
-    (``q_consistent`` False) and the interval is the nearest boundary.
+    For m rates ``qs``, the c candidates of k segments in ``points``
+    (k, c, 2) and the segments' ``vacuous`` flags (k,), on which every
+    prevalence is feasible, returns ``lo``, ``hi`` and ``q_consistent``,
+    each (m, k).  When every candidate falls on one side of [0, 1] the
+    rate is impossible and the interval is the nearest boundary.
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"screened positive rate must lie in [0, 1], got {q}")
-    if vacuous:
-        return PrevalenceBounds(_VACUOUS, vacuous=True, components=(_VACUOUS,))
-    values = [(q + t0 - 1.0) / (t1 + t0 - 1.0) for t1, t0 in points]
-    lo, hi = min(values), max(values)
-    if hi < 0.0:
-        interval, ok = Interval(0.0, 0.0), False
-    elif lo > 1.0:
-        interval, ok = Interval(1.0, 1.0), False
+    q = np.asarray(qs, dtype=float)
+    bad = ~((q >= 0.0) & (q <= 1.0))
+    if bad.any():
+        raise ValueError(
+            f"screened positive rate must lie in [0, 1], got {qs[int(np.argmax(bad))]}"
+        )
+    t1, t0 = points[..., 0], points[..., 1]
+    den = np.where(vacuous[:, None], 1.0, t1 + t0 - 1.0)  # no 0/0 where [0, 1] is the answer
+    values = np.moveaxis((q[:, None, None] + t0 - 1.0) / den, -1, 0)
+    lo = hi = values[0]
+    for v in values[1:]:  # Python's min and max: the first of equal values
+        lo, hi = np.where(v < lo, v, lo), np.where(v > hi, v, hi)
+    ok = (hi >= 0.0) & (lo <= 1.0) | vacuous
+    return np.where(vacuous, 0.0, _clamp(lo)), np.where(vacuous, 1.0, _clamp(hi)), ok
+
+
+def _combine(qs: list[float], candidates, components: bool = True) -> list[PrevalenceBounds]:
+    """Per rate, the hull of the segments' intervals.
+
+    The hull runs over the segments at which the rate is consistent, or
+    over all of them when it is consistent at none.  A vacuous segment
+    makes every rate's bound [0, 1].
+    """
+    points, vacuous = candidates
+    lo, hi, ok = _ratio_bounds(qs, points, vacuous)
+    consistent = ok.any(axis=1)
+    pool = ok | ~consistent[:, None]
+    vac = bool(vacuous.any())
+    h_lo = np.where(vac, 0.0, _first(np.where(pool, lo, np.inf), np.argmin))
+    h_hi = np.where(vac, 1.0, _first(np.where(pool, hi, -np.inf), np.argmax))
+    if components:
+        parts = [tuple(map(Interval, a, b)) for a, b in zip(lo.tolist(), hi.tolist())]
     else:
-        interval, ok = Interval(max(lo, 0.0), min(hi, 1.0)), True
-    return PrevalenceBounds(interval, q_consistent=ok, components=(interval,))
+        parts = [()] * len(consistent)
+    return [
+        PrevalenceBounds(Interval(a, b), vac, c, part)
+        for a, b, c, part in zip(h_lo.tolist(), h_hi.tolist(), consistent.tolist(), parts)
+    ]
+
+
+def _endpoints(segments) -> np.ndarray:  # (k, 2, 2)
+    return np.array([seg.lo + seg.hi for seg in segments], dtype=float).reshape(-1, 2, 2)
+
+
+def _sharp(segments) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates of the sharp bounds: each segment's two endpoints.
+
+    If theta1 + theta0 - 1 vanishes or changes sign along a segment,
+    every prevalence in [0, 1] is feasible and its bounds are vacuous.
+    """
+    ends = _endpoints(segments)
+    d = ends[..., 0] + ends[..., 1] - 1.0
+    return ends, (d[:, 0] * d[:, 1] <= 0.0) | np.any(np.abs(d) <= SIGN_TOL, axis=1)
+
+
+def _rect(segments) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates of the rectangular bounds: the four corners of each rectangle.
+
+    The rectangle reaches the theta1 = 1 - theta0 line as soon as its
+    lower-left corner does, in which case every prevalence is feasible.
+    Clear of that line the ratio is coordinate-wise monotone, so its
+    extremes sit at corners.
+    """
+    ends = _endpoints(segments)
+    corners = np.stack([ends[:, [0, 0, 1, 1], 0], ends[:, [0, 1, 0, 1], 1]], axis=-1)
+    return corners, corners[:, 0, 0] + corners[:, 0, 1] - 1.0 <= SIGN_TOL
 
 
 def prevalence_bounds_segment(seg: ThetaSegment, q: float) -> PrevalenceBounds:
-    """Sharp prevalence bounds from a segment: evaluate at its endpoints.
-
-    If theta1 + theta0 - 1 vanishes or changes sign along the segment,
-    every prevalence in [0, 1] is feasible and the bounds are vacuous.
-    """
-    d_lo = seg.lo[0] + seg.lo[1] - 1.0
-    d_hi = seg.hi[0] + seg.hi[1] - 1.0
-    crosses = d_lo * d_hi <= 0.0 or abs(d_lo) <= SIGN_TOL or abs(d_hi) <= SIGN_TOL
-    return _ratio_bounds(q, [seg.lo, seg.hi], crosses)
+    """Sharp prevalence bounds from a segment: evaluate at its endpoints."""
+    return _combine([q], _sharp([seg]))[0]
 
 
 def prevalence_bounds_rect(seg: ThetaSegment, q: float) -> PrevalenceBounds:
@@ -116,34 +183,19 @@ def prevalence_bounds_rect(seg: ThetaSegment, q: float) -> PrevalenceBounds:
     Treats the identified set as the rectangle of its projections, which
     is what methods reporting only marginal theta bounds can do.  Always
     contains the sharp bounds; strictly wider unless the segment is a
-    single point.  The rectangle reaches the theta1 = 1 - theta0 line as
-    soon as its lower-left corner does, in which case every prevalence is
-    feasible.  Clear of that line the ratio is coordinate-wise monotone,
-    so its extremes sit at corners.
+    single point.
     """
-    (t1l, t0l), (t1u, t0u) = seg.lo, seg.hi
-    corners = [(t1l, t0l), (t1l, t0u), (t1u, t0l), (t1u, t0u)]
-    return _ratio_bounds(q, corners, t1l + t0l - 1.0 <= SIGN_TOL)
-
-
-def _combine(parts: list[PrevalenceBounds]) -> PrevalenceBounds:
-    components = tuple(b.interval for b in parts)
-    if any(b.vacuous for b in parts):
-        return PrevalenceBounds(_VACUOUS, vacuous=True, components=components)
-    consistent = [b.interval for b in parts if b.q_consistent]
-    pool = consistent or components
-    hull = Interval(min(iv.lo for iv in pool), max(iv.hi for iv in pool))
-    return PrevalenceBounds(hull, q_consistent=bool(consistent), components=components)
+    return _combine([q], _rect([seg]))[0]
 
 
 def prevalence_bounds_union(identified: IdentifiedSet, q: float) -> PrevalenceBounds:
     """Union of per-segment sharp bounds, reported as hull plus components."""
-    return _combine([prevalence_bounds_segment(seg, q) for seg in identified])
+    return _combine([q], _sharp(identified))[0]
 
 
 def prevalence_bounds_rect_union(identified: IdentifiedSet, q: float) -> PrevalenceBounds:
     """Union of per-segment rectangular bounds (the non-sharp comparator)."""
-    return _combine([prevalence_bounds_rect(seg, q) for seg in identified])
+    return _combine([q], _rect(identified))[0]
 
 
 def _ppv(theta1: float, theta0: float, pi: float) -> float | None:
@@ -196,17 +248,14 @@ def prevalence_width_curve(
     """Sharp and rectangular prevalence bounds along a grid of screened rates.
 
     Default grid is 201 equally spaced rates on [0, 1].  The sharp width
-    never exceeds the rectangular width at any grid point.
+    never exceeds the rectangular width at any grid point.  Every rate is
+    evaluated at once and each entry is a hull without ``components``;
+    ``prevalence_bounds_union`` gives the per-segment intervals at a rate.
     """
     if q_grid is None:
-        q_grid = [i / 200.0 for i in range(201)]
-    out = []
-    for q in q_grid:
-        out.append(
-            (
-                float(q),
-                prevalence_bounds_union(identified, float(q)),
-                prevalence_bounds_rect_union(identified, float(q)),
-            )
-        )
-    return out
+        qs = [i / 200.0 for i in range(201)]
+    else:
+        qs = [float(q) for q in q_grid]
+    sharp = _combine(qs, _sharp(identified), components=False)
+    rect = _combine(qs, _rect(identified), components=False)
+    return list(zip(qs, sharp, rect))

@@ -17,7 +17,13 @@ __all__ = ["regularized_incomplete_beta", "clopper_pearson"]
 _BISECT_TOL = 1e-10
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
+# Terms the continued fraction may take before it must have converged,
+# plus sqrt(a + b): the terms it needs grow with the shapes (about 300
+# at a + b = 3.5e5 and 1,800 at 1e8, near x = a / (a + b)).
 _CF_MAXITER = 300
+# Beyond this many trials the lgamma terms of I_x(a, b), each about
+# n log n, cancel away the digits the intervals need.
+_MAX_TRIALS = 10**12
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -31,7 +37,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         d = _CF_TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _CF_MAXITER + 1):
+    for m in range(1, _CF_MAXITER + math.isqrt(int(a + b)) + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -98,8 +104,8 @@ def clopper_pearson(successes: int, n: int, alpha: float = 0.05) -> Interval:
     when no successes are observed and an upper limit of 1 when all
     trials succeed.
     """
-    if n < 1:
-        raise ValueError(f"need at least one trial, got n={n}")
+    if not (1 <= n <= _MAX_TRIALS):
+        raise ValueError(f"need between 1 and 10**12 trials, got n={n}")
     if not (0 <= successes <= n):
         raise ValueError(f"successes must lie in [0, {n}], got {successes}")
     if not (0.0 < alpha < 1.0):

@@ -22,7 +22,8 @@ every point.  Every step-one and step-two bootstrap term is a studentized
 deviation sqrt(n) sum_c (F_bc - f_c) m_c / sd_f(m) plus a recentering that
 is zero or negative.  Since the deviations F_b - f sum to zero, the
 Cauchy-Schwarz inequality bounds it by sqrt(X2_b), with
-X2_b = n sum_c (F_bc - f_c)^2 / f_c the Pearson statistic of draw b.
+X2_b = n sum_c (F_bc - f_c)^2 / f_c the Pearson statistic of draw b,
+summed over the occupied cells (a draw leaves an empty cell empty).
 Quantiles are monotone in the draws, so at every theta, (s1, s0) and
 assumption the critical value is at most c_bar, the same-level quantile
 of sqrt(X2_b) floored at zero: one scalar per dataset and seed.  A grid point whose closed-form T_n exceeds c_bar
@@ -217,7 +218,9 @@ def _chi_square_bound(counts: CellCounts, boot_freqs: np.ndarray, level: float) 
     module docstring) when ``level`` is the step-two level 1 - alpha + beta.
     """
     f = np.asarray(counts.cells, dtype=float) / counts.n
-    x2 = counts.n * np.sum((boot_freqs - f) ** 2 / f, axis=1)
+    occupied = f > 0.0  # draws leave an empty cell empty: no deviation there
+    dev = boot_freqs[:, occupied] - f[occupied]
+    x2 = counts.n * np.sum(dev**2 / f[occupied], axis=1)
     return max(float(_quantile(np.sqrt(x2), level)), 0.0)
 
 
@@ -274,8 +277,7 @@ class _SPointKernel:
         boot_freqs: np.ndarray,
     ) -> None:
         n = counts.n
-        if n < 2:
-            raise ValueError(f"the test requires n >= 2 observations, got {n}")
+        self.check(n)
         A, B, C = moment_cell_tables(a, s)
         self.n = n
         self.sqrt_n = math.sqrt(n)
@@ -303,6 +305,17 @@ class _SPointKernel:
         # resamples that nearly empty a thin cell and loses the published
         # rejections.
         self.PA, self.PU, self.PV = F @ A, F @ U, F @ V
+
+    @staticmethod
+    def check(n: int) -> None:
+        """The test's one precondition on the data: n >= 2 observations.
+
+        Empty cells are allowed.  A component constant over the occupied
+        cells has zero variance and ``_stud``'s convention decides it;
+        bootstrap draws never occupy an empty cell.
+        """
+        if n < 2:
+            raise ValueError(f"the test requires n >= 2 observations, got {n}")
 
     def orient(self, x1, x0):
         """A (theta1, theta0) pair as (u, v); the swap also maps (u, v) back."""
@@ -390,11 +403,14 @@ class _SPointKernel:
             g1 = np.maximum(d6max[None, :], np.maximum(_stud(d7, s7c), _stud(-d7, s7c)))
             bhat = _quantile(g1, 1.0 - beta)
 
-            # Step 2: recenter by the bounds truncated at zero.
-            lam6 = np.minimum(mu6[None, :] + bhat[:, None] * scale[None, :], 0.0)
+            # Step 2: recenter by the bounds truncated at zero.  An infinite
+            # bound on a zero-scale component gives inf * 0 = NaN, and the
+            # component drops out of the maximum (``_stud`` maps it to -inf).
             scale7 = np.where(s7 > 0.0, s7 / rn, 0.0)
-            lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
-            lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
+            with np.errstate(invalid="ignore"):
+                lam6 = np.minimum(mu6[None, :] + bhat[:, None] * scale[None, :], 0.0)
+                lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
+                lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
 
             # Seeding the maximum with the first term gives what max(-inf, term) gives.
             gmax = _stud(rn * (dev6[None, :, 0] + lam6[:, 0, None]), s6[0])
@@ -422,11 +438,10 @@ def rsw2_test(
 ) -> TestResult:
     """Two-step bootstrap max test of H0: theta lies in the identified set.
 
-    Deterministic given the seed.  Requires every (t, r) cell to be
-    occupied; with all data in one cell every component is degenerate and
-    no studentization is possible.
+    Deterministic given the seed.  Requires n >= 2 observations
+    (``_SPointKernel.check``).
     """
-    counts.require_positive_cells()
+    _SPointKernel.check(counts.n)
     _check_in_box(theta, a)
     boot_freqs = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
     return _SPointKernel(counts, a, theta.s, boot_freqs).test(theta, cfg.alpha, cfg.beta_value)
@@ -535,7 +550,7 @@ def confidence_set(
     by every grid point.  Points the chi-square screen rejects skip the
     bootstrap; the rest are evaluated in full, row by row.
     """
-    counts.require_positive_cells()
+    _SPointKernel.check(counts.n)
     boot_freqs = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
     s_points = tuple(sorted(S.points))
@@ -616,6 +631,7 @@ def coverage_simulation(
     """
     if reps < 1:
         raise ValueError(f"need at least one replication, got {reps}")
+    _SPointKernel.check(n)
     floor = eps if eps is not None else default_cell_floor(n)
     if not true_p.satisfies_cell_floor(floor):
         raise ValueError(

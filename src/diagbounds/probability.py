@@ -55,6 +55,8 @@ class CellCounts:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} must be non-negative, got {v}")
+        if self.n > 2**53:
+            raise ValueError(f"total count {self.n} exceeds 2**53, beyond exact float arithmetic")
 
     @property
     def n(self) -> int:
@@ -63,18 +65,6 @@ class CellCounts:
     @property
     def cells(self) -> tuple[int, int, int, int]:
         return (self.n11, self.n01, self.n10, self.n00)
-
-    @property
-    def min_cell(self) -> int:
-        return min(self.cells)
-
-    def require_positive_cells(self) -> None:
-        """All four cells must be occupied before inference is meaningful."""
-        if self.min_cell < 1:
-            raise ValueError(
-                "inference requires at least one observation in every (t, r) "
-                f"cell; got counts {self.cells}"
-            )
 
 
 @dataclass(frozen=True)

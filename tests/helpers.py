@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's closed-form bound
 formulas: feasibility of latent cell configurations is checked directly,
-so agreement with the fast path is evidence, not tautology.
+so agreement with the fast path is evidence, not tautology.  The
+prevalence oracle is the scalar endpoint rule, one rate and one segment
+at a time, against which the array rule is checked float for float.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from diagbounds import (
     RefPerf,
     validate_assumptions,
 )
+from diagbounds.derived import SIGN_TOL, PrevalenceBounds
+from diagbounds.identification import Interval
 from diagbounds.probability import derived_joint_ry
 
 TABLE_DATASETS = {
@@ -111,3 +115,63 @@ def segment_distance_linf(seg, theta1, theta0):
     delta = t0 - (m * t1 + c)
     t_star = np.clip(t1 + delta / (1.0 + m), seg.lo[0], seg.hi[0])
     return np.maximum(np.abs(t1 - t_star), np.abs(t0 - (m * t_star + c)))
+
+
+# The scalar prevalence endpoint rule, one rate and one segment at a time,
+# kept as the oracle of the array rule in ``diagbounds.derived``.
+
+_VACUOUS = Interval(0.0, 1.0)
+
+
+def oracle_ratio_bounds(q, points, vacuous):
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"screened positive rate must lie in [0, 1], got {q}")
+    if vacuous:
+        return PrevalenceBounds(_VACUOUS, vacuous=True, components=(_VACUOUS,))
+    values = [(q + t0 - 1.0) / (t1 + t0 - 1.0) for t1, t0 in points]
+    lo, hi = min(values), max(values)
+    if hi < 0.0:
+        interval, ok = Interval(0.0, 0.0), False
+    elif lo > 1.0:
+        interval, ok = Interval(1.0, 1.0), False
+    else:
+        interval, ok = Interval(max(lo, 0.0), min(hi, 1.0)), True
+    return PrevalenceBounds(interval, q_consistent=ok, components=(interval,))
+
+
+def oracle_bounds_segment(seg, q):
+    d_lo = seg.lo[0] + seg.lo[1] - 1.0
+    d_hi = seg.hi[0] + seg.hi[1] - 1.0
+    crosses = d_lo * d_hi <= 0.0 or abs(d_lo) <= SIGN_TOL or abs(d_hi) <= SIGN_TOL
+    return oracle_ratio_bounds(q, [seg.lo, seg.hi], crosses)
+
+
+def oracle_bounds_rect(seg, q):
+    (t1l, t0l), (t1u, t0u) = seg.lo, seg.hi
+    corners = [(t1l, t0l), (t1l, t0u), (t1u, t0l), (t1u, t0u)]
+    return oracle_ratio_bounds(q, corners, t1l + t0l - 1.0 <= SIGN_TOL)
+
+
+def oracle_combine(parts):
+    components = tuple(b.interval for b in parts)
+    if any(b.vacuous for b in parts):
+        return PrevalenceBounds(_VACUOUS, vacuous=True, components=components)
+    consistent = [b.interval for b in parts if b.q_consistent]
+    pool = consistent or components
+    hull = Interval(min(iv.lo for iv in pool), max(iv.hi for iv in pool))
+    return PrevalenceBounds(hull, q_consistent=bool(consistent), components=components)
+
+
+def oracle_bounds_union(identified, q):
+    return oracle_combine([oracle_bounds_segment(seg, q) for seg in identified])
+
+
+def oracle_bounds_rect_union(identified, q):
+    return oracle_combine([oracle_bounds_rect(seg, q) for seg in identified])
+
+
+def oracle_width_curve(identified, q_grid):
+    return [
+        (float(q), oracle_bounds_union(identified, float(q)), oracle_bounds_rect_union(identified, float(q)))
+        for q in q_grid
+    ]

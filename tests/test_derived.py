@@ -1,9 +1,10 @@
 import hashlib
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diagbounds import (
@@ -22,9 +23,18 @@ from diagbounds import (
 )
 from diagbounds.datasets import list_datasets, load_dataset
 from diagbounds.derived import prevalence_bounds_rect_union, prevalence_width_curve
-from diagbounds.identification import RefutationError, ThetaSegment
+from diagbounds.identification import IdentifiedSet, RefutationError, ThetaSegment
 
-from helpers import TABLE_DATASETS, WA1, random_valid_instance
+from helpers import (
+    TABLE_DATASETS,
+    WA1,
+    oracle_bounds_rect,
+    oracle_bounds_rect_union,
+    oracle_bounds_segment,
+    oracle_bounds_union,
+    oracle_width_curve,
+    random_valid_instance,
+)
 
 EX1_SEG = sharp_segment(
     JointTR(0.45, 0.05, 0.05, 0.45), RefPerf(0.9, 0.9), DependenceAssumption.NO_RESTRICTION
@@ -283,14 +293,16 @@ def test_dominance_property_over_random_segments(t1_lo, width, prev, q):
     assert sharp.interval.hi <= rect.interval.hi + 1e-9
 
 
-def _bounds_record(b):
-    comps = tuple((c.lo, c.hi) for c in b.components)
+def _bounds_record(b, components_from=None):
+    comps = tuple((c.lo, c.hi) for c in (components_from or b).components)
     return (b.interval.lo, b.interval.hi, b.vacuous, b.q_consistent, comps)
 
 
 def test_derived_outputs_pinned():
     # Exact floats and flags of every derived quantity on the bundled
-    # tables, recorded before the endpoint rule was written once.
+    # tables, recorded before the endpoint rule was written once.  Curve
+    # entries carry no components, so each entry is hashed with those of
+    # the per-rate union at its rate, which the curve once held.
     regions = (
         SRegion.singleton(0.9, 1.0),
         SRegion.rectangle(0.8, 0.9, 0.98, 1.0, s1_points=10, s0_points=10),
@@ -307,7 +319,11 @@ def test_derived_outputs_pinned():
                 except RefutationError:
                     continue
                 rows = [
-                    (q, _bounds_record(sharp), _bounds_record(rect))
+                    (
+                        q,
+                        _bounds_record(sharp, prevalence_bounds_union(union, q)),
+                        _bounds_record(rect, prevalence_bounds_rect_union(union, q)),
+                    )
                     for q, sharp, rect in prevalence_width_curve(union)
                 ]
                 rows.append(_bounds_record(prevalence_bounds_union(union, 0.23)))
@@ -316,3 +332,93 @@ def test_derived_outputs_pinned():
                 rows.append((ppv.lo, ppv.hi, npv.lo, npv.hi))
                 h.update(repr((name, a.value, len(union), rows)).encode())
     assert h.hexdigest() == "e552476ba41140e3162c29f45ac8414ab6b4039436cb61bec1097a1aed258cf4"
+
+
+# Dyadic coordinates make q = 1 - theta0 exact, so that q + theta0 - 1 is
+# exactly 0 and below-chance segments (theta1 + theta0 < 1) give -0.0.
+_COORD = st.one_of(st.sampled_from([i / 8.0 for i in range(9)]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _theta_segments(draw):
+    t1a, t1b = sorted((draw(_COORD), draw(_COORD)))
+    t0a, t0b = sorted((draw(_COORD), draw(_COORD)))
+    if t1a == t1b or t0a == t0b:
+        lo = hi = (t1a, t0a)
+        slope = 1.0
+    else:
+        lo, hi = (t1a, t0a), (t1b, t0b)
+        slope = (t0b - t0a) / (t1b - t1a)
+    try:
+        return ThetaSegment(RefPerf(0.9, 0.9), lo, hi, slope, t0a - slope * t1a)
+    except ValueError:  # endpoints too close for the line check
+        assume(False)
+
+
+def _hull(b):
+    return repr((b.interval, b.vacuous, b.q_consistent))
+
+
+# A below-chance segment at q = 1 - 0.25: its lower endpoint gives
+# 0.0 / -0.5 = -0.0, the upper bound of its interval.
+_BELOW = ThetaSegment(RefPerf(0.9, 0.9), (0.25, 0.25), (0.5, 0.375), 0.5, 0.125)
+# An above-chance segment whose interval at q = 0.75 is [0.0, 0.0]: with
+# _BELOW, the hull's upper end is a tie of -0.0 and 0.0.
+_ABOVE = ThetaSegment(RefPerf(0.9, 0.9), (0.9375, 0.125), (1.0, 0.25), 2.0, -1.75)
+
+
+def test_below_chance_segment_keeps_a_negative_zero():
+    b = prevalence_bounds_segment(_BELOW, 0.75)
+    assert (b.interval.lo, b.interval.hi) == (0.0, 0.0)
+    assert math.copysign(1.0, b.interval.hi) == -1.0
+    assert repr(b) == repr(oracle_bounds_segment(_BELOW, 0.75))
+
+
+@settings(max_examples=100, deadline=None)
+@example(segments=[_BELOW, _singleton_segment(0.8, 0.9)], extra=[0.75, 0.0, 1.0])
+@example(segments=[_singleton_segment(0.5, 0.25), _BELOW], extra=[0.75])
+@example(segments=[_BELOW, _ABOVE], extra=[0.75])
+@example(segments=[_ABOVE, _BELOW], extra=[0.75])
+@given(
+    segments=st.lists(_theta_segments(), min_size=1, max_size=4),
+    extra=st.lists(st.floats(0.0, 1.0), max_size=3),
+)
+def test_prevalence_rule_matches_the_scalar_oracle(segments, extra):
+    identified = IdentifiedSet(segments=tuple(segments), assumption=DependenceAssumption.NO_RESTRICTION)
+    qs = [0.0, 1.0] + [1.0 - seg.lo[1] for seg in segments] + [1.0 - seg.hi[1] for seg in segments]
+    qs += extra
+    for q in qs:
+        for seg in segments:
+            assert repr(prevalence_bounds_segment(seg, q)) == repr(oracle_bounds_segment(seg, q))
+            assert repr(prevalence_bounds_rect(seg, q)) == repr(oracle_bounds_rect(seg, q))
+        assert repr(prevalence_bounds_union(identified, q)) == repr(oracle_bounds_union(identified, q))
+        got = prevalence_bounds_rect_union(identified, q)
+        assert repr(got) == repr(oracle_bounds_rect_union(identified, q))
+    curve = prevalence_width_curve(identified, qs)
+    assert len(curve) == len(qs)
+    for (q, sharp, rect), (oq, osharp, orect) in zip(curve, oracle_width_curve(identified, qs)):
+        assert repr(q) == repr(oq)
+        assert (_hull(sharp), _hull(rect)) == (_hull(osharp), _hull(orect))
+        assert sharp.components == rect.components == ()
+
+
+@pytest.mark.parametrize("bad", [1.2, float("nan"), -0.5])
+def test_rates_outside_the_unit_interval_raise_as_before(bad):
+    identified = IdentifiedSet(segments=(EX1_SEG, _BELOW), assumption=DependenceAssumption.NO_RESTRICTION)
+    grid = [0.1, bad, 0.5]
+    with pytest.raises(ValueError) as new:
+        prevalence_width_curve(identified, grid)
+    with pytest.raises(ValueError) as old:
+        oracle_width_curve(identified, grid)
+    assert str(new.value) == str(old.value)
+    for new_fn, old_fn, arg in [
+        (prevalence_bounds_segment, oracle_bounds_segment, EX1_SEG),
+        (prevalence_bounds_rect, oracle_bounds_rect, EX1_SEG),
+        (prevalence_bounds_union, oracle_bounds_union, identified),
+        (prevalence_bounds_rect_union, oracle_bounds_rect_union, identified),
+    ]:
+        with pytest.raises(ValueError) as new:
+            new_fn(arg, bad)
+        with pytest.raises(ValueError) as old:
+            old_fn(arg, bad)
+        assert str(new.value) == str(old.value)

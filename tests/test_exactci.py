@@ -67,3 +67,13 @@ def test_invalid_inputs():
         clopper_pearson(11, 10)
     with pytest.raises(ValueError):
         clopper_pearson(5, 10, alpha=0.0)
+
+
+def test_large_samples_converge_and_larger_ones_are_refused():
+    # (176339, 352671) once ran out of continued-fraction terms.
+    for k, n in [(176339, 352671), (10**8 // 3, 10**8)]:
+        iv = clopper_pearson(k, n)
+        assert iv.lo == pytest.approx(stats.beta.ppf(0.025, k, n - k + 1), abs=1e-9)
+        assert iv.hi == pytest.approx(stats.beta.ppf(0.975, k + 1, n - k), abs=1e-9)
+    with pytest.raises(ValueError, match="10\\*\\*12"):
+        clopper_pearson(5, 10**12 + 1)

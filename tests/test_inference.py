@@ -251,11 +251,20 @@ def test_far_outside_rejected_even_with_single_draw():
     assert res.reject and res.t_n > 5.0
 
 
-def test_inference_requires_occupied_cells():
-    with pytest.raises(ValueError, match="every"):
-        rsw2_test(CellCounts(10, 0, 2, 5), ThetaPoint(0.5, 0.5, S91), WA1, CFG)
-    with pytest.raises(ValueError):
-        confidence_set(CellCounts(9, 0, 0, 0), SRegion.singleton(0.9, 1.0), WA1, CFG)
+def test_inference_accepts_empty_cells_and_requires_two_observations():
+    # Every entry point checks the kernel's one precondition, n >= 2.
+    assert rsw2_test(CellCounts(10, 0, 2, 5), ThetaPoint(0.5, 0.5, S91), WA1, CFG).t_n >= 0.0
+    cs = confidence_set(CellCounts(9, 0, 0, 0), SRegion.singleton(0.9, 1.0), WA1, SMALL)
+    assert cs.n_tested > 0
+    one = CellCounts(1, 0, 0, 0)
+    with pytest.raises(ValueError, match="n >= 2"):
+        rsw2_test(one, ThetaPoint(0.5, 0.5, S91), WA1, CFG)
+    with pytest.raises(ValueError, match="n >= 2"):
+        confidence_set(one, SRegion.singleton(0.9, 1.0), WA1, CFG)
+    with pytest.raises(ValueError, match="n >= 2"):
+        coverage_simulation(
+            estimate_joint(EUA), S91, WA1, n=1, reps=1, cfg=CFG, eps=0.0
+        )
 
 
 def test_point_outside_parameter_space_rejected_up_front():
@@ -506,11 +515,12 @@ def test_coverage_simulation_checks_cell_floor():
 def _chi_square_bound(counts, boot, level):
     """The level quantile of the square-rooted Pearson statistics of the draws."""
     f = np.asarray(counts.cells, dtype=float) / counts.n
-    x2 = [counts.n * sum((fb[c] - f[c]) ** 2 / f[c] for c in range(4)) for fb in boot]
+    cells = [c for c in range(4) if f[c] > 0.0]
+    x2 = [counts.n * sum((fb[c] - f[c]) ** 2 / f[c] for c in cells) for fb in boot]
     return max(float(np.quantile(np.sqrt(x2), level, method="higher")), 0.0)
 
 
-def _unscreened_confidence_set(counts, S, a, cfg):
+def _unscreened_confidence_set(counts, S, a, cfg, bound_rtol=1e-12):
     """Confidence set from full-row kernel evaluations, with no screen.
 
     Also checks the screen's invariant at every finite grid point: the
@@ -534,7 +544,7 @@ def _unscreened_confidence_set(counts, S, a, cfg):
         for i in iu:
             tn, crit = kernel.evaluate(float(axis[i]), axis[iv], cfg.alpha, cfg.beta_value)
             finite = np.isfinite(tn)
-            assert np.all(crit[finite] <= cbar * (1.0 + 1e-12)), (crit[finite].max(), cbar)
+            assert np.all(crit[finite] <= cbar * (1.0 + bound_rtol)), (crit[finite].max(), cbar)
             for j, t, c in zip(iv, tn, crit):
                 i1, i0 = kernel.orient(i, j)
                 if np.isfinite(t) and t <= c:
@@ -553,9 +563,9 @@ def _spread(n, k=3):
     return np.unique(np.linspace(0, n - 1, min(n, k)).astype(int))
 
 
-def _assert_matches_unscreened(counts, S, a, cfg):
+def _assert_matches_unscreened(counts, S, a, cfg, bound_rtol=1e-12):
     cs = confidence_set(counts, S, a, cfg)
-    points, t_n, crit, n_tested, rejected = _unscreened_confidence_set(counts, S, a, cfg)
+    points, t_n, crit, n_tested, rejected = _unscreened_confidence_set(counts, S, a, cfg, bound_rtol)
     np.testing.assert_array_equal(cs.points, points)
     np.testing.assert_array_equal(cs.t_n, t_n)
     np.testing.assert_array_equal(cs.crit, crit)
@@ -597,6 +607,49 @@ def _s_regions(draw):
 def test_screened_confidence_set_equals_unscreened(cells, a, S, bootstrap, seed, grid, alpha):
     cfg = TestConfig(alpha=alpha, seed=seed, bootstrap=bootstrap, theta_grid=grid)
     _assert_matches_unscreened(CellCounts(*cells), S, a, cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@example(
+    cells=[0, 3, 0, 4], a=DependenceAssumption.WRONGLY_AGREE_Y0,
+    S=SRegion.singleton(0.8, 0.7), bootstrap=200, seed=3, grid=41, alpha=0.05,
+)
+@example(
+    cells=[1, 0, 0, 1], a=DependenceAssumption.NO_RESTRICTION,
+    S=SRegion.singleton(0.875, 0.5), bootstrap=20, seed=0, grid=19, alpha=0.05,
+)
+@given(
+    cells=st.lists(st.integers(0, 75), min_size=4, max_size=4).filter(
+        lambda c: 0 in c and sum(c) >= 2
+    ),
+    a=st.sampled_from(list(DependenceAssumption)),
+    S=_s_regions(),
+    bootstrap=st.integers(20, 200),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.integers(15, 40),
+    alpha=st.sampled_from([0.05, 0.10]),
+)
+def test_screened_confidence_set_equals_unscreened_with_empty_cells(
+    cells, a, S, bootstrap, seed, grid, alpha
+):
+    # With two occupied cells every component attains the chi-square bound
+    # at every point, so crit sits at c_bar up to the rounding of the
+    # E[m^2] - mu^2 variances (1.5e-12 relative on (1, 0, 0, 1)); the
+    # screen's own margin is the invariant that keeps both sets equal.
+    cfg = TestConfig(alpha=alpha, seed=seed, bootstrap=bootstrap, theta_grid=grid)
+    _assert_matches_unscreened(CellCounts(*cells), S, a, cfg, bound_rtol=inference._SCREEN_RTOL)
+
+
+def test_empty_cell_table_stays_under_the_chi_square_bound():
+    # No draw occupies the empty cell, so the Pearson statistic sums over
+    # the occupied ones; the screen and every critical value still agree
+    # with the bound, and nothing warns.
+    counts = CellCounts(256, 0, 25, 219)
+    boot = bootstrap_cell_frequencies(counts, SMALL.bootstrap, SMALL.seed)
+    level = 1.0 - SMALL.alpha + SMALL.beta_value
+    want = _chi_square_bound(counts, boot, level)
+    assert inference._chi_square_bound(counts, boot, level) == pytest.approx(want, rel=1e-12)
+    _assert_matches_unscreened(counts, SRegion.singleton(0.9, 1.0), WA1, SMALL)
 
 
 def _spy_on_evaluate(monkeypatch):

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from diagbounds import DependenceAssumption, SRegion, TestConfig
 from diagbounds.cli import _test_config, build_parser, main
@@ -263,6 +267,96 @@ def test_cli_rejects_non_integral_counts(tmp_path, capsys, cells):
     assert main(argv) == 3
     assert "must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("list.json", "[1, 2, 3, 4]", "must be an object"),
+        ("null.json", "null", "must be an object"),
+        ("short.csv", "t,r,count\n1,1\n", "3 fields"),
+        ("long.csv", "t,r,count\n1,1,4,5\n", "3 fields"),
+        ("huge.json", json.dumps({"n11": 10**400, "n01": 1, "n10": 1, "n00": 1}), "2\\*\\*53"),
+    ],
+)
+def test_read_counts_rejects_malformed_files(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_counts(path)
+
+
+def test_read_counts_rejects_a_directory(tmp_path):
+    (tmp_path / "counts.json").mkdir()
+    with pytest.raises(ValueError, match="cannot read"):
+        read_counts(tmp_path / "counts.json")
+
+
+def test_read_counts_strips_csv_header_padding(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("t, r , count\n1,1,9\n0,1,1\n1,0,2\n0,0,8\n")
+    assert read_counts(path).cells == (9, 1, 2, 8)
+
+
+_COUNT = st.one_of(
+    st.integers(-2, 400),
+    st.integers(),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+_CELL_KEYS = st.lists(st.sampled_from(["n11", "n01", "n10", "n00", "note"]), unique=True)
+_JSON_COUNTS = _JSON | _CELL_KEYS.flatmap(lambda keys: st.fixed_dictionaries({k: _COUNT for k in keys}))
+_FIELD = st.sampled_from(["0", "1", "2", " 1", "-1", "1.5", "x", "", "40", "9" * 30])
+_CSV_ROW = st.lists(_FIELD, max_size=4).map(",".join)
+_CSV_TEXT = st.text(max_size=30) | st.builds(
+    lambda header, rows: "\n".join([header, *rows]) + "\n",
+    st.sampled_from(["t,r,count", "t, r, count", "r,t,count", "t,r", ""]),
+    st.lists(_CSV_ROW, max_size=6),
+)
+
+
+def _exit_code(suffix: str, text: str, verb: str) -> int:
+    # A refuted reference point is dropped with a warning (exit code 2
+    # follows); any other warning stays an error.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "dropping refuted reference point", UserWarning)
+        path = Path(tmp) / f"counts{suffix}"
+        path.write_text(text)
+        argv = [verb, "--input", str(path), "--s1", "0.9", "--s0", "1.0", "--out", tmp, "--format", "json"]
+        return main(argv + (["--q", "0.23"] if verb == "prevalence" else []))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(value=[1, 2, 3, 4], verb="estimate")
+@example(value=None, verb="estimate")
+@example(value={"n11": 10**400, "n01": 1, "n10": 1, "n00": 1}, verb="estimate")
+@example(value={"n11": 3, "n01": 0, "n10": 0, "n00": 3}, verb="prevalence")
+@given(value=_JSON_COUNTS, verb=st.sampled_from(["estimate", "prevalence"]))
+def test_cli_exit_codes_on_any_json(value, verb):
+    assert _exit_code(".json", json.dumps(value), verb) in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(text="t,r,count\n1,1\n", verb="estimate")
+@example(text="t, r, count\n1,1,9\n0,1,1\n1,0,2\n0,0,8\n", verb="prevalence")
+@given(text=_CSV_TEXT, verb=st.sampled_from(["estimate", "prevalence"]))
+def test_cli_exit_codes_on_any_csv(text, verb):
+    assert _exit_code(".csv", text, verb) in (0, 2, 3)
+
+
+def test_cli_exit_code_on_a_directory(tmp_path, capsys):
+    (tmp_path / "counts.json").mkdir()
+    argv = ["estimate", "--input", str(tmp_path / "counts.json"), "--s1", "0.9", "--s0", "1.0"]
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_read_counts_accepts_integral_json_numbers(tmp_path):
