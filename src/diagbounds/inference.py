@@ -35,14 +35,39 @@ other point goes through the full evaluation.
 
 The screen's closed-form T_n and conditioning gate are evaluated over the
 whole (u, v) grid block of a reference point at once, in chunks of rows
-whose temporaries stay under a fixed element budget; the survivors of a
-row are evaluated in chunks under a second budget.  Both use the same
-elementwise formulas as a single point, so chunking changes no bit.  The
-"higher" bootstrap quantile is one order statistic, the element at index
-ceil((B - 1) q) of the sorted draws, found by a partial sort.
+whose temporaries stay under a fixed element budget.  The survivors of
+the whole block are then evaluated in chunks of consecutive whole rows
+(points sharing the driving coordinate u) whose scratch stays under a
+second budget, a row too long for it split.  Each chunk builds its row
+tables once per row: the bootstrap deviations of the six inequality
+components as (rows, 6, B), their step-one maximum, the equality
+component's draws, and each component's step-two term recentered by
++0.0.  Per-point arrays gather from them.  Both budgets use the same elementwise formulas as a
+single point, so chunking changes no bit.  The "higher" bootstrap
+quantile is one order statistic, the element at index ceil((B - 1) q) of
+the sorted draws, found by a partial sort.
+
+Step two recenters each moment by min(bound, 0), a shift that is zero or
+negative, and two exact rules follow for inequality component j of a row:
+
+- *Zero rule.*  Where the recentering is +0.0 at every point of the row,
+  every point's term is the row's +0.0-recentered vector, bit for bit.
+- *Dominance rule.*  Where at every point of the row s7 > 0 and both
+  equality recenterings are 0, max(E_a, E_b) >= 0 at every draw, since
+  E_b is -E_a.  Every operation of the term is monotone in the deviation,
+  so it is at most its value at the row's largest deviation; where that
+  is below zero the term lies strictly below the maximum at every draw
+  and is skipped.
+
+The maximum still folds t0..t5, then E_a, then E_b, from -inf.  Signed
+zeros: a reduction or a tie may keep -0.0 where the row-by-row form kept
++0.0 (the maximum over components of the step-one deviations, the order
+statistic of a bound), but np.minimum(x, 0.0) and np.maximum(x, 0.0) turn
+either zero into +0.0, and every recentering, T_n and every critical value
+passes through one of them, so no -0.0 reaches an output.
 
 One kernel per (dataset, reference point) decides every test: a single
-point, each replicate of a coverage simulation, each grid-inversion row.
+point, the candidates of a coverage replicate, the survivors of a grid.
 """
 
 from __future__ import annotations
@@ -82,11 +107,17 @@ _SCREEN_VAR_FLOOR = 1e-6
 
 # Element budgets of the kernel's float temporaries.  The screen takes a
 # reference point's (u, v) block in chunks of rows of at most
-# _SCREEN_BLOCK points; a row's survivors are evaluated in chunks of at
-# most _EVAL_BLOCK (point x draw) elements, so a full 316-point row at
-# B = 500 is still one chunk.  Neither changes a result, only peak memory.
+# _SCREEN_BLOCK points.  The survivors are evaluated in chunks of whole
+# rows whose scratch (_POINT_ARRAYS arrays per point and _ROW_TABLES tables
+# per row, each of B draws) is at most _EVAL_BLOCK elements, or one point's
+# when that alone is more.  Neither changes a result, only speed and peak
+# memory.
 _SCREEN_BLOCK = 2**13
-_EVAL_BLOCK = 2**18
+_EVAL_BLOCK = 2**16
+# A chunk's scratch per draw: three arrays per point (d7, the running
+# maximum, a temporary) and 14 tables per row (dev6 and z6 with six
+# components each, base7, d6max).
+_POINT_ARRAYS, _ROW_TABLES = 3, 14
 
 # Substream tags keep bootstrap draws, simulated datasets, and derived
 # seeds in disjoint regions of the counter-based key space: substream
@@ -231,16 +262,17 @@ def _quantile(x: np.ndarray, q: float) -> np.ndarray:
     ceil((m - 1) q) of the sorted values.  Partitioning at that index and
     at the last one, the kth list np.quantile passes, puts the same
     element there (of equal values such as 0.0 and -0.0, the same one) and
-    any NaN last, from where it is propagated as np.quantile does.
+    any NaN last, from where it is propagated as np.quantile does.  ``x``
+    is partitioned in place, as np.partition partitions its copy.
     """
     k = math.ceil((x.shape[-1] - 1) * q)
-    part = np.partition(x, (k, -1), axis=-1)
-    last = part[..., -1]
-    return np.where(np.isnan(last), last, part[..., k])
+    x.partition((k, -1), axis=-1)
+    last = x[..., -1]
+    return np.where(np.isnan(last), last, x[..., k])
 
 
-def _stud(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den with the zero-denominator convention.
+def _stud(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """num / den with the zero-denominator convention, into ``out`` if given.
 
     A degenerate (constant) component rejects only if its mean violates
     the inequality: positive numerator maps to +inf, non-positive to
@@ -249,9 +281,36 @@ def _stud(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     if (den > 0.0).all():
-        return num / den  # what the masked form below gives, without the masks
+        return np.divide(num, den, out=out)  # what the masked form below gives, without the masks
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
+        q = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
+    if out is None:
+        return q
+    out[...] = q
+    return out
+
+
+def _chunks(ends: list[int], cap: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) ranges of consecutive whole rows whose scratch fits ``cap``.
+
+    ``ends`` are the rows' end offsets; ``cap`` counts scratch elements per
+    draw, ``_POINT_ARRAYS`` per point and ``_ROW_TABLES`` per row.  A row
+    that does not fit alone is split into pieces of as many points as fit;
+    its last piece may share a chunk with the rows after it.
+    """
+    piece = max(1, (cap - _ROW_TABLES) // _POINT_ARRAYS)
+    lo = start = cost = 0
+    for end in ends:
+        if lo < start and cost + _POINT_ARRAYS * (end - start) + _ROW_TABLES > cap:
+            yield lo, start  # the row does not fit
+            lo, cost = start, 0
+        while end - lo > piece and _POINT_ARRAYS * (end - lo) + _ROW_TABLES > cap:
+            yield lo, lo + piece
+            lo += piece
+        cost += _POINT_ARRAYS * (end - max(lo, start)) + _ROW_TABLES
+        start = end
+    if lo < start:
+        yield lo, start
 
 
 def _rejects(tn: np.ndarray, crit: np.ndarray) -> np.ndarray:
@@ -299,12 +358,16 @@ class _SPointKernel:
         self.fUU = proj(f, U, U)
         self.fUV = proj(f, U, V)
         self.fVV = proj(f, V, V)
-        # Bootstrap-side means, shape (B, 8).  Bootstrap deviations are
-        # studentized by the data-side standard deviations; re-estimating
-        # the scale inside each draw makes the max statistic explode in
-        # resamples that nearly empty a thin cell and loses the published
-        # rejections.
-        self.PA, self.PU, self.PV = F @ A, F @ U, F @ V
+        # Bootstrap-side means.  Bootstrap deviations are studentized by the
+        # data-side standard deviations; re-estimating the scale inside each
+        # draw makes the max statistic explode in resamples that nearly
+        # empty a thin cell and loses the published rejections.  The six
+        # inequality components are kept as (6, B) rows, the layout of the
+        # (rows, 6, B) row tables; the equality component as (B,) vectors.
+        PA, PU, PV = F @ A, F @ U, F @ V
+        self.draws = F.shape[0]
+        self.PA6, self.PU6 = PA[:, :6].T.copy(), PU[:, :6].T.copy()
+        self.PA7, self.PU7, self.PV7 = PA[:, 6].copy(), PU[:, 6].copy(), PV[:, 6].copy()
 
     @staticmethod
     def check(n: int) -> None:
@@ -376,57 +439,117 @@ class _SPointKernel:
     # -- full evaluation ------------------------------------------------
 
     def evaluate(
-        self, u: float, v: np.ndarray, alpha: float, beta: float
+        self, u: np.ndarray, v: np.ndarray, alpha: float, beta: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """T_n and critical value along a vector of the non-driving theta.
+        """T_n and critical value at the points (u[k], v[k]).
 
-        The inequality part of step one depends on ``u`` alone and is
-        computed once; the rest runs over chunks of ``v`` with at most
-        ``_EVAL_BLOCK`` (point x draw) elements.
+        Consecutive points with equal ``u`` form a row.  T_n and the
+        data-side statistics are computed for all points at once; the
+        critical values in chunks of consecutive whole rows whose scratch
+        fits ``_EVAL_BLOCK`` elements, a longer row split, all in one
+        scratch buffer.
         """
         rn = self.sqrt_n
-        mu6, s6 = self._ineq_stats(u)
-        dev6 = self.PA[:, :6] + self.PU[:, :6] * u - mu6  # (B, 6)
-        d6max = np.max(_stud(rn * dev6, s6), axis=1)
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        first = np.ones(u.size, dtype=bool)
+        first[1:] = u[1:] != u[:-1]
+        row = np.cumsum(first) - 1  # each point's row
+        starts = np.flatnonzero(first).tolist()
+        ur = u[first]
+        mu6, s6 = self._ineq_stats(ur[:, None])
+        mu7, s7 = self._eq_stats(u, v)
+        t6 = np.max(_stud(rn * mu6, s6), axis=-1)
+        tn = np.maximum(np.maximum(t6[row], _stud(rn * np.abs(mu7), s7)), 0.0)
+
+        crit = np.empty(v.size)
+        cap = _EVAL_BLOCK // self.draws  # scratch elements per draw
+        most = _POINT_ARRAYS + _ROW_TABLES  # per draw, for a chunk of one point
+        scratch = np.empty(min(max(cap, most), most * v.size) * self.draws)
+        for lo, hi in _chunks(starts[1:] + [v.size], cap):
+            r0, r1 = row[lo], row[hi - 1] + 1
+            bounds = [max(x - lo, 0) for x in starts[r0:r1]] + [hi - lo]
+            crit[lo:hi] = self._critical_values(
+                ur[r0:r1], mu6[r0:r1], s6[r0:r1], bounds, row[lo:hi] - r0,
+                v[lo:hi], mu7[lo:hi], s7[lo:hi], alpha, beta, scratch,
+            )
+        return tn, crit
+
+    def _critical_values(
+        self, ur, mu6, s6, bounds, row, v, mu7, s7, alpha, beta, scratch
+    ) -> np.ndarray:
+        """Critical values of one chunk: rows ``ur`` with their statistics, points ``v``.
+
+        Row r holds points bounds[r]:bounds[r + 1]; ``row`` is each point's
+        row.  The row tables hold what depends on u alone, built once per
+        row; the (point x draw) arrays and the tables are views of
+        ``scratch``.
+        """
+        rn, n, nr, nb = self.sqrt_n, v.size, ur.size, self.draws
+        starts = bounds[:-1]
+        split = _POINT_ARRAYS * n * nb
+        d7, g, w = scratch[:split].reshape(_POINT_ARRAYS, n, nb)
+        tables = scratch[split : split + _ROW_TABLES * nr * nb].reshape(nr, _ROW_TABLES, nb)
+        dev6, z6, base7, d6max = tables[:, :6], tables[:, 6:12], tables[:, 12], tables[:, 13]
+
+        # Row tables.  z6 ends up as the step-two terms recentered by +0.0.
+        s6c = s6[:, :, None]
+        np.add(self.PA6, np.multiply(self.PU6, ur[:, None, None], out=dev6), out=dev6)
+        np.subtract(dev6, mu6[:, :, None], out=dev6)
+        np.max(_stud(np.multiply(rn, dev6, out=z6), s6c, out=z6), axis=1, out=d6max)
+        _stud(np.multiply(rn, np.add(dev6, 0.0, out=z6), out=z6), s6c, out=z6)
+        top6 = np.max(dev6, axis=2)
+        np.add(self.PA7, np.multiply(self.PU7, ur[:, None], out=base7), out=base7)
+        s7c = s7[:, None]
+
+        # Step 1: joint upper confidence bounds for the moments.
+        np.take(base7, row, axis=0, out=d7)
+        np.add(d7, np.multiply(v[:, None], self.PV7, out=w), out=d7)
+        np.multiply(rn, np.subtract(d7, mu7[:, None], out=d7), out=d7)
+        np.maximum(_stud(d7, s7c, out=g), _stud(np.negative(d7, out=w), s7c, out=w), out=g)
+        np.maximum(np.take(d6max, row, axis=0, out=w), g, out=g)
+        bhat = _quantile(g, 1.0 - beta)
+
+        # Step 2: recenter by the bounds truncated at zero.  An infinite
+        # bound on a zero-scale component gives inf * 0 = NaN, and the
+        # component drops out of the maximum (``_stud`` maps it to -inf).
         scale = np.where(s6 > 0.0, s6 / rn, 0.0)
-        base7 = self.PA[:, 6] + self.PU[:, 6] * u
+        scale7 = np.where(s7 > 0.0, s7 / rn, 0.0)
+        with np.errstate(invalid="ignore"):
+            lam6 = np.minimum(mu6[row] + bhat[:, None] * scale[row], 0.0)
+            lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
+            lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
 
-        tn_out, crit_out = np.empty(v.size), np.empty(v.size)
-        step = max(1, _EVAL_BLOCK // d6max.size)
-        for lo in range(0, v.size, step):
-            w = v[lo : lo + step]
-            _, _, mu7, s7, tn = self._statistic(u, w)
-            s7c = s7[:, None]
+        # A row's term j is skipped where it is dominated: below zero at
+        # every draw (``top`` bounds it) while max(E_a, E_b) >= 0 at every
+        # draw.  Where every lam6 of the row is +0.0 it is one shared vector.
+        top = _stud(rn * (top6[row] + lam6), s6[row])
+        dominated = (top < 0.0) & ((s7 > 0.0) & (lam7a == 0.0) & (lam7b == 0.0))[:, None]
+        skip = np.logical_and.reduceat(dominated, starts, axis=0)
+        zero = np.logical_and.reduceat((lam6 == 0.0) & ~np.signbit(lam6), starts, axis=0)
+        skip, zero = skip.tolist(), zero.tolist()
 
-            # Step 1: joint upper confidence bounds for the moments.
-            d7 = rn * (base7[None, :] + w[:, None] * self.PV[None, :, 6] - mu7[:, None])
-            g1 = np.maximum(d6max[None, :], np.maximum(_stud(d7, s7c), _stud(-d7, s7c)))
-            bhat = _quantile(g1, 1.0 - beta)
-
-            # Step 2: recenter by the bounds truncated at zero.  An infinite
-            # bound on a zero-scale component gives inf * 0 = NaN, and the
-            # component drops out of the maximum (``_stud`` maps it to -inf).
-            scale7 = np.where(s7 > 0.0, s7 / rn, 0.0)
-            with np.errstate(invalid="ignore"):
-                lam6 = np.minimum(mu6[None, :] + bhat[:, None] * scale[None, :], 0.0)
-                lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
-                lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
-
-            # Seeding the maximum with the first term gives what max(-inf, term) gives.
-            gmax = _stud(rn * (dev6[None, :, 0] + lam6[:, 0, None]), s6[0])
-            for j in range(1, 6):
-                num = rn * (dev6[None, :, j] + lam6[:, j, None])
-                np.maximum(gmax, _stud(num, s6[j]), out=gmax)
-            np.maximum(gmax, _stud(d7 + rn * lam7a[:, None], s7c), out=gmax)
-            np.maximum(gmax, _stud(-d7 + rn * lam7b[:, None], s7c), out=gmax)
-            tn_out[lo : lo + step] = tn
-            crit_out[lo : lo + step] = np.maximum(_quantile(gmax, 1.0 - alpha + beta), 0.0)
-        return tn_out, crit_out
+        # The fold t0..t5, E_a, E_b of every point, from -inf: max(-inf, x) is x.
+        g.fill(-np.inf)
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            gr, wr = g[lo:hi], w[lo:hi]
+            for j in range(6):
+                if skip[r][j]:
+                    continue
+                if zero[r][j]:
+                    np.maximum(gr, z6[r, j], out=gr)
+                    continue
+                np.multiply(rn, np.add(dev6[r, j], lam6[lo:hi, j, None], out=wr), out=wr)
+                np.maximum(gr, _stud(wr, s6[r, j], out=wr), out=gr)
+        np.add(d7, rn * lam7a[:, None], out=w)
+        np.maximum(g, _stud(w, s7c, out=w), out=g)
+        np.add(np.negative(d7, out=w), rn * lam7b[:, None], out=w)
+        np.maximum(g, _stud(w, s7c, out=w), out=g)
+        return np.maximum(_quantile(g, 1.0 - alpha + beta), 0.0)
 
     def test(self, theta: ThetaPoint, alpha: float, beta: float) -> TestResult:
         """The test at one point whose reference values are this kernel's."""
-        u, v = self.orient(theta.theta1, theta.theta0)
-        tn, crit = self.evaluate(u, np.array([v]), alpha, beta)
+        u, v = self.orient(np.array([theta.theta1]), np.array([theta.theta0]))
+        tn, crit = self.evaluate(u, v, alpha, beta)
         return TestResult(reject=bool(_rejects(tn, crit)[0]), t_n=float(tn[0]), crit=float(crit[0]))
 
 
@@ -548,7 +671,7 @@ def confidence_set(
     points outside the parameter-space box of ``a`` at a given (s1, s0)
     are excluded a priori.  Bootstrap draws are generated once and shared
     by every grid point.  Points the chi-square screen rejects skip the
-    bootstrap; the rest are evaluated in full, row by row.
+    bootstrap; a reference point's survivors go through one kernel call.
     """
     _SPointKernel.check(counts.n)
     boot_freqs = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
@@ -568,13 +691,17 @@ def confidence_set(
         idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
         n_tested += idx1.size * idx0.size
         iu, iv = kernel.orient(idx1, idx0)
-        for r, live in kernel.screen(axis[iu], axis[iv], cutoff):
-            i, j = iu[r], iv[live]
-            tn, crit = kernel.evaluate(float(axis[i]), axis[j], alpha, beta)
-            keep = ~_rejects(tn, crit)
-            j, row = j[keep], np.full(np.count_nonzero(keep), i)
-            i1, i0 = kernel.orient(row, j)
-            blocks.append((i1, i0, np.full(j.size, s_idx), tn[keep], crit[keep]))
+        survivors = [
+            (np.full(np.count_nonzero(live), iu[r]), iv[live])
+            for r, live in kernel.screen(axis[iu], axis[iv], cutoff)
+        ]
+        if not survivors:
+            continue
+        i, j = (np.concatenate(col) for col in zip(*survivors))
+        tn, crit = kernel.evaluate(axis[i], axis[j], alpha, beta)
+        keep = ~_rejects(tn, crit)
+        i1, i0 = kernel.orient(i[keep], j[keep])
+        blocks.append((i1, i0, np.full(i1.size, s_idx), tn[keep], crit[keep]))
 
     if blocks:
         i1, i0, si, tns, crs = (np.concatenate(col) for col in zip(*blocks))
@@ -627,7 +754,8 @@ def coverage_simulation(
     segment), the fraction of replications in which the test accepts.
     Replicate r uses its own dataset substream and a derived bootstrap
     seed, so results do not depend on evaluation order; its draws are
-    shared by one kernel per distinct reference point of the candidates.
+    shared by one kernel per distinct reference point of the candidates,
+    which tests all of that point's candidates in one call.
     """
     if reps < 1:
         raise ValueError(f"need at least one replication, got {reps}")
@@ -645,7 +773,11 @@ def coverage_simulation(
         )
     for tp in theta_points:
         _check_in_box(tp, a)
-    s_points = tuple(dict.fromkeys(tp.s for tp in theta_points))
+    groups: dict[RefPerf, list[int]] = {}  # candidates by reference point
+    for k, tp in enumerate(theta_points):
+        groups.setdefault(tp.s, []).append(k)
+    t1 = np.array([tp.theta1 for tp in theta_points])
+    t0 = np.array([tp.theta0 for tp in theta_points])
 
     pvals = np.asarray(true_p.cells, dtype=float)
     streams = _Substreams(cfg.seed)
@@ -654,9 +786,10 @@ def coverage_simulation(
         draw = streams.at(_TAG_DATASET, r).multinomial(n, pvals)
         counts = CellCounts(*(int(c) for c in draw))
         boot = bootstrap_cell_frequencies(counts, cfg.bootstrap, streams.derive_seed(r))
-        kernels = {s: _SPointKernel(counts, a, s, boot) for s in s_points}
-        for k, tp in enumerate(theta_points):
-            accept[r, k] = 0 if kernels[tp.s].test(tp, cfg.alpha, cfg.beta_value).reject else 1
+        for s, k in groups.items():
+            kernel = _SPointKernel(counts, a, s, boot)
+            tn, crit = kernel.evaluate(*kernel.orient(t1[k], t0[k]), cfg.alpha, cfg.beta_value)
+            accept[r, k] = ~_rejects(tn, crit)
     coverage = accept.mean(axis=0)
     return CoverageResult(
         theta_points=tuple(theta_points), coverage=coverage, reps=reps, n=n

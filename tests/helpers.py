@@ -4,7 +4,10 @@ The oracles here deliberately avoid the library's closed-form bound
 formulas: feasibility of latent cell configurations is checked directly,
 so agreement with the fast path is evidence, not tautology.  The
 prevalence oracle is the scalar endpoint rule, one rate and one segment
-at a time, against which the array rule is checked float for float.
+at a time, against which the array rule is checked float for float.  The
+kernel oracle is the bootstrap test evaluated one row at a time, every
+step-two term in full, against which the chunked kernel is checked bit
+for bit.
 """
 
 from __future__ import annotations
@@ -175,3 +178,62 @@ def oracle_width_curve(identified, q_grid):
         (float(q), oracle_bounds_union(identified, float(q)), oracle_bounds_rect_union(identified, float(q)))
         for q in q_grid
     ]
+
+
+# The kernel's critical values one row at a time, every step-two term of
+# every point in full: the evaluation as written before rows were chunked
+# and shared or dominated terms were skipped.  It reads the kernel's
+# data-side statistics and bootstrap tables; the studentization and the
+# quantile are written out here.
+
+
+def oracle_stud(num, den):
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
+
+
+def oracle_evaluate_row(kernel, u, v, alpha, beta):
+    """T_n, critical values and step-two recenterings along ``v`` at one ``u``."""
+    rn = kernel.sqrt_n
+    mu6, s6 = kernel._ineq_stats(u)
+    dev6 = kernel.PA6.T + kernel.PU6.T * u - mu6  # (B, 6)
+    d6max = np.max(oracle_stud(rn * dev6, s6), axis=1)
+    scale = np.where(s6 > 0.0, s6 / rn, 0.0)
+    base7 = kernel.PA7 + kernel.PU7 * u
+    _, _, mu7, s7, tn = kernel._statistic(u, v)
+    s7c = s7[:, None]
+
+    d7 = rn * (base7[None, :] + v[:, None] * kernel.PV7[None, :] - mu7[:, None])
+    g1 = np.maximum(d6max[None, :], np.maximum(oracle_stud(d7, s7c), oracle_stud(-d7, s7c)))
+    bhat = np.quantile(g1, 1.0 - beta, axis=-1, method="higher")
+
+    scale7 = np.where(s7 > 0.0, s7 / rn, 0.0)
+    with np.errstate(invalid="ignore"):
+        lam6 = np.minimum(mu6[None, :] + bhat[:, None] * scale[None, :], 0.0)
+        lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
+        lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
+
+    gmax = oracle_stud(rn * (dev6[None, :, 0] + lam6[:, 0, None]), s6[0])
+    for j in range(1, 6):
+        num = rn * (dev6[None, :, j] + lam6[:, j, None])
+        np.maximum(gmax, oracle_stud(num, s6[j]), out=gmax)
+    np.maximum(gmax, oracle_stud(d7 + rn * lam7a[:, None], s7c), out=gmax)
+    np.maximum(gmax, oracle_stud(-d7 + rn * lam7b[:, None], s7c), out=gmax)
+    crit = np.maximum(np.quantile(gmax, 1.0 - alpha + beta, axis=-1, method="higher"), 0.0)
+    parts = {"s6": s6, "s7": s7, "dev6": dev6, "lam6": lam6, "lam7a": lam7a, "lam7b": lam7b}
+    return tn, crit, parts
+
+
+def oracle_evaluate(kernel, u, v, alpha, beta):
+    """``oracle_evaluate_row`` over points (u[k], v[k]), one row per run of equal u."""
+    tn, crit = np.empty(len(v)), np.empty(len(v))
+    lo = 0
+    while lo < len(u):
+        hi = lo + 1
+        while hi < len(u) and u[hi] == u[lo]:
+            hi += 1
+        tn[lo:hi], crit[lo:hi], _ = oracle_evaluate_row(kernel, float(u[lo]), np.asarray(v[lo:hi]), alpha, beta)
+        lo = hi
+    return tn, crit

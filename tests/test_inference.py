@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -34,7 +35,7 @@ from diagbounds.inference import (
 )
 from diagbounds.moments import build_moment_system, param_space_box
 
-from helpers import TABLE_DATASETS, WA1
+from helpers import TABLE_DATASETS, WA1, oracle_evaluate, oracle_evaluate_row, oracle_stud
 
 EUA = TABLE_DATASETS["eua_sx"]
 S91 = RefPerf(0.9, 1.0)
@@ -202,7 +203,7 @@ def test_quantile_picks_numpys_order_statistic_for_every_draw_count():
     for m in range(1, 2001):
         x = rng.permutation(m).astype(float)  # distinct values name their rank
         want = np.quantile(x, levels, method=_QUANTILE_METHOD)
-        got = [_quantile(x, q) for q in levels]
+        got = [_quantile(x.copy(), q) for q in levels]
         assert _same_bits(got, want), m
 
 
@@ -227,8 +228,9 @@ def test_quantile_matches_numpy_with_ties_infinities_and_nans(rows, m, values, s
     pool = np.resize(np.array(values), rows * m)
     x = np.random.default_rng(shuffle).permutation(pool).reshape(rows, m)
     want = np.quantile(x, q, axis=-1, method=_QUANTILE_METHOD)
-    assert _same_bits(_quantile(x, q), want)
-    assert _same_bits(_quantile(x[0], q), np.quantile(x[0], q, method=_QUANTILE_METHOD))
+    # _quantile partitions its argument in place: give it copies.
+    assert _same_bits(_quantile(x.copy(), q), want)
+    assert _same_bits(_quantile(x[0].copy(), q), np.quantile(x[0], q, method=_QUANTILE_METHOD))
 
 
 def test_apparent_point_rejected_on_eua():
@@ -542,7 +544,7 @@ def _unscreened_confidence_set(counts, S, a, cfg, bound_rtol=1e-12):
         n_tested += idx1.size * idx0.size
         iu, iv = kernel.orient(idx1, idx0)
         for i in iu:
-            tn, crit = kernel.evaluate(float(axis[i]), axis[iv], cfg.alpha, cfg.beta_value)
+            tn, crit = kernel.evaluate(np.full(iv.size, axis[i]), axis[iv], cfg.alpha, cfg.beta_value)
             finite = np.isfinite(tn)
             assert np.all(crit[finite] <= cbar * (1.0 + bound_rtol)), (crit[finite].max(), cbar)
             for j, t, c in zip(iv, tn, crit):
@@ -609,6 +611,15 @@ def test_screened_confidence_set_equals_unscreened(cells, a, S, bootstrap, seed,
     _assert_matches_unscreened(CellCounts(*cells), S, a, cfg)
 
 
+def _tables_with_an_empty_cell(high=75):
+    """Four counts in [0, high] with n >= 2 and a drawn cell emptied."""
+    return (
+        st.tuples(st.lists(st.integers(0, high), min_size=4, max_size=4), st.integers(0, 3))
+        .map(lambda t: [0 if k == t[1] else c for k, c in enumerate(t[0])])
+        .filter(lambda c: sum(c) >= 2)
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @example(
     cells=[0, 3, 0, 4], a=DependenceAssumption.WRONGLY_AGREE_Y0,
@@ -619,9 +630,7 @@ def test_screened_confidence_set_equals_unscreened(cells, a, S, bootstrap, seed,
     S=SRegion.singleton(0.875, 0.5), bootstrap=20, seed=0, grid=19, alpha=0.05,
 )
 @given(
-    cells=st.lists(st.integers(0, 75), min_size=4, max_size=4).filter(
-        lambda c: 0 in c and sum(c) >= 2
-    ),
+    cells=_tables_with_an_empty_cell(),
     a=st.sampled_from(list(DependenceAssumption)),
     S=_s_regions(),
     bootstrap=st.integers(20, 200),
@@ -659,7 +668,7 @@ def _spy_on_evaluate(monkeypatch):
 
     def spy(self, u, v, alpha, beta):
         tn, crit = evaluate(self, u, v, alpha, beta)
-        evaluated.update({(u, float(x)): (t, c) for x, t, c in zip(v, tn, crit)})
+        evaluated.update({(float(w), float(x)): (t, c) for w, x, t, c in zip(u, v, tn, crit)})
         return tn, crit
 
     monkeypatch.setattr(_SPointKernel, "evaluate", spy)
@@ -765,19 +774,26 @@ def test_memory_budgets_change_no_bit(monkeypatch, budget):
     S = SRegion.rectangle(0.85, 0.95, 0.95, 1.0, s1_points=2, s0_points=1)
     cfg = TestConfig(alpha=0.05, seed=4, bootstrap=60, theta_grid=25)
     eq_stats = _SPointKernel._eq_stats
-    shapes = []
+    critical_values = _SPointKernel._critical_values
+    shapes, chunks = [], []
 
     def spy(self, u, v):
         shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
         return eq_stats(self, u, v)
 
+    def chunk_spy(self, ur, mu6, s6, bounds, row, v, *rest):
+        chunks.append(v.size)
+        return critical_values(self, ur, mu6, s6, bounds, row, v, *rest)
+
     def run():
         shapes.clear()
+        chunks.clear()
         cs = confidence_set(counts, S, WA1, cfg)
         # Screen chunks are (rows, v) blocks, evaluation chunks vectors of survivors.
-        return cs, [sh for sh in shapes if len(sh) == 2], [sh[0] for sh in shapes if len(sh) == 1]
+        return cs, [sh for sh in shapes if len(sh) == 2], list(chunks)
 
     monkeypatch.setattr(_SPointKernel, "_eq_stats", spy)
+    monkeypatch.setattr(_SPointKernel, "_critical_values", chunk_spy)
     want, screened, evaluated = run()
     monkeypatch.setattr(inference, budget, 1)
     got, screened_1, evaluated_1 = run()
@@ -845,3 +861,140 @@ def test_kernel_variances_match_per_observation_sums(cells, a, s, f1, f0):
     np.testing.assert_allclose(got[trusted], var[trusted], rtol=1e-6)
     gate = got > floor * (got + np.concatenate([mu6, mu7]) ** 2)
     assert np.all(gate[var > 2 * floor * second]) and not np.any(gate[var < floor / 2 * second])
+
+
+# -- the chunked kernel against the row-by-row oracle -------------------
+
+
+def _box_points(kernel, a, s, grid, layout, seed):
+    """(u, v) points of the parameter box's grid: whole rows, row subsets or scattered."""
+    axis = np.linspace(0.0, 1.0, grid)
+    (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
+    iu, iv = kernel.orient(axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)])
+    u, v = np.repeat(iu, iv.size), np.tile(iv, iu.size)
+    rng = np.random.default_rng(seed)
+    if layout == "subsets":  # survivors of a screen: rows with gaps
+        keep = rng.random(u.size) < 0.4
+        u, v = u[keep], v[keep]
+    elif layout == "scattered":  # coverage candidates: any order, rows of one point
+        pick = rng.permutation(u.size)[: max(1, u.size // 3)]
+        u, v = u[pick], v[pick]
+    return u, v
+
+
+def _assert_kernel_matches_oracle(kernel, u, v, alpha, beta, budget):
+    with mock.patch.object(inference, "_EVAL_BLOCK", budget):
+        tn, crit = kernel.evaluate(u, v, alpha, beta)
+    want_tn, want_crit = oracle_evaluate(kernel, u, v, alpha, beta)
+    assert tn.tobytes() == want_tn.tobytes()
+    assert crit.tobytes() == want_crit.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.one_of(
+        st.lists(st.integers(1, 75), min_size=4, max_size=4), _tables_with_an_empty_cell()
+    ),
+    a=st.sampled_from(list(DependenceAssumption)),
+    S=_s_regions(),
+    bootstrap=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.integers(2, 12),
+    layout=st.sampled_from(["rows", "subsets", "scattered"]),
+    budget=st.one_of(st.integers(1, 2000), st.just(inference._EVAL_BLOCK)),
+    alpha=st.sampled_from([0.05, 0.10]),
+)
+def test_kernel_matches_the_row_by_row_oracle(cells, a, S, bootstrap, seed, grid, layout, budget, alpha):
+    # Chunks of whole rows (split rows below a budget of one row), shared
+    # zero-recentered terms and skipped dominated ones change no bit.
+    counts = CellCounts(*cells)
+    s = S.points[0]
+    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
+    u, v = _box_points(kernel, a, s, grid, layout, seed)
+    beta = TestConfig(alpha=alpha).beta_value
+    _assert_kernel_matches_oracle(kernel, u, v, alpha, beta, budget)
+
+
+def _step_two_facts(kernel, u, v):
+    """What the step-two rules see along one row, from the oracle's recenterings."""
+    _, _, parts = oracle_evaluate_row(kernel, u, v, 0.05, 0.005)
+    lam6, s6, s7 = parts["lam6"], parts["s6"], parts["s7"]
+    top = oracle_stud(kernel.sqrt_n * (parts["dev6"].max(axis=0) + lam6), s6)
+    flat7 = (parts["lam7a"] == 0.0) & (parts["lam7b"] == 0.0)
+    return {
+        "dominated": (top < 0.0) & (flat7 & (s7 > 0.0))[:, None],
+        "zero": (lam6 == 0.0) & ~np.signbit(lam6),
+        "negative": lam6 < 0.0,
+        # Points where only s7 == 0 keeps a term below zero from being skipped.
+        "s7_blocks": (s7 == 0.0) & flat7 & np.any((top < 0.0) & np.isfinite(top), axis=1),
+        "s6_zero": s6 == 0.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "cells, a, s, bootstrap, seed, u, v, holds",
+    [
+        pytest.param(
+            (189, 205, 302, 380), DependenceAssumption.NO_RESTRICTION, (0.8, 1.0), 11, 249,
+            0.45, [0.5, 0.55], lambda f: f["dominated"].all(), id="all-six-dominated",
+        ),
+        pytest.param(
+            (21, 0, 10, 24), DependenceAssumption.WRONGLY_AGREE_BOTH, (1.0, 1.0), 18, 685,
+            0.375, list(np.linspace(0.0, 1.0, 9)),
+            lambda f: np.any(f["zero"].any(axis=0) & f["negative"].any(axis=0)),
+            id="zero-and-negative-recentering",
+        ),
+        pytest.param(
+            (1, 0, 4, 0), DependenceAssumption.NO_RESTRICTION, (0.8, 0.5), 20, 0,
+            1.0, [0.0, 0.025], lambda f: f["s7_blocks"].any(), id="s7-zero-switches-dominance-off",
+        ),
+        pytest.param(
+            (0, 25, 20, 10), DependenceAssumption.NO_RESTRICTION, (0.8, 1.0), 27, 912,
+            0.0, list(np.linspace(0.0, 1.0, 9)), lambda f: f["s6_zero"].any(),
+            id="zero-variance-s6",
+        ),
+    ],
+)
+def test_kernel_step_two_rules_on_pinned_rows(cells, a, s, bootstrap, seed, u, v, holds):
+    counts = CellCounts(*cells)
+    kernel = _SPointKernel(counts, a, RefPerf(*s), bootstrap_cell_frequencies(counts, bootstrap, seed))
+    v = np.array(v)
+    assert holds(_step_two_facts(kernel, u, v))
+    for budget in (1, 20 * bootstrap, 60 * bootstrap, inference._EVAL_BLOCK):
+        _assert_kernel_matches_oracle(kernel, np.full(v.size, u), v, 0.05, 0.005, budget)
+
+
+def test_minimum_and_maximum_against_zero_give_positive_zero():
+    # The kernel writes np.minimum(x, 0.0) for every recentering and
+    # np.maximum(x, 0.0) for T_n and every critical value.  Both turn either
+    # zero into +0.0, so which zero a tie or a reduction keeps upstream (the
+    # max over components of d6max, the order statistic of a bound) never
+    # reaches an output.  Scalars, short arrays and arrays long enough for
+    # the SIMD loops.
+    for x in (0.0, -0.0):
+        for f in (np.minimum, np.maximum):
+            got = f(np.float64(x), 0.0)
+            assert got == 0.0 and not np.signbit(got)
+    for shape in ((1,), (7,), (64,), (8, 64)):
+        zeros = np.where(np.arange(np.prod(shape)) % 3 == 0, -0.0, 0.0).reshape(shape)
+        assert np.signbit(zeros).any()
+        for f in (np.minimum, np.maximum):
+            got = f(zeros, 0.0)
+            assert np.all(got == 0.0) and not np.signbit(got).any()
+
+
+def test_kernel_memory_is_bounded_by_the_budget_at_large_b():
+    # At B = 20,000 a chunk is one point.  The (point x draw) arrays and the
+    # row tables are built per chunk, never per reference point, so the
+    # peak stays at a fixed multiple of the budget: the kernel's own (B, 8)
+    # tables, the draws and one point's scratch.
+    counts = CellCounts(12, 3, 4, 20)
+    cfg = TestConfig(alpha=0.05, seed=4, bootstrap=20_000, theta_grid=9)
+    tracemalloc.start()
+    try:
+        cs = confidence_set(counts, SRegion.singleton(0.9, 1.0), WA1, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cs) > 10  # many rows go through the bootstrap
+    assert peak < 24 * inference._EVAL_BLOCK * 8, peak
