@@ -35,29 +35,37 @@ other point goes through the full evaluation.
 
 The screen's closed-form T_n and conditioning gate are evaluated over the
 whole (u, v) grid block of a reference point at once, in chunks of rows
-whose temporaries stay under a fixed element budget.  The survivors of
-the whole block are then evaluated in chunks of consecutive whole rows
-(points sharing the driving coordinate u) whose scratch stays under a
-second budget, a row too long for it split.  Each chunk builds its row
-tables once per row: the bootstrap deviations of the six inequality
-components as (rows, 6, B), their step-one maximum, the equality
-component's draws, and each component's step-two term recentered by
-+0.0.  Per-point arrays gather from them.  Both budgets use the same elementwise formulas as a
-single point, so chunking changes no bit.  The "higher" bootstrap
-quantile is one order statistic, the element at index ceil((B - 1) q) of
-the sorted draws, found by a partial sort.
+whose temporaries stay under a fixed element budget.  T_n has one
+formula, which broadcasts a column of rows against v as it does
+per-point vectors.  The survivors of the whole block are then evaluated
+in chunks of consecutive whole rows whose scratch stays under a second
+budget.  A row is a run of points sharing the driving coordinate u, cut
+into pieces of at most the points one chunk holds, counted from the
+start of the run.  Each chunk builds its row tables once per row: the
+bootstrap deviations of the six inequality components as (rows, 6, B),
+their step-one maximum, the equality component's draws, and each
+component's step-two term recentered by +0.0.  Per-point arrays gather
+from them.  Both budgets use the same elementwise formulas as a single
+point, so chunking changes no bit.  The "higher" bootstrap quantile is
+one order statistic, the element at index ceil((B - 1) q) of the sorted
+draws, found by a partial sort.
 
 Step two recenters each moment by min(bound, 0), a shift that is zero or
 negative, and two exact rules follow for inequality component j of a row:
 
-- *Zero rule.*  Where the recentering is +0.0 at every point of the row,
-  every point's term is the row's +0.0-recentered vector, bit for bit.
-- *Dominance rule.*  Where at every point of the row s7 > 0 and both
-  equality recenterings are 0, max(E_a, E_b) >= 0 at every draw, since
-  E_b is -E_a.  Every operation of the term is monotone in the deviation,
-  so it is at most its value at the row's largest deviation; where that
-  is below zero the term lies strictly below the maximum at every draw
-  and is skipped.
+- *Zero rule.*  Where the recentering is 0 at every point of the row, it
+  is +0.0 there (np.minimum(x, 0.0) never returns -0.0), and every
+  point's term is the row's +0.0-recentered vector, bit for bit.
+- *Skip rule.*  Every operation of the term is monotone in the
+  deviation, so it is at most its value at the row's largest deviation.
+  Where that is below zero at every point of the row, the term is below
+  zero at every draw and is skipped.  Skipping it lowers only entries of
+  the step-two maximum that are already negative (a skipped term is never
+  NaN, so every NaN entry stays), so the maximum keeps its entries that are
+  zero or more and its number of negative ones.  The critical value is
+  an order statistic of the maximum floored at zero: where the order
+  statistic is zero or more it is the same element, and where it is
+  negative the floor gives +0.0 either way.
 
 The maximum still folds t0..t5, then E_a, then E_b, from -inf.  Signed
 zeros: a reduction or a tie may keep -0.0 where the row-by-row form kept
@@ -295,19 +303,15 @@ def _chunks(ends: list[int], cap: int) -> Iterator[tuple[int, int]]:
 
     ``ends`` are the rows' end offsets; ``cap`` counts scratch elements per
     draw, ``_POINT_ARRAYS`` per point and ``_ROW_TABLES`` per row.  A row
-    that does not fit alone is split into pieces of as many points as fit;
-    its last piece may share a chunk with the rows after it.
+    that does not fit alone makes a chunk of its own.
     """
-    piece = max(1, (cap - _ROW_TABLES) // _POINT_ARRAYS)
     lo = start = cost = 0
     for end in ends:
-        if lo < start and cost + _POINT_ARRAYS * (end - start) + _ROW_TABLES > cap:
+        size = _POINT_ARRAYS * (end - start) + _ROW_TABLES
+        if lo < start and cost + size > cap:
             yield lo, start  # the row does not fit
             lo, cost = start, 0
-        while end - lo > piece and _POINT_ARRAYS * (end - lo) + _ROW_TABLES > cap:
-            yield lo, lo + piece
-            lo += piece
-        cost += _POINT_ARRAYS * (end - max(lo, start)) + _ROW_TABLES
+        cost += size
         start = end
     if lo < start:
         yield lo, start
@@ -385,8 +389,8 @@ class _SPointKernel:
         return (x1, x0) if self.u_is_theta1 else (x0, x1)
 
     # -- data-side statistics ------------------------------------------
-    # ``u`` is a scalar or a column of shape (r, 1); a column broadcasts
-    # every formula over r rows with the same elementwise operations.
+    # In ``_ineq_stats`` ``u`` is a scalar or has a trailing axis of length
+    # one, which broadcasts against the six components.
 
     def _ineq_stats(self, u) -> tuple[np.ndarray, np.ndarray]:
         mu = self.fA[:6] + self.fU[:6] * u
@@ -406,35 +410,37 @@ class _SPointKernel:
         )
         return mu, np.sqrt(np.maximum(var, 0.0))
 
-    def _statistic(self, u, v: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Data-side means, SDs and T_n along ``v`` (per row of a column ``u``)."""
+    def _statistic(self, u, v) -> tuple[np.ndarray, ...]:
+        """Data-side means, SDs and T_n at the points (u, v), broadcast together.
+
+        ``u`` and ``v`` may be per-point vectors, or a column of rows against
+        ``v``; the inequality statistics carry a trailing axis of six.
+        """
         rn = self.sqrt_n
-        mu6, s6 = self._ineq_stats(u)
+        mu6, s6 = self._ineq_stats(np.expand_dims(u, -1))
         mu7, s7 = self._eq_stats(u, v)
-        t6 = np.max(_stud(rn * mu6, s6), axis=-1, keepdims=True)
+        t6 = np.max(_stud(rn * mu6, s6), axis=-1)
         t7 = _stud(rn * np.abs(mu7), s7)
         return mu6, s6, mu7, s7, np.maximum(np.maximum(t6, t7), 0.0)
 
-    def screen(
-        self, u: np.ndarray, v: np.ndarray, cutoff: float
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """The rows of the (u, v) block with points the chi-square screen cannot reject.
+    def screen(self, u: np.ndarray, v: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+        """The points of the (u, v) block the chi-square screen cannot reject.
 
-        Yields (row index into ``u``, mask along ``v``) for every row with a
-        point left.  A point is rejected outright when its T_n exceeds
+        Returns their (index into ``u``, index into ``v``) arrays in
+        row-major order.  A point is rejected outright when its T_n exceeds
         ``cutoff`` (the chi-square bound with its margin) and every
         studentizing variance there is well conditioned.  Rows are taken
         in chunks of at most ``_SCREEN_BLOCK`` points.
         """
         floor = _SCREEN_VAR_FLOOR
         step = max(1, _SCREEN_BLOCK // max(v.size, 1))
+        live = np.empty((u.size, v.size), dtype=bool)
         for lo in range(0, u.size, step):
             mu6, s6, mu7, s7, tn = self._statistic(u[lo : lo + step, None], v)
-            exact6 = np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6), axis=-1, keepdims=True)
+            exact6 = np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6), axis=-1)
             exact7 = s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
-            live = ~((tn > cutoff) & exact6 & exact7)
-            for r in np.flatnonzero(live.any(axis=1)):
-                yield lo + int(r), live[r]
+            live[lo : lo + step] = ~((tn > cutoff) & exact6 & exact7)
+        return np.nonzero(live)
 
     # -- full evaluation ------------------------------------------------
 
@@ -443,58 +449,55 @@ class _SPointKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """T_n and critical value at the points (u[k], v[k]).
 
-        Consecutive points with equal ``u`` form a row.  T_n and the
-        data-side statistics are computed for all points at once; the
-        critical values in chunks of consecutive whole rows whose scratch
-        fits ``_EVAL_BLOCK`` elements, a longer row split, all in one
-        scratch buffer.
+        A row is a run of consecutive points with equal ``u``, cut into
+        pieces of at most the points one chunk holds, counted from the
+        run's start.  The critical values are computed in chunks of
+        consecutive whole rows whose scratch fits ``_EVAL_BLOCK`` elements,
+        all in one scratch buffer.
         """
-        rn = self.sqrt_n
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        first = np.ones(u.size, dtype=bool)
-        first[1:] = u[1:] != u[:-1]
-        row = np.cumsum(first) - 1  # each point's row
-        starts = np.flatnonzero(first).tolist()
-        ur = u[first]
-        mu6, s6 = self._ineq_stats(ur[:, None])
-        mu7, s7 = self._eq_stats(u, v)
-        t6 = np.max(_stud(rn * mu6, s6), axis=-1)
-        tn = np.maximum(np.maximum(t6[row], _stud(rn * np.abs(mu7), s7)), 0.0)
+        mu6, s6, mu7, s7, tn = self._statistic(u, v)
+        cap = _EVAL_BLOCK // self.draws  # scratch elements per draw
+        piece = max(1, (cap - _ROW_TABLES) // _POINT_ARRAYS)  # the points a chunk holds
+        k = np.arange(u.size)
+        run = np.ones(u.size, dtype=bool)
+        run[1:] = u[1:] != u[:-1]
+        # Every piece-th point from the start of its run opens a row.
+        first = (k - np.maximum.accumulate(np.where(run, k, 0))) % piece == 0
 
         crit = np.empty(v.size)
-        cap = _EVAL_BLOCK // self.draws  # scratch elements per draw
         most = _POINT_ARRAYS + _ROW_TABLES  # per draw, for a chunk of one point
         scratch = np.empty(min(max(cap, most), most * v.size) * self.draws)
-        for lo, hi in _chunks(starts[1:] + [v.size], cap):
-            r0, r1 = row[lo], row[hi - 1] + 1
-            bounds = [max(x - lo, 0) for x in starts[r0:r1]] + [hi - lo]
-            crit[lo:hi] = self._critical_values(
-                ur[r0:r1], mu6[r0:r1], s6[r0:r1], bounds, row[lo:hi] - r0,
-                v[lo:hi], mu7[lo:hi], s7[lo:hi], alpha, beta, scratch,
+        for lo, hi in _chunks(np.flatnonzero(first)[1:].tolist() + [v.size], cap):
+            part = slice(lo, hi)
+            crit[part] = self._critical_values(
+                first[part], u[part], v[part], mu6[part], s6[part], mu7[part], s7[part],
+                alpha, beta, scratch,
             )
         return tn, crit
 
     def _critical_values(
-        self, ur, mu6, s6, bounds, row, v, mu7, s7, alpha, beta, scratch
+        self, first, u, v, mu6, s6, mu7, s7, alpha, beta, scratch
     ) -> np.ndarray:
-        """Critical values of one chunk: rows ``ur`` with their statistics, points ``v``.
+        """Critical values of one chunk of whole rows, from its points' statistics.
 
-        Row r holds points bounds[r]:bounds[r + 1]; ``row`` is each point's
-        row.  The row tables hold what depends on u alone, built once per
-        row; the (point x draw) arrays and the tables are views of
-        ``scratch``.
+        ``first`` marks the first point of each row.  The row tables hold
+        what depends on u alone, built once per row; the (point x draw)
+        arrays and the tables are views of ``scratch``.
         """
-        rn, n, nr, nb = self.sqrt_n, v.size, ur.size, self.draws
-        starts = bounds[:-1]
+        rn, n, nb = self.sqrt_n, v.size, self.draws
+        starts = np.flatnonzero(first)
+        row = np.cumsum(first) - 1  # each point's row
         split = _POINT_ARRAYS * n * nb
         d7, g, w = scratch[:split].reshape(_POINT_ARRAYS, n, nb)
+        nr = starts.size
         tables = scratch[split : split + _ROW_TABLES * nr * nb].reshape(nr, _ROW_TABLES, nb)
         dev6, z6, base7, d6max = tables[:, :6], tables[:, 6:12], tables[:, 12], tables[:, 13]
 
         # Row tables.  z6 ends up as the step-two terms recentered by +0.0.
-        s6c = s6[:, :, None]
+        ur, s6c = u[first], s6[first][:, :, None]
         np.add(self.PA6, np.multiply(self.PU6, ur[:, None, None], out=dev6), out=dev6)
-        np.subtract(dev6, mu6[:, :, None], out=dev6)
+        np.subtract(dev6, mu6[first][:, :, None], out=dev6)
         np.max(_stud(np.multiply(rn, dev6, out=z6), s6c, out=z6), axis=1, out=d6max)
         _stud(np.multiply(rn, np.add(dev6, 0.0, out=z6), out=z6), s6c, out=z6)
         top6 = np.max(dev6, axis=2)
@@ -515,21 +518,20 @@ class _SPointKernel:
         scale = np.where(s6 > 0.0, s6 / rn, 0.0)
         scale7 = np.where(s7 > 0.0, s7 / rn, 0.0)
         with np.errstate(invalid="ignore"):
-            lam6 = np.minimum(mu6[row] + bhat[:, None] * scale[row], 0.0)
+            lam6 = np.minimum(mu6 + bhat[:, None] * scale, 0.0)
             lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
             lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
 
-        # A row's term j is skipped where it is dominated: below zero at
-        # every draw (``top`` bounds it) while max(E_a, E_b) >= 0 at every
-        # draw.  Where every lam6 of the row is +0.0 it is one shared vector.
-        top = _stud(rn * (top6[row] + lam6), s6[row])
-        dominated = (top < 0.0) & ((s7 > 0.0) & (lam7a == 0.0) & (lam7b == 0.0))[:, None]
-        skip = np.logical_and.reduceat(dominated, starts, axis=0)
-        zero = np.logical_and.reduceat((lam6 == 0.0) & ~np.signbit(lam6), starts, axis=0)
-        skip, zero = skip.tolist(), zero.tolist()
+        # A row's term j is skipped where it is below zero at every draw
+        # (``top`` bounds it); where every lam6 of the row is 0 it is one
+        # shared vector.
+        top = _stud(rn * (top6[row] + lam6), s6)
+        skip = np.logical_and.reduceat(top < 0.0, starts, axis=0).tolist()
+        zero = np.logical_and.reduceat(lam6 == 0.0, starts, axis=0).tolist()
 
         # The fold t0..t5, E_a, E_b of every point, from -inf: max(-inf, x) is x.
         g.fill(-np.inf)
+        bounds = starts.tolist() + [n]
         for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             gr, wr = g[lo:hi], w[lo:hi]
             for j in range(6):
@@ -539,18 +541,12 @@ class _SPointKernel:
                     np.maximum(gr, z6[r, j], out=gr)
                     continue
                 np.multiply(rn, np.add(dev6[r, j], lam6[lo:hi, j, None], out=wr), out=wr)
-                np.maximum(gr, _stud(wr, s6[r, j], out=wr), out=gr)
+                np.maximum(gr, _stud(wr, s6[lo, j], out=wr), out=gr)
         np.add(d7, rn * lam7a[:, None], out=w)
         np.maximum(g, _stud(w, s7c, out=w), out=g)
         np.add(np.negative(d7, out=w), rn * lam7b[:, None], out=w)
         np.maximum(g, _stud(w, s7c, out=w), out=g)
         return np.maximum(_quantile(g, 1.0 - alpha + beta), 0.0)
-
-    def test(self, theta: ThetaPoint, alpha: float, beta: float) -> TestResult:
-        """The test at one point whose reference values are this kernel's."""
-        u, v = self.orient(np.array([theta.theta1]), np.array([theta.theta0]))
-        tn, crit = self.evaluate(u, v, alpha, beta)
-        return TestResult(reject=bool(_rejects(tn, crit)[0]), t_n=float(tn[0]), crit=float(crit[0]))
 
 
 def rsw2_test(
@@ -567,7 +563,10 @@ def rsw2_test(
     _SPointKernel.check(counts.n)
     _check_in_box(theta, a)
     boot_freqs = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
-    return _SPointKernel(counts, a, theta.s, boot_freqs).test(theta, cfg.alpha, cfg.beta_value)
+    kernel = _SPointKernel(counts, a, theta.s, boot_freqs)
+    u, v = kernel.orient(np.array([theta.theta1]), np.array([theta.theta0]))
+    tn, crit = kernel.evaluate(u, v, cfg.alpha, cfg.beta_value)
+    return TestResult(reject=bool(_rejects(tn, crit)[0]), t_n=float(tn[0]), crit=float(crit[0]))
 
 
 def _check_in_box(theta: ThetaPoint, a: DependenceAssumption) -> None:
@@ -691,23 +690,14 @@ def confidence_set(
         idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
         n_tested += idx1.size * idx0.size
         iu, iv = kernel.orient(idx1, idx0)
-        survivors = [
-            (np.full(np.count_nonzero(live), iu[r]), iv[live])
-            for r, live in kernel.screen(axis[iu], axis[iv], cutoff)
-        ]
-        if not survivors:
-            continue
-        i, j = (np.concatenate(col) for col in zip(*survivors))
+        r, c = kernel.screen(axis[iu], axis[iv], cutoff)
+        i, j = iu[r], iv[c]
         tn, crit = kernel.evaluate(axis[i], axis[j], alpha, beta)
         keep = ~_rejects(tn, crit)
         i1, i0 = kernel.orient(i[keep], j[keep])
         blocks.append((i1, i0, np.full(i1.size, s_idx), tn[keep], crit[keep]))
 
-    if blocks:
-        i1, i0, si, tns, crs = (np.concatenate(col) for col in zip(*blocks))
-    else:
-        i1 = i0 = si = np.empty(0, dtype=int)
-        tns = crs = np.empty(0)
+    i1, i0, si, tns, crs = (np.concatenate(col) for col in zip(*blocks))
     order = np.lexsort((si, i0, i1))
     s_arr = np.array([[s.s1, s.s0] for s in s_points])
     pts = np.column_stack([axis[i1[order]], axis[i0[order]], s_arr[si[order]]])

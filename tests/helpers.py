@@ -182,7 +182,7 @@ def oracle_width_curve(identified, q_grid):
 
 # The kernel's critical values one row at a time, every step-two term of
 # every point in full: the evaluation as written before rows were chunked
-# and shared or dominated terms were skipped.  It reads the kernel's
+# and shared or below-zero terms were skipped.  It reads the kernel's
 # data-side statistics and bootstrap tables; the studentization and the
 # quantile are written out here.
 

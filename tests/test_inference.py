@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -148,14 +149,6 @@ def test_stud_zero_denominator_conventions():
     assert out[0] == np.inf and out[1] == -np.inf and out[2] == -np.inf
 
 
-def _stud_masked(num, den):
-    """The studentization as it was written before its all-positive fast path."""
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
-
-
 def _same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -179,11 +172,11 @@ def test_stud_fast_path_matches_the_masked_formula(num, den):
     num = np.array(num)
     if isinstance(den, list):  # one denominator per numerator
         den = np.array(den[: num.size])
-    assert _same_bits(_stud(num, den), _stud_masked(num, den))
+    assert _same_bits(_stud(num, den), oracle_stud(num, den))
     # A column of denominators against a (rows, draws) block, as in the kernel.
     block = np.tile(num, (np.size(den), 1))
     col = np.reshape(den, (-1, 1))
-    assert _same_bits(_stud(block, col), _stud_masked(block, col))
+    assert _same_bits(_stud(block, col), oracle_stud(block, col))
 
 
 def _levels():
@@ -407,7 +400,6 @@ def test_kernel_matches_loop_reference(a):
     s = RefPerf(0.88, 0.9)
     cfg = TestConfig(alpha=0.05, seed=41, bootstrap=200)
     boot = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
-    kernel = _SPointKernel(counts, a, s, boot)
     rng = np.random.default_rng(abs(hash(a.value)) % 2**32)
     box = param_space_box(a, s)
     for _ in range(6):
@@ -415,7 +407,7 @@ def test_kernel_matches_loop_reference(a):
             float(rng.uniform(0.05, box[0][1])), float(rng.uniform(0.05, box[1][1])), s
         )
         want_tn, want_crit = _reference_two_step(counts, theta, a, cfg, boot)
-        got = kernel.test(theta, cfg.alpha, cfg.beta_value)
+        got = rsw2_test(counts, theta, a, cfg)
         assert got.t_n == pytest.approx(want_tn, abs=1e-10)
         assert got.crit == pytest.approx(want_crit, abs=1e-10)
 
@@ -693,11 +685,11 @@ def test_ill_conditioned_points_take_the_full_evaluation(monkeypatch):
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
     kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed))
     assert not kernel.u_is_theta1
-    live = dict(kernel.screen(np.array([0.0, 1.0]), axis, 0.0))
+    rows, _ = kernel.screen(np.array([0.0, 1.0]), axis, 0.0)
     for r, edge in enumerate((0.0, 1.0)):
         mu6, s6, _, _, tn = kernel._statistic(edge, axis)
         assert np.min(s6 * s6 / (s6 * s6 + mu6 * mu6)) < 1e-6
-        assert np.all(tn > 1e3) and np.all(live[r])
+        assert np.all(tn > 1e3) and np.count_nonzero(rows == r) == axis.size
 
     evaluated = _spy_on_evaluate(monkeypatch)
     cs = confidence_set(counts, SRegion.singleton(1.0, 1.0), a, cfg)
@@ -757,12 +749,10 @@ def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cutoff, b
         axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)]
     )
     with mock.patch.object(inference, "_SCREEN_BLOCK", budget):
-        rows = list(kernel.screen(u, v, cutoff))
+        rows, cols = kernel.screen(u, v, cutoff)
+    assert np.all(np.diff(rows * v.size + cols) > 0)  # row-major, each point once
     got = np.zeros((u.size, v.size), dtype=bool)
-    for r, live in rows:
-        assert live.any()
-        got[r] = live
-    assert [r for r, _ in rows] == sorted({r for r, _ in rows})
+    got[rows, cols] = True
     want = np.array([_row_screen(kernel, float(x), v, cutoff) for x in u]).reshape(got.shape)
     np.testing.assert_array_equal(got, want)
 
@@ -775,15 +765,16 @@ def test_memory_budgets_change_no_bit(monkeypatch, budget):
     cfg = TestConfig(alpha=0.05, seed=4, bootstrap=60, theta_grid=25)
     eq_stats = _SPointKernel._eq_stats
     critical_values = _SPointKernel._critical_values
+    signature = inspect.signature(critical_values)
     shapes, chunks = [], []
 
     def spy(self, u, v):
         shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
         return eq_stats(self, u, v)
 
-    def chunk_spy(self, ur, mu6, s6, bounds, row, v, *rest):
-        chunks.append(v.size)
-        return critical_values(self, ur, mu6, s6, bounds, row, v, *rest)
+    def chunk_spy(self, *args, **kwargs):
+        chunks.append(signature.bind(self, *args, **kwargs).arguments["v"].size)
+        return critical_values(self, *args, **kwargs)
 
     def run():
         shapes.clear()
@@ -905,8 +896,8 @@ def _assert_kernel_matches_oracle(kernel, u, v, alpha, beta, budget):
     alpha=st.sampled_from([0.05, 0.10]),
 )
 def test_kernel_matches_the_row_by_row_oracle(cells, a, S, bootstrap, seed, grid, layout, budget, alpha):
-    # Chunks of whole rows (split rows below a budget of one row), shared
-    # zero-recentered terms and skipped dominated ones change no bit.
+    # Chunks of whole rows (runs cut into pieces below a budget of one run),
+    # shared zero-recentered terms and skipped below-zero ones change no bit.
     counts = CellCounts(*cells)
     s = S.points[0]
     kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
@@ -920,13 +911,18 @@ def _step_two_facts(kernel, u, v):
     _, _, parts = oracle_evaluate_row(kernel, u, v, 0.05, 0.005)
     lam6, s6, s7 = parts["lam6"], parts["s6"], parts["s7"]
     top = oracle_stud(kernel.sqrt_n * (parts["dev6"].max(axis=0) + lam6), s6)
-    flat7 = (parts["lam7a"] == 0.0) & (parts["lam7b"] == 0.0)
+    below = top < 0.0  # the term is below zero at every draw
+    # The row's components the skip rule drops, and those a stricter rule
+    # that also asked for s7 > 0 and both equality recenterings 0 at every
+    # point of the row would have kept.
+    flat7 = (s7 > 0.0) & (parts["lam7a"] == 0.0) & (parts["lam7b"] == 0.0)
+    skipped = below.all(axis=0)
     return {
-        "dominated": (top < 0.0) & (flat7 & (s7 > 0.0))[:, None],
-        "zero": (lam6 == 0.0) & ~np.signbit(lam6),
+        "skipped": skipped,
+        "skipped_only_without_the_s7_conditions": skipped & ~(below & flat7[:, None]).all(axis=0),
+        "s7_zero": s7 == 0.0,
+        "zero": lam6 == 0.0,
         "negative": lam6 < 0.0,
-        # Points where only s7 == 0 keeps a term below zero from being skipped.
-        "s7_blocks": (s7 == 0.0) & flat7 & np.any((top < 0.0) & np.isfinite(top), axis=1),
         "s6_zero": s6 == 0.0,
     }
 
@@ -936,7 +932,7 @@ def _step_two_facts(kernel, u, v):
     [
         pytest.param(
             (189, 205, 302, 380), DependenceAssumption.NO_RESTRICTION, (0.8, 1.0), 11, 249,
-            0.45, [0.5, 0.55], lambda f: f["dominated"].all(), id="all-six-dominated",
+            0.45, [0.5, 0.55], lambda f: f["skipped"].all(), id="all-six-dominated",
         ),
         pytest.param(
             (21, 0, 10, 24), DependenceAssumption.WRONGLY_AGREE_BOTH, (1.0, 1.0), 18, 685,
@@ -946,7 +942,9 @@ def _step_two_facts(kernel, u, v):
         ),
         pytest.param(
             (1, 0, 4, 0), DependenceAssumption.NO_RESTRICTION, (0.8, 0.5), 20, 0,
-            1.0, [0.0, 0.025], lambda f: f["s7_blocks"].any(), id="s7-zero-switches-dominance-off",
+            1.0, [0.0, 0.025],
+            lambda f: f["skipped_only_without_the_s7_conditions"].any() and f["s7_zero"].any(),
+            id="skipped-where-s7-is-zero",
         ),
         pytest.param(
             (0, 25, 20, 10), DependenceAssumption.NO_RESTRICTION, (0.8, 1.0), 27, 912,
@@ -962,6 +960,33 @@ def test_kernel_step_two_rules_on_pinned_rows(cells, a, s, bootstrap, seed, u, v
     assert holds(_step_two_facts(kernel, u, v))
     for budget in (1, 20 * bootstrap, 60 * bootstrap, inference._EVAL_BLOCK):
         _assert_kernel_matches_oracle(kernel, np.full(v.size, u), v, 0.05, 0.005, budget)
+
+
+@pytest.mark.parametrize(
+    "a, n_tested",
+    [
+        (DependenceAssumption.NO_RESTRICTION, 1600),
+        (DependenceAssumption.WRONGLY_AGREE_Y1, 1240),
+        (DependenceAssumption.WRONGLY_AGREE_Y0, 1200),
+        (DependenceAssumption.WRONGLY_AGREE_BOTH, 930),
+    ],
+)
+def test_reference_point_with_no_survivors(monkeypatch, a, n_tested):
+    # At s = (0.55, 0.5) the screen rejects every grid point of EUA, so the
+    # kernel evaluates an empty set of survivors.
+    cfg = TestConfig(alpha=0.05, seed=1, bootstrap=100, theta_grid=40)
+    evaluated = _spy_on_evaluate(monkeypatch)
+    cs = confidence_set(EUA, SRegion.singleton(0.55, 0.5), a, cfg)
+    assert not evaluated
+    assert cs.points.shape == (0, 4) and cs.n_tested == n_tested
+    for arr in (cs.t_n, cs.crit):
+        assert arr.dtype == np.float64 and arr.shape == (0,)
+    alone = confidence_set(EUA, SRegion.singleton(0.9, 1.0), a, cfg)
+    both = confidence_set(EUA, SRegion.from_points([(0.55, 0.5), (0.9, 1.0)]), a, cfg)
+    assert len(alone) > 0
+    for field in ("points", "t_n", "crit"):
+        got, want = getattr(both, field), getattr(alone, field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_minimum_and_maximum_against_zero_give_positive_zero():
