@@ -4,10 +4,14 @@ Verbs: ``estimate`` (apparent measures, sharp sets, comparator),
 ``infer`` (adds the bootstrap confidence set), ``prevalence`` (screened-
 population bounds and width curve), ``predict`` (predictive-value
 bounds), ``sensitivity`` (reference-sensitivity sweep) and
-``simulate-coverage`` (Monte-Carlo acceptance rates).
+``simulate-coverage`` (Monte-Carlo acceptance rates).  The first four
+share one handler, ``cmd_report``, and differ only in their options and
+the ``ReportToggles`` that ``build_parser`` gives them.  A verb takes
+only the options it reads; ``simulate-coverage`` writes no file and
+keeps ``--out`` alone of the output options.
 
 Exit codes: 0 success, 2 assumptions refuted by the data, 3 invalid
-input.
+input or a usage error (``--help`` exits 0).
 """
 
 from __future__ import annotations
@@ -34,7 +38,15 @@ EXIT_REFUTED = 2
 EXIT_INVALID = 3
 
 
-def _add_common(p: argparse.ArgumentParser, inference: bool = False) -> None:
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting ``EXIT_INVALID``: its own 2 means refuted here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", type=Path, help="counts file (JSON or CSV)")
     src.add_argument(
@@ -57,6 +69,9 @@ def _add_common(p: argparse.ArgumentParser, inference: bool = False) -> None:
     p.add_argument("--s-grid", type=int, default=TestConfig.s_grid, help="grid points per reference axis")
     p.add_argument("--alpha", type=float, default=TestConfig.alpha, help="significance level")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
         choices=["json", "csv", "svg"],
@@ -64,22 +79,18 @@ def _add_common(p: argparse.ArgumentParser, inference: bool = False) -> None:
         default=["json", "csv", "svg"],
         help="artifact families to write",
     )
-    if inference:
-        p.add_argument(
-            "--beta-preset",
-            type=int,
-            choices=BETA_PRESETS,
-            default=DEFAULT_BETA_PRESET,
-            help="first-stage level beta = alpha / PRESET",
-        )
-        p.add_argument("--bootstrap", type=int, default=TestConfig.bootstrap, metavar="B")
-        p.add_argument("--seed", type=int, default=TestConfig.seed)
-        p.add_argument("--theta-grid", type=int, default=TestConfig.theta_grid, help="grid points per theta axis")
-        p.add_argument(
-            "--dump-moment-cells",
-            action="store_true",
-            help="write the per-cell moment values at segment midpoints",
-        )
+
+
+def _add_bootstrap(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--beta-preset",
+        type=int,
+        choices=BETA_PRESETS,
+        default=DEFAULT_BETA_PRESET,
+        help="first-stage level beta = alpha / PRESET",
+    )
+    p.add_argument("--bootstrap", type=int, default=TestConfig.bootstrap, metavar="B")
+    p.add_argument("--seed", type=int, default=TestConfig.seed)
 
 
 def _counts(args) -> CellCounts:
@@ -99,31 +110,35 @@ def _s_region(args) -> SRegion:
 
 
 def _test_config(args) -> TestConfig:
-    if "beta_preset" not in args:  # a verb without the inference options
+    if "beta_preset" not in args:  # a verb that does not bootstrap
         return TestConfig(alpha=args.alpha, s_grid=args.s_grid)
     return TestConfig.with_beta_preset(
         args.alpha, args.beta_preset, bootstrap=args.bootstrap, seed=args.seed,
-        theta_grid=args.theta_grid, s_grid=args.s_grid,
+        theta_grid=getattr(args, "theta_grid", TestConfig.theta_grid), s_grid=args.s_grid,
     )
 
 
-def _study_config(args, toggles: ReportToggles, **extra) -> StudyConfig:
+def _study_config(args) -> StudyConfig:
+    # Built first, so a bad pre-test range is the error reported even when the counts are bad too.
+    pretest = PretestRange(args.pi_lo, args.pi_hi) if "pi_lo" in args else None
     return StudyConfig(
         counts=_counts(args),
         s_region=_s_region(args),
         assumption=DependenceAssumption.from_label(args.assumption),
         test_config=_test_config(args),
-        toggles=toggles,
+        toggles=args.toggles,
         out_dir=args.out,
         formats=tuple(args.format),
+        screen_q=getattr(args, "q", None),
+        pretest=pretest,
         dump_moment_cells=getattr(args, "dump_moment_cells", False),
-        label=args.dataset or (args.input.stem if args.input else "study"),
-        **extra,
+        label=args.dataset or args.input.stem,
     )
 
 
-def _print_summary(bundle) -> None:
-    data = bundle.data
+def cmd_report(args) -> int:
+    """``estimate``, ``infer``, ``prevalence`` and ``predict``: run the study and summarize it."""
+    data = run_analysis(_study_config(args)).data
     prov = data["provenance"]
     print(
         f"[diagbounds] config {prov['config_hash']}  seed {prov['seed']}  "
@@ -148,61 +163,26 @@ def _print_summary(bundle) -> None:
             f"confidence set: retained {cs['n_retained']} of {cs['n_tested']} grid points; "
             f"theta1 {cs['theta1_projection']}  theta0 {cs['theta0_projection']}"
         )
-
-
-def cmd_estimate(args) -> int:
-    cfg = _study_config(args, ReportToggles())
-    bundle = run_analysis(cfg)
-    _print_summary(bundle)
-    return EXIT_OK
-
-
-def cmd_infer(args) -> int:
-    cfg = _study_config(args, ReportToggles(confidence=True))
-    bundle = run_analysis(cfg)
-    _print_summary(bundle)
-    return EXIT_OK
-
-
-def cmd_prevalence(args) -> int:
-    cfg = _study_config(
-        args,
-        ReportToggles(prevalence_curve=True),
-        screen_q=args.q,
-    )
-    bundle = run_analysis(cfg)
-    _print_summary(bundle)
-    if "prevalence_at_q" in bundle.data:
-        rec = bundle.data["prevalence_at_q"]
+    if "prevalence_at_q" in data:
+        rec = data["prevalence_at_q"]
         tag = " (vacuous)" if rec["sharp_vacuous"] else ""
         print(
             f"prevalence at q={rec['q']:g}: sharp [{rec['sharp'][0]:.4f}, {rec['sharp'][1]:.4f}]{tag}  "
             f"rectangular [{rec['rect'][0]:.4f}, {rec['rect'][1]:.4f}]"
         )
-    print(f"note: {EXTRAPOLATION_NOTE}")
-    return EXIT_OK
-
-
-def cmd_predict(args) -> int:
-    cfg = _study_config(
-        args,
-        ReportToggles(predictive_values=True),
-        pretest=PretestRange(args.pi_lo, args.pi_hi),
-    )
-    bundle = run_analysis(cfg)
-    _print_summary(bundle)
-    pv = bundle.data["predictive_values"]
-    print(
-        f"PPV [{pv['ppv'][0]:.4f}, {pv['ppv'][1]:.4f}]  "
-        f"NPV [{pv['npv'][0]:.4f}, {pv['npv'][1]:.4f}] for pre-test range {pv['pi']}"
-    )
-    print(f"note: {EXTRAPOLATION_NOTE}")
+    if "predictive_values" in data:
+        pv = data["predictive_values"]
+        print(
+            f"PPV [{pv['ppv'][0]:.4f}, {pv['ppv'][1]:.4f}]  "
+            f"NPV [{pv['npv'][0]:.4f}, {pv['npv'][1]:.4f}] for pre-test range {pv['pi']}"
+        )
+    if "prevalence_curve" in data or "predictive_values" in data:
+        print(f"note: {EXTRAPOLATION_NOTE}")
     return EXIT_OK
 
 
 def cmd_sensitivity(args) -> int:
-    cfg = _study_config(args, ReportToggles())
-    bundle = run_sensitivity(cfg, args.s1_lo, args.s1_hi, grid=args.grid)
+    bundle = run_sensitivity(_study_config(args), args.s1_lo, args.s1_hi, grid=args.grid)
     for var in bundle.data["sensitivity"]["variants"]:
         t1 = var["theta1_projection"]
         t0 = var["theta0_extremal_segments"]
@@ -237,7 +217,7 @@ def cmd_simulate_coverage(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diagbounds",
         description=(
             "Bounds and uniformly valid confidence sets for diagnostic test "
@@ -246,37 +226,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", help="apparent measures, sharp sets and comparator")
-    _add_common(p)
-    p.set_defaults(func=cmd_estimate)
+    def verb(name: str, help: str, func, *groups, **defaults) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for add_group in (_add_common, *groups):
+            add_group(p)
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("infer", help="estimate plus bootstrap confidence set")
-    _add_common(p, inference=True)
-    p.set_defaults(func=cmd_infer)
+    verb("estimate", "apparent measures, sharp sets and comparator", cmd_report, _add_format,
+         toggles=ReportToggles())
 
-    p = sub.add_parser("prevalence", help="screened-population prevalence bounds")
-    _add_common(p)
+    p = verb("infer", "estimate plus bootstrap confidence set", cmd_report, _add_format, _add_bootstrap,
+             toggles=ReportToggles(confidence=True))
+    p.add_argument("--theta-grid", type=int, default=TestConfig.theta_grid, help="grid points per theta axis")
+    p.add_argument(
+        "--dump-moment-cells",
+        action="store_true",
+        help="write the per-cell moment values at segment midpoints",
+    )
+
+    p = verb("prevalence", "screened-population prevalence bounds", cmd_report, _add_format,
+             toggles=ReportToggles(prevalence_curve=True))
     p.add_argument("--q", type=float, default=None, help="screened positive rate")
-    p.set_defaults(func=cmd_prevalence)
 
-    p = sub.add_parser("predict", help="predictive-value bounds")
-    _add_common(p)
+    p = verb("predict", "predictive-value bounds", cmd_report, _add_format,
+             toggles=ReportToggles(predictive_values=True))
     p.add_argument("--pi-lo", type=float, required=True, help="pre-test probability lower end")
     p.add_argument("--pi-hi", type=float, required=True, help="pre-test probability upper end")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("sensitivity", help="sweep the assumed reference sensitivity")
-    _add_common(p)
+    p = verb("sensitivity", "sweep the assumed reference sensitivity", cmd_sensitivity, _add_format,
+             toggles=ReportToggles())
     p.add_argument("--s1-lo", type=float, required=True)
     p.add_argument("--s1-hi", type=float, required=True)
     p.add_argument("--grid", type=int, default=None, help="sweep grid points")
-    p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("simulate-coverage", help="Monte-Carlo acceptance of identified-set points")
-    _add_common(p, inference=True)
+    p = verb("simulate-coverage", "Monte-Carlo acceptance of identified-set points", cmd_simulate_coverage,
+             _add_bootstrap)
     p.add_argument("--n", type=int, required=True, help="sample size per replication")
     p.add_argument("--reps", type=int, required=True, help="number of replications")
-    p.set_defaults(func=cmd_simulate_coverage)
 
     return parser
 

@@ -105,6 +105,11 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _json_text(obj) -> str:
+    """The one JSON layout of every written file: sorted keys, indent 1, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
 def _interval_pair(iv) -> list[float]:
     return [iv.lo, iv.hi]
 
@@ -120,7 +125,7 @@ class ReportBundle:
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=1) + "\n"
+        return _json_text(self.data)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportBundle":
@@ -321,7 +326,7 @@ def run_sensitivity(
     attaining the extreme theta1 values (the conventional way these
     sweeps are tabulated).
     """
-    if not cfg.s_region.points or len({s.s0 for s in cfg.s_region.points}) != 1:
+    if len({s.s0 for s in cfg.s_region.points}) != 1:
         raise ValueError("sensitivity sweep requires a common reference specificity")
     s0 = cfg.s_region.points[0].s0
     k = grid if grid is not None else cfg.test_config.s_grid
@@ -396,9 +401,7 @@ def _write_outputs(cfg, bundle, identified, cs) -> None:
         if cs is not None:
             (out / "confidence_set.csv").write_text("\n".join(cs.to_csv_rows()) + "\n")
     if "json" in cfg.formats and cs is not None:
-        (out / "confidence_set.json").write_text(
-            json.dumps(cs.to_dict(), sort_keys=True, indent=1) + "\n"
-        )
+        (out / "confidence_set.json").write_text(_json_text(cs.to_dict()))
     if cfg.dump_moment_cells and identified is not None:
         (out / "moment_cells.csv").write_text(_moment_cells_csv(cfg, identified))
     if "svg" in cfg.formats and cfg.toggles.figures and identified is not None:

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import diagbounds
 from diagbounds import DependenceAssumption, SRegion, TestConfig
 from diagbounds.cli import _test_config, build_parser, main
 from diagbounds.datasets import list_datasets, load_dataset, read_counts
@@ -488,3 +492,161 @@ def test_cli_prevalence_prints_disclaimer(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "extrapolate" in out
+
+
+_POINT = ["--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0", "--assumption", "wa1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", *_POINT, "--bogus"],
+        ["infer", *_POINT, "--bootstrap", "x"],
+        ["simulate-coverage", *_POINT, "--reps", "2"],
+    ],
+    ids=["unknown-flag", "non-numeric-bootstrap", "missing-n"],
+)
+def test_cli_usage_errors_exit_invalid(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_usage_error_exits_3_and_help_exits_0(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(diagbounds.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "diagbounds.cli", "estimate", *_POINT, "--bogus", "--out", str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "unrecognized arguments: --bogus" in proc.stderr
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--help"])
+    assert exc.value.code == 0
+
+
+_NOTE = (
+    "note: Derived bounds extrapolate study-population performance to the target population; "
+    "use them only where the test can credibly be expected to perform similarly in both.\n"
+)
+_SUMMARY = (
+    "apparent: sensitivity 0.846 CI [0.768, 0.906]  specificity 0.985 CI [0.966, 0.995]\n"
+    "sharp projections: sensitivity [0.762, 0.800]  specificity [0.985, 1.000]\n"
+    "false negative rate: [0.200, 0.238]\n"
+)
+_GOLDEN_STDOUT = {
+    "estimate": (
+        [],
+        "[diagbounds] config 13cccaac02a776ce  seed 0  alpha 0.05  beta 0.005\n" + _SUMMARY,
+    ),
+    "infer": (
+        ["--theta-grid", "30", "--bootstrap", "60"],
+        "[diagbounds] config 3966f1d5fd829781  seed 0  alpha 0.05  beta 0.005\n" + _SUMMARY
+        + "confidence set: retained 6 of 840 grid points; theta1 [0.7241379310344828, 0.8620689655172413]"
+        "  theta0 [0.9655172413793103, 1.0]\n",
+    ),
+    "prevalence": (
+        ["--q", "0.23"],
+        "[diagbounds] config d4673db8462a94fc  seed 0  alpha 0.05  beta 0.005\n" + _SUMMARY
+        + "prevalence at q=0.23: sharp [0.2875, 0.2879]  rectangular [0.2737, 0.3020]\n" + _NOTE,
+    ),
+    "predict": (
+        ["--pi-lo", "0.1", "--pi-hi", "0.3"],
+        "[diagbounds] config 27118962379e479d  seed 0  alpha 0.05  beta 0.005\n" + _SUMMARY
+        + "PPV [0.8481, 1.0000]  NPV [0.9060, 0.9783] for pre-test range [0.1, 0.3]\n" + _NOTE,
+    ),
+    "sensitivity": (
+        ["--s1-lo", "0.8", "--s1-hi", "0.9"],
+        "s1=0.9: sensitivity [0.762, 0.800]  specificity [0.985, 1.000]\n"
+        "s1 in [0.8,0.9]: sensitivity [0.677, 0.800]  specificity [0.984, 1.000]\n",
+    ),
+    "simulate-coverage": (
+        ["--n", "200", "--reps", "2", "--bootstrap", "40"],
+        "theta=(0.7712, 0.9886, 0.9, 1): coverage 1.000 over 2 replications of n=200\n"
+        "theta=(0.7808, 0.9924, 0.9, 1): coverage 1.000 over 2 replications of n=200\n"
+        "theta=(0.7904, 0.9962, 0.9, 1): coverage 1.000 over 2 replications of n=200\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", list(_GOLDEN_STDOUT))
+def test_cli_stdout_is_pinned(verb, tmp_path, capsys):
+    extra, expected = _GOLDEN_STDOUT[verb]
+    assert main([verb, *_POINT, *extra, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# Numeric options are drawn as pairs (valid text, hostile text).  Hostile text
+# is any float (nan, inf, -0.0 and out-of-range values), any int (0,
+# negatives, 2**80) or text that is no number at all.
+_HOSTILE = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "-1", "1.5", str(2**80)]),
+    st.integers().map(str),
+    st.text(max_size=3),
+)
+
+
+def _real(lo: float, hi: float):
+    return st.floats(lo, hi).map(repr), _HOSTILE
+
+
+def _size(lo: int, hi: int):
+    """An integer option that sets the work: its hostile draws stay at most ``hi`` too."""
+    bad = st.integers(max_value=hi).map(str) | st.floats().map(repr) | st.text(max_size=3)
+    return st.integers(lo, hi).map(str), bad
+
+
+_SEED = st.integers(min_value=0).map(str) | st.just(str(2**80)), _HOSTILE
+_PRESET = st.sampled_from(["5", "10", "20"]), st.sampled_from(["7", "0", "-10", "x"])
+_BOOTSTRAP = [("--bootstrap", _size(1, 20)), ("--seed", _SEED), ("--beta-preset", _PRESET)]
+_NUMERIC_OPTIONS = {
+    "infer": [("--theta-grid", _size(2, 12)), *_BOOTSTRAP],
+    "predict": [("--pi-lo", _real(0.0, 0.5)), ("--pi-hi", _real(0.5, 1.0))],
+    "sensitivity": [("--s1-lo", _real(0.8, 0.9)), ("--s1-hi", _real(0.9, 1.0)), ("--grid", _size(2, 4))],
+    "simulate-coverage": [
+        ("--n", (st.integers(2, 2000).map(str), _HOSTILE)),
+        ("--reps", _size(1, 2)),
+        *_BOOTSTRAP,
+    ],
+}
+_REFERENCE_OPTIONS = [
+    ("--s1", _real(0.4, 1.0)),
+    ("--s0", _real(0.6, 1.0)),
+    ("--s-grid", _size(2, 3)),
+    ("--alpha", _real(0.01, 0.5)),
+]
+
+
+@st.composite
+def _verb_argv(draw):
+    """A valid call of one verb with up to two numeric options swapped for hostile text."""
+    verb = draw(st.sampled_from(sorted(_NUMERIC_OPTIONS)))
+    options = _REFERENCE_OPTIONS + _NUMERIC_OPTIONS[verb]
+    hostile = draw(st.sets(st.integers(0, len(options) - 1), max_size=2))
+    assumption = draw(st.sampled_from(["none", "wa1", "wa0", "both"]))
+    argv = [verb, "--dataset", "eua_symptomatic", "--assumption", assumption]
+    for i, (flag, (valid, bad)) in enumerate(options):
+        argv += [flag, draw(bad if i in hostile else valid)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(argv=["infer", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "x", "--s-grid", "2",
+               "--theta-grid", "12", "--bootstrap", "20"])
+@example(argv=["predict", "--dataset", "eua_symptomatic", "--s1", "nan", "--s0", "1.0", "--s-grid", "2",
+               "--pi-lo", "0.1", "--pi-hi", "inf"])
+@example(argv=["simulate-coverage", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0",
+               "--s-grid", "2", "--n", "200", "--reps", "1", "--bootstrap", "5", "--seed", str(2**80)])
+@example(argv=["sensitivity", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "-0.0",
+               "--s-grid", "-3", "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", "0"])
+@given(argv=_verb_argv())
+def test_cli_exit_codes_on_any_numeric_options(argv):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "dropping refuted reference point", UserWarning)
+        files = [] if argv[0] == "simulate-coverage" else ["--format", "json"]
+        try:
+            rc = main([*argv, "--out", tmp, *files])
+        except SystemExit as exc:
+            assert exc.code == 3
+            return
+    assert rc in (0, 2, 3)
