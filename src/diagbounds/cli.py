@@ -7,8 +7,10 @@ bounds), ``sensitivity`` (reference-sensitivity sweep) and
 ``simulate-coverage`` (Monte-Carlo acceptance rates).  The first four
 share one handler, ``cmd_report``, and differ only in their options and
 the ``ReportToggles`` that ``build_parser`` gives them.  A verb takes
-only the options it reads; ``simulate-coverage`` writes no file and
-keeps ``--out`` alone of the output options.
+only the options it reads; ``simulate-coverage`` tests one reference
+point, writes no file and keeps ``--out`` alone of the output options.
+The other verbs take a point or an interval per reference axis, not
+both.
 
 Exit codes: 0 success, 2 assumptions refuted by the data, 3 invalid
 input or a usage error (``--help`` exits 0).
@@ -52,26 +54,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     src.add_argument(
         "--dataset", choices=list_datasets(), help="bundled example dataset"
     )
-    p.add_argument("--s1", type=float, help="reference sensitivity (point value)")
-    p.add_argument("--s0", type=float, help="reference specificity (point value)")
-    p.add_argument(
-        "--s1-range", nargs=2, type=float, metavar=("LO", "HI"), help="reference sensitivity interval"
-    )
-    p.add_argument(
-        "--s0-range", nargs=2, type=float, metavar=("LO", "HI"), help="reference specificity interval"
-    )
     p.add_argument(
         "--assumption",
         choices=[a.value for a in DependenceAssumption],
         default="none",
         help="dependence restriction between the tests",
     )
-    p.add_argument("--s-grid", type=int, default=TestConfig.s_grid, help="grid points per reference axis")
     p.add_argument("--alpha", type=float, default=TestConfig.alpha, help="significance level")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
+def _add_report(p: argparse.ArgumentParser) -> None:
+    """The verbs that write files: a point or an interval per reference axis (not both), its grid, the formats."""
+    for axis, name in (("s1", "sensitivity"), ("s0", "specificity")):
+        one = p.add_mutually_exclusive_group()
+        one.add_argument(f"--{axis}", type=float, help=f"reference {name} (point value)")
+        one.add_argument(
+            f"--{axis}-range", nargs=2, type=float, metavar=("LO", "HI"), help=f"reference {name} interval"
+        )
+    p.add_argument("--s-grid", type=int, default=TestConfig.s_grid, help="grid points per reference axis")
     p.add_argument(
         "--format",
         choices=["json", "csv", "svg"],
@@ -114,7 +115,8 @@ def _test_config(args) -> TestConfig:
         return TestConfig(alpha=args.alpha, s_grid=args.s_grid)
     return TestConfig.with_beta_preset(
         args.alpha, args.beta_preset, bootstrap=args.bootstrap, seed=args.seed,
-        theta_grid=getattr(args, "theta_grid", TestConfig.theta_grid), s_grid=args.s_grid,
+        theta_grid=getattr(args, "theta_grid", TestConfig.theta_grid),
+        s_grid=getattr(args, "s_grid", TestConfig.s_grid),
     )
 
 
@@ -195,14 +197,14 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_simulate_coverage(args) -> int:
     counts = _counts(args)
-    region = _s_region(args)
-    if len(region) != 1:
-        raise ValueError("coverage simulation needs a single (s1, s0) point")
+    if args.s1 is None or args.s0 is None:
+        raise ValueError("reference performance required: --s1 and --s0")
+    s_true = SRegion.singleton(args.s1, args.s0).points[0]  # a region's checks on its one point
     a = DependenceAssumption.from_label(args.assumption)
     cfg = _test_config(args)
     result = coverage_simulation(
         true_p=estimate_joint(counts),
-        s_true=region.points[0],
+        s_true=s_true,
         a=a,
         n=args.n,
         reps=args.reps,
@@ -233,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, **defaults)
         return p
 
-    verb("estimate", "apparent measures, sharp sets and comparator", cmd_report, _add_format,
+    verb("estimate", "apparent measures, sharp sets and comparator", cmd_report, _add_report,
          toggles=ReportToggles())
 
-    p = verb("infer", "estimate plus bootstrap confidence set", cmd_report, _add_format, _add_bootstrap,
+    p = verb("infer", "estimate plus bootstrap confidence set", cmd_report, _add_report, _add_bootstrap,
              toggles=ReportToggles(confidence=True))
     p.add_argument("--theta-grid", type=int, default=TestConfig.theta_grid, help="grid points per theta axis")
     p.add_argument(
@@ -245,16 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-cell moment values at segment midpoints",
     )
 
-    p = verb("prevalence", "screened-population prevalence bounds", cmd_report, _add_format,
+    p = verb("prevalence", "screened-population prevalence bounds", cmd_report, _add_report,
              toggles=ReportToggles(prevalence_curve=True))
     p.add_argument("--q", type=float, default=None, help="screened positive rate")
 
-    p = verb("predict", "predictive-value bounds", cmd_report, _add_format,
+    p = verb("predict", "predictive-value bounds", cmd_report, _add_report,
              toggles=ReportToggles(predictive_values=True))
     p.add_argument("--pi-lo", type=float, required=True, help="pre-test probability lower end")
     p.add_argument("--pi-hi", type=float, required=True, help="pre-test probability upper end")
 
-    p = verb("sensitivity", "sweep the assumed reference sensitivity", cmd_sensitivity, _add_format,
+    p = verb("sensitivity", "sweep the assumed reference sensitivity", cmd_sensitivity, _add_report,
              toggles=ReportToggles())
     p.add_argument("--s1-lo", type=float, required=True)
     p.add_argument("--s1-hi", type=float, required=True)
@@ -262,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("simulate-coverage", "Monte-Carlo acceptance of identified-set points", cmd_simulate_coverage,
              _add_bootstrap)
+    p.add_argument("--s1", type=float, help="reference sensitivity (point value)")
+    p.add_argument("--s0", type=float, help="reference specificity (point value)")
     p.add_argument("--n", type=int, required=True, help="sample size per replication")
     p.add_argument("--reps", type=int, required=True, help="number of replications")
 

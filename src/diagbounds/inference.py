@@ -43,12 +43,12 @@ budget.  A row is a run of points sharing the driving coordinate u, cut
 into pieces of at most the points one chunk holds, counted from the
 start of the run.  Each chunk builds its row tables once per row: the
 bootstrap deviations of the six inequality components as (rows, 6, B),
-their step-one maximum, the equality component's draws, and each
-component's step-two term recentered by +0.0.  Per-point arrays gather
-from them.  Both budgets use the same elementwise formulas as a single
-point, so chunking changes no bit.  The "higher" bootstrap quantile is
-one order statistic, the element at index ceil((B - 1) q) of the sorted
-draws, found by a partial sort.
+the equality component's draws, each component's step-two term
+recentered by +0.0, and their maximum, which is step one's.  Per-point
+arrays gather from them.  Both budgets use the same elementwise formulas
+as a single point, so chunking changes no bit.  The "higher" bootstrap
+quantile is one order statistic, the element at index ceil((B - 1) q)
+of the sorted draws, found by a partial sort.
 
 Step two recenters each moment by min(bound, 0), a shift that is zero or
 negative, and two exact rules follow for inequality component j of a row:
@@ -68,11 +68,16 @@ negative, and two exact rules follow for inequality component j of a row:
   negative the floor gives +0.0 either way.
 
 The maximum still folds t0..t5, then E_a, then E_b, from -inf.  Signed
-zeros: a reduction or a tie may keep -0.0 where the row-by-row form kept
-+0.0 (the maximum over components of the step-one deviations, the order
-statistic of a bound), but np.minimum(x, 0.0) and np.maximum(x, 0.0) turn
-either zero into +0.0, and every recentering, T_n and every critical value
-passes through one of them, so no -0.0 reaches an output.
+zeros: step one's terms differ from the row-by-row form's only in the
+sign of a zero.  Its inequality maximum d6max is taken over z6, whose
+deviation dev + 0.0 is +0.0 where the row-by-row form's dev is -0.0.  Its
+equality term is |d7| / S, which is +0.0 where max(d7 / S, -d7 / S) may
+be -0.0 and equal to it everywhere else (at S = 0 both are +inf where d7
+is not zero and -inf where it is).  A reduction or a tie may also keep
+-0.0 where the row-by-row form kept +0.0 (the order statistic of a
+bound).  np.minimum(x, 0.0) and np.maximum(x, 0.0) turn either zero into
++0.0, and every recentering, T_n and every critical value passes through
+one of them, so no -0.0 reaches an output.
 
 One kernel per (dataset, reference point) decides every test: a single
 point, the candidates of a coverage replicate, the survivors of a grid.
@@ -430,17 +435,21 @@ class _SPointKernel:
         row-major order.  A point is rejected outright when its T_n exceeds
         ``cutoff`` (the chi-square bound with its margin) and every
         studentizing variance there is well conditioned.  Rows are taken
-        in chunks of at most ``_SCREEN_BLOCK`` points.
+        in chunks of at most ``_SCREEN_BLOCK`` points, and each chunk's
+        survivors are gathered as it is done, so no mask of the whole block
+        is ever built.  ``u`` is not empty: every parameter box holds 0.
         """
         floor = _SCREEN_VAR_FLOOR
         step = max(1, _SCREEN_BLOCK // max(v.size, 1))
-        live = np.empty((u.size, v.size), dtype=bool)
+        found = []
         for lo in range(0, u.size, step):
             mu6, s6, mu7, s7, tn = self._statistic(u[lo : lo + step, None], v)
             exact6 = np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6), axis=-1)
             exact7 = s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
-            live[lo : lo + step] = ~((tn > cutoff) & exact6 & exact7)
-        return np.nonzero(live)
+            r, c = np.nonzero(~((tn > cutoff) & exact6 & exact7))
+            found.append((r + lo, c))
+        rows, cols = zip(*found)
+        return np.concatenate(rows), np.concatenate(cols)
 
     # -- full evaluation ------------------------------------------------
 
@@ -494,12 +503,12 @@ class _SPointKernel:
         tables = scratch[split : split + _ROW_TABLES * nr * nb].reshape(nr, _ROW_TABLES, nb)
         dev6, z6, base7, d6max = tables[:, :6], tables[:, 6:12], tables[:, 12], tables[:, 13]
 
-        # Row tables.  z6 ends up as the step-two terms recentered by +0.0.
+        # Row tables.  z6 holds the step-two terms recentered by +0.0; d6max, their maximum, is step one's.
         ur, s6c = u[first], s6[first][:, :, None]
         np.add(self.PA6, np.multiply(self.PU6, ur[:, None, None], out=dev6), out=dev6)
         np.subtract(dev6, mu6[first][:, :, None], out=dev6)
-        np.max(_stud(np.multiply(rn, dev6, out=z6), s6c, out=z6), axis=1, out=d6max)
         _stud(np.multiply(rn, np.add(dev6, 0.0, out=z6), out=z6), s6c, out=z6)
+        np.max(z6, axis=1, out=d6max)
         top6 = np.max(dev6, axis=2)
         np.add(self.PA7, np.multiply(self.PU7, ur[:, None], out=base7), out=base7)
         s7c = s7[:, None]
@@ -508,15 +517,14 @@ class _SPointKernel:
         np.take(base7, row, axis=0, out=d7)
         np.add(d7, np.multiply(v[:, None], self.PV7, out=w), out=d7)
         np.multiply(rn, np.subtract(d7, mu7[:, None], out=d7), out=d7)
-        np.maximum(_stud(d7, s7c, out=g), _stud(np.negative(d7, out=w), s7c, out=w), out=g)
+        _stud(np.abs(d7, out=g), s7c, out=g)
         np.maximum(np.take(d6max, row, axis=0, out=w), g, out=g)
         bhat = _quantile(g, 1.0 - beta)
 
         # Step 2: recenter by the bounds truncated at zero.  An infinite
         # bound on a zero-scale component gives inf * 0 = NaN, and the
         # component drops out of the maximum (``_stud`` maps it to -inf).
-        scale = np.where(s6 > 0.0, s6 / rn, 0.0)
-        scale7 = np.where(s7 > 0.0, s7 / rn, 0.0)
+        scale, scale7 = s6 / rn, s7 / rn
         with np.errstate(invalid="ignore"):
             lam6 = np.minimum(mu6 + bhat[:, None] * scale, 0.0)
             lam7a = np.minimum(mu7 + bhat * scale7, 0.0)

@@ -320,16 +320,19 @@ def run_sensitivity(
 ) -> ReportBundle:
     """Sweep the assumed reference sensitivity over [s1_lo, s1_hi].
 
-    Emits the baseline run at s1 = s1_hi alongside the interval variant.
-    For each variant the report carries the exact theta1 projection, the
-    exact theta0 projection, and the theta0 range of the segments
-    attaining the extreme theta1 values (the conventional way these
-    sweeps are tabulated).
+    Emits the baseline run at s1 = s1_hi alongside the interval variant,
+    whose ``grid`` points (at least 2; by default the test config's
+    ``s_grid``) span the interval.  For each variant the report carries
+    the exact theta1 projection, the exact theta0 projection, and the
+    theta0 range of the segments attaining the extreme theta1 values (the
+    conventional way these sweeps are tabulated).
     """
     if len({s.s0 for s in cfg.s_region.points}) != 1:
         raise ValueError("sensitivity sweep requires a common reference specificity")
     s0 = cfg.s_region.points[0].s0
     k = grid if grid is not None else cfg.test_config.s_grid
+    if k < 2:
+        raise ValueError(f"the sweep grid needs at least 2 points, got {k}")
     p = estimate_joint(cfg.counts)
 
     variants = []

@@ -1008,6 +1008,17 @@ def test_minimum_and_maximum_against_zero_give_positive_zero():
             assert np.all(got == 0.0) and not np.signbit(got).any()
 
 
+def _traced_peak(call):
+    """``call()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_kernel_memory_is_bounded_by_the_budget_at_large_b():
     # At B = 20,000 a chunk is one point.  The (point x draw) arrays and the
     # row tables are built per chunk, never per reference point, so the
@@ -1015,11 +1026,19 @@ def test_kernel_memory_is_bounded_by_the_budget_at_large_b():
     # tables, the draws and one point's scratch.
     counts = CellCounts(12, 3, 4, 20)
     cfg = TestConfig(alpha=0.05, seed=4, bootstrap=20_000, theta_grid=9)
-    tracemalloc.start()
-    try:
-        cs = confidence_set(counts, SRegion.singleton(0.9, 1.0), WA1, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    cs, peak = _traced_peak(lambda: confidence_set(counts, SRegion.singleton(0.9, 1.0), WA1, cfg))
     assert len(cs) > 10  # many rows go through the bootstrap
     assert peak < 24 * inference._EVAL_BLOCK * 8, peak
+
+
+def test_screen_memory_stays_below_a_mask_of_the_whole_block():
+    # The screen gathers each chunk's survivors, so its peak is the survivors'
+    # indices and one chunk's temporaries, not a (u x v) boolean mask.
+    axis = np.linspace(0.0, 1.0, 3000)
+    kernel = _SPointKernel(EUA, WA1, S91, bootstrap_cell_frequencies(EUA, 2, 0))
+    (lo1, hi1), (lo0, hi0) = param_space_box(WA1, S91)
+    u, v = kernel.orient(axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)])
+    cutoff = inference._chi_square_bound(EUA, bootstrap_cell_frequencies(EUA, 200, 0), 0.955)
+    (rows, _), peak = _traced_peak(lambda: kernel.screen(u, v, cutoff))
+    assert 0 < rows.size < u.size * v.size // 50
+    assert peak < u.size * v.size, (peak, u.size * v.size)

@@ -513,6 +513,36 @@ def test_cli_usage_errors_exit_invalid(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", *_POINT, "--s1-range", "0.8", "0.9"],
+        ["infer", *_POINT, "--s0-range", "0.98", "1.0", "--theta-grid", "12", "--bootstrap", "20"],
+        ["sensitivity", "--dataset", "shah_asymptomatic", "--s1", "0.9", "--s0", "1.0", "--assumption", "wa1",
+         "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", "1"],
+        ["simulate-coverage", "--dataset", "eua_symptomatic", "--s0", "1.0", "--n", "9", "--reps", "1"],
+    ],
+    ids=["s1-point-and-range", "s0-point-and-range", "sweep-grid-below-2", "coverage-without-s1"],
+)
+def test_cli_refusals_exit_3_and_write_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    try:
+        rc = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_sensitivity_refuses_a_grid_below_2():
+    cfg = StudyConfig(
+        counts=TABLE_DATASETS["shah_asx"], s_region=SRegion.singleton(0.9, 1.0), assumption=WA1, label="shah"
+    )
+    with pytest.raises(ValueError, match="at least 2 points, got 1"):
+        run_sensitivity(cfg, 0.8, 0.9, grid=1)
+
+
 def test_cli_usage_error_exits_3_and_help_exits_0(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(diagbounds.__file__).resolve().parents[1])}
     argv = [sys.executable, "-m", "diagbounds.cli", "estimate", *_POINT, "--bogus", "--out", str(tmp_path)]
@@ -599,10 +629,13 @@ def _size(lo: int, hi: int):
 _SEED = st.integers(min_value=0).map(str) | st.just(str(2**80)), _HOSTILE
 _PRESET = st.sampled_from(["5", "10", "20"]), st.sampled_from(["7", "0", "-10", "x"])
 _BOOTSTRAP = [("--bootstrap", _size(1, 20)), ("--seed", _SEED), ("--beta-preset", _PRESET)]
+_S_GRID = ("--s-grid", _size(2, 3))  # simulate-coverage takes one reference point, no grid
 _NUMERIC_OPTIONS = {
-    "infer": [("--theta-grid", _size(2, 12)), *_BOOTSTRAP],
-    "predict": [("--pi-lo", _real(0.0, 0.5)), ("--pi-hi", _real(0.5, 1.0))],
-    "sensitivity": [("--s1-lo", _real(0.8, 0.9)), ("--s1-hi", _real(0.9, 1.0)), ("--grid", _size(2, 4))],
+    "infer": [_S_GRID, ("--theta-grid", _size(2, 12)), *_BOOTSTRAP],
+    "predict": [_S_GRID, ("--pi-lo", _real(0.0, 0.5)), ("--pi-hi", _real(0.5, 1.0))],
+    "sensitivity": [
+        _S_GRID, ("--s1-lo", _real(0.8, 0.9)), ("--s1-hi", _real(0.9, 1.0)), ("--grid", _size(2, 4))
+    ],
     "simulate-coverage": [
         ("--n", (st.integers(2, 2000).map(str), _HOSTILE)),
         ("--reps", _size(1, 2)),
@@ -612,7 +645,6 @@ _NUMERIC_OPTIONS = {
 _REFERENCE_OPTIONS = [
     ("--s1", _real(0.4, 1.0)),
     ("--s0", _real(0.6, 1.0)),
-    ("--s-grid", _size(2, 3)),
     ("--alpha", _real(0.01, 0.5)),
 ]
 
@@ -636,7 +668,7 @@ def _verb_argv(draw):
 @example(argv=["predict", "--dataset", "eua_symptomatic", "--s1", "nan", "--s0", "1.0", "--s-grid", "2",
                "--pi-lo", "0.1", "--pi-hi", "inf"])
 @example(argv=["simulate-coverage", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0",
-               "--s-grid", "2", "--n", "200", "--reps", "1", "--bootstrap", "5", "--seed", str(2**80)])
+               "--n", "200", "--reps", "1", "--bootstrap", "5", "--seed", str(2**80)])
 @example(argv=["sensitivity", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "-0.0",
                "--s-grid", "-3", "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", "0"])
 @given(argv=_verb_argv())
