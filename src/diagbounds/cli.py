@@ -13,7 +13,7 @@ The other verbs take a point or an interval per reference axis, not
 both.
 
 Exit codes: 0 success, 2 assumptions refuted by the data, 3 invalid
-input or a usage error (``--help`` exits 0).
+input, an unusable ``--out`` or a usage error (``--help`` exits 0).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .inference import BETA_PRESETS, DEFAULT_BETA_PRESET, TestConfig, coverage_s
 from .probability import CellCounts, RefutationError, SRegion, estimate_joint
 from .report import (
     EXTRAPOLATION_NOTE,
+    FORMATS,
     ReportToggles,
     StudyConfig,
     run_analysis,
@@ -73,13 +74,7 @@ def _add_report(p: argparse.ArgumentParser) -> None:
             f"--{axis}-range", nargs=2, type=float, metavar=("LO", "HI"), help=f"reference {name} interval"
         )
     p.add_argument("--s-grid", type=int, default=TestConfig.s_grid, help="grid points per reference axis")
-    p.add_argument(
-        "--format",
-        choices=["json", "csv", "svg"],
-        nargs="+",
-        default=["json", "csv", "svg"],
-        help="artifact families to write",
-    )
+    p.add_argument("--format", choices=FORMATS, nargs="+", default=FORMATS, help="artifact families to write")
 
 
 def _add_bootstrap(p: argparse.ArgumentParser) -> None:
@@ -280,7 +275,7 @@ def main(argv=None) -> int:
     except RefutationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUTED
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -175,8 +175,8 @@ class TestConfig:
             raise ValueError(f"need at least one bootstrap draw, got {self.bootstrap}")
         if self.theta_grid < 2 or self.s_grid < 2:
             raise ValueError("grids need at least 2 points per axis")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # one 64-bit word of the Philox key
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def beta_value(self) -> float:
@@ -213,7 +213,7 @@ class _Substreams:
         self._bitgen = np.random.Philox(0)  # any seed: ``at`` sets the whole state
         self._gen = np.random.Generator(self._bitgen)
         # Plain ints: the state setter reads lists faster than arrays.
-        self._key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
+        self._key = [seed, 0]
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": self._key},

@@ -6,6 +6,10 @@ sweeps the assumed reference sensitivity over an interval and tabulates
 how the projections move.  Reports are deterministic: every number is
 traceable to a library call, randomness is pinned by the seed, and the
 provenance block carries a hash of the configuration that produced it.
+
+Both write through ``_write``: each lists the files its report has as
+(name, text maker) pairs, and ``_write`` writes a file when its suffix is
+one of the requested ``FORMATS``, making its text only then.
 """
 
 from __future__ import annotations
@@ -46,7 +50,10 @@ from .probability import (
 )
 from .svgfig import identified_set_figure, width_curve_figure
 
-__all__ = ["ReportToggles", "StudyConfig", "ReportBundle", "run_analysis", "run_sensitivity"]
+__all__ = ["FORMATS", "ReportToggles", "StudyConfig", "ReportBundle", "run_analysis", "run_sensitivity"]
+
+# The artifact families ``--format`` chooses from; a file's suffix names its family.
+FORMATS = ("json", "csv", "svg")
 
 EXTRAPOLATION_NOTE = (
     "Derived bounds extrapolate study-population performance to the target "
@@ -75,7 +82,7 @@ class StudyConfig:
     test_config: TestConfig = field(default_factory=TestConfig)
     toggles: ReportToggles = field(default_factory=ReportToggles)
     out_dir: Path | None = None
-    formats: tuple[str, ...] = ("json", "csv", "svg")
+    formats: tuple[str, ...] = FORMATS
     screen_q: float | None = None
     pretest: PretestRange | None = None
     dump_moment_cells: bool = False
@@ -308,7 +315,7 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
 
     bundle = ReportBundle(data=data)
     if cfg.out_dir is not None:
-        _write_outputs(cfg, bundle, identified, cs)
+        _write(cfg.out_dir, cfg.formats, _analysis_files(cfg, bundle, identified, cs))
     return bundle
 
 
@@ -381,78 +388,59 @@ def run_sensitivity(
     }
     bundle = ReportBundle(data=data)
     if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if "json" in cfg.formats:
-            (out / "sensitivity.json").write_text(bundle.to_json())
-        if "csv" in cfg.formats:
-            (out / "sensitivity.csv").write_text(bundle.sensitivity_table())
+        files = [("sensitivity.json", bundle.to_json), ("sensitivity.csv", bundle.sensitivity_table)]
+        _write(cfg.out_dir, cfg.formats, files)
     return bundle
 
 
-def _write_outputs(cfg, bundle, identified, cs) -> None:
-    out = Path(cfg.out_dir)
+def _write(out_dir, formats, files) -> None:
+    """Make ``out_dir``; write each (name, text maker) whose suffix is in ``formats``, making only its text."""
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if "json" in cfg.formats:
-        (out / "report.json").write_text(bundle.to_json())
-    if "csv" in cfg.formats:
-        (out / "estimates.csv").write_text(bundle.estimates_table())
-        if identified is not None:
-            (out / "identified_set.csv").write_text("\n".join(identified.to_csv_rows()) + "\n")
-        if "prevalence_curve" in bundle.data:
-            (out / "prevalence_curve.csv").write_text(bundle.prevalence_curve_table())
-        if cs is not None:
-            (out / "confidence_set.csv").write_text("\n".join(cs.to_csv_rows()) + "\n")
-    if "json" in cfg.formats and cs is not None:
-        (out / "confidence_set.json").write_text(_json_text(cs.to_dict()))
-    if cfg.dump_moment_cells and identified is not None:
-        (out / "moment_cells.csv").write_text(_moment_cells_csv(cfg, identified))
-    if "svg" in cfg.formats and cfg.toggles.figures and identified is not None:
-        apparent = bundle.data.get("apparent")
-        ap_pt = None if apparent is None else (apparent["theta1"], apparent["theta0"])
-        ap_box = None
-        if apparent is not None:
-            ap_box = (
-                apparent["ci_theta1"][0],
-                apparent["ci_theta1"][1],
-                apparent["ci_theta0"][0],
-                apparent["ci_theta0"][1],
-            )
-        comparators = None
-        if "frechet" in bundle.data:
-            fr = bundle.data["frechet"]
-            comparators = [
-                (fr["theta1"][0], fr["theta1"][1], fr["theta0"][0], fr["theta0"][1])
-            ]
-        (out / "fig_identified_set.svg").write_text(
-            identified_set_figure(
-                identified.segments,
-                apparent=ap_pt,
-                apparent_box=ap_box,
-                comparator_boxes=comparators,
-                title=f"{cfg.label}: estimated set",
-            )
-        )
-        if cs is not None and len(cs):
-            (out / "fig_confidence_set.svg").write_text(
-                identified_set_figure(
-                    identified.segments,
-                    apparent=ap_pt,
-                    apparent_box=ap_box,
-                    scatter=cs.points[:, :2],
-                    title=f"{cfg.label}: confidence set",
-                )
-            )
-        if "prevalence_curve" in bundle.data:
-            recs = bundle.data["prevalence_curve"]
-            (out / "fig_prevalence_width.svg").write_text(
-                width_curve_figure(
-                    [r["q"] for r in recs],
-                    [r["sharp"][1] - r["sharp"][0] for r in recs],
-                    [r["rect"][1] - r["rect"][0] for r in recs],
-                    title=f"{cfg.label}: prevalence bound width",
-                )
-            )
+    for name, text in files:
+        if name.rpartition(".")[2] in formats:
+            (out / name).write_text(text())
+
+
+def _analysis_files(cfg, bundle, identified, cs) -> list:
+    """The (name, text maker) pairs ``run_analysis`` hands to ``_write``."""
+    data = bundle.data
+    files = [("report.json", bundle.to_json), ("estimates.csv", bundle.estimates_table)]
+    if identified is not None:
+        files.append(("identified_set.csv", lambda: "\n".join(identified.to_csv_rows()) + "\n"))
+        if cfg.dump_moment_cells:
+            files.append(("moment_cells.csv", lambda: _moment_cells_csv(cfg, identified)))
+    if "prevalence_curve" in data:
+        files.append(("prevalence_curve.csv", bundle.prevalence_curve_table))
+    if cs is not None:
+        files += [
+            ("confidence_set.csv", lambda: "\n".join(cs.to_csv_rows()) + "\n"),
+            ("confidence_set.json", lambda: _json_text(cs.to_dict())),
+        ]
+    if not cfg.toggles.figures or identified is None:
+        return files
+    ap, fr = data.get("apparent"), data.get("frechet")
+    marks = {} if ap is None else {
+        "apparent": (ap["theta1"], ap["theta0"]),
+        "apparent_box": (*ap["ci_theta1"], *ap["ci_theta0"]),
+    }
+    boxes = None if fr is None else [(*fr["theta1"], *fr["theta0"])]
+    files.append(("fig_identified_set.svg", lambda: identified_set_figure(
+        identified.segments, comparator_boxes=boxes, title=f"{cfg.label}: estimated set", **marks
+    )))
+    if cs is not None and len(cs):
+        files.append(("fig_confidence_set.svg", lambda: identified_set_figure(
+            identified.segments, scatter=cs.points[:, :2], title=f"{cfg.label}: confidence set", **marks
+        )))
+    if "prevalence_curve" in data:
+        recs = data["prevalence_curve"]
+        files.append(("fig_prevalence_width.svg", lambda: width_curve_figure(
+            [r["q"] for r in recs],
+            [r["sharp"][1] - r["sharp"][0] for r in recs],
+            [r["rect"][1] - r["rect"][0] for r in recs],
+            title=f"{cfg.label}: prevalence bound width",
+        )))
+    return files
 
 
 def _moment_cells_csv(cfg: StudyConfig, identified: IdentifiedSet) -> str:

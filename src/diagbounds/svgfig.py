@@ -14,6 +14,11 @@ __all__ = ["SvgCanvas", "identified_set_figure", "width_curve_figure"]
 _W, _H, _MARGIN = 640, 480, 56
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data (a title carries the input file's name)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 @dataclass
 class SvgCanvas:
     """Maps data coordinates to a fixed-size SVG viewport."""
@@ -74,16 +79,16 @@ class SvgCanvas:
         labels = []
         if self.title:
             labels.append(
-                f'<text x="{_W / 2}" y="28" text-anchor="middle" font-size="15">{self.title}</text>'
+                f'<text x="{_W / 2}" y="28" text-anchor="middle" font-size="15">{_escape(self.title)}</text>'
             )
         if self.x_label:
             labels.append(
-                f'<text x="{_W / 2}" y="{_H - 14}" text-anchor="middle" font-size="13">{self.x_label}</text>'
+                f'<text x="{_W / 2}" y="{_H - 14}" text-anchor="middle" font-size="13">{_escape(self.x_label)}</text>'
             )
         if self.y_label:
             labels.append(
                 f'<text x="16" y="{_H / 2}" text-anchor="middle" font-size="13" '
-                f'transform="rotate(-90 16 {_H / 2})">{self.y_label}</text>'
+                f'transform="rotate(-90 16 {_H / 2})">{_escape(self.y_label)}</text>'
             )
         for frac in (0.0, 0.5, 1.0):
             xv = self.x_lo + frac * (self.x_hi - self.x_lo)

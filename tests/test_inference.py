@@ -55,6 +55,15 @@ def test_config_validation():
         TestConfig.with_beta_preset(0.05, 7)
 
 
+def test_seeds_outside_64_bits_are_refused_not_aliased():
+    assert TestConfig(seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64, 2**80):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            TestConfig(seed=seed)
+    with pytest.raises(OverflowError):  # not the draws of seed 0
+        bootstrap_cell_frequencies(EUA, 5, 2**64)
+
+
 def test_bootstrap_frequencies_shape_and_determinism():
     f1 = bootstrap_cell_frequencies(EUA, 500, CFG.seed)
     f2 = bootstrap_cell_frequencies(EUA, 500, CFG.seed)

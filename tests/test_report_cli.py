@@ -463,12 +463,13 @@ def test_svg_outputs_are_well_formed_xml(tmp_path):
         test_config=TestConfig(alpha=0.05, seed=11, theta_grid=40),
         toggles=ReportToggles(prevalence_curve=True, confidence=True),
         out_dir=tmp_path,
-        label="eua",
+        label="a&b<c>",  # the CLI's label is the --input file's stem
     )
     run_analysis(cfg)
     for name in ("fig_identified_set.svg", "fig_confidence_set.svg", "fig_prevalence_width.svg"):
         root = ET.fromstring((tmp_path / name).read_text())
         assert root.tag.endswith("svg")
+        assert any((t.text or "").startswith("a&b<c>: ") for t in root.iter("{http://www.w3.org/2000/svg}text"))
 
 
 def test_cli_prevalence_prints_disclaimer(tmp_path, capsys):
@@ -521,8 +522,9 @@ def test_cli_usage_errors_exit_invalid(argv, capsys):
         ["sensitivity", "--dataset", "shah_asymptomatic", "--s1", "0.9", "--s0", "1.0", "--assumption", "wa1",
          "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", "1"],
         ["simulate-coverage", "--dataset", "eua_symptomatic", "--s0", "1.0", "--n", "9", "--reps", "1"],
+        ["infer", *_POINT, "--theta-grid", "12", "--bootstrap", "20", "--seed", str(2**64)],
     ],
-    ids=["s1-point-and-range", "s0-point-and-range", "sweep-grid-below-2", "coverage-without-s1"],
+    ids=["s1-point-and-range", "s0-point-and-range", "sweep-grid-below-2", "coverage-without-s1", "seed-2**64"],
 )
 def test_cli_refusals_exit_3_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -533,6 +535,54 @@ def test_cli_refusals_exit_3_and_write_nothing(argv, tmp_path, capsys):
     assert rc == 3
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_out_at_a_file_exits_3(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["estimate", *_POINT, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# Each verb's files with every format requested; a file is written when its suffix is requested.
+_VERB_FILES = {
+    "estimate": ([], ["report.json", "estimates.csv", "identified_set.csv", "fig_identified_set.svg"]),
+    "prevalence": (
+        ["--q", "0.23"],
+        ["report.json", "estimates.csv", "identified_set.csv", "prevalence_curve.csv",
+         "fig_identified_set.svg", "fig_prevalence_width.svg"],
+    ),
+    "predict": (
+        ["--pi-lo", "0.1", "--pi-hi", "0.3"],
+        ["report.json", "estimates.csv", "identified_set.csv", "fig_identified_set.svg"],
+    ),
+    "sensitivity": (["--s1-lo", "0.8", "--s1-hi", "0.9"], ["sensitivity.json", "sensitivity.csv"]),
+    "infer": (
+        ["--theta-grid", "30", "--bootstrap", "60", "--dump-moment-cells"],
+        ["report.json", "estimates.csv", "identified_set.csv", "moment_cells.csv", "confidence_set.csv",
+         "confidence_set.json", "fig_identified_set.svg", "fig_confidence_set.svg"],
+    ),
+}
+
+
+@pytest.mark.parametrize("formats", [["json"], ["csv"], ["svg"], ["csv", "svg"], ["json", "csv", "svg"]])
+@pytest.mark.parametrize("verb", list(_VERB_FILES))
+def test_cli_writes_the_files_whose_suffix_is_a_requested_format(verb, formats, tmp_path):
+    extra, files = _VERB_FILES[verb]
+    assert main([verb, *_POINT, *extra, "--out", str(tmp_path), "--format", *formats]) == 0
+    written = sorted(f.name for f in tmp_path.iterdir())
+    assert written == sorted(f for f in files if f.rpartition(".")[2] in formats)
+
+
+def test_cli_import_adds_no_xml_or_network_module():
+    """Import weight is start-up time and peak memory of every call; compare with the state before the import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(diagbounds.__file__).resolve().parents[1])}
+    code = "import sys; before = set(sys.modules); import diagbounds.cli; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = proc.stdout.split()
+    assert "diagbounds.cli" in added
+    heavy = ("xml", "http", "email", "ssl", "socket", "html", "urllib.request")
+    assert [m for m in added if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
 
 
 def test_run_sensitivity_refuses_a_grid_below_2():
@@ -626,7 +676,7 @@ def _size(lo: int, hi: int):
     return st.integers(lo, hi).map(str), bad
 
 
-_SEED = st.integers(min_value=0).map(str) | st.just(str(2**80)), _HOSTILE
+_SEED = st.integers(0, 2**64 - 1).map(str), _HOSTILE
 _PRESET = st.sampled_from(["5", "10", "20"]), st.sampled_from(["7", "0", "-10", "x"])
 _BOOTSTRAP = [("--bootstrap", _size(1, 20)), ("--seed", _SEED), ("--beta-preset", _PRESET)]
 _S_GRID = ("--s-grid", _size(2, 3))  # simulate-coverage takes one reference point, no grid
