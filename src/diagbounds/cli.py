@@ -118,11 +118,12 @@ def _test_config(args) -> TestConfig:
 def _study_config(args) -> StudyConfig:
     # Built first, so a bad pre-test range is the error reported even when the counts are bad too.
     pretest = PretestRange(args.pi_lo, args.pi_hi) if "pi_lo" in args else None
+    test_config = _test_config(args)  # checks --s-grid before the region's s_grid**2 points are built
     return StudyConfig(
         counts=_counts(args),
         s_region=_s_region(args),
-        assumption=DependenceAssumption.from_label(args.assumption),
-        test_config=_test_config(args),
+        assumption=DependenceAssumption(args.assumption),
+        test_config=test_config,
         toggles=args.toggles,
         out_dir=args.out,
         formats=tuple(args.format),
@@ -195,7 +196,7 @@ def cmd_simulate_coverage(args) -> int:
     if args.s1 is None or args.s0 is None:
         raise ValueError("reference performance required: --s1 and --s0")
     s_true = SRegion.singleton(args.s1, args.s0).points[0]  # a region's checks on its one point
-    a = DependenceAssumption.from_label(args.assumption)
+    a = DependenceAssumption(args.assumption)
     cfg = _test_config(args)
     result = coverage_simulation(
         true_p=estimate_joint(counts),

@@ -77,10 +77,6 @@ class PrevalenceBounds:
     q_consistent: bool = True
     components: tuple[Interval, ...] = field(default_factory=tuple)
 
-    @property
-    def width(self) -> float:
-        return self.interval.width
-
 
 def _first(x: np.ndarray, pick) -> np.ndarray:
     """Row minima or maxima (``pick`` is np.argmin or np.argmax), each the

@@ -55,16 +55,6 @@ class DependenceAssumption(enum.Enum):
     WRONGLY_AGREE_Y0 = "wa0"
     WRONGLY_AGREE_BOTH = "both"
 
-    @classmethod
-    def from_label(cls, label: str) -> "DependenceAssumption":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(
-            f"unknown assumption {label!r}; expected one of "
-            f"{[m.value for m in cls]}"
-        )
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -78,9 +68,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
 
 
 @dataclass(frozen=True)

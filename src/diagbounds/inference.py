@@ -144,6 +144,13 @@ _TAG_BOOTSTRAP = 1
 _TAG_DATASET = 2
 _TAG_DERIVED = 3
 
+# Largest run sizes a TestConfig accepts.  With the other sizes at their
+# defaults, a call at any one cap runs in under a minute and 400 MB on a
+# 2-core VM (README, "Caps").
+MAX_BOOTSTRAP = 100_000
+MAX_THETA_GRID = 3162
+MAX_S_GRID = 20
+
 
 @dataclass(frozen=True)
 class TestConfig:
@@ -175,6 +182,10 @@ class TestConfig:
             raise ValueError(f"need at least one bootstrap draw, got {self.bootstrap}")
         if self.theta_grid < 2 or self.s_grid < 2:
             raise ValueError("grids need at least 2 points per axis")
+        for name, cap in (("bootstrap", MAX_BOOTSTRAP), ("theta_grid", MAX_THETA_GRID), ("s_grid", MAX_S_GRID)):
+            value = getattr(self, name)
+            if value > cap:
+                raise ValueError(f"{name} must be at most {cap}, got {value}")
         if not 0 <= self.seed < 2**64:  # one 64-bit word of the Philox key
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -722,6 +733,10 @@ def confidence_set(
     )
 
 
+# Largest number of replications coverage_simulation accepts (README, "Caps").
+MAX_REPS = 10_000
+
+
 @dataclass(frozen=True)
 class CoverageResult:
     """Empirical acceptance rates of identified-set points across replications."""
@@ -757,6 +772,8 @@ def coverage_simulation(
     """
     if reps < 1:
         raise ValueError(f"need at least one replication, got {reps}")
+    if reps > MAX_REPS:
+        raise ValueError(f"reps must be at most {MAX_REPS}, got {reps}")
     _SPointKernel.check(n)
     floor = eps if eps is not None else default_cell_floor(n)
     if not true_p.satisfies_cell_floor(floor):

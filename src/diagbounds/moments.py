@@ -71,11 +71,10 @@ class MomentSystem:
     assumption: DependenceAssumption
     theta: ThetaPoint
     cell_values: np.ndarray
-    k: int = N_COMPONENTS
 
     def __post_init__(self) -> None:
-        if self.cell_values.shape != (4, self.k):
-            raise ValueError(f"cell_values must be 4 x {self.k}, got {self.cell_values.shape}")
+        if self.cell_values.shape != (4, N_COMPONENTS):
+            raise ValueError(f"cell_values must be 4 x {N_COMPONENTS}, got {self.cell_values.shape}")
         if not np.all(np.isfinite(self.cell_values)):
             raise ValueError("cell_values must be finite")
         self.cell_values.setflags(write=False)

@@ -190,15 +190,13 @@ class SRegion:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 def _axis_grid(lo: float, hi: float, k: int) -> list[float]:
+    """``k`` evenly spaced points from ``lo`` to exactly ``hi``, laid out as ``np.linspace`` lays them."""
     if hi == lo or k == 1:
         return [lo]
     step = (hi - lo) / (k - 1)
-    return [lo + i * step for i in range(k)]
+    return [lo + i * step for i in range(k - 1)] + [hi]
 
 
 @dataclass(frozen=True)
@@ -247,12 +245,7 @@ class ValidationReport:
     p_r1: float
     interval: tuple[float, float]
     boundary_tie: bool
-    cell_floor: float | None = None
     cell_floor_ok: bool | None = None
-
-    @property
-    def refuted(self) -> bool:
-        return not self.passed
 
     def violated_assumptions(self) -> tuple[str, ...]:
         out = []
@@ -301,7 +294,6 @@ def validate_assumptions(
         p_r1=p.p_r1,
         interval=(lo, hi),
         boundary_tie=boundary,
-        cell_floor=eps,
         cell_floor_ok=floor_ok,
     )
 
@@ -313,7 +305,7 @@ def default_cell_floor(n: int) -> float:
 
 def _require_valid(p: JointTR, s: RefPerf) -> None:
     report = validate_assumptions(p, s)
-    if report.refuted:
+    if not report.passed:
         raise RefutationError(
             "assumptions refuted by the data: " + "; ".join(report.violated_assumptions())
         )

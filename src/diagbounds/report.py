@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +319,10 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
     return bundle
 
 
+# Largest sweep grid run_sensitivity accepts (README, "Caps").
+MAX_SWEEP_GRID = 100_000
+
+
 def run_sensitivity(
     cfg: StudyConfig,
     s1_lo: float,
@@ -340,6 +344,8 @@ def run_sensitivity(
     k = grid if grid is not None else cfg.test_config.s_grid
     if k < 2:
         raise ValueError(f"the sweep grid needs at least 2 points, got {k}")
+    if k > MAX_SWEEP_GRID:
+        raise ValueError(f"the sweep grid must have at most {MAX_SWEEP_GRID} points, got {k}")
     p = estimate_joint(cfg.counts)
 
     variants = []
@@ -359,23 +365,15 @@ def run_sensitivity(
         )
 
     base = run_analysis(
-        StudyConfig(
-            counts=cfg.counts,
-            s_region=cfg.s_region,
-            assumption=cfg.assumption,
-            test_config=cfg.test_config,
-            toggles=ReportToggles(figures=False),
-            out_dir=None,
-            label=cfg.label,
-        )
+        replace(cfg, toggles=ReportToggles(figures=False), out_dir=None, screen_q=None, pretest=None)
     )
     data = dict(base.data)
-    t1t, t0t = apparent_measures(p)
+    ap = data["apparent"]
     data["sensitivity"] = {
         "s0": s0,
         "s1_range": [s1_lo, s1_hi],
         "grid": k,
-        "apparent": {"theta1": t1t, "theta0": t0t},
+        "apparent": {"theta1": ap["theta1"], "theta0": ap["theta0"]},
         "variants": variants,
     }
     data["config"] = {
@@ -450,10 +448,7 @@ def _moment_cells_csv(cfg: StudyConfig, identified: IdentifiedSet) -> str:
     for seg in identified.segments:
         mid = seg.point_at(0.5)
         system = build_moment_system(ThetaPoint(mid[0], mid[1], seg.s), cfg.assumption)
-        for ci, cname in enumerate(cells):
-            for j in range(system.k):
-                rows.append(
-                    f"{seg.s.s1:.10g},{seg.s.s0:.10g},{cname},{j + 1},"
-                    f"{system.cell_values[ci, j]:.12g}"
-                )
+        for cname, row in zip(cells, system.cell_values):
+            for j, value in enumerate(row, 1):
+                rows.append(f"{seg.s.s1:.10g},{seg.s.s0:.10g},{cname},{j},{value:.12g}")
     return "\n".join(rows) + "\n"

@@ -216,10 +216,13 @@ def test_predictive_values_brute_force_over_segment():
     assert npv.hi == pytest.approx(max(v.max() for v in npv_vals), abs=1e-9)
 
 
-def test_predictive_values_degenerate_denominator():
-    seg = _singleton_segment(0.0, 1.0)  # never-positive test
-    ppv, npv = predictive_value_bounds(seg, PretestRange(0.2, 0.4))
-    assert (ppv.lo, ppv.hi) == (0.0, 1.0)  # PPV is 0/0
+@pytest.mark.parametrize(
+    "theta1, theta0, which", [(0.0, 1.0, 0), (1.0, 0.0, 1)], ids=["never-positive-ppv", "always-positive-npv"]
+)
+def test_predictive_values_degenerate_denominator(theta1, theta0, which):
+    # A never-positive test makes PPV 0/0, an always-positive one NPV.
+    bounds = predictive_value_bounds(_singleton_segment(theta1, theta0), PretestRange(0.2, 0.4))
+    assert (bounds[which].lo, bounds[which].hi) == (0.0, 1.0)
 
 
 def test_predictive_values_monotone_in_inputs():

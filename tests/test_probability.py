@@ -62,10 +62,10 @@ def test_validation_eua_passes():
 def test_validation_refuted_when_index_rate_below_interval():
     p = estimate_joint(TABLE_DATASETS["eua_sx"])
     rep = validate_assumptions(p, RefPerf(0.2, 0.7))
-    assert rep.refuted
+    assert not rep.passed
     assert not rep.reference_informative  # 0.2 <= 1 - 0.7 fails first
     rep2 = validate_assumptions(p, RefPerf(0.45, 0.7))
-    assert rep2.refuted and not rep2.index_rate_in_range
+    assert not rep2.passed and not rep2.index_rate_in_range
     assert any("P(t=1)" in v for v in rep2.violated_assumptions())
 
 
@@ -90,7 +90,7 @@ def test_validation_is_exactly_the_index_rate_check():
 def test_boundary_value_is_refuted_but_flagged():
     p = JointTR(0.5, 0.2, 0.0, 0.3)  # P(t=1) = 0.5
     rep = validate_assumptions(p, RefPerf(0.5, 0.9))
-    assert rep.refuted and rep.boundary_tie
+    assert not rep.passed and rep.boundary_tie
 
 
 def test_derived_prevalence_worked_example():
@@ -190,6 +190,15 @@ def test_sregion_rejects_uninformative_points():
     assert len(region) == 10
     assert region.points[0].s1 == pytest.approx(0.8)
     assert region.points[-1].s1 == pytest.approx(0.9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(0.0, 1.0, exclude_min=True), hi=st.floats(0.0, 1.0, exclude_min=True), k=st.integers(2, 40))
+def test_rectangle_axis_ends_at_hi_and_matches_linspace(lo, hi, k):
+    lo, hi = sorted((lo, hi))
+    s1s = [s.s1 for s in SRegion.rectangle(lo, hi, 1.0, 1.0, s1_points=k).points]
+    assert s1s == ([lo] if lo == hi else np.linspace(lo, hi, k).tolist())
+    assert s1s[-1] == hi
 
 
 def test_cell_floor_check():

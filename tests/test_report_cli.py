@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,15 @@ import diagbounds
 from diagbounds import DependenceAssumption, SRegion, TestConfig
 from diagbounds.cli import _test_config, build_parser, main
 from diagbounds.datasets import list_datasets, load_dataset, read_counts
-from diagbounds.report import ReportBundle, ReportToggles, StudyConfig, run_analysis, run_sensitivity
+from diagbounds.inference import MAX_BOOTSTRAP, MAX_REPS, MAX_S_GRID, MAX_THETA_GRID
+from diagbounds.report import (
+    MAX_SWEEP_GRID,
+    ReportBundle,
+    ReportToggles,
+    StudyConfig,
+    run_analysis,
+    run_sensitivity,
+)
 
 from helpers import TABLE_DATASETS, WA1
 
@@ -281,6 +291,8 @@ def test_cli_rejects_non_integral_counts(tmp_path, capsys, cells):
         ("short.csv", "t,r,count\n1,1\n", "3 fields"),
         ("long.csv", "t,r,count\n1,1,4,5\n", "3 fields"),
         ("huge.json", json.dumps({"n11": 10**400, "n01": 1, "n10": 1, "n00": 1}), "2\\*\\*53"),
+        ("ternary.csv", "t,r,count\n2,1,4\n", "must be binary"),
+        ("duplicate.csv", "t,r,count\n1,1,4\n1,1,5\n", "duplicate cell"),
     ],
 )
 def test_read_counts_rejects_malformed_files(tmp_path, name, text, message):
@@ -523,8 +535,22 @@ def test_cli_usage_errors_exit_invalid(argv, capsys):
          "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", "1"],
         ["simulate-coverage", "--dataset", "eua_symptomatic", "--s0", "1.0", "--n", "9", "--reps", "1"],
         ["infer", *_POINT, "--theta-grid", "12", "--bootstrap", "20", "--seed", str(2**64)],
+        ["estimate", "--dataset", "eua_symptomatic", "--s1-range", "0.9", "0.8", "--s0", "1.0"],
+        ["infer", *_POINT, "--theta-grid", "1", "--bootstrap", "20"],
+        ["simulate-coverage", *_POINT, "--n", "200", "--reps", "0"],
+        ["sensitivity", "--dataset", "shah_asymptomatic", "--s1", "0.9", "--s0-range", "0.98", "1.0",
+         "--s1-lo", "0.8", "--s1-hi", "0.9"],
+        ["infer", *_POINT, "--bootstrap", str(MAX_BOOTSTRAP + 1)],
+        ["infer", *_POINT, "--theta-grid", str(MAX_THETA_GRID + 1)],
+        ["estimate", *_POINT, "--s-grid", str(MAX_S_GRID + 1)],
+        ["simulate-coverage", *_POINT, "--n", "200", "--reps", str(MAX_REPS + 1)],
+        ["sensitivity", *_POINT, "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", str(MAX_SWEEP_GRID + 1)],
     ],
-    ids=["s1-point-and-range", "s0-point-and-range", "sweep-grid-below-2", "coverage-without-s1", "seed-2**64"],
+    ids=[
+        "s1-point-and-range", "s0-point-and-range", "sweep-grid-below-2", "coverage-without-s1", "seed-2**64",
+        "s1-range-reversed", "theta-grid-1", "reps-0", "sweep-over-s0-range",
+        "bootstrap-over-cap", "theta-grid-over-cap", "s-grid-over-cap", "reps-over-cap", "sweep-grid-over-cap",
+    ],
 )
 def test_cli_refusals_exit_3_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -613,46 +639,106 @@ _SUMMARY = (
     "sharp projections: sensitivity [0.762, 0.800]  specificity [0.985, 1.000]\n"
     "false negative rate: [0.200, 0.238]\n"
 )
-_GOLDEN_STDOUT = {
+_RECT_SUMMARY = (
+    "apparent: sensitivity 0.846 CI [0.768, 0.906]  specificity 0.985 CI [0.966, 0.995]\n"
+    "sharp projections: sensitivity [0.670, 0.849]  specificity [0.964, 1.000]\n"
+    "false negative rate: [0.151, 0.330]\n"
+)
+_RECT3 = ["--dataset", "eua_symptomatic", "--s1-range", "0.8", "0.9", "--s0-range", "0.98", "1.0",
+          "--s-grid", "3", "--assumption", "wa1"]
+_INFER_SMALL = ["--theta-grid", "30", "--bootstrap", "60"]
+# Per call: its argv (before ``--out``), its stdout and the digest of every file it writes.
+_GOLDEN = {
     "estimate": (
-        [],
+        ["estimate", *_POINT],
         "[diagbounds] config 13cccaac02a776ce  seed 0  alpha 0.05  beta 0.005\n" + _SUMMARY,
+        "91af83f613f372eaf19d17eec6a4d803",
     ),
     "infer": (
-        ["--theta-grid", "30", "--bootstrap", "60"],
+        ["infer", *_POINT, *_INFER_SMALL],
         "[diagbounds] config 3966f1d5fd829781  seed 0  alpha 0.05  beta 0.005\n" + _SUMMARY
         + "confidence set: retained 6 of 840 grid points; theta1 [0.7241379310344828, 0.8620689655172413]"
         "  theta0 [0.9655172413793103, 1.0]\n",
+        "bce29bc3bab8f4be604e7a09ffaa2d75",
     ),
     "prevalence": (
-        ["--q", "0.23"],
+        ["prevalence", *_POINT, "--q", "0.23"],
         "[diagbounds] config d4673db8462a94fc  seed 0  alpha 0.05  beta 0.005\n" + _SUMMARY
         + "prevalence at q=0.23: sharp [0.2875, 0.2879]  rectangular [0.2737, 0.3020]\n" + _NOTE,
+        "8f0a74acff0d419d0126cec5dc0e53bd",
     ),
     "predict": (
-        ["--pi-lo", "0.1", "--pi-hi", "0.3"],
+        ["predict", *_POINT, "--pi-lo", "0.1", "--pi-hi", "0.3"],
         "[diagbounds] config 27118962379e479d  seed 0  alpha 0.05  beta 0.005\n" + _SUMMARY
         + "PPV [0.8481, 1.0000]  NPV [0.9060, 0.9783] for pre-test range [0.1, 0.3]\n" + _NOTE,
+        "1093d50d076f6c3b9208934b3ebb65eb",
     ),
     "sensitivity": (
-        ["--s1-lo", "0.8", "--s1-hi", "0.9"],
+        ["sensitivity", *_POINT, "--s1-lo", "0.8", "--s1-hi", "0.9"],
         "s1=0.9: sensitivity [0.762, 0.800]  specificity [0.985, 1.000]\n"
         "s1 in [0.8,0.9]: sensitivity [0.677, 0.800]  specificity [0.984, 1.000]\n",
+        "47ecd21e28d0b2ae0cbf65ab717af34f",
     ),
     "simulate-coverage": (
-        ["--n", "200", "--reps", "2", "--bootstrap", "40"],
+        ["simulate-coverage", *_POINT, "--n", "200", "--reps", "2", "--bootstrap", "40"],
         "theta=(0.7712, 0.9886, 0.9, 1): coverage 1.000 over 2 replications of n=200\n"
         "theta=(0.7808, 0.9924, 0.9, 1): coverage 1.000 over 2 replications of n=200\n"
         "theta=(0.7904, 0.9962, 0.9, 1): coverage 1.000 over 2 replications of n=200\n",
+        "e3b0c44298fc1c149afbf4c8996fb924",
+    ),
+    "estimate-rect": (
+        ["estimate", *_RECT3],
+        "[diagbounds] config 12cc3193a8989604  seed 0  alpha 0.05  beta 0.005\n" + _RECT_SUMMARY,
+        "7fa83f755307329616a76110790711a6",
+    ),
+    "infer-rect": (
+        ["infer", *_RECT3, *_INFER_SMALL, "--dump-moment-cells"],
+        "[diagbounds] config 6929f1956dcc2913  seed 0  alpha 0.05  beta 0.005\n" + _RECT_SUMMARY
+        + "confidence set: retained 72 of 7380 grid points; theta1 [0.6206896551724138, 0.9310344827586207]"
+        "  theta0 [0.9310344827586207, 1.0]\n",
+        "0bb2d224d02dbffe732714c18e1f87d3",
+    ),
+    "prevalence-rect": (
+        ["prevalence", *_RECT3, "--q", "0.23"],
+        "[diagbounds] config 89bb1dd319fbfd20  seed 0  alpha 0.05  beta 0.005\n" + _RECT_SUMMARY
+        + "prevalence at q=0.23: sharp [0.2709, 0.3239]  rectangular [0.2397, 0.3434]\n" + _NOTE,
+        "338f601bacd2e6e02d26fecf2ee83fa2",
+    ),
+    "predict-rect": (
+        ["predict", *_RECT3, "--pi-lo", "0.1", "--pi-hi", "0.3"],
+        "[diagbounds] config ea6f5ce86eadf0b4  seed 0  alpha 0.05  beta 0.005\n" + _RECT_SUMMARY
+        + "PPV [0.6768, 1.0000]  NPV [0.8720, 0.9835] for pre-test range [0.1, 0.3]\n" + _NOTE,
+        "101f3b649099db8db1abdb3c7fd37e9f",
+    ),
+    # s1 = 0.11 is refuted: sharp_union and the comparator drop it, its validation record fails,
+    # and the grid's last point is exactly 1.0.
+    "estimate-refuted-point": (
+        ["estimate", "--dataset", "eua_symptomatic", "--s1-range", "0.11", "1.0", "--s0", "1.0", "--s-grid", "4"],
+        "[diagbounds] config 6aafbb9d42ee5421  seed 0  alpha 0.05  beta 0.005\n"
+        "apparent: sensitivity 0.846 CI [0.768, 0.906]  specificity 0.985 CI [0.966, 0.995]\n"
+        "sharp projections: sensitivity [0.344, 0.846]  specificity [0.971, 1.000]\n"
+        "false negative rate: [0.154, 0.656]\n",
+        "ade8b1c869b31337005aca6aebe12c66",
     ),
 }
 
 
-@pytest.mark.parametrize("verb", list(_GOLDEN_STDOUT))
-def test_cli_stdout_is_pinned(verb, tmp_path, capsys):
-    extra, expected = _GOLDEN_STDOUT[verb]
-    assert main([verb, *_POINT, *extra, "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == expected
+def _files_digest(out: Path) -> str:
+    """sha256 over the (name, bytes) of every file in ``out``, with numpy's version blanked."""
+    numpy = f'"numpy": "{np.__version__}"'.encode()
+    h = hashlib.sha256()
+    for f in sorted(out.iterdir()):
+        for part in (f.name.encode(), f.read_bytes().replace(numpy, b'"numpy": ""')):
+            h.update(len(part).to_bytes(8, "little") + part)
+    return h.hexdigest()[:32]
+
+
+@pytest.mark.filterwarnings("ignore:dropping refuted reference point:UserWarning")
+@pytest.mark.parametrize("key", list(_GOLDEN))
+def test_cli_stdout_and_files_are_pinned(key, tmp_path, capsys):
+    argv, stdout, digest = _GOLDEN[key]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert (capsys.readouterr().out, _files_digest(tmp_path)) == (stdout, digest)
 
 
 # Numeric options are drawn as pairs (valid text, hostile text).  Hostile text
@@ -670,25 +756,39 @@ def _real(lo: float, hi: float):
     return st.floats(lo, hi).map(repr), _HOSTILE
 
 
-def _size(lo: int, hi: int):
-    """An integer option that sets the work: its hostile draws stay at most ``hi`` too."""
-    bad = st.integers(max_value=hi).map(str) | st.floats().map(repr) | st.text(max_size=3)
-    return st.integers(lo, hi).map(str), bad
+# The cap of each option that sets the work: a value above it exits 3 and writes nothing.
+_CAPS = {
+    "--bootstrap": MAX_BOOTSTRAP,
+    "--theta-grid": MAX_THETA_GRID,
+    "--s-grid": MAX_S_GRID,
+    "--reps": MAX_REPS,
+    "--grid": MAX_SWEEP_GRID,
+}
+
+
+def _size(flag: str, lo: int, hi: int):
+    """An integer option that sets the work: its hostile draws are at most ``hi`` or above its cap."""
+    big = st.integers(max_value=hi) | st.integers(min_value=_CAPS[flag] + 1)
+    return flag, (st.integers(lo, hi).map(str), big.map(str) | st.floats().map(repr) | st.text(max_size=3))
+
+
+def _over_cap(argv) -> bool:
+    return any(flag in _CAPS and v.isdecimal() and int(v) > _CAPS[flag] for flag, v in zip(argv, argv[1:]))
 
 
 _SEED = st.integers(0, 2**64 - 1).map(str), _HOSTILE
 _PRESET = st.sampled_from(["5", "10", "20"]), st.sampled_from(["7", "0", "-10", "x"])
-_BOOTSTRAP = [("--bootstrap", _size(1, 20)), ("--seed", _SEED), ("--beta-preset", _PRESET)]
-_S_GRID = ("--s-grid", _size(2, 3))  # simulate-coverage takes one reference point, no grid
+_BOOTSTRAP = [_size("--bootstrap", 1, 20), ("--seed", _SEED), ("--beta-preset", _PRESET)]
+_S_GRID = _size("--s-grid", 2, 3)  # simulate-coverage takes one reference point, no grid
 _NUMERIC_OPTIONS = {
-    "infer": [_S_GRID, ("--theta-grid", _size(2, 12)), *_BOOTSTRAP],
+    "infer": [_S_GRID, _size("--theta-grid", 2, 12), *_BOOTSTRAP],
     "predict": [_S_GRID, ("--pi-lo", _real(0.0, 0.5)), ("--pi-hi", _real(0.5, 1.0))],
     "sensitivity": [
-        _S_GRID, ("--s1-lo", _real(0.8, 0.9)), ("--s1-hi", _real(0.9, 1.0)), ("--grid", _size(2, 4))
+        _S_GRID, ("--s1-lo", _real(0.8, 0.9)), ("--s1-hi", _real(0.9, 1.0)), _size("--grid", 2, 4)
     ],
     "simulate-coverage": [
         ("--n", (st.integers(2, 2000).map(str), _HOSTILE)),
-        ("--reps", _size(1, 2)),
+        _size("--reps", 1, 2),
         *_BOOTSTRAP,
     ],
 }
@@ -721,6 +821,10 @@ def _verb_argv(draw):
                "--n", "200", "--reps", "1", "--bootstrap", "5", "--seed", str(2**80)])
 @example(argv=["sensitivity", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "-0.0",
                "--s-grid", "-3", "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", "0"])
+@example(argv=["sensitivity", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0",
+               "--s-grid", "2", "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", str(MAX_SWEEP_GRID + 1)])
+@example(argv=["simulate-coverage", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0",
+               "--n", "200", "--reps", str(MAX_REPS + 1), "--bootstrap", "5"])
 @given(argv=_verb_argv())
 def test_cli_exit_codes_on_any_numeric_options(argv):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -731,4 +835,7 @@ def test_cli_exit_codes_on_any_numeric_options(argv):
         except SystemExit as exc:
             assert exc.code == 3
             return
+        written = os.listdir(tmp)
     assert rc in (0, 2, 3)
+    if _over_cap(argv):
+        assert (rc, written) == (3, [])
