@@ -668,13 +668,9 @@ class ConfidenceSet:
         }
 
     def to_csv_rows(self) -> list[str]:
-        rows = ["theta1,theta0,s1,s0,Tn,crit,accepted"]
-        for row, tn, cr in zip(self.points, self.t_n, self.crit):
-            rows.append(
-                f"{row[0]:.12g},{row[1]:.12g},{row[2]:.10g},{row[3]:.10g},"
-                f"{tn:.12g},{cr:.12g},1"
-            )
-        return rows
+        table = np.column_stack([self.points, self.t_n, self.crit]).tolist()
+        row = "%.12g,%.12g,%.10g,%.10g,%.12g,%.12g,1"
+        return ["theta1,theta0,s1,s0,Tn,crit,accepted", *(row % tuple(r) for r in table)]
 
 
 def confidence_set(

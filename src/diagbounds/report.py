@@ -9,7 +9,10 @@ provenance block carries a hash of the configuration that produced it.
 
 Both write through ``_write``: each lists the files its report has as
 (name, text maker) pairs, and ``_write`` writes a file when its suffix is
-one of the requested ``FORMATS``, making its text only then.
+one of the requested ``FORMATS``, making its text only then.  Every JSON
+file is ``json.dumps``'s layout (``_json_text``); a dict's top-level
+lists of floats and of equal-length float rows are joined directly from
+``repr``, which is what makes ``confidence_set.json`` fast to write.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +116,51 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+# The layout of every JSON file, as json.dumps(v, sort_keys=True, indent=1) builds it per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
+
+
 def _json_text(obj) -> str:
-    """The one JSON layout of every written file: sorted keys, indent 1, a final newline."""
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """The one JSON layout of every written file: sorted keys, indent 1, a final newline.
+
+    A non-empty dict with ``str`` keys is written one top-level value at a
+    time, so that its float arrays skip ``json``'s pure-Python encoder; the
+    text is ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"`` either way.
+    """
+    if type(obj) is not dict or not obj or not all(type(k) is str for k in obj):
+        return _ENCODER.encode(obj) + "\n"
+    items = ",\n".join(f" {json.dumps(k)}: {_value_text(obj[k])}" for k in sorted(obj))
+    return "{\n" + items + "\n}\n"
+
+
+def _value_text(v) -> str:
+    """``v`` as ``json.dumps(indent=1)`` writes it one level down.
+
+    A non-empty list of floats, or of equal-length non-empty rows of floats,
+    is joined here from ``repr``.  Any other value is ``json``'s own text
+    indented one level more: ``json`` escapes a newline inside a string, so
+    every newline in that text is layout.
+    """
+    if type(v) is list and v:
+        kinds = set(map(type, v))
+        if kinds == {float}:
+            return _floats_text("[\n  %s" + ",\n  %s" * (len(v) - 1) + "\n ]", v)
+        if kinds == {list} and len(set(map(len, v))) == 1 and v[0]:
+            flat = tuple(chain.from_iterable(v))
+            if set(map(type, flat)) == {float}:
+                row = "[\n   %s" + ",\n   %s" * (len(v[0]) - 1) + "\n  ]"
+                return _floats_text("[\n  " + ",\n  ".join([row] * len(v)) + "\n ]", flat)
+    return _ENCODER.encode(v).replace("\n", "\n ")
+
+
+def _floats_text(template: str, floats) -> str:
+    """``template`` filled with ``floats``, spelt as ``json`` spells them.
+
+    ``%s`` writes a float as its ``repr``; a finite ``repr`` holds no
+    ``inf`` or ``nan``, so the two replaces touch only the non-finite ones.
+    """
+    text = template % tuple(floats)
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
 def _interval_pair(iv) -> list[float]:

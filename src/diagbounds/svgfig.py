@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["SvgCanvas", "identified_set_figure", "width_curve_figure"]
 
 _W, _H, _MARGIN = 640, 480, 56
@@ -52,10 +54,16 @@ class SvgCanvas:
             f'stroke="{color}" stroke-width="{width}"{d}/>'
         )
 
-    def circle(self, x, y, r=3.0, color="red"):
-        self._parts.append(
-            f'<circle cx="{self._x(x):.2f}" cy="{self._y(y):.2f}" r="{r}" fill="{color}"/>'
-        )
+    def circles(self, xs, ys, r, color):
+        """One circle per (x, y); ``_x`` and ``_y`` map the whole arrays, element by element.
+
+        Overflow gives inf silently, as the same arithmetic on one float does.
+        """
+        with np.errstate(over="ignore"):
+            cx = self._x(np.asarray(xs, dtype=float)).tolist()
+            cy = self._y(np.asarray(ys, dtype=float)).tolist()
+        tag = f'<circle cx="%.2f" cy="%.2f" r="{r}" fill="{color}"/>'
+        self._parts += [tag % xy for xy in zip(cx, cy)]
 
     def rect(self, x_lo, y_lo, x_hi, y_hi, color="none", stroke="gray", dash="4 3"):
         self._parts.append(
@@ -142,17 +150,18 @@ def identified_set_figure(
         xs += [apparent_box[0], apparent_box[1]]
         ys += [apparent_box[2], apparent_box[3]]
     if scatter is not None and len(scatter):
-        xs += [float(p[0]) for p in scatter]
-        ys += [float(p[1]) for p in scatter]
+        # NaN-skipping, as min and max were over a list that starts with the segments.
+        scatter = np.asarray(scatter, dtype=float)
+        xs += [float(np.fmin.reduce(scatter[:, 0])), float(np.fmax.reduce(scatter[:, 0]))]
+        ys += [float(np.fmin.reduce(scatter[:, 1])), float(np.fmax.reduce(scatter[:, 1]))]
     if comparator_boxes:
         for box in comparator_boxes:
             xs += [box[0], box[1]]
             ys += [box[2], box[3]]
     canvas = SvgCanvas(*_padded_box(xs, ys), x_label="sensitivity", y_label="specificity", title=title)
     if scatter is not None and len(scatter):
-        step = max(1, len(scatter) // 3000)
-        for p in scatter[::step]:
-            canvas.circle(float(p[0]), float(p[1]), r=1.2, color="#9ecae1")
+        thinned = scatter[:: max(1, len(scatter) // 3000)]
+        canvas.circles(thinned[:, 0], thinned[:, 1], r=1.2, color="#9ecae1")
     if comparator_boxes:
         for box in comparator_boxes:
             canvas.rect(*box)
@@ -161,7 +170,7 @@ def identified_set_figure(
     if apparent_box is not None:
         canvas.rect(*apparent_box, stroke="#2ca02c", dash="2 2")
     if apparent is not None:
-        canvas.circle(apparent[0], apparent[1], r=4.0, color="#d62728")
+        canvas.circles([apparent[0]], [apparent[1]], r=4.0, color="#d62728")
     return canvas.render()
 
 

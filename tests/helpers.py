@@ -7,7 +7,9 @@ prevalence oracle is the scalar endpoint rule, one rate and one segment
 at a time, against which the array rule is checked float for float.  The
 kernel oracle is the bootstrap test evaluated one row at a time, every
 step-two term in full, against which the chunked kernel is checked bit
-for bit.
+for bit.  The writer oracles format a confidence set one point at a time,
+against which the one-pass CSV rows and scatter figure are checked byte
+for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from diagbounds import (
 from diagbounds.derived import SIGN_TOL, PrevalenceBounds
 from diagbounds.identification import Interval
 from diagbounds.probability import derived_joint_ry
+from diagbounds.svgfig import SvgCanvas, _padded_box
 
 TABLE_DATASETS = {
     "eua_sx": CellCounts(99, 18, 5, 338),
@@ -237,3 +240,62 @@ def oracle_evaluate(kernel, u, v, alpha, beta):
         tn[lo:hi], crit[lo:hi], _ = oracle_evaluate_row(kernel, float(u[lo]), np.asarray(v[lo:hi]), alpha, beta)
         lo = hi
     return tn, crit
+
+
+# The confidence-set writers one point at a time: the CSV row f-string and
+# the scatter figure's per-point circle loop over Python lists, as written
+# before each became one pass over the arrays.
+
+
+def oracle_csv_rows(cs):
+    rows = ["theta1,theta0,s1,s0,Tn,crit,accepted"]
+    for row, tn, cr in zip(cs.points, cs.t_n, cs.crit):
+        rows.append(
+            f"{row[0]:.12g},{row[1]:.12g},{row[2]:.10g},{row[3]:.10g},"
+            f"{tn:.12g},{cr:.12g},1"
+        )
+    return rows
+
+
+class _PointCanvas(SvgCanvas):
+    def circle(self, x, y, r, color):
+        self._parts.append(
+            f'<circle cx="{self._x(x):.2f}" cy="{self._y(y):.2f}" r="{r}" fill="{color}"/>'
+        )
+
+
+def oracle_identified_set_figure(
+    segments, apparent=None, apparent_box=None, scatter=None, comparator_boxes=None, title=""
+):
+    xs, ys = [], []
+    for seg in segments:
+        xs += [seg.lo[0], seg.hi[0]]
+        ys += [seg.lo[1], seg.hi[1]]
+    if apparent is not None:
+        xs.append(apparent[0])
+        ys.append(apparent[1])
+    if apparent_box is not None:
+        xs += [apparent_box[0], apparent_box[1]]
+        ys += [apparent_box[2], apparent_box[3]]
+    if scatter is not None and len(scatter):
+        xs += [float(p[0]) for p in scatter]
+        ys += [float(p[1]) for p in scatter]
+    if comparator_boxes:
+        for box in comparator_boxes:
+            xs += [box[0], box[1]]
+            ys += [box[2], box[3]]
+    canvas = _PointCanvas(*_padded_box(xs, ys), x_label="sensitivity", y_label="specificity", title=title)
+    if scatter is not None and len(scatter):
+        step = max(1, len(scatter) // 3000)
+        for p in scatter[::step]:
+            canvas.circle(float(p[0]), float(p[1]), r=1.2, color="#9ecae1")
+    if comparator_boxes:
+        for box in comparator_boxes:
+            canvas.rect(*box)
+    for seg in segments:
+        canvas.line(seg.lo[0], seg.lo[1], seg.hi[0], seg.hi[1], color="#d62728", width=2.5)
+    if apparent_box is not None:
+        canvas.rect(*apparent_box, stroke="#2ca02c", dash="2 2")
+    if apparent is not None:
+        canvas.circle(apparent[0], apparent[1], r=4.0, color="#d62728")
+    return canvas.render()

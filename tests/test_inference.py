@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import json
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -35,6 +36,7 @@ from diagbounds.inference import (
     bootstrap_cell_frequencies,
 )
 from diagbounds.moments import build_moment_system, param_space_box
+from diagbounds.report import _json_text
 
 from helpers import TABLE_DATASETS, WA1, oracle_evaluate, oracle_evaluate_row, oracle_stud
 
@@ -331,9 +333,23 @@ def test_confidence_set_serialization_roundtrip():
     d = cs.to_dict()
     assert d["n_retained"] == len(cs)
     assert d["quantile_method"] == "higher"
+    assert json.loads(_json_text(d)) == d  # floats included, exactly
     rows = cs.to_csv_rows()
     assert rows[0] == "theta1,theta0,s1,s0,Tn,crit,accepted"
     assert len(rows) == len(cs) + 1
+    for row, point, tn, crit in zip(rows[1:], cs.points, cs.t_n, cs.crit):
+        *values, accepted = row.split(",")
+        digits = (12, 12, 10, 10, 12, 12)
+        want = [float(f"{x:.{g}g}") for x, g in zip((*point, tn, crit), digits)]
+        assert [float(v) for v in values] == want and accepted == "1"
+
+
+def test_empty_confidence_set_serialization():
+    # At s = (0.55, 0.5) no grid point of EUA survives.
+    cs = confidence_set(EUA, SRegion.singleton(0.55, 0.5), WA1, TestConfig(alpha=0.05, seed=3, theta_grid=40))
+    text = _json_text(cs.to_dict())
+    assert '\n "points": [],\n' in text and json.loads(text)["points"] == []
+    assert cs.to_csv_rows() == ["theta1,theta0,s1,s0,Tn,crit,accepted"]
 
 
 def test_union_region_confidence_set_contains_singleton_projection():

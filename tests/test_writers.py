@@ -1,0 +1,139 @@
+"""The confidence-set writers against the slow paths they replace.
+
+``report._json_text`` against ``json.dumps`` itself, ``ConfidenceSet.to_csv_rows``
+and the scatter figure against the one-point-at-a-time oracles in
+``helpers``: every file must come out byte for byte the same.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from diagbounds import SRegion, TestConfig, sharp_union
+from diagbounds.inference import ConfidenceSet
+from diagbounds.probability import estimate_joint
+from diagbounds.report import ReportBundle, StudyConfig, _analysis_files, _json_text
+from diagbounds.svgfig import identified_set_figure
+
+from helpers import S_POINT, TABLE_DATASETS, WA1, oracle_csv_rows, oracle_identified_set_figure
+
+_EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1e-300, 1e16, 1e22, 0.1)
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.builds(np.float64, _FLOATS)
+    | st.text() | st.sampled_from(["a\nb", 'say "hi"', "théta₁ ≤ 1", "\\n"])
+)
+_MATRICES = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(_FLOATS, min_size=m, max_size=m), min_size=1, max_size=6)
+)
+_VALUES = (
+    st.lists(_FLOATS, max_size=8)  # the fast path when non-empty
+    | _MATRICES  # the fast path
+    | st.lists(st.lists(_FLOATS, max_size=3), max_size=4)  # ragged rows and [[]]
+    | st.lists(st.integers() | st.booleans() | st.builds(np.float64, _FLOATS), max_size=4)
+    | st.sampled_from([[], [[]], [[0.5], []], [[0.5], [0.5, 1.0]], [0.5, 1], [[0.5], [True]], [[0.5, None]]])
+    | st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(), kids, max_size=3),
+                   max_leaves=8)
+)
+_DICTS = (
+    st.dictionaries(st.text(), _VALUES, max_size=6)
+    | st.dictionaries(st.integers(), _VALUES, max_size=3)
+    | st.dictionaries(st.sampled_from(["x", "y", "z"]), _VALUES, max_size=3)
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example({})
+@example({"points": [[0.0, -0.0], [math.inf, math.nan]], "t_n": [-math.inf, 5e-324], "n": 3})
+@example({"a": [1.0, [2.0]], "b": {"c": [0.5, 0.25]}, "é\n": "x\ny"})
+@given(obj=_DICTS)
+def test_json_text_is_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("obj", [[0.5, 1.0], [[0.5]], 1.5, "x", None, {1: [0.5], 2: 3}])
+def test_json_text_of_a_non_str_dict_or_a_non_dict_is_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def test_json_text_refuses_what_json_refuses():
+    for obj in ({"a": 1, 2: 3}, {"a": {"b": 1, 2: 3}}, {"a": [np.arange(2)]}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, sort_keys=True, indent=1)
+        with pytest.raises(TypeError):
+            _json_text(obj)
+
+
+def _confidence_set(points, t_n, crit) -> ConfidenceSet:
+    return ConfidenceSet(
+        config=TestConfig(),
+        assumption=WA1,
+        theta_axis=np.linspace(0.0, 1.0, 5),
+        s_points=(S_POINT,),
+        points=points,
+        t_n=t_n,
+        crit=crit,
+        n_tested=25,
+    )
+
+
+def test_confidence_set_json_writes_infinity_and_nan_as_json_does():
+    # Nothing guarantees a finite crit: an infinite step-two term in enough
+    # draws makes it +inf, and T_n <= +inf is retained.
+    cs = _confidence_set(
+        np.array([[0.25, 0.5, 0.9, 1.0], [0.5, 0.75, 0.9, 1.0]]),
+        np.array([math.nan, 0.3]),
+        np.array([math.inf, 1.2]),
+    )
+    cfg = StudyConfig(counts=TABLE_DATASETS["eua_sx"], s_region=SRegion.singleton(0.9, 1.0))
+    text = dict(_analysis_files(cfg, ReportBundle({}), None, cs))["confidence_set.json"]()
+    assert text == json.dumps(cs.to_dict(), sort_keys=True, indent=1) + "\n"
+    assert '"crit": [\n  Infinity,\n  1.2\n ]' in text
+    assert '"t_n": [\n  NaN,\n  0.3\n ]' in text
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 40))
+def test_csv_rows_match_the_row_oracle(data, n):
+    points, t_n, crit = (
+        data.draw(arrays(np.float64, shape, elements=_FLOATS)) for shape in ((n, 4), n, n)
+    )
+    cs = _confidence_set(points, t_n, crit)
+    assert cs.to_csv_rows() == oracle_csv_rows(cs)
+
+
+_IDENTIFIED = sharp_union(
+    estimate_joint(TABLE_DATASETS["eua_sx"]), SRegion.rectangle(0.8, 0.9, 0.98, 1.0, s1_points=3), WA1
+)
+
+
+def _assert_scatter_matches_the_oracle(scatter, marks):
+    kwargs = {"scatter": scatter, "title": "t"}
+    if marks:
+        kwargs.update(apparent=(0.85, 0.98), apparent_box=(0.77, 0.91, 0.96, 0.99),
+                      comparator_boxes=[(0.6, 0.9, 0.95, 1.0)])
+    got = identified_set_figure(_IDENTIFIED.segments, **kwargs)
+    assert got == oracle_identified_set_figure(_IDENTIFIED.segments, **kwargs)
+    assert got.count("<circle") == len(scatter[:: max(1, len(scatter) // 3000)]) + marks
+
+
+@settings(max_examples=150, deadline=None)
+@example(scatter=np.array([[math.nan, 0.2], [0.0, math.nan], [math.inf, -0.0]]), marks=False)
+@given(scatter=arrays(np.float64, st.tuples(st.integers(0, 60), st.just(2)), elements=_FLOATS), marks=st.booleans())
+def test_scatter_figure_matches_the_point_oracle(scatter, marks):
+    _assert_scatter_matches_the_oracle(scatter, marks)
+
+
+@pytest.mark.parametrize("n", [3000, 6001, 7001])
+def test_thinned_scatter_figure_matches_the_point_oracle(n):
+    # Above 3,000 points the figure draws every (n // 3000)-th one.
+    rng = np.random.default_rng(n)
+    scatter = rng.uniform(0.5, 1.0, size=(n, 2))
+    scatter[rng.integers(0, n, 40), rng.integers(0, 2, 40)] = rng.choice(_EDGE_FLOATS, 40)
+    _assert_scatter_matches_the_oracle(scatter, marks=True)
