@@ -9,8 +9,9 @@ share one handler, ``cmd_report``, and differ only in their options and
 the ``ReportToggles`` that ``build_parser`` gives them.  A verb takes
 only the options it reads; ``simulate-coverage`` tests one reference
 point, writes no file and keeps ``--out`` alone of the output options.
-The other verbs take a point or an interval per reference axis, not
-both.
+``sensitivity`` takes a point per reference axis and sweeps s1 over its
+own grid.  The other verbs take a point or an interval per reference
+axis, not both.
 
 Exit codes: 0 success, 2 assumptions refuted by the data, 3 invalid
 input, an unusable ``--out`` or a usage error (``--help`` exits 0).
@@ -65,15 +66,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
-def _add_report(p: argparse.ArgumentParser) -> None:
-    """The verbs that write files: a point or an interval per reference axis (not both), its grid, the formats."""
+def _add_report(p: argparse.ArgumentParser, ranges: bool = True) -> None:
+    """The verbs that write files: per reference axis a point or, with ``ranges``, an interval on
+    ``--s-grid`` points (not both); the formats."""
     for axis, name in (("s1", "sensitivity"), ("s0", "specificity")):
         one = p.add_mutually_exclusive_group()
         one.add_argument(f"--{axis}", type=float, help=f"reference {name} (point value)")
-        one.add_argument(
-            f"--{axis}-range", nargs=2, type=float, metavar=("LO", "HI"), help=f"reference {name} interval"
-        )
-    p.add_argument("--s-grid", type=int, default=TestConfig.s_grid, help="grid points per reference axis")
+        if ranges:
+            one.add_argument(
+                f"--{axis}-range", nargs=2, type=float, metavar=("LO", "HI"), help=f"reference {name} interval"
+            )
+    if ranges:
+        p.add_argument("--s-grid", type=int, default=TestConfig.s_grid, help="grid points per reference axis")
     p.add_argument("--format", choices=FORMATS, nargs="+", default=FORMATS, help="artifact families to write")
 
 
@@ -96,22 +100,21 @@ def _counts(args) -> CellCounts:
 
 
 def _s_region(args) -> SRegion:
-    s1s = args.s1_range if args.s1_range else ([args.s1, args.s1] if args.s1 is not None else None)
-    s0s = args.s0_range if args.s0_range else ([args.s0, args.s0] if args.s0 is not None else None)
+    s1s = getattr(args, "s1_range", None) or ([args.s1, args.s1] if args.s1 is not None else None)
+    s0s = getattr(args, "s0_range", None) or ([args.s0, args.s0] if args.s0 is not None else None)
     if s1s is None or s0s is None:
         raise ValueError("reference performance required: --s1/--s0 or --s1-range/--s0-range")
-    return SRegion.rectangle(
-        s1s[0], s1s[1], s0s[0], s0s[1], s1_points=args.s_grid, s0_points=args.s_grid
-    )
+    k = getattr(args, "s_grid", TestConfig.s_grid)
+    return SRegion.rectangle(s1s[0], s1s[1], s0s[0], s0s[1], s1_points=k, s0_points=k)
 
 
 def _test_config(args) -> TestConfig:
+    s_grid = getattr(args, "s_grid", TestConfig.s_grid)
     if "beta_preset" not in args:  # a verb that does not bootstrap
-        return TestConfig(alpha=args.alpha, s_grid=args.s_grid)
+        return TestConfig(alpha=args.alpha, s_grid=s_grid)
     return TestConfig.with_beta_preset(
         args.alpha, args.beta_preset, bootstrap=args.bootstrap, seed=args.seed,
-        theta_grid=getattr(args, "theta_grid", TestConfig.theta_grid),
-        s_grid=getattr(args, "s_grid", TestConfig.s_grid),
+        theta_grid=getattr(args, "theta_grid", TestConfig.theta_grid), s_grid=s_grid,
     )
 
 
@@ -252,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi-lo", type=float, required=True, help="pre-test probability lower end")
     p.add_argument("--pi-hi", type=float, required=True, help="pre-test probability upper end")
 
-    p = verb("sensitivity", "sweep the assumed reference sensitivity", cmd_sensitivity, _add_report,
-             toggles=ReportToggles())
+    p = verb("sensitivity", "sweep the assumed reference sensitivity", cmd_sensitivity,
+             lambda p: _add_report(p, ranges=False), toggles=ReportToggles())
     p.add_argument("--s1-lo", type=float, required=True)
     p.add_argument("--s1-hi", type=float, required=True)
     p.add_argument("--grid", type=int, default=None, help="sweep grid points")
@@ -276,7 +279,7 @@ def main(argv=None) -> int:
     except RefutationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUTED
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:  # OverflowError: an int numpy cannot hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -65,10 +65,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class ThetaSegment:
@@ -105,10 +101,6 @@ class ThetaSegment:
     @property
     def theta0(self) -> Interval:
         return Interval(self.lo[1], self.hi[1])
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.lo == self.hi
 
     def theta0_at(self, theta1: float) -> float:
         return self.slope * theta1 + self.intercept

@@ -38,15 +38,18 @@ whole (u, v) grid block of a reference point at once, in chunks of rows
 whose temporaries stay under a fixed element budget.  T_n has one
 formula, which broadcasts a column of rows against v as it does
 per-point vectors.  The survivors of the whole block are then evaluated
-in chunks of consecutive whole rows whose scratch stays under a second
-budget.  A row is a run of points sharing the driving coordinate u, cut
-into pieces of at most the points one chunk holds, counted from the
-start of the run.  Each chunk builds its row tables once per row: the
-bootstrap deviations of the six inequality components as (rows, 6, B),
-the equality component's draws, each component's step-two term
-recentered by +0.0, and their maximum, which is step one's.  Per-point
-arrays gather from them.  Both budgets use the same elementwise formulas
-as a single point, so chunking changes no bit.  The "higher" bootstrap
+in chunks of ``piece`` consecutive points, as many as a second budget
+gives three (point x draw) arrays.  Within a chunk a row is a run of
+points sharing the driving coordinate u; a run that spans two chunks is
+two rows, one in each.  Each chunk builds its row tables once per row: the bootstrap deviations
+of the six inequality components as (rows, 6, B), the equality
+component's draws, each component's step-two term recentered by +0.0,
+and their maximum, which is step one's.  Per-point arrays gather from
+them.  A chunk holds at most 17 piece B floats, three per point and 14
+per row with at most one row per point.  A row's tables and terms are
+the same elementwise formulas at every point, and the step-two rules
+below hold for any run of points of one u, so neither budget changes a
+bit.  The "higher" bootstrap
 quantile is one order statistic, the element at index ceil((B - 1) q)
 of the sorted draws, found by a partial sort.
 
@@ -86,7 +89,6 @@ point, the candidates of a coverage replicate, the survivors of a grid.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,17 +122,16 @@ _SCREEN_VAR_FLOOR = 1e-6
 
 # Element budgets of the kernel's float temporaries.  The screen takes a
 # reference point's (u, v) block in chunks of rows of at most
-# _SCREEN_BLOCK points.  The survivors are evaluated in chunks of whole
-# rows whose scratch (_POINT_ARRAYS arrays per point and _ROW_TABLES tables
-# per row, each of B draws) is at most _EVAL_BLOCK elements, or one point's
-# when that alone is more.  Neither changes a result, only speed and peak
-# memory.
+# _SCREEN_BLOCK points.  The survivors are evaluated in chunks of
+# piece = max(1, _EVAL_BLOCK // (3 B)) consecutive points, whose three
+# (point x draw) arrays (d7, the running maximum, a temporary) then hold
+# at most _EVAL_BLOCK elements, or one point's when that alone is more.  A
+# chunk's 14 tables per row (dev6 and z6 with six components each, base7,
+# d6max) add at most one row per point, so a chunk holds at most
+# 3 piece B + 14 rows B <= 17 piece B floats, reached when every point has
+# its own u.  Neither budget changes a result, only speed and peak memory.
 _SCREEN_BLOCK = 2**13
 _EVAL_BLOCK = 2**16
-# A chunk's scratch per draw: three arrays per point (d7, the running
-# maximum, a temporary) and 14 tables per row (dev6 and z6 with six
-# components each, base7, d6max).
-_POINT_ARRAYS, _ROW_TABLES = 3, 14
 
 # Substream tags keep bootstrap draws, simulated datasets, and derived
 # seeds in disjoint regions of the counter-based key space: substream
@@ -314,25 +315,6 @@ def _stud(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np
     return out
 
 
-def _chunks(ends: list[int], cap: int) -> Iterator[tuple[int, int]]:
-    """(lo, hi) ranges of consecutive whole rows whose scratch fits ``cap``.
-
-    ``ends`` are the rows' end offsets; ``cap`` counts scratch elements per
-    draw, ``_POINT_ARRAYS`` per point and ``_ROW_TABLES`` per row.  A row
-    that does not fit alone makes a chunk of its own.
-    """
-    lo = start = cost = 0
-    for end in ends:
-        size = _POINT_ARRAYS * (end - start) + _ROW_TABLES
-        if lo < start and cost + size > cap:
-            yield lo, start  # the row does not fit
-            lo, cost = start, 0
-        cost += size
-        start = end
-    if lo < start:
-        yield lo, start
-
-
 def _rejects(tn: np.ndarray, crit: np.ndarray) -> np.ndarray:
     """The reject rule: T_n above its critical value, or T_n not finite."""
     return (tn > crit) | ~np.isfinite(tn)
@@ -469,50 +451,37 @@ class _SPointKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """T_n and critical value at the points (u[k], v[k]).
 
-        A row is a run of consecutive points with equal ``u``, cut into
-        pieces of at most the points one chunk holds, counted from the
-        run's start.  The critical values are computed in chunks of
-        consecutive whole rows whose scratch fits ``_EVAL_BLOCK`` elements,
-        all in one scratch buffer.
+        The critical values are computed in chunks of ``piece``
+        consecutive points, as many as fit three (point x draw) arrays in
+        ``_EVAL_BLOCK`` elements, or one point when that alone is more.
         """
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         mu6, s6, mu7, s7, tn = self._statistic(u, v)
-        cap = _EVAL_BLOCK // self.draws  # scratch elements per draw
-        piece = max(1, (cap - _ROW_TABLES) // _POINT_ARRAYS)  # the points a chunk holds
-        k = np.arange(u.size)
-        run = np.ones(u.size, dtype=bool)
-        run[1:] = u[1:] != u[:-1]
-        # Every piece-th point from the start of its run opens a row.
-        first = (k - np.maximum.accumulate(np.where(run, k, 0))) % piece == 0
-
+        piece = max(1, _EVAL_BLOCK // (3 * self.draws))
         crit = np.empty(v.size)
-        most = _POINT_ARRAYS + _ROW_TABLES  # per draw, for a chunk of one point
-        scratch = np.empty(min(max(cap, most), most * v.size) * self.draws)
-        for lo, hi in _chunks(np.flatnonzero(first)[1:].tolist() + [v.size], cap):
-            part = slice(lo, hi)
+        for lo in range(0, v.size, piece):
+            part = slice(lo, lo + piece)
             crit[part] = self._critical_values(
-                first[part], u[part], v[part], mu6[part], s6[part], mu7[part], s7[part],
-                alpha, beta, scratch,
+                u[part], v[part], mu6[part], s6[part], mu7[part], s7[part], alpha, beta
             )
         return tn, crit
 
-    def _critical_values(
-        self, first, u, v, mu6, s6, mu7, s7, alpha, beta, scratch
-    ) -> np.ndarray:
-        """Critical values of one chunk of whole rows, from its points' statistics.
+    def _critical_values(self, u, v, mu6, s6, mu7, s7, alpha, beta) -> np.ndarray:
+        """Critical values of consecutive points, from their statistics.
 
-        ``first`` marks the first point of each row.  The row tables hold
+        A row is a run of points with equal ``u``.  The row tables hold
         what depends on u alone, built once per row; the (point x draw)
-        arrays and the tables are views of ``scratch``.
+        arrays gather from them.
         """
         rn, n, nb = self.sqrt_n, v.size, self.draws
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        first[1:] = u[1:] != u[:-1]
         starts = np.flatnonzero(first)
         row = np.cumsum(first) - 1  # each point's row
-        split = _POINT_ARRAYS * n * nb
-        d7, g, w = scratch[:split].reshape(_POINT_ARRAYS, n, nb)
-        nr = starts.size
-        tables = scratch[split : split + _ROW_TABLES * nr * nb].reshape(nr, _ROW_TABLES, nb)
-        dev6, z6, base7, d6max = tables[:, :6], tables[:, 6:12], tables[:, 12], tables[:, 13]
+        d7, g, w = np.empty((3, n, nb))
+        dev6, z6 = np.empty((2, starts.size, 6, nb))
+        base7, d6max = np.empty((2, starts.size, nb))
 
         # Row tables.  z6 holds the step-two terms recentered by +0.0; d6max, their maximum, is step one's.
         ur, s6c = u[first], s6[first][:, :, None]
@@ -524,12 +493,13 @@ class _SPointKernel:
         np.add(self.PA7, np.multiply(self.PU7, ur[:, None], out=base7), out=base7)
         s7c = s7[:, None]
 
-        # Step 1: joint upper confidence bounds for the moments.
-        np.take(base7, row, axis=0, out=d7)
+        # Step 1: joint upper confidence bounds for the moments.  Every
+        # row index is in range; mode="clip" spares the copy "raise" makes.
+        np.take(base7, row, axis=0, out=d7, mode="clip")
         np.add(d7, np.multiply(v[:, None], self.PV7, out=w), out=d7)
         np.multiply(rn, np.subtract(d7, mu7[:, None], out=d7), out=d7)
         _stud(np.abs(d7, out=g), s7c, out=g)
-        np.maximum(np.take(d6max, row, axis=0, out=w), g, out=g)
+        np.maximum(np.take(d6max, row, axis=0, out=w, mode="clip"), g, out=g)
         bhat = _quantile(g, 1.0 - beta)
 
         # Step 2: recenter by the bounds truncated at zero.  An infinite
@@ -633,18 +603,6 @@ class ConfidenceSet:
             Interval(float(self.points[:, 0].min()), float(self.points[:, 0].max())),
             Interval(float(self.points[:, 1].min()), float(self.points[:, 1].max())),
         )
-
-    def contains(self, theta1: float, theta0: float, s: RefPerf, tol: float = 1e-9) -> bool:
-        """Membership of an exact grid point in the retained set."""
-        if len(self) == 0:
-            return False
-        m = (
-            (np.abs(self.points[:, 0] - theta1) <= tol)
-            & (np.abs(self.points[:, 1] - theta0) <= tol)
-            & (np.abs(self.points[:, 2] - s.s1) <= tol)
-            & (np.abs(self.points[:, 3] - s.s0) <= tol)
-        )
-        return bool(np.any(m))
 
     def to_dict(self) -> dict:
         proj = self.projections

@@ -123,6 +123,12 @@ def segment_distance_linf(seg, theta1, theta0):
     return np.maximum(np.abs(t1 - t_star), np.abs(t0 - (m * t_star + c)))
 
 
+def retains(cs, theta1: float, theta0: float, s: RefPerf, tol: float = 1e-9) -> bool:
+    """Whether the confidence set ``cs`` retains the grid point (theta1, theta0, s1, s0)."""
+    target = np.array([theta1, theta0, s.s1, s.s0])
+    return bool(np.any(np.all(np.abs(cs.points - target) <= tol, axis=1)))
+
+
 # The scalar prevalence endpoint rule, one rate and one segment at a time,
 # kept as the oracle of the array rule in ``diagbounds.derived``.
 

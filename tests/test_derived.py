@@ -116,8 +116,8 @@ def test_sharp_within_rect_everywhere():
             continue
         assert sharp.interval.lo >= rect.interval.lo - 1e-10
         assert sharp.interval.hi <= rect.interval.hi + 1e-10
-        if not seg.is_singleton and not sharp.vacuous and sharp.q_consistent:
-            assert sharp.interval.width < rect.interval.width + 1e-12
+        if seg.lo != seg.hi and not sharp.vacuous and sharp.q_consistent:
+            assert sharp.interval.hi - sharp.interval.lo < rect.interval.hi - rect.interval.lo + 1e-12
         tested += 1
 
 
@@ -245,7 +245,7 @@ def test_width_curve_dominance_and_shape():
     curve = prevalence_width_curve(union)
     assert len(curve) == 201
     for q, sharp, rect in curve:
-        assert sharp.interval.width <= rect.interval.width + 1e-12
+        assert sharp.interval.hi - sharp.interval.lo <= rect.interval.hi - rect.interval.lo + 1e-12
 
 
 def test_width_curve_singleton_theta_zero_everywhere():
@@ -255,8 +255,8 @@ def test_width_curve_singleton_theta_zero_everywhere():
     union = IdentifiedSet(segments=(seg,), assumption=DependenceAssumption.NO_RESTRICTION)
     for q, sharp, rect in prevalence_width_curve(union, q_grid=[0.1, 0.5, 0.9]):
         if sharp.q_consistent:
-            assert sharp.interval.width == pytest.approx(0.0, abs=1e-12)
-            assert rect.interval.width == pytest.approx(0.0, abs=1e-12)
+            assert sharp.interval.hi - sharp.interval.lo == pytest.approx(0.0, abs=1e-12)
+            assert rect.interval.hi - rect.interval.lo == pytest.approx(0.0, abs=1e-12)
 
 
 def test_screening_input_validation():

@@ -194,7 +194,7 @@ def test_projection_of_singleton_segment_degenerate():
     p = JointTR(0.3, 0.2, 0.2, 0.3)  # independent t, r
     s = RefPerf(1.0, 1.0)
     seg = sharp_segment(p, s, DependenceAssumption.NO_RESTRICTION)
-    assert seg.is_singleton
+    assert seg.lo == seg.hi
     union = sharp_union(p, SRegion.singleton(1.0, 1.0), DependenceAssumption.NO_RESTRICTION)
     proj = project(union, 1)
     assert proj.lo == proj.hi

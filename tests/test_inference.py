@@ -38,7 +38,7 @@ from diagbounds.inference import (
 from diagbounds.moments import build_moment_system, param_space_box
 from diagbounds.report import _json_text
 
-from helpers import TABLE_DATASETS, WA1, oracle_evaluate, oracle_evaluate_row, oracle_stud
+from helpers import TABLE_DATASETS, WA1, oracle_evaluate, oracle_evaluate_row, oracle_stud, retains
 
 EUA = TABLE_DATASETS["eua_sx"]
 S91 = RefPerf(0.9, 1.0)
@@ -296,7 +296,7 @@ def test_confidence_set_retains_estimated_segment_neighborhood():
             t0_line = seg.theta0_at(t1)
             j = int(round(t0_line * (SMALL.theta_grid - 1)))
             t0 = cs.theta_axis[min(j, SMALL.theta_grid - 1)]
-            assert cs.contains(t1, t0, S91), (t1, t0)
+            assert retains(cs, t1, t0, S91), (t1, t0)
     proj = cs.projections
     assert proj is not None
     assert proj[0].lo <= seg.lo[0] and proj[0].hi >= seg.hi[0] - pitch
@@ -921,8 +921,9 @@ def _assert_kernel_matches_oracle(kernel, u, v, alpha, beta, budget):
     alpha=st.sampled_from([0.05, 0.10]),
 )
 def test_kernel_matches_the_row_by_row_oracle(cells, a, S, bootstrap, seed, grid, layout, budget, alpha):
-    # Chunks of whole rows (runs cut into pieces below a budget of one run),
-    # shared zero-recentered terms and skipped below-zero ones change no bit.
+    # Chunks of a fixed number of points (a run of equal u that spans two
+    # chunks is a row in each), shared zero-recentered terms and skipped
+    # below-zero ones change no bit.
     counts = CellCounts(*cells)
     s = S.points[0]
     kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
@@ -978,13 +979,24 @@ def _step_two_facts(kernel, u, v):
         ),
     ],
 )
-def test_kernel_step_two_rules_on_pinned_rows(cells, a, s, bootstrap, seed, u, v, holds):
+def test_kernel_step_two_rules_on_pinned_rows(monkeypatch, cells, a, s, bootstrap, seed, u, v, holds):
     counts = CellCounts(*cells)
     kernel = _SPointKernel(counts, a, RefPerf(*s), bootstrap_cell_frequencies(counts, bootstrap, seed))
     v = np.array(v)
     assert holds(_step_two_facts(kernel, u, v))
+    critical_values = _SPointKernel._critical_values
+    chunks = []
+
+    def chunk_spy(self, u, v, *args):
+        chunks.append((budget, v.size))
+        return critical_values(self, u, v, *args)
+
+    monkeypatch.setattr(_SPointKernel, "_critical_values", chunk_spy)
     for budget in (1, 20 * bootstrap, 60 * bootstrap, inference._EVAL_BLOCK):
         _assert_kernel_matches_oracle(kernel, np.full(v.size, u), v, 0.05, 0.005, budget)
+    # At 20 B a chunk holds 6 points, so a 9-point row is split in two.
+    at_20b = [size for b, size in chunks if b == 20 * bootstrap]
+    assert at_20b == ([6, 3] if v.size == 9 else [v.size])
 
 
 @pytest.mark.parametrize(
@@ -1054,6 +1066,27 @@ def test_kernel_memory_is_bounded_by_the_budget_at_large_b():
     cs, peak = _traced_peak(lambda: confidence_set(counts, SRegion.singleton(0.9, 1.0), WA1, cfg))
     assert len(cs) > 10  # many rows go through the bootstrap
     assert peak < 24 * inference._EVAL_BLOCK * 8, peak
+
+
+def test_kernel_memory_is_one_chunk_of_single_point_rows():
+    # Scattered points are rows of one point each, the chunk's worst case:
+    # three (point x draw) arrays and 14 row tables per point, 17 piece B
+    # floats.  Beyond one chunk the peak holds per-point figures (the inputs,
+    # their statistics and recenterings) and numpy's iteration buffer of
+    # getbufsize() elements for each of two operands, never an array of
+    # every point's draws.
+    draws = 500
+    kernel = _SPointKernel(EUA, WA1, S91, bootstrap_cell_frequencies(EUA, draws, 1))
+    piece = inference._EVAL_BLOCK // (3 * draws)
+    (lo1, hi1), (lo0, hi0) = param_space_box(WA1, S91)
+    rng = np.random.default_rng(0)
+    n = 3 * piece
+    u, v = rng.uniform(lo1, hi1, n), rng.uniform(lo0, hi0, n)
+    assert np.unique(u).size == n and n > 2 * piece  # three chunks of single-point rows
+    (tn, crit), peak = _traced_peak(lambda: kernel.evaluate(u, v, 0.05, 0.005))
+    assert np.all(np.isfinite(crit))
+    per_point = 48 * n * 8
+    assert peak < 17 * piece * draws * 8 + per_point + 2 * np.getbufsize() * 8, peak
 
 
 def test_screen_memory_stays_below_a_mask_of_the_whole_block():

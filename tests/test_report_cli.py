@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -211,12 +212,26 @@ def test_cli_estimate_and_exit_codes(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("argv", [["estimate"], ["infer"], ["simulate-coverage", "--n", "9", "--reps", "1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate"], ["infer"], ["sensitivity", "--s1-lo", "0.8", "--s1-hi", "0.9"],
+     ["simulate-coverage", "--n", "9", "--reps", "1"]],
+)
 def test_cli_test_config_defaults_are_test_config_defaults(argv):
     args = build_parser().parse_args([argv[0], "--dataset", "eua_symptomatic", *argv[1:]])
     cfg = _test_config(args)
     assert dataclasses.replace(cfg, beta=None) == TestConfig()
     assert cfg.beta_value == TestConfig().beta_value
+
+
+def test_sensitivity_takes_only_the_options_it_reads():
+    # The sweep needs one s0 and sets its own s1 grid, so no reference interval and no --s-grid.
+    verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {f for action in verbs["sensitivity"]._actions for f in action.option_strings} - {"-h", "--help"}
+    assert flags == {
+        "--input", "--dataset", "--assumption", "--alpha", "--out", "--s1", "--s0", "--format",
+        "--s1-lo", "--s1-hi", "--grid",
+    }
 
 
 def test_cli_refuted_exit_code(tmp_path):
@@ -779,13 +794,11 @@ def _over_cap(argv) -> bool:
 _SEED = st.integers(0, 2**64 - 1).map(str), _HOSTILE
 _PRESET = st.sampled_from(["5", "10", "20"]), st.sampled_from(["7", "0", "-10", "x"])
 _BOOTSTRAP = [_size("--bootstrap", 1, 20), ("--seed", _SEED), ("--beta-preset", _PRESET)]
-_S_GRID = _size("--s-grid", 2, 3)  # simulate-coverage takes one reference point, no grid
+_S_GRID = _size("--s-grid", 2, 3)  # sensitivity and simulate-coverage take one reference point, no grid
 _NUMERIC_OPTIONS = {
     "infer": [_S_GRID, _size("--theta-grid", 2, 12), *_BOOTSTRAP],
     "predict": [_S_GRID, ("--pi-lo", _real(0.0, 0.5)), ("--pi-hi", _real(0.5, 1.0))],
-    "sensitivity": [
-        _S_GRID, ("--s1-lo", _real(0.8, 0.9)), ("--s1-hi", _real(0.9, 1.0)), _size("--grid", 2, 4)
-    ],
+    "sensitivity": [("--s1-lo", _real(0.8, 0.9)), ("--s1-hi", _real(0.9, 1.0)), _size("--grid", 2, 4)],
     "simulate-coverage": [
         ("--n", (st.integers(2, 2000).map(str), _HOSTILE)),
         _size("--reps", 1, 2),
@@ -820,11 +833,13 @@ def _verb_argv(draw):
 @example(argv=["simulate-coverage", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0",
                "--n", "200", "--reps", "1", "--bootstrap", "5", "--seed", str(2**80)])
 @example(argv=["sensitivity", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "-0.0",
-               "--s-grid", "-3", "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", "0"])
+               "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", "0"])
 @example(argv=["sensitivity", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0",
-               "--s-grid", "2", "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", str(MAX_SWEEP_GRID + 1)])
+               "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", str(MAX_SWEEP_GRID + 1)])
 @example(argv=["simulate-coverage", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0",
                "--n", "200", "--reps", str(MAX_REPS + 1), "--bootstrap", "5"])
+@example(argv=["simulate-coverage", "--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0",
+               "--n", str(2**80), "--reps", "1", "--bootstrap", "1"])
 @given(argv=_verb_argv())
 def test_cli_exit_codes_on_any_numeric_options(argv):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
