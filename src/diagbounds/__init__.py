@@ -28,10 +28,8 @@ from .identification import (
 from .derived import (
     PretestRange,
     PrevalenceBounds,
-    prevalence_bounds_segment,
-    prevalence_bounds_rect,
-    prevalence_bounds_union,
     predictive_value_bounds,
+    prevalence_width_curve,
 )
 from .moments import (
     ThetaPoint,
@@ -78,10 +76,8 @@ __all__ = [
     "frechet_comparator",
     "PretestRange",
     "PrevalenceBounds",
-    "prevalence_bounds_segment",
-    "prevalence_bounds_rect",
-    "prevalence_bounds_union",
     "predictive_value_bounds",
+    "prevalence_width_curve",
     "ThetaPoint",
     "MomentSystem",
     "MomentStats",

@@ -196,8 +196,6 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_simulate_coverage(args) -> int:
     counts = _counts(args)
-    if args.s1 is None or args.s0 is None:
-        raise ValueError("reference performance required: --s1 and --s0")
     s_true = SRegion.singleton(args.s1, args.s0).points[0]  # a region's checks on its one point
     a = DependenceAssumption(args.assumption)
     cfg = _test_config(args)
@@ -263,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("simulate-coverage", "Monte-Carlo acceptance of identified-set points", cmd_simulate_coverage,
              _add_bootstrap)
-    p.add_argument("--s1", type=float, help="reference sensitivity (point value)")
-    p.add_argument("--s0", type=float, help="reference specificity (point value)")
+    p.add_argument("--s1", type=float, required=True, help="reference sensitivity (point value)")
+    p.add_argument("--s0", type=float, required=True, help="reference specificity (point value)")
     p.add_argument("--n", type=int, required=True, help="sample size per replication")
     p.add_argument("--reps", type=int, required=True, help="number of replications")
 

@@ -9,20 +9,21 @@ segment endpoints; treating the identified set as a rectangle of its
 projections forgets that structure and strictly widens the bounds
 whenever the segment is non-degenerate.
 
-Every prevalence bound is one array rule, ``_ratio_bounds``: the ratio at
-every (rate, segment, candidate point) at once, the candidates being a
+``prevalence_width_curve`` is the one prevalence entry point: a segment
+or a set, at any list of rates (a single rate is a one-element list).
+Every bound is one array rule, ``_ratio_bounds``: the ratio at every
+(rate, segment, candidate point) at once, the candidates being a
 segment's two endpoints or its rectangle's four corners, reduced to one
 interval per (rate, segment) clamped into [0, 1]; ``_combine`` takes the
 hull over the segments.  Of equal values such as 0.0 and -0.0 each step
 keeps the one Python's ``min`` and ``max`` keep, so every float is that
-of a scalar evaluation.  The per-rate functions report each segment's
-interval as ``components``; ``prevalence_width_curve`` takes its whole
-grid at once and builds only the hulls.
+of a scalar evaluation.  A union's per-segment intervals come from one
+call per segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +32,6 @@ from .identification import IdentifiedSet, Interval, ThetaSegment
 __all__ = [
     "PretestRange",
     "PrevalenceBounds",
-    "prevalence_bounds_segment",
-    "prevalence_bounds_rect",
-    "prevalence_bounds_union",
     "predictive_value_bounds",
     "prevalence_width_curve",
 ]
@@ -66,16 +64,14 @@ class PrevalenceBounds:
     noise, so the data say nothing about prevalence).  ``q_consistent``
     is False when the screened rate is impossible under every point of
     the segment; the interval then degenerates to the nearest boundary.
-    ``components`` preserves the per-segment intervals behind a union
-    hull, which can in principle be disconnected.  Entries of
-    ``prevalence_width_curve`` carry no components; the per-rate functions
-    give them at any rate.
+    Over a set, the interval is the hull of the segments' intervals, which
+    can in principle be disconnected; each segment's own interval is the
+    bound of one call on that segment.
     """
 
     interval: Interval
     vacuous: bool = False
     q_consistent: bool = True
-    components: tuple[Interval, ...] = field(default_factory=tuple)
 
 
 def _first(x: np.ndarray, pick) -> np.ndarray:
@@ -116,82 +112,50 @@ def _ratio_bounds(
     return np.where(vacuous, 0.0, _clamp(lo)), np.where(vacuous, 1.0, _clamp(hi)), ok
 
 
-def _combine(qs: list[float], candidates, components: bool = True) -> list[PrevalenceBounds]:
+def _combine(qs: list[float], points: np.ndarray, vacuous: np.ndarray) -> list[PrevalenceBounds]:
     """Per rate, the hull of the segments' intervals.
 
     The hull runs over the segments at which the rate is consistent, or
     over all of them when it is consistent at none.  A vacuous segment
     makes every rate's bound [0, 1].
     """
-    points, vacuous = candidates
     lo, hi, ok = _ratio_bounds(qs, points, vacuous)
     consistent = ok.any(axis=1)
     pool = ok | ~consistent[:, None]
     vac = bool(vacuous.any())
     h_lo = np.where(vac, 0.0, _first(np.where(pool, lo, np.inf), np.argmin))
     h_hi = np.where(vac, 1.0, _first(np.where(pool, hi, -np.inf), np.argmax))
-    if components:
-        parts = [tuple(map(Interval, a, b)) for a, b in zip(lo.tolist(), hi.tolist())]
-    else:
-        parts = [()] * len(consistent)
     return [
-        PrevalenceBounds(Interval(a, b), vac, c, part)
-        for a, b, c, part in zip(h_lo.tolist(), h_hi.tolist(), consistent.tolist(), parts)
+        PrevalenceBounds(Interval(a, b), vac, c)
+        for a, b, c in zip(h_lo.tolist(), h_hi.tolist(), consistent.tolist())
     ]
 
 
-def _endpoints(segments) -> np.ndarray:  # (k, 2, 2)
-    return np.array([seg.lo + seg.hi for seg in segments], dtype=float).reshape(-1, 2, 2)
+def _segments(identified: "IdentifiedSet | ThetaSegment") -> list[ThetaSegment]:
+    """The segments of a set; a lone segment is a set of one."""
+    return [identified] if isinstance(identified, ThetaSegment) else list(identified)
 
 
-def _sharp(segments) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates of the sharp bounds: each segment's two endpoints.
+def _sharp(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates of the sharp bounds: each segment's two endpoints, ``ends`` (k, 2, 2).
 
     If theta1 + theta0 - 1 vanishes or changes sign along a segment,
     every prevalence in [0, 1] is feasible and its bounds are vacuous.
     """
-    ends = _endpoints(segments)
     d = ends[..., 0] + ends[..., 1] - 1.0
     return ends, (d[:, 0] * d[:, 1] <= 0.0) | np.any(np.abs(d) <= SIGN_TOL, axis=1)
 
 
-def _rect(segments) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates of the rectangular bounds: the four corners of each rectangle.
+def _rect(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates of the rectangular bounds: the four corners of each segment's rectangle.
 
     The rectangle reaches the theta1 = 1 - theta0 line as soon as its
     lower-left corner does, in which case every prevalence is feasible.
     Clear of that line the ratio is coordinate-wise monotone, so its
     extremes sit at corners.
     """
-    ends = _endpoints(segments)
     corners = np.stack([ends[:, [0, 0, 1, 1], 0], ends[:, [0, 1, 0, 1], 1]], axis=-1)
     return corners, corners[:, 0, 0] + corners[:, 0, 1] - 1.0 <= SIGN_TOL
-
-
-def prevalence_bounds_segment(seg: ThetaSegment, q: float) -> PrevalenceBounds:
-    """Sharp prevalence bounds from a segment: evaluate at its endpoints."""
-    return _combine([q], _sharp([seg]))[0]
-
-
-def prevalence_bounds_rect(seg: ThetaSegment, q: float) -> PrevalenceBounds:
-    """Prevalence bounds ignoring the segment's linear structure.
-
-    Treats the identified set as the rectangle of its projections, which
-    is what methods reporting only marginal theta bounds can do.  Always
-    contains the sharp bounds; strictly wider unless the segment is a
-    single point.
-    """
-    return _combine([q], _rect([seg]))[0]
-
-
-def prevalence_bounds_union(identified: IdentifiedSet, q: float) -> PrevalenceBounds:
-    """Union of per-segment sharp bounds, reported as hull plus components."""
-    return _combine([q], _sharp(identified))[0]
-
-
-def prevalence_bounds_rect_union(identified: IdentifiedSet, q: float) -> PrevalenceBounds:
-    """Union of per-segment rectangular bounds (the non-sharp comparator)."""
-    return _combine([q], _rect(identified))[0]
 
 
 def _ppv(theta1: float, theta0: float, pi: float) -> float | None:
@@ -221,7 +185,7 @@ def predictive_value_bounds(
     0/0 evaluation (e.g. a pure-noise corner) makes the affected quantity
     uninformative and returns the degenerate bound [0, 1].
     """
-    segments = [identified] if isinstance(identified, ThetaSegment) else list(identified)
+    segments = _segments(identified)
     ppv_lo = [_ppv(*seg.lo, pi.pi_lo) for seg in segments]
     ppv_hi = [_ppv(*seg.hi, pi.pi_hi) for seg in segments]
     npv_lo = [_npv(*seg.lo, pi.pi_hi) for seg in segments]
@@ -239,19 +203,22 @@ def predictive_value_bounds(
 
 
 def prevalence_width_curve(
-    identified: IdentifiedSet, q_grid=None
+    identified: "IdentifiedSet | ThetaSegment", q_grid=None
 ) -> list[tuple[float, PrevalenceBounds, PrevalenceBounds]]:
     """Sharp and rectangular prevalence bounds along a grid of screened rates.
 
-    Default grid is 201 equally spaced rates on [0, 1].  The sharp width
-    never exceeds the rectangular width at any grid point.  Every rate is
-    evaluated at once and each entry is a hull without ``components``;
-    ``prevalence_bounds_union`` gives the per-segment intervals at a rate.
+    Default grid is 201 equally spaced rates on [0, 1]; a single rate is
+    ``q_grid=[q]``.  Each entry is (rate, sharp, rectangular): the sharp
+    bounds evaluate each segment at its endpoints, the rectangular ones
+    treat it as the rectangle of its projections, which is what methods
+    reporting only marginal theta bounds can do.  The rectangular bounds
+    always contain the sharp ones; on one segment they are strictly wider
+    unless it is a single point.  Over a set each bound is the hull of the
+    segments'.
     """
     if q_grid is None:
         qs = [i / 200.0 for i in range(201)]
     else:
         qs = [float(q) for q in q_grid]
-    sharp = _combine(qs, _sharp(identified), components=False)
-    rect = _combine(qs, _rect(identified), components=False)
-    return list(zip(qs, sharp, rect))
+    ends = np.array([seg.lo + seg.hi for seg in _segments(identified)], dtype=float).reshape(-1, 2, 2)
+    return list(zip(qs, _combine(qs, *_sharp(ends)), _combine(qs, *_rect(ends))))

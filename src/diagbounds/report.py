@@ -29,8 +29,6 @@ from . import __version__
 from .derived import (
     PretestRange,
     predictive_value_bounds,
-    prevalence_bounds_rect_union,
-    prevalence_bounds_union,
     prevalence_width_curve,
 )
 from .exactci import clopper_pearson
@@ -165,6 +163,17 @@ def _floats_text(template: str, floats) -> str:
 
 def _interval_pair(iv) -> list[float]:
     return [iv.lo, iv.hi]
+
+
+def _prevalence_record(q: float, sharp, rect) -> dict:
+    """One entry of ``prevalence_width_curve`` as the report writes it."""
+    return {
+        "q": q,
+        "sharp": _interval_pair(sharp.interval),
+        "rect": _interval_pair(rect.interval),
+        "sharp_vacuous": sharp.vacuous,
+        "rect_vacuous": rect.vacuous,
+    }
 
 
 @dataclass(frozen=True)
@@ -318,27 +327,10 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
             }
 
     if cfg.toggles.prevalence_curve and identified is not None:
-        curve = prevalence_width_curve(identified)
-        data["prevalence_curve"] = [
-            {
-                "q": q,
-                "sharp": _interval_pair(sb.interval),
-                "rect": _interval_pair(rb.interval),
-                "sharp_vacuous": sb.vacuous,
-                "rect_vacuous": rb.vacuous,
-            }
-            for q, sb, rb in curve
-        ]
+        data["prevalence_curve"] = [_prevalence_record(*e) for e in prevalence_width_curve(identified)]
         if cfg.screen_q is not None:
-            sb = prevalence_bounds_union(identified, cfg.screen_q)
-            rb = prevalence_bounds_rect_union(identified, cfg.screen_q)
-            data["prevalence_at_q"] = {
-                "q": cfg.screen_q,
-                "sharp": _interval_pair(sb.interval),
-                "sharp_vacuous": sb.vacuous,
-                "rect": _interval_pair(rb.interval),
-                "rect_vacuous": rb.vacuous,
-            }
+            at_q = prevalence_width_curve(identified, [cfg.screen_q])[0]
+            data["prevalence_at_q"] = _prevalence_record(*at_q)
 
     if cfg.toggles.predictive_values and identified is not None and cfg.pretest is not None:
         ppv, npv = predictive_value_bounds(identified, cfg.pretest)

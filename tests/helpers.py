@@ -139,7 +139,7 @@ def oracle_ratio_bounds(q, points, vacuous):
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"screened positive rate must lie in [0, 1], got {q}")
     if vacuous:
-        return PrevalenceBounds(_VACUOUS, vacuous=True, components=(_VACUOUS,))
+        return PrevalenceBounds(_VACUOUS, vacuous=True)
     values = [(q + t0 - 1.0) / (t1 + t0 - 1.0) for t1, t0 in points]
     lo, hi = min(values), max(values)
     if hi < 0.0:
@@ -148,7 +148,7 @@ def oracle_ratio_bounds(q, points, vacuous):
         interval, ok = Interval(1.0, 1.0), False
     else:
         interval, ok = Interval(max(lo, 0.0), min(hi, 1.0)), True
-    return PrevalenceBounds(interval, q_consistent=ok, components=(interval,))
+    return PrevalenceBounds(interval, q_consistent=ok)
 
 
 def oracle_bounds_segment(seg, q):
@@ -165,13 +165,12 @@ def oracle_bounds_rect(seg, q):
 
 
 def oracle_combine(parts):
-    components = tuple(b.interval for b in parts)
     if any(b.vacuous for b in parts):
-        return PrevalenceBounds(_VACUOUS, vacuous=True, components=components)
+        return PrevalenceBounds(_VACUOUS, vacuous=True)
     consistent = [b.interval for b in parts if b.q_consistent]
-    pool = consistent or components
+    pool = consistent or [b.interval for b in parts]
     hull = Interval(min(iv.lo for iv in pool), max(iv.hi for iv in pool))
-    return PrevalenceBounds(hull, q_consistent=bool(consistent), components=components)
+    return PrevalenceBounds(hull, q_consistent=bool(consistent))
 
 
 def oracle_bounds_union(identified, q):

@@ -37,10 +37,7 @@ from diagbounds import (
     variance_floor,
 )
 from diagbounds.cli import main
-from diagbounds.derived import (
-    prevalence_bounds_rect,
-    prevalence_bounds_segment,
-)
+from diagbounds.derived import prevalence_width_curve
 from diagbounds.moments import N_COMPONENTS, moment_cell_tables
 from diagbounds.probability import derived_prevalence
 from diagbounds.report import StudyConfig, run_sensitivity
@@ -242,8 +239,7 @@ def test_criterion_06_brute_force_sharpness():
 
 def test_criterion_07_prevalence_dominance():
     seg1 = sharp_segment(EX1_P, EX1_S, DependenceAssumption.NO_RESTRICTION)
-    sharp = prevalence_bounds_segment(seg1, 0.5)
-    rect = prevalence_bounds_rect(seg1, 0.5)
+    _, sharp, rect = prevalence_width_curve(seg1, [0.5])[0]
     ok = (
         abs(sharp.interval.lo - 0.5) <= 1e-12
         and abs(sharp.interval.hi - 0.5) <= 1e-12
@@ -259,8 +255,7 @@ def test_criterion_07_prevalence_dominance():
         except RefutationError:
             continue
         q = float(rng.uniform(0.0, 1.0))
-        a = prevalence_bounds_segment(seg, q)
-        b = prevalence_bounds_rect(seg, q)
+        _, a, b = prevalence_width_curve(seg, [q])[0]
         ok &= a.interval.lo >= b.interval.lo - 1e-10
         ok &= a.interval.hi <= b.interval.hi + 1e-10
         tested += 1

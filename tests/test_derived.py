@@ -15,14 +15,11 @@ from diagbounds import (
     SRegion,
     estimate_joint,
     predictive_value_bounds,
-    prevalence_bounds_rect,
-    prevalence_bounds_segment,
-    prevalence_bounds_union,
+    prevalence_width_curve,
     sharp_segment,
     sharp_union,
 )
 from diagbounds.datasets import list_datasets, load_dataset
-from diagbounds.derived import prevalence_bounds_rect_union, prevalence_width_curve
 from diagbounds.identification import IdentifiedSet, RefutationError, ThetaSegment
 
 from helpers import (
@@ -41,6 +38,12 @@ EX1_SEG = sharp_segment(
 )
 
 
+def _at(identified, q):
+    """Sharp and rectangular prevalence bounds at one screened rate."""
+    _, sharp, rect = prevalence_width_curve(identified, [q])[0]
+    return sharp, rect
+
+
 def _singleton_segment(theta1, theta0):
     prev = 0.5
     slope = prev / (1 - prev)
@@ -57,20 +60,20 @@ def _singleton_segment(theta1, theta0):
 
 def test_singleton_segment_point_value():
     seg = _singleton_segment(0.8, 0.9)
-    b = prevalence_bounds_segment(seg, 0.3)
+    b, _ = _at(seg, 0.3)
     assert b.interval.lo == pytest.approx(0.285714, abs=1e-6)
     assert b.interval.hi == pytest.approx(0.285714, abs=1e-6)
     assert not b.vacuous
 
 
 def test_worked_example_point_identification_despite_partial_id():
-    b = prevalence_bounds_segment(EX1_SEG, 0.5)
+    b, _ = _at(EX1_SEG, 0.5)
     assert b.interval.lo == pytest.approx(0.5, abs=1e-12)
     assert b.interval.hi == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rect_bounds_worked_example():
-    b = prevalence_bounds_rect(EX1_SEG, 0.5)
+    _, b = _at(EX1_SEG, 0.5)
     assert b.interval.lo == pytest.approx(0.375, abs=1e-12)
     assert b.interval.hi == pytest.approx(0.625, abs=1e-12)
 
@@ -79,14 +82,13 @@ def test_vacuous_when_segment_crosses_antidiagonal():
     p = JointTR(0.25, 0.25, 0.25, 0.25)
     seg = sharp_segment(p, RefPerf(0.8, 0.8), DependenceAssumption.NO_RESTRICTION)
     assert seg.lo[0] + seg.lo[1] - 1.0 < 0.0 < seg.hi[0] + seg.hi[1] - 1.0
-    b = prevalence_bounds_segment(seg, 0.3)
+    b, _ = _at(seg, 0.3)
     assert b.vacuous and (b.interval.lo, b.interval.hi) == (0.0, 1.0)
 
 
 def test_rect_strictly_wider_on_eua_segment():
     seg = sharp_segment(estimate_joint(TABLE_DATASETS["eua_sx"]), RefPerf(0.9, 1.0), WA1)
-    sharp = prevalence_bounds_segment(seg, 0.2)
-    rect = prevalence_bounds_rect(seg, 0.2)
+    sharp, rect = _at(seg, 0.2)
     assert rect.interval.lo < sharp.interval.lo
     assert rect.interval.hi > sharp.interval.hi
 
@@ -94,8 +96,7 @@ def test_rect_strictly_wider_on_eua_segment():
 def test_rect_equals_segment_for_singleton():
     seg = _singleton_segment(0.8, 0.9)
     for q in (0.1, 0.3, 0.7):
-        a = prevalence_bounds_segment(seg, q)
-        b = prevalence_bounds_rect(seg, q)
+        a, b = _at(seg, q)
         assert a.interval.lo == pytest.approx(b.interval.lo, abs=1e-12)
         assert a.interval.hi == pytest.approx(b.interval.hi, abs=1e-12)
 
@@ -110,8 +111,7 @@ def test_sharp_within_rect_everywhere():
         except RefutationError:
             continue
         q = rng.uniform(0.0, 1.0)
-        sharp = prevalence_bounds_segment(seg, q)
-        rect = prevalence_bounds_rect(seg, q)
+        sharp, rect = _at(seg, q)
         if rect.vacuous:
             continue
         assert sharp.interval.lo >= rect.interval.lo - 1e-10
@@ -140,7 +140,7 @@ def test_segment_bounds_match_dense_scan():
         t0 = seg.slope * t1 + seg.intercept
         vals = (q + t0 - 1.0) / (t1 + t0 - 1.0)
         lo, hi = np.clip([vals.min(), vals.max()], 0.0, 1.0)
-        b = prevalence_bounds_segment(seg, q)
+        b, _ = _at(seg, q)
         if not b.q_consistent:
             assert hi <= 0 or lo >= 1
             continue
@@ -153,12 +153,13 @@ def test_union_hull_and_components():
     p = estimate_joint(TABLE_DATASETS["eua_sx"])
     union = sharp_union(p, SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=10), WA1)
     q = 0.226087
-    b = prevalence_bounds_union(union, q)
-    assert len(b.components) == 10
+    b, _ = _at(union, q)
+    assert len(union) == 10
     # The screened rate equals the study's own P(t=1), so the implied
     # prevalence at s1 = 0.9 must be admitted.
     assert b.interval.lo - 1e-9 <= 0.282609 <= b.interval.hi + 1e-9
-    for comp in b.components:
+    for seg in union:
+        comp = _at(seg, q)[0].interval
         assert comp.lo >= b.interval.lo - 1e-12
         assert comp.hi <= b.interval.hi + 1e-12
 
@@ -167,9 +168,7 @@ def test_union_singleton_equals_segment():
     p = estimate_joint(TABLE_DATASETS["eua_sx"])
     union = sharp_union(p, SRegion.singleton(0.9, 1.0), WA1)
     for q in (0.1, 0.226087, 0.5):
-        a = prevalence_bounds_union(union, q)
-        b = prevalence_bounds_segment(union.segments[0], q)
-        assert a.interval == b.interval
+        assert _at(union, q) == _at(union.segments[0], q)
 
 
 def test_union_hull_of_two_disjoint_components():
@@ -178,10 +177,9 @@ def test_union_hull_of_two_disjoint_components():
     from diagbounds.identification import IdentifiedSet
 
     union = IdentifiedSet(segments=(seg_a, seg_b), assumption=DependenceAssumption.NO_RESTRICTION)
-    b = prevalence_bounds_union(union, 0.4)
-    lo = min(c.lo for c in b.components)
-    hi = max(c.hi for c in b.components)
-    assert (b.interval.lo, b.interval.hi) == (lo, hi)
+    b, _ = _at(union, 0.4)
+    components = [_at(seg, 0.4)[0].interval for seg in union]
+    assert (b.interval.lo, b.interval.hi) == (min(c.lo for c in components), max(c.hi for c in components))
 
 
 def test_predictive_values_perfect_test():
@@ -261,7 +259,7 @@ def test_width_curve_singleton_theta_zero_everywhere():
 
 def test_screening_input_validation():
     with pytest.raises(ValueError):
-        prevalence_bounds_segment(EX1_SEG, 1.2)
+        prevalence_width_curve(EX1_SEG, [1.2])
     with pytest.raises(ValueError):
         PretestRange(0.5, 0.4)
 
@@ -290,22 +288,32 @@ def test_dominance_property_over_random_segments(t1_lo, width, prev, q):
         slope=slope,
         intercept=intercept,
     )
-    sharp = prevalence_bounds_segment(seg, q)
-    rect = prevalence_bounds_rect(seg, q)
+    sharp, rect = _at(seg, q)
     assert sharp.interval.lo >= rect.interval.lo - 1e-9
     assert sharp.interval.hi <= rect.interval.hi + 1e-9
 
 
-def _bounds_record(b, components_from=None):
-    comps = tuple((c.lo, c.hi) for c in (components_from or b).components)
+def _bounds_record(b, parts):
+    comps = tuple((c.interval.lo, c.interval.hi) for c in parts)
     return (b.interval.lo, b.interval.hi, b.vacuous, b.q_consistent, comps)
+
+
+def _records(union, q_grid):
+    """Per rate, the sharp and rectangular hull records, each with every
+    segment's own interval from one curve call per segment."""
+    parts = [prevalence_width_curve(seg, q_grid) for seg in union]
+    return [
+        (q, _bounds_record(sharp, [part[i][1] for part in parts]),
+         _bounds_record(rect, [part[i][2] for part in parts]))
+        for i, (q, sharp, rect) in enumerate(prevalence_width_curve(union, q_grid))
+    ]
 
 
 def test_derived_outputs_pinned():
     # Exact floats and flags of every derived quantity on the bundled
-    # tables, recorded before the endpoint rule was written once.  Curve
-    # entries carry no components, so each entry is hashed with those of
-    # the per-rate union at its rate, which the curve once held.
+    # tables, recorded before the endpoint rule was written once.  Each
+    # hull is hashed with the intervals of the union's segments at its
+    # rate, which the bounds once held as their components.
     regions = (
         SRegion.singleton(0.9, 1.0),
         SRegion.rectangle(0.8, 0.9, 0.98, 1.0, s1_points=10, s0_points=10),
@@ -321,16 +329,9 @@ def test_derived_outputs_pinned():
                         union = sharp_union(p, region, a)
                 except RefutationError:
                     continue
-                rows = [
-                    (
-                        q,
-                        _bounds_record(sharp, prevalence_bounds_union(union, q)),
-                        _bounds_record(rect, prevalence_bounds_rect_union(union, q)),
-                    )
-                    for q, sharp, rect in prevalence_width_curve(union)
-                ]
-                rows.append(_bounds_record(prevalence_bounds_union(union, 0.23)))
-                rows.append(_bounds_record(prevalence_bounds_rect_union(union, 0.23)))
+                rows = _records(union, None)  # the default grid
+                _, sharp_at, rect_at = _records(union, [0.23])[0]
+                rows += [sharp_at, rect_at]
                 ppv, npv = predictive_value_bounds(union, PretestRange(0.1, 0.3))
                 rows.append((ppv.lo, ppv.hi, npv.lo, npv.hi))
                 h.update(repr((name, a.value, len(union), rows)).encode())
@@ -358,10 +359,6 @@ def _theta_segments(draw):
         assume(False)
 
 
-def _hull(b):
-    return repr((b.interval, b.vacuous, b.q_consistent))
-
-
 # A below-chance segment at q = 1 - 0.25: its lower endpoint gives
 # 0.0 / -0.5 = -0.0, the upper bound of its interval.
 _BELOW = ThetaSegment(RefPerf(0.9, 0.9), (0.25, 0.25), (0.5, 0.375), 0.5, 0.125)
@@ -371,7 +368,7 @@ _ABOVE = ThetaSegment(RefPerf(0.9, 0.9), (0.9375, 0.125), (1.0, 0.25), 2.0, -1.7
 
 
 def test_below_chance_segment_keeps_a_negative_zero():
-    b = prevalence_bounds_segment(_BELOW, 0.75)
+    b, _ = _at(_BELOW, 0.75)
     assert (b.interval.lo, b.interval.hi) == (0.0, 0.0)
     assert math.copysign(1.0, b.interval.hi) == -1.0
     assert repr(b) == repr(oracle_bounds_segment(_BELOW, 0.75))
@@ -392,17 +389,16 @@ def test_prevalence_rule_matches_the_scalar_oracle(segments, extra):
     qs += extra
     for q in qs:
         for seg in segments:
-            assert repr(prevalence_bounds_segment(seg, q)) == repr(oracle_bounds_segment(seg, q))
-            assert repr(prevalence_bounds_rect(seg, q)) == repr(oracle_bounds_rect(seg, q))
-        assert repr(prevalence_bounds_union(identified, q)) == repr(oracle_bounds_union(identified, q))
-        got = prevalence_bounds_rect_union(identified, q)
-        assert repr(got) == repr(oracle_bounds_rect_union(identified, q))
+            sharp, rect = _at(seg, q)
+            assert repr(sharp) == repr(oracle_bounds_segment(seg, q))
+            assert repr(rect) == repr(oracle_bounds_rect(seg, q))
+        sharp, rect = _at(identified, q)
+        assert repr(sharp) == repr(oracle_bounds_union(identified, q))
+        assert repr(rect) == repr(oracle_bounds_rect_union(identified, q))
     curve = prevalence_width_curve(identified, qs)
     assert len(curve) == len(qs)
-    for (q, sharp, rect), (oq, osharp, orect) in zip(curve, oracle_width_curve(identified, qs)):
-        assert repr(q) == repr(oq)
-        assert (_hull(sharp), _hull(rect)) == (_hull(osharp), _hull(orect))
-        assert sharp.components == rect.components == ()
+    for entry, oracle in zip(curve, oracle_width_curve(identified, qs)):
+        assert repr(entry) == repr(oracle)
 
 
 @pytest.mark.parametrize("bad", [1.2, float("nan"), -0.5])
@@ -414,14 +410,13 @@ def test_rates_outside_the_unit_interval_raise_as_before(bad):
     with pytest.raises(ValueError) as old:
         oracle_width_curve(identified, grid)
     assert str(new.value) == str(old.value)
-    for new_fn, old_fn, arg in [
-        (prevalence_bounds_segment, oracle_bounds_segment, EX1_SEG),
-        (prevalence_bounds_rect, oracle_bounds_rect, EX1_SEG),
-        (prevalence_bounds_union, oracle_bounds_union, identified),
-        (prevalence_bounds_rect_union, oracle_bounds_rect_union, identified),
+    for arg, oracles in [
+        (EX1_SEG, (oracle_bounds_segment, oracle_bounds_rect)),
+        (identified, (oracle_bounds_union, oracle_bounds_rect_union)),
     ]:
         with pytest.raises(ValueError) as new:
-            new_fn(arg, bad)
-        with pytest.raises(ValueError) as old:
-            old_fn(arg, bad)
-        assert str(new.value) == str(old.value)
+            _at(arg, bad)
+        for oracle in oracles:
+            with pytest.raises(ValueError) as old:
+                oracle(arg, bad)
+            assert str(new.value) == str(old.value)

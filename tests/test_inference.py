@@ -1089,6 +1089,18 @@ def test_kernel_memory_is_one_chunk_of_single_point_rows():
     assert peak < 17 * piece * draws * 8 + per_point + 2 * np.getbufsize() * 8, peak
 
 
+def test_bootstrap_draw_memory_is_the_output_alone():
+    # The draws are written row by row into one (B, 4) array, so the peak
+    # is its 4 B floats and a fixed allowance for the generator and a
+    # row.  Keeping one multinomial result per draw (four counts, about
+    # 150 bytes with the array's header) would add 3 MB at B = 20,000.
+    draws = 20_000
+    bootstrap_cell_frequencies(EUA, 2, 0)  # first-call set-up is not the draws' memory
+    freqs, peak = _traced_peak(lambda: bootstrap_cell_frequencies(EUA, draws, 1))
+    assert freqs.shape == (draws, 4)
+    assert peak < 4 * draws * 8 + 64 * 1024, peak
+
+
 def test_screen_memory_stays_below_a_mask_of_the_whole_block():
     # The screen gathers each chunk's survivors, so its peak is the survivors'
     # indices and one chunk's temporaries, not a (u x v) boolean mask.

@@ -215,7 +215,7 @@ def test_cli_estimate_and_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["estimate"], ["infer"], ["sensitivity", "--s1-lo", "0.8", "--s1-hi", "0.9"],
-     ["simulate-coverage", "--n", "9", "--reps", "1"]],
+     ["simulate-coverage", "--s1", "0.9", "--s0", "1.0", "--n", "9", "--reps", "1"]],
 )
 def test_cli_test_config_defaults_are_test_config_defaults(argv):
     args = build_parser().parse_args([argv[0], "--dataset", "eua_symptomatic", *argv[1:]])
