@@ -22,7 +22,6 @@ from .identification import (
     IdentifiedSet,
     sharp_segment,
     sharp_union,
-    project,
     frechet_comparator,
 )
 from .derived import (
@@ -38,7 +37,6 @@ from .moments import (
     build_moment_system,
     param_space_box,
     moment_stats,
-    population_moment_stats,
     variance_floor,
 )
 from .exactci import clopper_pearson
@@ -72,7 +70,6 @@ __all__ = [
     "IdentifiedSet",
     "sharp_segment",
     "sharp_union",
-    "project",
     "frechet_comparator",
     "PretestRange",
     "PrevalenceBounds",
@@ -84,7 +81,6 @@ __all__ = [
     "build_moment_system",
     "param_space_box",
     "moment_stats",
-    "population_moment_stats",
     "variance_floor",
     "clopper_pearson",
     "TestConfig",

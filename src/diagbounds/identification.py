@@ -9,6 +9,11 @@ the latent cell probabilities.  Dependence restrictions ("tendency to
 wrongly agree") shrink those intervals from above only.  When (s1, s0) is
 only known to lie in a compact region, the identified set is the union of
 the per-point segments.
+
+Every set in the (theta1, theta0) plane answers for both axes at once:
+``ThetaSegment.projections`` and ``IdentifiedSet.projections`` are the
+(theta1, theta0) interval pair, and ``frechet_comparator`` returns the
+marginals-only box as the same pair.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ __all__ = [
     "IdentifiedSet",
     "sharp_segment",
     "sharp_union",
-    "project",
     "frechet_comparator",
 ]
 
@@ -95,12 +99,9 @@ class ThetaSegment:
                 )
 
     @property
-    def theta1(self) -> Interval:
-        return Interval(self.lo[0], self.hi[0])
-
-    @property
-    def theta0(self) -> Interval:
-        return Interval(self.lo[1], self.hi[1])
+    def projections(self) -> tuple[Interval, Interval]:
+        """The (theta1, theta0) intervals the segment spans."""
+        return Interval(self.lo[0], self.hi[0]), Interval(self.lo[1], self.hi[1])
 
     def theta0_at(self, theta1: float) -> float:
         return self.slope * theta1 + self.intercept
@@ -127,6 +128,14 @@ class IdentifiedSet:
 
     def __iter__(self):
         return iter(self.segments)
+
+    @property
+    def projections(self) -> tuple[Interval, Interval]:
+        """Projection bounds on (theta1, theta0): sensitivity, then specificity."""
+        return tuple(
+            Interval(min(seg.lo[k] for seg in self.segments), max(seg.hi[k] for seg in self.segments))
+            for k in (0, 1)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -161,63 +170,64 @@ def _clamp01(x: float) -> float:
 
 
 def _latent_components(
-    p: JointTR, d: DerivedRY, a: DependenceAssumption, j: int
-) -> tuple[float, float, float, float]:
-    """Feasible ranges for the two latent cells behind P(t=j, y=j).
+    p: JointTR, d: DerivedRY, a: DependenceAssumption
+) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
+    """Feasible ranges for the latent cells behind P(t=1, y=1) and P(t=0, y=0).
 
-    P(t=j, y=j) splits across the reference outcome into an r=j cell and
-    an r=1-j cell; each latent cell moves freely between intersection
-    bounds determined by P(t, r) and the implied P(r, y).  A tendency to
-    wrongly agree for y=1 halves the mass available to (t=1, r=0, y=1)
-    and, through the shared cell, caps (t=0, r=0, y=0) at
+    P(t=j, y=j) splits across the reference outcome into a diagonal r=j
+    cell and an off r=1-j cell; each latent cell moves freely between
+    intersection bounds determined by P(t, r) and the implied P(r, y).  A
+    tendency to wrongly agree for y=1 halves the mass available to
+    (t=1, r=0, y=1) and, through the shared cell, caps (t=0, r=0, y=0) at
     P(t=0, r=0) - P(r=0, y=1)/2; wrongly agreeing for y=0 acts as the
-    mirror image.  Returns (diag_lo, diag_hi, off_lo, off_hi).
+    mirror image.  Returns (diag_lo, diag_hi, off_lo, off_hi) for theta1,
+    then for theta0.
     """
     wa1 = a in (DependenceAssumption.WRONGLY_AGREE_Y1, DependenceAssumption.WRONGLY_AGREE_BOTH)
     wa0 = a in (DependenceAssumption.WRONGLY_AGREE_Y0, DependenceAssumption.WRONGLY_AGREE_BOTH)
-    if j == 1:
-        # diag: P(t=1, r=1, y=1); off: P(t=1, r=0, y=1).
-        diag_lo = max(0.0, p.p11 - d.p_r1_y0)
-        diag_hi = min(p.p11, d.p_r1_y1)
-        if wa0:
-            diag_hi = min(diag_hi, p.p11 - d.p_r1_y0 / 2.0)
-        off_lo = max(0.0, d.p_r0_y1 - p.p00)
-        off_hi = min(p.p10, d.p_r0_y1)
-        if wa1:
-            off_hi = min(off_hi, d.p_r0_y1 / 2.0)
-    else:
-        # diag: P(t=0, r=0, y=0); off: P(t=0, r=1, y=0).
-        diag_lo = max(0.0, p.p00 - d.p_r0_y1)
-        diag_hi = min(p.p00, d.p_r0_y0)
-        if wa1:
-            diag_hi = min(diag_hi, p.p00 - d.p_r0_y1 / 2.0)
-        off_lo = max(0.0, d.p_r1_y0 - p.p11)
-        off_hi = min(p.p01, d.p_r1_y0)
-        if wa0:
-            off_hi = min(off_hi, d.p_r1_y0 / 2.0)
-    return diag_lo, diag_hi, off_lo, off_hi
+
+    def ranges(p_diag, p_off, p_mirror, r_agree, r_wrong, r_miss, wa_own, wa_mirror):
+        # For status j: p_diag = P(t=j, r=j), p_off = P(t=j, r=1-j),
+        # p_mirror = P(t=1-j, r=1-j); r_agree = P(r=j, y=j),
+        # r_wrong = P(r=j, y=1-j), r_miss = P(r=1-j, y=j).
+        diag_hi = min(p_diag, r_agree)
+        if wa_mirror:
+            diag_hi = min(diag_hi, p_diag - r_wrong / 2.0)
+        off_hi = min(p_off, r_miss)
+        if wa_own:
+            off_hi = min(off_hi, r_miss / 2.0)
+        return max(0.0, p_diag - r_wrong), diag_hi, max(0.0, r_miss - p_mirror), off_hi
+
+    return (
+        ranges(p.p11, p.p10, p.p00, d.p_r1_y1, d.p_r1_y0, d.p_r0_y1, wa1, wa0),
+        ranges(p.p00, p.p01, p.p11, d.p_r0_y0, d.p_r0_y1, d.p_r1_y0, wa0, wa1),
+    )
 
 
 def theta_bounds_raw(
-    p: JointTR, d: DerivedRY, a: DependenceAssumption, j: int
-) -> tuple[float, float]:
-    """Interval for theta_j before clamping; empty means ``a`` is refuted.
+    p: JointTR, d: DerivedRY, a: DependenceAssumption
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Intervals for (theta1, theta0) before clamping; an empty one means ``a`` is refuted.
 
-    The two latent cells vary independently, so the bounds are the sums
-    of the per-cell extremes divided by P(y=j).  Either cell's range can
-    empty out under a wrongly-agree restriction; the interval is then
-    returned inverted for the caller to diagnose.
+    The two latent cells behind theta_j vary independently, so its bounds
+    are the sums of the per-cell extremes divided by P(y=j).  Either
+    cell's range can empty out under a wrongly-agree restriction; the
+    interval is then returned inverted for the caller to diagnose.
     """
-    diag_lo, diag_hi, off_lo, off_hi = _latent_components(p, d, a, j)
-    py = d.p_y1 if j == 1 else d.p_y0
-    # A pinch within float noise is a point, not an empty set.
-    if diag_hi < diag_lo <= diag_hi + 1e-12:
-        diag_lo = diag_hi = 0.5 * (diag_lo + diag_hi)
-    if off_hi < off_lo <= off_hi + 1e-12:
-        off_lo = off_hi = 0.5 * (off_lo + off_hi)
-    if diag_lo > diag_hi or off_lo > off_hi:
-        return 1.0, 0.0
-    return (diag_lo + off_lo) / py, (diag_hi + off_hi) / py
+
+    def bounds(components, py):
+        diag_lo, diag_hi, off_lo, off_hi = components
+        # A pinch within float noise is a point, not an empty set.
+        if diag_hi < diag_lo <= diag_hi + 1e-12:
+            diag_lo = diag_hi = 0.5 * (diag_lo + diag_hi)
+        if off_hi < off_lo <= off_hi + 1e-12:
+            off_lo = off_hi = 0.5 * (off_lo + off_hi)
+        if diag_lo > diag_hi or off_lo > off_hi:
+            return 1.0, 0.0
+        return (diag_lo + off_lo) / py, (diag_hi + off_hi) / py
+
+    theta1, theta0 = _latent_components(p, d, a)
+    return bounds(theta1, d.p_y1), bounds(theta0, d.p_y0)
 
 
 def sharp_segment(
@@ -242,8 +252,7 @@ def sharp_segment(
 
     # A wrongly-agree restriction can empty the set outright; that refutes
     # the dependence assumption at this (s1, s0) rather than the data.
-    raw1 = theta_bounds_raw(p, d, a, 1)
-    raw0 = theta_bounds_raw(p, d, a, 0)
+    raw1, raw0 = theta_bounds_raw(p, d, a)
     for raw, which in ((raw1, "theta1"), (raw0, "theta0")):
         if raw[0] > raw[1]:
             raise _empty(which)
@@ -289,27 +298,17 @@ def sharp_union(
     return IdentifiedSet(segments=tuple(segments), assumption=a)
 
 
-def project(identified: IdentifiedSet, j: int) -> Interval:
-    """Projection bounds on theta_j (j = 1 sensitivity, j = 0 specificity)."""
-    if j not in (0, 1):
-        raise ValueError(f"j must be 0 or 1, got {j}")
-    idx = 0 if j == 1 else 1
-    lo = min(seg.lo[idx] for seg in identified.segments)
-    hi = max(seg.hi[idx] for seg in identified.segments)
-    return Interval(lo, hi)
-
-
-def frechet_comparator(p: JointTR, s: RefPerf, j: int) -> Interval:
-    """Marginals-only interval for theta_j; wider than the sharp projection.
+def frechet_comparator(p: JointTR, s: RefPerf) -> tuple[Interval, Interval]:
+    """Marginals-only (theta1, theta0) intervals; wider than the sharp projections.
 
     Uses only P(t=j) and the implied P(y=j), ignoring the (t, r) joint:
-    [max(0, P(t=j) - P(y=1-j)), min(P(t=j), P(y=j))] / P(y=j).
+    theta_j lies in [max(0, P(t=j) - P(y=1-j)), min(P(t=j), P(y=j))] / P(y=j).
     """
-    if j not in (0, 1):
-        raise ValueError(f"j must be 0 or 1, got {j}")
     d = derived_joint_ry(p, s)
-    pt = p.p_t1 if j == 1 else 1.0 - p.p_t1
-    py = d.p_y1 if j == 1 else d.p_y0
-    lo = max(0.0, pt - (1.0 - py)) / py
-    hi = min(pt, py) / py
-    return Interval(_clamp01(lo), _clamp01(hi))
+
+    def bounds(pt, py):
+        lo = max(0.0, pt - (1.0 - py)) / py
+        hi = min(pt, py) / py
+        return Interval(_clamp01(lo), _clamp01(hi))
+
+    return bounds(p.p_t1, d.p_y1), bounds(1.0 - p.p_t1, d.p_y0)

@@ -8,6 +8,11 @@ variances have exact closed forms in the four cell frequencies; nothing
 ever loops over observations.  The equality is split into two opposing
 inequalities, giving k = 8 components: 1..6 inequalities, 7 the equality,
 8 its negation.
+
+``moment_stats(p, system)`` gives the components' means and SDs under a
+cell distribution P(t, r); sample statistics are the same call on
+``estimate_joint(counts)``.  ``variance_floor(eps)`` gives the eight
+variance floors that hold whenever every cell carries mass eps.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identification import DependenceAssumption
-from .probability import CellCounts, JointTR, RefPerf
+from .probability import JointTR, RefPerf
 
 __all__ = [
     "ThetaPoint",
@@ -28,7 +33,6 @@ __all__ = [
     "build_moment_system",
     "param_space_box",
     "moment_stats",
-    "population_moment_stats",
     "variance_floor",
 ]
 
@@ -82,11 +86,10 @@ class MomentSystem:
 
 @dataclass(frozen=True)
 class MomentStats:
-    """Sample means and standard deviations of the moment components."""
+    """Means and standard deviations of the moment components."""
 
     means: np.ndarray
     sds: np.ndarray
-    n: int
 
     def __post_init__(self) -> None:
         self.means.setflags(write=False)
@@ -181,33 +184,25 @@ def param_space_box(
     return ((0.0, hi1), (0.0, hi0))
 
 
-def _stats_from_weights(weights: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def moment_stats(p: JointTR, system: MomentSystem) -> MomentStats:
+    """Closed-form means and SDs of the components under the cells ``p``.
+
+    Under the plug-in ``estimate_joint(counts)`` these are the exact
+    per-observation averages (1/n) sum m_j(W_i) and their uncentered
+    variance, because m_j(W_i) takes one of four values determined by the
+    cell of W_i.  Raw counts are refused rather than used as weights.
+    """
+    if not isinstance(p, JointTR):
+        raise TypeError(
+            f"moment_stats takes a JointTR, got {type(p).__name__}; "
+            "pass estimate_joint(counts) for sample statistics"
+        )
+    weights = np.asarray(p.cells, dtype=float)
+    values = system.cell_values
     means = weights @ values
     second = weights @ (values * values)
     var = np.maximum(second - means * means, 0.0)
-    return means, np.sqrt(var)
-
-
-def moment_stats(counts: CellCounts, system: MomentSystem) -> MomentStats:
-    """Closed-form sample means and SDs of the components from raw counts.
-
-    Exact equivalents of the per-observation averages (1/n) sum m_j(W_i)
-    and their uncentered variance, because m_j(W_i) takes one of four
-    values determined by the cell of W_i.
-    """
-    n = counts.n
-    if n < 2:
-        raise ValueError(f"moment statistics require n >= 2 observations, got {n}")
-    freqs = np.asarray(counts.cells, dtype=float) / n
-    means, sds = _stats_from_weights(freqs, system.cell_values)
-    return MomentStats(means=means, sds=sds, n=n)
-
-
-def population_moment_stats(p: JointTR, system: MomentSystem) -> MomentStats:
-    """Population means and SDs of the components under a known P(t, r)."""
-    weights = np.asarray(p.cells, dtype=float)
-    means, sds = _stats_from_weights(weights, system.cell_values)
-    return MomentStats(means=means, sds=sds, n=0)
+    return MomentStats(means=means, sds=np.sqrt(var))
 
 
 def _h_correlation_sq(eps: float) -> float:
@@ -221,8 +216,8 @@ def _h_correlation_sq(eps: float) -> float:
     return ((1.0 - eps) / (1.0 + eps)) ** 2
 
 
-def variance_floor(eps: float, j: int) -> float:
-    """Uniform lower bound on Var(m_j) over distributions with cells >= eps.
+def variance_floor(eps: float) -> np.ndarray:
+    """Uniform lower bounds on Var(m_1), ..., Var(m_8) over distributions with cells >= eps.
 
     Components 3, 4, 7 (and the mirrored 8) involve t or the equality and
     use the bound 2 eps (1 - 2 eps) (1 - (1 - 4 eps)^2); the remaining
@@ -231,8 +226,6 @@ def variance_floor(eps: float, j: int) -> float:
     """
     if not (0.0 < eps <= 0.25):
         raise ValueError(f"cell floor must lie in (0, 0.25], got {eps}")
-    if j not in range(1, N_COMPONENTS + 1):
-        raise ValueError(f"component index must be in 1..{N_COMPONENTS}, got {j}")
-    if j in (3, 4, 7, 8):
-        return 2.0 * eps * (1.0 - 2.0 * eps) * (1.0 - (1.0 - 4.0 * eps) ** 2)
-    return eps * (1.0 - eps) * (1.0 - _h_correlation_sq(eps))
+    floors = np.full(N_COMPONENTS, eps * (1.0 - eps) * (1.0 - _h_correlation_sq(eps)))
+    floors[[2, 3, 6, 7]] = 2.0 * eps * (1.0 - 2.0 * eps) * (1.0 - (1.0 - 4.0 * eps) ** 2)
+    return floors

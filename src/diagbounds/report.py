@@ -36,7 +36,6 @@ from .identification import (
     DependenceAssumption,
     IdentifiedSet,
     frechet_comparator,
-    project,
     sharp_union,
 )
 from .inference import _QUANTILE_METHOD, TestConfig, confidence_set
@@ -303,7 +302,7 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
     identified = None
     if cfg.toggles.sharp:
         identified = sharp_union(p, cfg.s_region, cfg.assumption)
-        proj1, proj0 = project(identified, 1), project(identified, 0)
+        proj1, proj0 = identified.projections
         data["identified_set"] = identified.to_dict()
         data["projections"] = {
             "theta1": _interval_pair(proj1),
@@ -313,14 +312,14 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
         data["false_positive_rate"] = [1.0 - proj0.hi, 1.0 - proj0.lo]
 
     if cfg.toggles.frechet:
-        f1, f0 = [], []
+        boxes = []
         for s in cfg.s_region.points:
             try:
-                f1.append(frechet_comparator(p, s, 1))
-                f0.append(frechet_comparator(p, s, 0))
+                boxes.append(frechet_comparator(p, s))
             except RefutationError:
                 continue
-        if f1:
+        if boxes:
+            f1, f0 = zip(*boxes)
             data["frechet"] = {
                 "theta1": [min(i.lo for i in f1), max(i.hi for i in f1)],
                 "theta0": [min(i.lo for i in f0), max(i.hi for i in f0)],
@@ -392,12 +391,13 @@ def run_sensitivity(
         (f"s1 in [{s1_lo:g},{s1_hi:g}]", SRegion.rectangle(s1_lo, s1_hi, s0, s0, s1_points=k)),
     ):
         ident = sharp_union(p, region, cfg.assumption)
+        proj1, proj0 = ident.projections
         variants.append(
             {
                 "label": label,
                 "s_points": [[s.s1, s.s0] for s in region.points],
-                "theta1_projection": _interval_pair(project(ident, 1)),
-                "theta0_projection": _interval_pair(project(ident, 0)),
+                "theta1_projection": _interval_pair(proj1),
+                "theta0_projection": _interval_pair(proj0),
                 "theta0_extremal_segments": _extremal_theta0(ident),
             }
         )
@@ -460,9 +460,9 @@ def _analysis_files(cfg, bundle, identified, cs) -> list:
         "apparent": (ap["theta1"], ap["theta0"]),
         "apparent_box": (*ap["ci_theta1"], *ap["ci_theta0"]),
     }
-    boxes = None if fr is None else [(*fr["theta1"], *fr["theta0"])]
+    box = None if fr is None else (*fr["theta1"], *fr["theta0"])
     files.append(("fig_identified_set.svg", lambda: identified_set_figure(
-        identified.segments, comparator_boxes=boxes, title=f"{cfg.label}: estimated set", **marks
+        identified.segments, comparator_box=box, title=f"{cfg.label}: estimated set", **marks
     )))
     if cs is not None and len(cs):
         files.append(("fig_confidence_set.svg", lambda: identified_set_figure(

@@ -2,7 +2,7 @@
 
 Static files only: segment/scatter plots of estimated and confidence sets
 in the (theta1, theta0) plane, and bound-width curves.  The plot window
-defaults to the bounding box of the drawn content padded by 10%.
+of a set figure is the bounding box of the drawn content padded by 10%.
 """
 
 from __future__ import annotations
@@ -46,12 +46,11 @@ class SvgCanvas:
     def _y(self, y: float) -> float:
         return _H - _MARGIN - (y - self.y_lo) / (self.y_hi - self.y_lo) * (_H - 2 * _MARGIN)
 
-    def line(self, x1, y1, x2, y2, color="black", width=1.5, dash=""):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, color="black", width=1.5):
         self._parts.append(
             f'<line x1="{self._x(x1):.2f}" y1="{self._y(y1):.2f}" '
             f'x2="{self._x(x2):.2f}" y2="{self._y(y2):.2f}" '
-            f'stroke="{color}" stroke-width="{width}"{d}/>'
+            f'stroke="{color}" stroke-width="{width}"/>'
         )
 
     def circles(self, xs, ys, r, color):
@@ -65,12 +64,12 @@ class SvgCanvas:
         tag = f'<circle cx="%.2f" cy="%.2f" r="{r}" fill="{color}"/>'
         self._parts += [tag % xy for xy in zip(cx, cy)]
 
-    def rect(self, x_lo, y_lo, x_hi, y_hi, color="none", stroke="gray", dash="4 3"):
+    def rect(self, x_lo, y_lo, x_hi, y_hi, stroke="gray", dash="4 3"):
         self._parts.append(
             f'<rect x="{self._x(x_lo):.2f}" y="{self._y(y_hi):.2f}" '
             f'width="{self._x(x_hi) - self._x(x_lo):.2f}" '
             f'height="{self._y(y_lo) - self._y(y_hi):.2f}" '
-            f'fill="{color}" stroke="{stroke}" stroke-dasharray="{dash}"/>'
+            f'fill="none" stroke="{stroke}" stroke-dasharray="{dash}"/>'
         )
 
     def polyline(self, pts, color="black", width=1.5):
@@ -117,16 +116,16 @@ class SvgCanvas:
         )
 
 
-def _padded_box(xs, ys, pad=0.10):
+def _padded_box(xs, ys):
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     dx = (x_hi - x_lo) or 0.05
     dy = (y_hi - y_lo) or 0.05
     return (
-        max(0.0, x_lo - pad * dx),
-        min(1.0, x_hi + pad * dx),
-        max(0.0, y_lo - pad * dy),
-        min(1.0, y_hi + pad * dy),
+        max(0.0, x_lo - 0.10 * dx),
+        min(1.0, x_hi + 0.10 * dx),
+        max(0.0, y_lo - 0.10 * dy),
+        min(1.0, y_hi + 0.10 * dy),
     )
 
 
@@ -135,10 +134,10 @@ def identified_set_figure(
     apparent=None,
     apparent_box=None,
     scatter=None,
-    comparator_boxes=None,
+    comparator_box=None,
     title="",
 ) -> str:
-    """Segments plus optional apparent point/CI box, scatter and comparators."""
+    """Segments plus optional apparent point/CI box, scatter and comparator box."""
     xs, ys = [], []
     for seg in segments:
         xs += [seg.lo[0], seg.hi[0]]
@@ -154,17 +153,15 @@ def identified_set_figure(
         scatter = np.asarray(scatter, dtype=float)
         xs += [float(np.fmin.reduce(scatter[:, 0])), float(np.fmax.reduce(scatter[:, 0]))]
         ys += [float(np.fmin.reduce(scatter[:, 1])), float(np.fmax.reduce(scatter[:, 1]))]
-    if comparator_boxes:
-        for box in comparator_boxes:
-            xs += [box[0], box[1]]
-            ys += [box[2], box[3]]
+    if comparator_box is not None:
+        xs += [comparator_box[0], comparator_box[1]]
+        ys += [comparator_box[2], comparator_box[3]]
     canvas = SvgCanvas(*_padded_box(xs, ys), x_label="sensitivity", y_label="specificity", title=title)
     if scatter is not None and len(scatter):
         thinned = scatter[:: max(1, len(scatter) // 3000)]
         canvas.circles(thinned[:, 0], thinned[:, 1], r=1.2, color="#9ecae1")
-    if comparator_boxes:
-        for box in comparator_boxes:
-            canvas.rect(*box)
+    if comparator_box is not None:
+        canvas.rect(*comparator_box)
     for seg in segments:
         canvas.line(seg.lo[0], seg.lo[1], seg.hi[0], seg.hi[1], color="#d62728", width=2.5)
     if apparent_box is not None:

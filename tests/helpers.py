@@ -270,7 +270,7 @@ class _PointCanvas(SvgCanvas):
 
 
 def oracle_identified_set_figure(
-    segments, apparent=None, apparent_box=None, scatter=None, comparator_boxes=None, title=""
+    segments, apparent=None, apparent_box=None, scatter=None, comparator_box=None, title=""
 ):
     xs, ys = [], []
     for seg in segments:
@@ -285,18 +285,16 @@ def oracle_identified_set_figure(
     if scatter is not None and len(scatter):
         xs += [float(p[0]) for p in scatter]
         ys += [float(p[1]) for p in scatter]
-    if comparator_boxes:
-        for box in comparator_boxes:
-            xs += [box[0], box[1]]
-            ys += [box[2], box[3]]
+    if comparator_box is not None:
+        xs += [comparator_box[0], comparator_box[1]]
+        ys += [comparator_box[2], comparator_box[3]]
     canvas = _PointCanvas(*_padded_box(xs, ys), x_label="sensitivity", y_label="specificity", title=title)
     if scatter is not None and len(scatter):
         step = max(1, len(scatter) // 3000)
         for p in scatter[::step]:
             canvas.circle(float(p[0]), float(p[1]), r=1.2, color="#9ecae1")
-    if comparator_boxes:
-        for box in comparator_boxes:
-            canvas.rect(*box)
+    if comparator_box is not None:
+        canvas.rect(*comparator_box)
     for seg in segments:
         canvas.line(seg.lo[0], seg.lo[1], seg.hi[0], seg.hi[1], color="#d62728", width=2.5)
     if apparent_box is not None:

@@ -10,7 +10,6 @@ from diagbounds import (
     SRegion,
     estimate_joint,
     frechet_comparator,
-    project,
     sharp_segment,
     sharp_union,
 )
@@ -63,8 +62,7 @@ def test_theta_intervals_are_line_images_of_each_other():
         slope = d.p_y1 / d.p_y0
         intercept = 1.0 - p.p_t1 / d.p_y0
         for a in DependenceAssumption:
-            b1 = theta_bounds_raw(p, d, a, 1)
-            b0 = theta_bounds_raw(p, d, a, 0)
+            b1, b0 = theta_bounds_raw(p, d, a)
             if b1[0] > b1[1] or b0[0] > b0[1]:
                 assert b1[0] > b1[1] and b0[0] > b0[1]
                 continue
@@ -145,6 +143,7 @@ def test_union_of_singleton_matches_segment():
     union = sharp_union(p, SRegion.singleton(0.9, 1.0), WA1)
     assert len(union) == 1
     assert union.segments[0] == seg
+    assert union.projections == seg.projections
 
 
 def test_union_projection_matches_sensitivity_table():
@@ -156,7 +155,7 @@ def test_union_projection_matches_sensitivity_table():
     }
     for name, (lo, hi) in cases.items():
         union = sharp_union(estimate_joint(TABLE_DATASETS[name]), region, WA1)
-        proj = project(union, 1)
+        proj = union.projections[0]
         assert proj.lo == pytest.approx(lo, abs=1e-3)
         assert proj.hi == pytest.approx(hi, abs=1e-3)
 
@@ -165,9 +164,7 @@ def test_union_monotone_in_region():
     p = estimate_joint(TABLE_DATASETS["eua_sx"])
     small = SRegion.rectangle(0.85, 0.9, 1.0, 1.0, s1_points=6)
     large = SRegion.rectangle(0.80, 0.9, 1.0, 1.0, s1_points=11)
-    for j in (0, 1):
-        inner = project(sharp_union(p, small, WA1), j)
-        outer = project(sharp_union(p, large, WA1), j)
+    for inner, outer in zip(sharp_union(p, small, WA1).projections, sharp_union(p, large, WA1).projections):
         assert outer.lo <= inner.lo + 1e-12
         assert outer.hi >= inner.hi - 1e-12
 
@@ -196,12 +193,12 @@ def test_projection_of_singleton_segment_degenerate():
     seg = sharp_segment(p, s, DependenceAssumption.NO_RESTRICTION)
     assert seg.lo == seg.hi
     union = sharp_union(p, SRegion.singleton(1.0, 1.0), DependenceAssumption.NO_RESTRICTION)
-    proj = project(union, 1)
+    proj = union.projections[0]
     assert proj.lo == proj.hi
 
 
 def test_frechet_worked_example_is_unit_interval():
-    iv = frechet_comparator(EX1_P, EX1_S, 1)
+    iv = frechet_comparator(EX1_P, EX1_S)[0]
     assert (iv.lo, iv.hi) == (0.0, 1.0)
 
 
@@ -209,15 +206,12 @@ def test_frechet_depends_only_on_marginals():
     s = RefPerf(0.9, 0.9)
     p_conc = JointTR(0.45, 0.05, 0.05, 0.45)
     p_ind = JointTR(0.25, 0.25, 0.25, 0.25)  # same P(t=1), P(r=1) marginals
-    for j in (0, 1):
-        a = frechet_comparator(p_conc, s, j)
-        b = frechet_comparator(p_ind, s, j)
-        assert (a.lo, a.hi) == (b.lo, b.hi)
+    assert frechet_comparator(p_conc, s) == frechet_comparator(p_ind, s)
 
 
 def test_frechet_eua_value():
     p = estimate_joint(TABLE_DATASETS["eua_sx"])
-    iv = frechet_comparator(p, RefPerf(0.9, 1.0), 1)
+    iv = frechet_comparator(p, RefPerf(0.9, 1.0))[0]
     # Marginals P(t=1) = 0.226087 and P(y=1) = 0.282609 give [0, 0.8].
     assert iv.lo == pytest.approx(0.0, abs=1e-12)
     assert iv.hi == pytest.approx(0.8, abs=1e-6)
@@ -232,8 +226,7 @@ def test_sharp_projection_contained_in_frechet():
                 seg = sharp_segment(p, s, a)
             except RefutationError:
                 continue
-            for j, iv in ((1, seg.theta1), (0, seg.theta0)):
-                wide = frechet_comparator(p, s, j)
+            for iv, wide in zip(seg.projections, frechet_comparator(p, s)):
                 assert wide.lo <= iv.lo + 1e-10
                 assert wide.hi >= iv.hi - 1e-10
 

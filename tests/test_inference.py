@@ -374,7 +374,7 @@ def _reference_two_step(counts, theta, a, cfg, boot_freqs):
     from diagbounds import build_moment_system, moment_stats
 
     system = build_moment_system(theta, a)
-    stats = moment_stats(counts, system)
+    stats = moment_stats(estimate_joint(counts), system)
     n = counts.n
     rn = np.sqrt(n)
 
@@ -542,12 +542,15 @@ def _chi_square_bound(counts, boot, level):
 def _unscreened_confidence_set(counts, S, a, cfg, bound_rtol=1e-12):
     """Confidence set from full-row kernel evaluations, with no screen.
 
-    Also checks the screen's invariant at every finite grid point: the
+    Also checks the screen's invariant at every grid point where its
+    conditioning gate holds (s^2 > _SCREEN_VAR_FLOOR (s^2 + mu^2) for all
+    seven components), the only points it may reject on the bound: the
     critical value never exceeds the chi-square bound.  The bound can be
     attained (a component parallel to a draw's deviation), so rounding may
     put the critical value an ulp above it; the screen's margin covers that.
     Returns the tested points that are not retained as well.
     """
+    floor = inference._SCREEN_VAR_FLOOR
     boot = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
     cbar = _chi_square_bound(counts, boot, 1.0 - cfg.alpha + cfg.beta_value)
@@ -561,9 +564,12 @@ def _unscreened_confidence_set(counts, S, a, cfg, bound_rtol=1e-12):
         n_tested += idx1.size * idx0.size
         iu, iv = kernel.orient(idx1, idx0)
         for i in iu:
-            tn, crit = kernel.evaluate(np.full(iv.size, axis[i]), axis[iv], cfg.alpha, cfg.beta_value)
-            finite = np.isfinite(tn)
-            assert np.all(crit[finite] <= cbar * (1.0 + bound_rtol)), (crit[finite].max(), cbar)
+            u, v = np.full(iv.size, axis[i]), axis[iv]
+            tn, crit = kernel.evaluate(u, v, cfg.alpha, cfg.beta_value)
+            mu6, s6, mu7, s7, _ = kernel._statistic(u, v)
+            gated = np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6), axis=-1)
+            gated &= s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
+            assert np.all(crit[gated] <= cbar * (1.0 + bound_rtol)), (crit[gated].max(), cbar)
             for j, t, c in zip(iv, tn, crit):
                 i1, i0 = kernel.orient(i, j)
                 if np.isfinite(t) and t <= c:
@@ -645,6 +651,10 @@ def _tables_with_an_empty_cell(high=75):
 @example(
     cells=[1, 0, 0, 1], a=DependenceAssumption.NO_RESTRICTION,
     S=SRegion.singleton(0.875, 0.5), bootstrap=20, seed=0, grid=19, alpha=0.05,
+)
+@example(  # the bound is exceeded by 2e-6 relative only where the gate is off
+    cells=[1, 0, 0, 1], a=DependenceAssumption.NO_RESTRICTION,
+    S=SRegion.singleton(0.99999, 1.0), bootstrap=20, seed=0, grid=15, alpha=0.05,
 )
 @given(
     cells=_tables_with_an_empty_cell(),

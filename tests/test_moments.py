@@ -8,9 +8,9 @@ from diagbounds import (
     RefPerf,
     ThetaPoint,
     build_moment_system,
+    estimate_joint,
     moment_stats,
     param_space_box,
-    population_moment_stats,
     variance_floor,
 )
 from diagbounds.moments import CELLS_TR, N_COMPONENTS, moment_cell_tables
@@ -30,7 +30,7 @@ def test_interior_point_satisfies_population_moments():
     p = JointTR(0.45, 0.05, 0.05, 0.45)
     s = RefPerf(0.9, 0.9)
     system = build_moment_system(ThetaPoint(0.9, 0.9, s), DependenceAssumption.NO_RESTRICTION)
-    st = population_moment_stats(p, system)
+    st = moment_stats(p, system)
     assert np.all(st.means[:6] <= 1e-12)
     assert abs(st.means[6]) <= 1e-12
 
@@ -64,7 +64,7 @@ def test_equality_pair_mirrors():
     np.testing.assert_allclose(
         system.cell_values[:, 6], -system.cell_values[:, 7], atol=0, rtol=0
     )
-    stats = moment_stats(CellCounts(40, 25, 10, 25), system)
+    stats = moment_stats(estimate_joint(CellCounts(40, 25, 10, 25)), system)
     assert stats.means[6] == pytest.approx(-stats.means[7], abs=1e-15)
     assert stats.sds[6] == pytest.approx(stats.sds[7], abs=1e-15)
 
@@ -73,7 +73,7 @@ def test_moment_stats_match_per_observation_brute_force():
     counts = TABLE_DATASETS["eua_sx"]
     s = RefPerf(0.9, 1.0)
     system = build_moment_system(ThetaPoint(0.78, 0.99, s), WA1)
-    stats = moment_stats(counts, system)
+    stats = moment_stats(estimate_joint(counts), system)
     # Expand to one row per observation and average directly.
     rows = []
     for cell_idx, count in enumerate(counts.cells):
@@ -86,10 +86,10 @@ def test_moment_stats_match_per_observation_brute_force():
 def test_moment_stats_degenerate_single_cell():
     s = RefPerf(0.9, 0.95)
     system = build_moment_system(ThetaPoint(0.5, 0.5, s), DependenceAssumption.NO_RESTRICTION)
-    stats = moment_stats(CellCounts(7, 0, 0, 0), system)
+    stats = moment_stats(estimate_joint(CellCounts(7, 0, 0, 0)), system)
     np.testing.assert_allclose(stats.sds, 0.0, atol=1e-15)
-    with pytest.raises(ValueError):
-        moment_stats(CellCounts(1, 0, 0, 0), system)
+    with pytest.raises(TypeError):
+        moment_stats(CellCounts(7, 0, 0, 0), system)
 
 
 def test_cell_values_affine_in_theta():
@@ -129,21 +129,19 @@ def test_param_space_box_perfect_reference():
 
 
 def test_variance_floor_values():
-    assert variance_floor(0.25, 4) == pytest.approx(0.25, abs=1e-12)
-    assert variance_floor(0.2, 5) == pytest.approx(0.2 * 0.8 * (1 - 4.0 / 9.0), abs=1e-12)
-    for j in range(1, N_COMPONENTS + 1):
-        assert variance_floor(1e-9, j) == pytest.approx(0.0, abs=1e-7)
-        assert variance_floor(0.1, j) > 0.0
+    assert variance_floor(0.1).shape == (N_COMPONENTS,)
+    assert variance_floor(0.25)[3] == pytest.approx(0.25, abs=1e-12)
+    assert variance_floor(0.2)[4] == pytest.approx(0.2 * 0.8 * (1 - 4.0 / 9.0), abs=1e-12)
+    np.testing.assert_allclose(variance_floor(1e-9), 0.0, atol=1e-7)
+    assert np.all(variance_floor(0.1) > 0.0)
     with pytest.raises(ValueError):
-        variance_floor(0.3, 1)
-    with pytest.raises(ValueError):
-        variance_floor(0.1, 0)
+        variance_floor(0.3)
 
 
 def test_variance_floor_is_continuous_at_branch_point():
-    lo = variance_floor(0.2 - 1e-9, 1)
-    hi = variance_floor(0.2, 1)
-    assert lo == pytest.approx(hi, abs=1e-6)
+    lo = variance_floor(0.2 - 1e-9)
+    hi = variance_floor(0.2)
+    np.testing.assert_allclose(lo, hi, atol=1e-6, rtol=0)
 
 
 def test_variance_floor_holds_for_random_distributions():
@@ -161,10 +159,9 @@ def test_variance_floor_holds_for_random_distributions():
             a = list(DependenceAssumption)[rng.integers(0, 4)]
             box = param_space_box(a, s)
             theta = ThetaPoint(rng.uniform(0, box[0][1]), rng.uniform(0, box[1][1]), s)
-            st = population_moment_stats(p, build_moment_system(theta, a))
-            for j in range(1, N_COMPONENTS + 1):
-                assert st.sds[j - 1] ** 2 >= variance_floor(eps, j) - 1e-12
-                assert st.sds[j - 1] > 0.0
+            st = moment_stats(p, build_moment_system(theta, a))
+            assert np.all(st.sds**2 >= variance_floor(eps) - 1e-12)
+            assert np.all(st.sds > 0.0)
 
 
 def test_cell_order_constant():

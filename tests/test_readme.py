@@ -16,10 +16,13 @@ def _tour() -> str:
 
 def test_library_tour_imports_only_public_names():
     source = _tour()
-    names = re.search(r"from diagbounds import \((.*?)\)", source, re.S).group(1)
-    imported = [n.strip() for n in names.split(",") if n.strip()]
+    header = re.search(r"from diagbounds import \((.*?)\)", source, re.S)
+    imported = [n.strip() for n in header.group(1).split(",") if n.strip()]
     assert imported
     assert set(imported) <= set(diagbounds.__all__), set(imported) - set(diagbounds.__all__)
+    body = source[header.end():]
+    unused = [n for n in imported if not re.search(rf"\b{n}\b", body)]
+    assert not unused, f"imported but never used in the tour: {unused}"
 
 
 def test_library_tour_runs():

@@ -117,7 +117,7 @@ def _assert_scatter_matches_the_oracle(scatter, marks):
     kwargs = {"scatter": scatter, "title": "t"}
     if marks:
         kwargs.update(apparent=(0.85, 0.98), apparent_box=(0.77, 0.91, 0.96, 0.99),
-                      comparator_boxes=[(0.6, 0.9, 0.95, 1.0)])
+                      comparator_box=(0.6, 0.9, 0.95, 1.0))
     got = identified_set_figure(_IDENTIFIED.segments, **kwargs)
     assert got == oracle_identified_set_figure(_IDENTIFIED.segments, **kwargs)
     assert got.count("<circle") == len(scatter[:: max(1, len(scatter) // 3000)]) + marks
