@@ -13,6 +13,11 @@ point, writes no file and keeps ``--out`` alone of the output options.
 own grid.  The other verbs take a point or an interval per reference
 axis, not both.
 
+``_VERBS`` is the one table of verbs.  ``main`` builds only the verb
+named first on the command line, which is most of a call's fixed cost
+saved; ``--help``, a missing or an unknown verb get every verb.  Either
+way parsing, help and error messages are the same.
+
 Exit codes: 0 success, 2 assumptions refuted by the data, 3 invalid
 input, an unusable ``--out`` or a usage error (``--help`` exits 0).
 """
@@ -215,28 +220,7 @@ def cmd_simulate_coverage(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="diagbounds",
-        description=(
-            "Bounds and uniformly valid confidence sets for diagnostic test "
-            "sensitivity/specificity measured against an imperfect reference."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def verb(name: str, help: str, func, *groups, **defaults) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        for add_group in (_add_common, *groups):
-            add_group(p)
-        p.set_defaults(func=func, **defaults)
-        return p
-
-    verb("estimate", "apparent measures, sharp sets and comparator", cmd_report, _add_report,
-         toggles=ReportToggles())
-
-    p = verb("infer", "estimate plus bootstrap confidence set", cmd_report, _add_report, _add_bootstrap,
-             toggles=ReportToggles(confidence=True))
+def _add_infer(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-grid", type=int, default=TestConfig.theta_grid, help="grid points per theta axis")
     p.add_argument(
         "--dump-moment-cells",
@@ -244,34 +228,72 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-cell moment values at segment midpoints",
     )
 
-    p = verb("prevalence", "screened-population prevalence bounds", cmd_report, _add_report,
-             toggles=ReportToggles(prevalence_curve=True))
+
+def _add_prevalence(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=None, help="screened positive rate")
 
-    p = verb("predict", "predictive-value bounds", cmd_report, _add_report,
-             toggles=ReportToggles(predictive_values=True))
+
+def _add_predict(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pi-lo", type=float, required=True, help="pre-test probability lower end")
     p.add_argument("--pi-hi", type=float, required=True, help="pre-test probability upper end")
 
-    p = verb("sensitivity", "sweep the assumed reference sensitivity", cmd_sensitivity,
-             lambda p: _add_report(p, ranges=False), toggles=ReportToggles())
+
+def _add_sensitivity(p: argparse.ArgumentParser) -> None:
+    _add_report(p, ranges=False)
     p.add_argument("--s1-lo", type=float, required=True)
     p.add_argument("--s1-hi", type=float, required=True)
     p.add_argument("--grid", type=int, default=None, help="sweep grid points")
 
-    p = verb("simulate-coverage", "Monte-Carlo acceptance of identified-set points", cmd_simulate_coverage,
-             _add_bootstrap)
+
+def _add_coverage(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s1", type=float, required=True, help="reference sensitivity (point value)")
     p.add_argument("--s0", type=float, required=True, help="reference specificity (point value)")
     p.add_argument("--n", type=int, required=True, help="sample size per replication")
     p.add_argument("--reps", type=int, required=True, help="number of replications")
 
+
+# name: (help, handler, option groups after _add_common, defaults), in the order --help lists them.
+_VERBS = {
+    "estimate": ("apparent measures, sharp sets and comparator", cmd_report, (_add_report,),
+                 {"toggles": ReportToggles()}),
+    "infer": ("estimate plus bootstrap confidence set", cmd_report, (_add_report, _add_bootstrap, _add_infer),
+              {"toggles": ReportToggles(confidence=True)}),
+    "prevalence": ("screened-population prevalence bounds", cmd_report, (_add_report, _add_prevalence),
+                   {"toggles": ReportToggles(prevalence_curve=True)}),
+    "predict": ("predictive-value bounds", cmd_report, (_add_report, _add_predict),
+                {"toggles": ReportToggles(predictive_values=True)}),
+    "sensitivity": ("sweep the assumed reference sensitivity", cmd_sensitivity, (_add_sensitivity,),
+                    {"toggles": ReportToggles()}),
+    "simulate-coverage": ("Monte-Carlo acceptance of identified-set points", cmd_simulate_coverage,
+                          (_add_bootstrap, _add_coverage), {}),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of ``verb`` alone: its parse, help and errors are the same."""
+    parser = _Parser(
+        prog="diagbounds",
+        description=(
+            "Bounds and uniformly valid confidence sets for diagnostic test "
+            "sensitivity/specificity measured against an imperfect reference."
+        ),
+    )
+    # One verb's parser still names every verb in its usage line, which an unrecognized argument prints.
+    every = None if verb is None else "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in _VERBS if verb is None else (verb,):
+        help, func, groups, defaults = _VERBS[name]
+        p = sub.add_parser(name, help=help)
+        for add_group in (_add_common, *groups):
+            add_group(p)
+        p.set_defaults(func=func, **defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A known verb first builds only its own parser; anything else (--help, no verb) needs them all.
+    args = build_parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
     try:
         return args.func(args)
     except RefutationError as exc:

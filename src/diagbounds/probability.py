@@ -196,6 +196,8 @@ def _axis_grid(lo: float, hi: float, k: int) -> list[float]:
     if hi == lo or k == 1:
         return [lo]
     step = (hi - lo) / (k - 1)
+    if step == 0.0:  # underflow: np.linspace scales the span instead of the step
+        return [lo + (i / (k - 1)) * (hi - lo) for i in range(k - 1)] + [hi]
     return [lo + i * step for i in range(k - 1)] + [hi]
 
 

@@ -10,9 +10,11 @@ provenance block carries a hash of the configuration that produced it.
 Both write through ``_write``: each lists the files its report has as
 (name, text maker) pairs, and ``_write`` writes a file when its suffix is
 one of the requested ``FORMATS``, making its text only then.  Every JSON
-file is ``json.dumps``'s layout (``_json_text``); a dict's top-level
-lists of floats and of equal-length float rows are joined directly from
-``repr``, which is what makes ``confidence_set.json`` fast to write.
+file is ``json.dumps(obj, sort_keys=True, indent=1)``'s text, written by
+``_json_text`` directly rather than by ``json``'s pure-Python indenting
+encoder.  At any depth a list of floats, or of equal-length float rows,
+is written in one pass from ``repr``, which is what makes
+``confidence_set.json`` fast to write.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -113,50 +116,76 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-# The layout of every JSON file, as json.dumps(v, sort_keys=True, indent=1) builds it per call.
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
-
-
 def _json_text(obj) -> str:
-    """The one JSON layout of every written file: sorted keys, indent 1, a final newline.
+    """The one JSON layout of every written file: ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``.
 
-    A non-empty dict with ``str`` keys is written one top-level value at a
-    time, so that its float arrays skip ``json``'s pure-Python encoder; the
-    text is ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"`` either way.
+    Written here directly rather than by ``json``'s pure-Python indenting
+    encoder, value by value in the order and spelling ``json`` uses; what
+    ``json`` refuses raises ``TypeError``.
     """
-    if type(obj) is not dict or not obj or not all(type(k) is str for k in obj):
-        return _ENCODER.encode(obj) + "\n"
-    items = ",\n".join(f" {json.dumps(k)}: {_value_text(obj[k])}" for k in sorted(obj))
-    return "{\n" + items + "\n}\n"
+    return _text(obj, "\n") + "\n"
 
 
-def _value_text(v) -> str:
-    """``v`` as ``json.dumps(indent=1)`` writes it one level down.
+def _text(v, nl: str) -> str:
+    """``v`` as ``json.dumps(sort_keys=True, indent=1)`` writes it where a new line starts with ``nl``.
 
-    A non-empty list of floats, or of equal-length non-empty rows of floats,
-    is joined here from ``repr``.  Any other value is ``json``'s own text
-    indented one level more: ``json`` escapes a newline inside a string, so
-    every newline in that text is layout.
+    The checks follow ``json``'s order, so subclasses (a ``bool`` is an
+    ``int``, an ``np.float64`` a ``float``) are spelt as ``json`` spells them.
     """
-    if type(v) is list and v:
-        kinds = set(map(type, v))
-        if kinds == {float}:
-            return _floats_text("[\n  %s" + ",\n  %s" * (len(v) - 1) + "\n ]", v)
-        if kinds == {list} and len(set(map(len, v))) == 1 and v[0]:
-            flat = tuple(chain.from_iterable(v))
-            if set(map(type, flat)) == {float}:
-                row = "[\n   %s" + ",\n   %s" * (len(v[0]) - 1) + "\n  ]"
-                return _floats_text("[\n  " + ",\n  ".join([row] * len(v)) + "\n ]", flat)
-    return _ENCODER.encode(v).replace("\n", "\n ")
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return _CONSTANT_WORDS[v]
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _FLOAT_WORDS.get(r := _float_repr(v), r)
+    inner = nl + " "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        return _floats_block(v, nl) or "[" + inner + ("," + inner).join([_text(x, inner) for x in v]) + nl + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = [f"{_key_text(k)}: {_text(v[k], inner)}" for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _floats_text(template: str, floats) -> str:
-    """``template`` filled with ``floats``, spelt as ``json`` spells them.
+_float_repr = float.__repr__
+_FLOAT_WORDS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_CONSTANT_WORDS = {None: "null", True: "true", False: "false"}
 
-    ``%s`` writes a float as its ``repr``; a finite ``repr`` holds no
+
+def _key_text(k) -> str:
+    """A dict key as ``json`` writes it: a string, or a scalar's JSON text quoted."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):  # a bool is an int
+        return encode_basestring_ascii(_text(k, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _floats_block(v: list | tuple, nl: str) -> str | None:
+    """A non-empty list of floats, or of equal-length non-empty float rows, written in one pass; else None.
+
+    The list is joined from ``repr``; the rows fill one ``%s`` template,
+    which writes a float as its ``repr``.  A finite ``repr`` holds no
     ``inf`` or ``nan``, so the two replaces touch only the non-finite ones.
     """
-    text = template % tuple(floats)
+    inner = nl + " "
+    kinds = set(map(type, v))
+    if kinds == {float}:
+        text = "[" + inner + ("," + inner).join(map(_float_repr, v)) + nl + "]"
+    elif kinds == {list} and len(set(map(len, v))) == 1 and v[0]:
+        floats = tuple(chain.from_iterable(v))
+        if set(map(type, floats)) != {float}:
+            return None
+        row = "[" + inner + " " + ("," + inner + " ").join(["%s"] * len(v[0])) + inner + "]"
+        text = ("[" + inner + ("," + inner).join([row] * len(v)) + nl + "]") % floats
+    else:
+        return None
     return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 

@@ -24,6 +24,7 @@ from diagbounds import (
     validate_assumptions,
 )
 from diagbounds.derived import SIGN_TOL, PrevalenceBounds
+from diagbounds.exactci import _BISECT_TOL, regularized_incomplete_beta
 from diagbounds.identification import Interval
 from diagbounds.probability import derived_joint_ry
 from diagbounds.svgfig import SvgCanvas, _padded_box
@@ -127,6 +128,25 @@ def retains(cs, theta1: float, theta0: float, s: RefPerf, tol: float = 1e-9) -> 
     """Whether the confidence set ``cs`` retains the grid point (theta1, theta0, s1, s0)."""
     target = np.array([theta1, theta0, s.s1, s.s0])
     return bool(np.any(np.all(np.abs(cs.points - target) <= tol, axis=1)))
+
+
+def oracle_beta_quantile(q: float, a: float, b: float) -> float:
+    """The definition of a Clopper-Pearson endpoint: bisection on [0, 1] evaluating every midpoint."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if regularized_incomplete_beta(a, b, mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def oracle_clopper_pearson(successes: int, n: int, alpha: float) -> Interval:
+    half = alpha / 2.0
+    lo = 0.0 if successes == 0 else oracle_beta_quantile(half, successes, n - successes + 1)
+    hi = 1.0 if successes == n else oracle_beta_quantile(1.0 - half, successes + 1, n - successes)
+    return Interval(lo, hi)
 
 
 # The scalar prevalence endpoint rule, one rate and one segment at a time,

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from diagbounds import clopper_pearson
-from diagbounds.exactci import regularized_incomplete_beta
+from diagbounds import clopper_pearson, exactci
+from diagbounds.datasets import list_datasets, load_dataset
+from diagbounds.exactci import _beta_quantile, regularized_incomplete_beta
+
+from helpers import oracle_clopper_pearson
 
 
 def test_boundary_conventions():
@@ -77,3 +82,43 @@ def test_large_samples_converge_and_larger_ones_are_refused():
         assert iv.hi == pytest.approx(stats.beta.ppf(0.975, k + 1, n - k), abs=1e-9)
     with pytest.raises(ValueError, match="10\\*\\*12"):
         clopper_pearson(5, 10**12 + 1)
+
+
+@settings(max_examples=300, deadline=None)
+# At n = 10**12 the rounding error of I is about 1% of it: a fixed relative
+# margin of 1e-9 on the bracket ends moved this lower endpoint.
+@example(n_and_successes=(10**12, 497_189_547_844), alpha=0.05)
+@example(n_and_successes=(1, 0), alpha=0.05)
+@example(n_and_successes=(10**12, 1), alpha=0.05)
+@example(n_and_successes=(343, 338), alpha=0.05)
+@example(n_and_successes=(10, 3), alpha=1e-300)  # the density at the lower root underflows
+@example(n_and_successes=(117, 39), alpha=1e-20)  # 1 - alpha / 2 rounds to 1
+@given(
+    n_and_successes=(st.integers(1, 10**12) | st.integers(1, 2000)).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n) | st.integers(0, min(n, 5)) | st.integers(n - min(n, 5), n))
+    ),
+    alpha=st.floats(0.001, 0.5, exclude_min=True, exclude_max=True),
+)
+def test_clopper_pearson_is_the_plain_bisection_bit_for_bit(n_and_successes, alpha):
+    # Midpoints outside the bracket are not evaluated; the bisection they skip must decide as they do.
+    n, successes = n_and_successes
+    assert clopper_pearson(successes, n, alpha) == oracle_clopper_pearson(successes, n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize("name", list_datasets())
+def test_bundled_tables_take_at_most_20_evaluations_per_endpoint(monkeypatch, name, alpha):
+    calls = []
+    real = exactci.regularized_incomplete_beta
+
+    def counted(a, b, x):
+        calls.append(x)
+        return real(a, b, x)
+
+    monkeypatch.setattr(exactci, "regularized_incomplete_beta", counted)
+    c = load_dataset(name)
+    for k, n in ((c.n11, c.n11 + c.n01), (c.n00, c.n00 + c.n10)):
+        for q, a, b in ((alpha / 2.0, k, n - k + 1), (1.0 - alpha / 2.0, k + 1, n - k)):
+            calls.clear()
+            _beta_quantile(q, a, b)
+            assert len(calls) <= 20, (name, q, a, b, len(calls))  # the plain bisection takes 34

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagbounds import (
@@ -193,6 +193,7 @@ def test_sregion_rejects_uninformative_points():
 
 
 @settings(max_examples=300, deadline=None)
+@example(lo=5e-324, hi=1e-323, k=4)  # the step underflows to 0
 @given(lo=st.floats(0.0, 1.0, exclude_min=True), hi=st.floats(0.0, 1.0, exclude_min=True), k=st.integers(2, 40))
 def test_rectangle_axis_ends_at_hi_and_matches_linspace(lo, hi, k):
     lo, hi = sorted((lo, hi))

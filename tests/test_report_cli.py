@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import runpy
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import diagbounds
 from diagbounds import DependenceAssumption, SRegion, TestConfig
-from diagbounds.cli import _test_config, build_parser, main
+from diagbounds.cli import _VERBS, _test_config, build_parser, main
 from diagbounds.datasets import list_datasets, load_dataset, read_counts
 from diagbounds.inference import MAX_BOOTSTRAP, MAX_REPS, MAX_S_GRID, MAX_THETA_GRID
 from diagbounds.report import (
@@ -643,6 +645,76 @@ def test_cli_usage_error_exits_3_and_help_exits_0(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["infer", "--help"])
     assert exc.value.code == 0
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+def _documented_argvs(workdir: Path) -> list[list[str]]:
+    """Every CLI call the benchmark's workloads make (at their small size) and every command README shows."""
+    workloads = runpy.run_path(str(_REPO / "bench" / "workloads.py"))
+    argvs = [
+        list(call.argv)
+        for workload in workloads["WORKLOADS"]
+        for call in workloads["make_calls"](workload, 1, "tiny", workdir)
+    ]
+    readme = (_REPO / "README.md").read_text().replace("\\\n", " ")
+    argvs += [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("diagbounds ")]
+    return argvs
+
+
+def _subparser(parser: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[verb]
+
+
+def _parse(parser: argparse.ArgumentParser, argv, capsys):
+    """(the parsed options, or the exit code), and what parsing printed."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+def test_one_verb_parser_parses_helps_and_fails_as_the_full_parser(tmp_path, capsys):
+    argvs = _documented_argvs(tmp_path)
+    assert {argv[0] for argv in argvs} == set(_VERBS)
+    for argv in argvs:
+        verb = argv[0]
+        one, every = build_parser(verb), build_parser()
+        parsed = _parse(one, argv, capsys)
+        assert parsed == _parse(every, argv, capsys)  # func and toggles included
+        assert isinstance(parsed[0], dict)
+        assert _subparser(one, verb).format_help() == _subparser(every, verb).format_help()
+        for bad in ([verb], [*argv, "--bogus"], [*argv, "--alpha"], [*argv, "stray"]):
+            failed = _parse(one, bad, capsys)
+            assert failed == _parse(every, bad, capsys)
+            assert failed[0] == 3
+
+
+_CHOICES = "'estimate', 'infer', 'prevalence', 'predict', 'sensitivity', 'simulate-coverage'"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["-h"], 0, None),
+        (["-h", "estimate"], 0, None),
+        ([], 3, "the following arguments are required: command"),
+        (["bogus", "--dataset", "eua_symptomatic"], 3, f"argument command: invalid choice: 'bogus' (choose from {_CHOICES})"),
+        (["estim", "-h"], 3, f"argument command: invalid choice: 'estim' (choose from {_CHOICES})"),
+    ],
+)
+def test_help_and_a_missing_or_unknown_verb_get_the_full_parser(argv, code, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    printed = capsys.readouterr()
+    assert exc.value.code == code
+    if message is None:
+        assert printed.out == build_parser().format_help()
+        assert all(verb in printed.out.partition("positional arguments:")[2] for verb in _VERBS)
+    else:
+        assert printed.err == build_parser().format_usage() + f"diagbounds: error: {message}\n"
 
 
 _NOTE = (

@@ -1,14 +1,16 @@
 """The benchmark's references into the package must resolve.
 
 ``bench/tracer.py`` wraps package functions by (module, attribute) name,
-and the benchmark's scripts import names from the package; a renamed or
-deleted function would silently drop a per-layer span or break a
+and the benchmark's scripts import names from the package and call into
+its modules (``cli.build_parser()``); a renamed or deleted function, or
+a changed signature, would silently drop a per-layer span or break a
 workload.  The files are read as plain source (the tracer is also run),
 so nothing under ``bench/`` is imported as a package or written to.
 """
 
 import ast
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
@@ -58,3 +60,35 @@ def test_benchmark_imports_from_the_package_resolve():
             assert name is None or _resolves(module, name), f"{where} does not resolve"
             checked += 1
     assert checked  # the workloads import from the package
+
+
+def test_benchmark_calls_into_package_modules_resolve_and_bind():
+    # ``from diagbounds import cli`` then ``cli.build_parser()``: each attribute must
+    # exist, and each call must bind to its signature as written.
+    checked = 0
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == "diagbounds":
+                for alias in node.names:
+                    owner = getattr(importlib.import_module(node.module), alias.name, None)
+                    if inspect.ismodule(owner):
+                        modules[alias.asname or alias.name] = owner
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules):
+                continue
+            where = f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            assert hasattr(modules[node.value.id], node.attr), f"{where} does not resolve"
+            target = getattr(modules[node.value.id], node.attr)
+            call = calls.get(id(node))
+            if call is not None:
+                assert callable(target), f"{where} is not callable"
+                if not any(isinstance(a, ast.Starred) for a in call.args) and all(k.arg for k in call.keywords):
+                    try:
+                        inspect.signature(target).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+                    except TypeError as exc:
+                        raise AssertionError(f"{where} cannot be called as written: {exc}") from None
+            checked += 1
+    assert checked  # setup_probe.py builds the parser through ``cli``

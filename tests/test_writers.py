@@ -41,8 +41,17 @@ _VALUES = (
     | st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(), kids, max_size=3),
                    max_leaves=8)
 )
+_PAIRS = st.lists(_FLOATS | st.builds(np.float64, _FLOATS), min_size=2, max_size=2)
+# Records as reports hold them: a prevalence curve or a list of segments.
+_RECORDS = st.lists(
+    st.dictionaries(st.sampled_from(["q", "sharp", "rect", "sharp_vacuous", "s1"]),
+                    _PAIRS | _FLOATS | st.builds(np.float64, _FLOATS) | st.booleans(), max_size=5),
+    max_size=4,
+)
+_EMPTIES = st.recursive(st.just([]) | st.just({}), lambda kids: st.lists(kids, max_size=2)
+                        | st.dictionaries(st.sampled_from(["a", "b"]), kids, max_size=2), max_leaves=4)
 _DICTS = (
-    st.dictionaries(st.text(), _VALUES, max_size=6)
+    st.dictionaries(st.text(), _VALUES | _RECORDS | _EMPTIES, max_size=6)
     | st.dictionaries(st.integers(), _VALUES, max_size=3)
     | st.dictionaries(st.sampled_from(["x", "y", "z"]), _VALUES, max_size=3)
 )
@@ -52,7 +61,14 @@ _DICTS = (
 @example({})
 @example({"points": [[0.0, -0.0], [math.inf, math.nan]], "t_n": [-math.inf, 5e-324], "n": 3})
 @example({"a": [1.0, [2.0]], "b": {"c": [0.5, 0.25]}, "é\n": "x\ny"})
-@given(obj=_DICTS)
+@example({"prevalence_curve": [{"q": 0.0, "sharp": [0.0, 0.25], "rect": [np.float64(0.5), math.inf],
+                                "sharp_vacuous": False}], "segments": [{"s1": np.float64(0.9), "lo": [0.1, 0.2]}]})
+@example({"a": [[], {}, [[]], [{}]], "b": {"c": {}, "d": [[], []]}, "e": [{}, {"f": []}]})
+@example([{"q": 0.5, "sharp": [0.25, np.float64(0.75)]}, [np.float64(math.nan), 1.0]])
+@example(np.float64(-math.inf))
+@example("théta₁ ≤ 1")
+@example([[0.5, 1.0], [np.float64(0.5), 1.0]])
+@given(obj=_DICTS | _VALUES | _RECORDS | _EMPTIES | _LEAVES)
 def test_json_text_is_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
