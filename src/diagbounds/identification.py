@@ -14,21 +14,39 @@ Every set in the (theta1, theta0) plane answers for both axes at once:
 ``ThetaSegment.projections`` and ``IdentifiedSet.projections`` are the
 (theta1, theta0) interval pair, and ``frechet_comparator`` returns the
 marginals-only box as the same pair.
+
+The rules are written once and evaluated at every reference point of a
+region at once, as numpy arrays: ``probability.reference_columns``
+validates each point and derives its (r, y) table, ``_sharp_segments``
+adds the latent-cell ranges, the clamps and the intersection through the
+line, and ``frechet_columns`` the marginals-only box.  ``sharp_segment``
+and ``frechet_comparator`` are the same rules at a single point, which
+they evaluate in Python floats.  Python's ``min(a, b)`` is written
+``np.where(b < a, b, a)`` on arrays and ``max(a, b)``
+``np.where(b > a, b, a)``, not ``np.minimum`` or ``np.maximum``: on a tie,
+or on 0.0 against -0.0, they return the same operand Python does, so a
+region's columns hold the bits of each point evaluated alone.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .probability import (
-    DerivedRY,
     JointTR,
+    ReferenceColumns,
     RefPerf,
     RefutationError,
     SRegion,
-    derived_joint_ry,
+    _column,
+    _usable_point,
+    _where,
+    reference_columns,
 )
 
 __all__ = [
@@ -165,14 +183,29 @@ class IdentifiedSet:
         return rows
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+def _min(a, b):
+    """Python's ``min(a, b)``, elementwise over arrays."""
+    return _where(b < a, b, a)
 
 
-def _latent_components(
-    p: JointTR, d: DerivedRY, a: DependenceAssumption
-) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
-    """Feasible ranges for the latent cells behind P(t=1, y=1) and P(t=0, y=0).
+def _max(a, b):
+    """Python's ``max(a, b)``, elementwise over arrays."""
+    return _where(b > a, b, a)
+
+
+def _clamp01(x):
+    return _where(x < 0.0, 0.0, _min(x, 1.0))
+
+
+def _pinch(lo, hi):
+    """A range that is empty only within float noise (1e-12) is a point, not an empty set."""
+    pinched = (hi < lo) & (lo <= hi + 1e-12)
+    mid = 0.5 * (lo + hi)
+    return _where(pinched, mid, lo), _where(pinched, mid, hi)
+
+
+def _raw_bounds(p_diag, p_off, p_mirror, r_agree, r_wrong, r_miss, wa_own, wa_mirror, py):
+    """theta_j's interval before clamping, (1.0, 0.0) where a restriction empties it.
 
     P(t=j, y=j) splits across the reference outcome into a diagonal r=j
     cell and an off r=1-j cell; each latent cell moves freely between
@@ -180,54 +213,71 @@ def _latent_components(
     tendency to wrongly agree for y=1 halves the mass available to
     (t=1, r=0, y=1) and, through the shared cell, caps (t=0, r=0, y=0) at
     P(t=0, r=0) - P(r=0, y=1)/2; wrongly agreeing for y=0 acts as the
-    mirror image.  Returns (diag_lo, diag_hi, off_lo, off_hi) for theta1,
-    then for theta0.
+    mirror image.  The two cells vary independently, so the bounds are the
+    sums of the per-cell extremes divided by P(y=j).  For status j:
+    p_diag = P(t=j, r=j), p_off = P(t=j, r=1-j), p_mirror = P(t=1-j, r=1-j);
+    r_agree = P(r=j, y=j), r_wrong = P(r=j, y=1-j), r_miss = P(r=1-j, y=j).
     """
-    wa1 = a in (DependenceAssumption.WRONGLY_AGREE_Y1, DependenceAssumption.WRONGLY_AGREE_BOTH)
-    wa0 = a in (DependenceAssumption.WRONGLY_AGREE_Y0, DependenceAssumption.WRONGLY_AGREE_BOTH)
-
-    def ranges(p_diag, p_off, p_mirror, r_agree, r_wrong, r_miss, wa_own, wa_mirror):
-        # For status j: p_diag = P(t=j, r=j), p_off = P(t=j, r=1-j),
-        # p_mirror = P(t=1-j, r=1-j); r_agree = P(r=j, y=j),
-        # r_wrong = P(r=j, y=1-j), r_miss = P(r=1-j, y=j).
-        diag_hi = min(p_diag, r_agree)
-        if wa_mirror:
-            diag_hi = min(diag_hi, p_diag - r_wrong / 2.0)
-        off_hi = min(p_off, r_miss)
-        if wa_own:
-            off_hi = min(off_hi, r_miss / 2.0)
-        return max(0.0, p_diag - r_wrong), diag_hi, max(0.0, r_miss - p_mirror), off_hi
-
-    return (
-        ranges(p.p11, p.p10, p.p00, d.p_r1_y1, d.p_r1_y0, d.p_r0_y1, wa1, wa0),
-        ranges(p.p00, p.p01, p.p11, d.p_r0_y0, d.p_r0_y1, d.p_r1_y0, wa0, wa1),
-    )
+    diag_hi = _min(p_diag, r_agree)
+    if wa_mirror:
+        diag_hi = _min(diag_hi, p_diag - r_wrong / 2.0)
+    off_hi = _min(p_off, r_miss)
+    if wa_own:
+        off_hi = _min(off_hi, r_miss / 2.0)
+    diag_lo, diag_hi = _pinch(_max(0.0, p_diag - r_wrong), diag_hi)
+    off_lo, off_hi = _pinch(_max(0.0, r_miss - p_mirror), off_hi)
+    empty = (diag_lo > diag_hi) | (off_lo > off_hi)
+    return _where(empty, 1.0, (diag_lo + off_lo) / py), _where(empty, 0.0, (diag_hi + off_hi) / py)
 
 
-def theta_bounds_raw(
-    p: JointTR, d: DerivedRY, a: DependenceAssumption
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Intervals for (theta1, theta0) before clamping; an empty one means ``a`` is refuted.
+# The assumptions under which the index test wrongly agrees for status 1, for status 0.
+_WA1 = (DependenceAssumption.WRONGLY_AGREE_Y1, DependenceAssumption.WRONGLY_AGREE_BOTH)
+_WA0 = (DependenceAssumption.WRONGLY_AGREE_Y0, DependenceAssumption.WRONGLY_AGREE_BOTH)
 
-    The two latent cells behind theta_j vary independently, so its bounds
-    are the sums of the per-cell extremes divided by P(y=j).  Either
-    cell's range can empty out under a wrongly-agree restriction; the
-    interval is then returned inverted for the caller to diagnose.
+
+def _sharp_segments(
+    p: JointTR, points: Sequence[RefPerf], a: DependenceAssumption
+) -> Iterator[ThetaSegment | str]:
+    """The sharp segment at each of ``points`` in turn, or why there is none, from one pass over them all.
+
+    The accounting line maps the theta1 interval exactly onto the theta0
+    interval, so intersecting the two only absorbs floating-point noise;
+    bounds are clamped to [0, 1] afterwards for the same reason.  A
+    wrongly-agree restriction that empties either interval refutes the
+    dependence assumption at that point rather than the data.
     """
+    ref = reference_columns(p, points)
+    wa1, wa0 = a in _WA1, a in _WA0
+    raw1 = _raw_bounds(p.p11, p.p10, p.p00, ref.r1y1, ref.r1y0, ref.r0y1, wa1, wa0, ref.py1)
+    raw0 = _raw_bounds(p.p00, p.p01, p.p11, ref.r0y0, ref.r0y1, ref.r1y0, wa0, wa1, ref.py0)
+    t1_lo, t1_hi = (_clamp01(v) for v in raw1)
+    t0_lo, t0_hi = (_clamp01(v) for v in raw0)
 
-    def bounds(components, py):
-        diag_lo, diag_hi, off_lo, off_hi = components
-        # A pinch within float noise is a point, not an empty set.
-        if diag_hi < diag_lo <= diag_hi + 1e-12:
-            diag_lo = diag_hi = 0.5 * (diag_lo + diag_hi)
-        if off_hi < off_lo <= off_hi + 1e-12:
-            off_lo = off_hi = 0.5 * (off_lo + off_hi)
-        if diag_lo > diag_hi or off_lo > off_hi:
-            return 1.0, 0.0
-        return (diag_lo + off_lo) / py, (diag_hi + off_hi) / py
+    # Pull the theta0 interval back through the line and intersect.
+    slope = ref.py1 / ref.py0
+    intercept = 1.0 - p.p_t1 / ref.py0
+    lo1 = _max(t1_lo, (t0_lo - intercept) / slope)
+    hi1 = _min(t1_hi, (t0_hi - intercept) / slope)
+    crossed, apart, mid = lo1 > hi1, lo1 - hi1 > 1e-9, 0.5 * (lo1 + hi1)
+    lo1, hi1 = _clamp01(_where(crossed, mid, lo1)), _clamp01(_where(crossed, mid, hi1))
+    lo0, hi0 = _clamp01(slope * lo1 + intercept), _clamp01(slope * hi1 + intercept)
 
-    theta1, theta0 = _latent_components(p, d, a)
-    return bounds(theta1, d.p_y1), bounds(theta0, d.p_y0)
+    usable, empty1, empty0, apart, lo1, hi1, lo0, hi0, slope, intercept = map(_column, (
+        ref.usable, raw1[0] > raw1[1], raw0[0] > raw0[1], apart, lo1, hi1, lo0, hi0, slope, intercept
+    ))
+    for k, s in enumerate(points):
+        if usable[k] and not (empty1[k] or empty0[k] or apart[k]):
+            yield ThetaSegment(s, (lo1[k], lo0[k]), (hi1[k], hi0[k]), slope[k], intercept[k])
+            continue
+        reason = ref.refutation(k)
+        if reason is None:
+            which = "theta1" if empty1[k] else "theta0" if empty0[k] else "intersected theta1"
+            reason = (
+                f"no (theta1, theta0) is consistent with the data at "
+                f"(s1={s.s1}, s0={s.s0}) under {a.value!r}: the {which} interval "
+                "is empty, so the dependence assumption is refuted there"
+            )
+        yield reason
 
 
 def sharp_segment(
@@ -235,42 +285,14 @@ def sharp_segment(
 ) -> ThetaSegment:
     """Sharp identified segment for (theta1, theta0) at known (s1, s0).
 
-    The accounting line maps the theta1 interval exactly onto the theta0
-    interval, so intersecting the two only absorbs floating-point noise;
-    bounds are clamped to [0, 1] afterwards for the same reason.
+    Raises ``RefutationError`` when the data refute the maintained
+    assumptions at ``s``, or a wrongly-agree restriction empties the set
+    there (which refutes the dependence assumption rather than the data).
     """
-    d = derived_joint_ry(p, s)
-    slope = d.p_y1 / d.p_y0
-    intercept = 1.0 - p.p_t1 / d.p_y0
-
-    def _empty(which: str) -> RefutationError:
-        return RefutationError(
-            f"no (theta1, theta0) is consistent with the data at "
-            f"(s1={s.s1}, s0={s.s0}) under {a.value!r}: the {which} interval "
-            "is empty, so the dependence assumption is refuted there"
-        )
-
-    # A wrongly-agree restriction can empty the set outright; that refutes
-    # the dependence assumption at this (s1, s0) rather than the data.
-    raw1, raw0 = theta_bounds_raw(p, d, a)
-    for raw, which in ((raw1, "theta1"), (raw0, "theta0")):
-        if raw[0] > raw[1]:
-            raise _empty(which)
-
-    t1_lo, t1_hi = (_clamp01(v) for v in raw1)
-    t0_lo, t0_hi = (_clamp01(v) for v in raw0)
-
-    # Pull the theta0 interval back through the line and intersect.
-    lo1 = max(t1_lo, (t0_lo - intercept) / slope)
-    hi1 = min(t1_hi, (t0_hi - intercept) / slope)
-    if lo1 > hi1:
-        if lo1 - hi1 > 1e-9:
-            raise _empty("intersected theta1")
-        lo1 = hi1 = 0.5 * (lo1 + hi1)
-    lo1, hi1 = _clamp01(lo1), _clamp01(hi1)
-    lo = (lo1, _clamp01(slope * lo1 + intercept))
-    hi = (hi1, _clamp01(slope * hi1 + intercept))
-    return ThetaSegment(s=s, lo=lo, hi=hi, slope=slope, intercept=intercept)
+    seg = next(_sharp_segments(p, (s,), a))
+    if isinstance(seg, str):
+        raise RefutationError(seg)
+    return seg
 
 
 def sharp_union(
@@ -282,15 +304,13 @@ def sharp_union(
     (s1, s0) needs to lie in the region, so one bad point does not doom
     the union.  All points refuted is an error.
     """
+    points = sorted(S.points)
     segments = []
-    for s in sorted(S.points):
-        try:
-            segments.append(sharp_segment(p, s, a))
-        except RefutationError as exc:
-            warnings.warn(
-                f"dropping refuted reference point (s1={s.s1}, s0={s.s0}): {exc}",
-                stacklevel=2,
-            )
+    for s, seg in zip(points, _sharp_segments(p, points, a)):
+        if isinstance(seg, str):
+            warnings.warn(f"dropping refuted reference point (s1={s.s1}, s0={s.s0}): {seg}", stacklevel=2)
+        else:
+            segments.append(seg)
     if not segments:
         raise RefutationError(
             "every (s1, s0) point in the region is refuted by the data"
@@ -298,17 +318,22 @@ def sharp_union(
     return IdentifiedSet(segments=tuple(segments), assumption=a)
 
 
-def frechet_comparator(p: JointTR, s: RefPerf) -> tuple[Interval, Interval]:
-    """Marginals-only (theta1, theta0) intervals; wider than the sharp projections.
+def frechet_columns(ref: ReferenceColumns) -> tuple:
+    """Marginals-only bounds at every point of ``ref``: the columns (theta1 lo, hi, theta0 lo, hi).
 
     Uses only P(t=j) and the implied P(y=j), ignoring the (t, r) joint:
     theta_j lies in [max(0, P(t=j) - P(y=1-j)), min(P(t=j), P(y=j))] / P(y=j).
+    Only the columns of usable points mean anything.
     """
-    d = derived_joint_ry(p, s)
 
     def bounds(pt, py):
-        lo = max(0.0, pt - (1.0 - py)) / py
-        hi = min(pt, py) / py
-        return Interval(_clamp01(lo), _clamp01(hi))
+        return _clamp01(_max(0.0, pt - (1.0 - py)) / py), _clamp01(_min(pt, py) / py)
 
-    return bounds(p.p_t1, d.p_y1), bounds(1.0 - p.p_t1, d.p_y0)
+    pt1 = ref.p.p_t1
+    return bounds(pt1, ref.py1) + bounds(1.0 - pt1, ref.py0)
+
+
+def frechet_comparator(p: JointTR, s: RefPerf) -> tuple[Interval, Interval]:
+    """Marginals-only (theta1, theta0) intervals; wider than the sharp projections."""
+    lo1, hi1, lo0, hi0 = frechet_columns(_usable_point(p, s))
+    return Interval(lo1, hi1), Interval(lo0, hi0)

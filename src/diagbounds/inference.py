@@ -151,6 +151,10 @@ _TAG_DERIVED = 3
 MAX_BOOTSTRAP = 100_000
 MAX_THETA_GRID = 3162
 MAX_S_GRID = 20
+# Largest grid inversion: theta_grid**2 points at each reference point.  It
+# admits every single-size cap call above; the largest call it admits is
+# measured in README, "Caps".
+MAX_GRID_POINTS = 40_000_000
 
 
 @dataclass(frozen=True)
@@ -202,6 +206,16 @@ class TestConfig:
         if divisor not in BETA_PRESETS:
             raise ValueError(f"beta preset divisor must be one of {BETA_PRESETS}, got {divisor}")
         return cls(alpha=alpha, beta=alpha / divisor, **kwargs)
+
+
+def check_grid_size(cfg: TestConfig, n_reference: int) -> None:
+    """Refuse a grid inversion over more than ``MAX_GRID_POINTS`` points, before any of its work."""
+    n = cfg.theta_grid**2 * n_reference
+    if n > MAX_GRID_POINTS:
+        raise ValueError(
+            f"theta_grid**2 x reference points must be at most {MAX_GRID_POINTS}, "
+            f"got {cfg.theta_grid}**2 x {n_reference} = {n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -645,6 +659,7 @@ def confidence_set(
     by every grid point.  Points the chi-square screen rejects skip the
     bootstrap; a reference point's survivors go through one kernel call.
     """
+    check_grid_size(cfg, len(S))
     _SPointKernel.check(counts.n)
     boot_freqs = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)

@@ -7,11 +7,24 @@ the assumed operating characteristics of the reference test, and the
 quantities that can be derived from them once reference performance is
 fixed: the implied prevalence and the joint distribution of (r, y) where
 ``y`` is the latent health status.
+
+The validation and prevalence rules are written once: ``reference_columns``
+evaluates them at every point of a region at once, as numpy arrays, and
+``validate_assumptions``, ``derived_prevalence`` and ``derived_joint_ry``
+read its columns at a single point.  A single point is evaluated in
+Python floats by the same code (``_where`` picks a branch where it would
+select elementwise), because numpy's cost per call would exceed the
+whole rule's arithmetic there.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "CellCounts",
@@ -162,10 +175,6 @@ class SRegion:
                 )
 
     @classmethod
-    def from_points(cls, pts) -> "SRegion":
-        return cls(points=tuple(RefPerf(*p) if not isinstance(p, RefPerf) else p for p in pts))
-
-    @classmethod
     def singleton(cls, s1: float, s0: float) -> "SRegion":
         return cls(points=(RefPerf(s1, s0),))
 
@@ -250,14 +259,19 @@ class ValidationReport:
     cell_floor_ok: bool | None = None
 
     def violated_assumptions(self) -> tuple[str, ...]:
-        out = []
-        if not self.reference_informative:
-            out.append("reference performance (s1 > 1 - s0)")
-        if not self.index_rate_in_range:
-            out.append("reference performance / bounded prevalence: P(t=1) outside (1 - s0, s1)")
-        if not self.reference_rate_in_range:
-            out.append("bounded prevalence: P(r=1) outside (1 - s0, s1)")
-        return tuple(out)
+        return tuple(_violated(self.reference_informative, self.index_rate_in_range, self.reference_rate_in_range))
+
+
+# What a failed check refutes, in the order validation reports it.
+_VIOLATIONS = (
+    "reference performance (s1 > 1 - s0)",
+    "reference performance / bounded prevalence: P(t=1) outside (1 - s0, s1)",
+    "bounded prevalence: P(r=1) outside (1 - s0, s1)",
+)
+
+
+def _violated(informative: bool, index_ok: bool, reference_ok: bool) -> list[str]:
+    return [text for text, ok in zip(_VIOLATIONS, (informative, index_ok, reference_ok)) if not ok]
 
 
 def estimate_joint(counts: CellCounts) -> JointTR:
@@ -268,35 +282,115 @@ def estimate_joint(counts: CellCounts) -> JointTR:
     return JointTR(counts.n11 / n, counts.n01 / n, counts.n10 / n, counts.n00 / n)
 
 
-def validate_assumptions(
-    p: JointTR, s: RefPerf, eps: float | None = None
-) -> ValidationReport:
-    """Check the refutable implications of the maintained assumptions.
+def _where(cond, a, b):
+    """``np.where(cond, a, b)`` over a region's arrays; ``a if cond else b`` at a single point."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _column(x) -> list:
+    """A column of a rule's results as a list over its points: an array's values, or the single point's."""
+    return x.tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _at(x, k: int):
+    """Point ``k`` of a column of a rule's results, as a Python scalar."""
+    return x[k].item() if isinstance(x, np.ndarray) else x
+
+
+class ReferenceColumns(NamedTuple):
+    """The validation and prevalence rules at every point of a region, one column per quantity.
+
+    A column is an array over ``points``, or a Python scalar when there is
+    one point.  ``index_ok`` is the published check (it implies
+    ``informative``); ``usable`` adds a non-degenerate implied prevalence,
+    which is what every bound needs.  ``py1``/``py0`` are P(y=1)/P(y=0)
+    and ``r1y1`` ... ``r0y0`` the (r, y) table; at a point that is not
+    usable they follow from P(y=1) = 0.5, so that no later rule divides by
+    zero there.
+    """
+
+    p: JointTR
+    points: Sequence[RefPerf]
+    informative: np.ndarray | bool
+    index_ok: np.ndarray | bool
+    reference_ok: np.ndarray | bool
+    boundary: np.ndarray | bool
+    prevalence: np.ndarray | float
+    usable: np.ndarray | bool
+    py1: np.ndarray | float
+    py0: np.ndarray | float
+    r1y1: np.ndarray | float
+    r0y1: np.ndarray | float
+    r1y0: np.ndarray | float
+    r0y0: np.ndarray | float
+
+    def refutation(self, k: int) -> str | None:
+        """Why point ``k`` has no usable (r, y) table, or None when it has one."""
+        if _at(self.usable, k):
+            return None
+        s = self.points[k]
+        if not _at(self.index_ok, k):
+            violated = _violated(_at(self.informative, k), False, _at(self.reference_ok, k))
+            return "assumptions refuted by the data: " + "; ".join(violated)
+        return (
+            f"implied prevalence {_at(self.prevalence, k)!r} is degenerate: bounded prevalence "
+            "is refuted for these reference characteristics "
+            f"(P(r=1)={self.p.p_r1!r} outside ({1.0 - s.s0}, {s.s1}))"
+        )
+
+
+def reference_columns(p: JointTR, points: Sequence[RefPerf]) -> ReferenceColumns:
+    """Check the refutable implications and derive P(r, y) at every point of ``points`` at once.
 
     A valid reference (s1 > 1 - s0) together with a prevalence interior to
     (0, 1) forces both observable positive rates into the open interval
-    (1 - s0, s1).  Landing outside refutes at least one assumption.
-    Refutation is a report outcome, not an exception, so callers can name
-    the failed assumption.
+    (1 - s0, s1).  Landing outside refutes at least one assumption.  The
+    implied prevalence solves P(r=1) = s1 P(y=1) + (1 - s0) P(y=0); one
+    closer than ``PREVALENCE_GUARD`` to 0 or 1 is degenerate, because
+    later bounds divide by it.  Every operation is elementwise IEEE
+    arithmetic, so each column holds the bits one point alone gives.
     """
-    lo, hi = 1.0 - s.s0, s.s1
-    informative = s.is_informative
-    t_ok = informative and (lo < p.p_t1 < hi)
-    r_ok = informative and (lo < p.p_r1 < hi)
-    boundary = min(abs(p.p_t1 - lo), abs(p.p_t1 - hi)) <= PROB_TOL
-    floor_ok = None
-    if eps is not None:
-        floor_ok = p.satisfies_cell_floor(eps)
+    if len(points) == 1:
+        s1, s0 = float(points[0].s1), float(points[0].s0)
+    else:
+        s1, s0 = np.array([[q.s1 for q in points], [q.s0 for q in points]], dtype=float)
+    pt1, pr1 = p.p_t1, p.p_r1
+    lo = 1.0 - s0
+    informative = s1 > lo
+    index_ok = informative & (lo < pt1) & (pt1 < s1)
+    reference_ok = informative & (lo < pr1) & (pr1 < s1)
+    boundary = (abs(pt1 - lo) <= PROB_TOL) | (abs(pt1 - s1) <= PROB_TOL)
+    # s1 + s0 - 1 is zero for an uninformative reference, and can round to zero for one that passes
+    # validation (s1 = 0.33333333333333337, s0 = 0.6666666666666667): the prevalence is then NaN, degenerate.
+    den = s1 + s0 - 1.0
+    prev = (pr1 + s0 - 1.0) / _where(den == 0.0, math.nan, den)
+    usable = index_ok & (PREVALENCE_GUARD < prev) & (prev < 1.0 - PREVALENCE_GUARD)
+    py1, py0 = _where(usable, prev, 0.5), _where(usable, 1.0 - prev, 0.5)
+    return ReferenceColumns(
+        p, points, informative, index_ok, reference_ok, boundary, prev, usable,
+        py1, py0, s1 * py1, (1.0 - s1) * py1, lo * py0, s0 * py0,
+    )
+
+
+def validate_assumptions(
+    p: JointTR, s: RefPerf, eps: float | None = None
+) -> ValidationReport:
+    """Check the refutable implications of the maintained assumptions at one point.
+
+    Refutation is a report outcome, not an exception, so callers can name
+    the failed assumption (see ``reference_columns`` for the rule).
+    """
+    c = reference_columns(p, (s,))
     return ValidationReport(
-        passed=informative and t_ok,
-        reference_informative=informative,
-        index_rate_in_range=t_ok,
-        reference_rate_in_range=r_ok,
+        passed=c.index_ok,
+        reference_informative=c.informative,
+        index_rate_in_range=c.index_ok,
+        reference_rate_in_range=c.reference_ok,
         p_t1=p.p_t1,
         p_r1=p.p_r1,
-        interval=(lo, hi),
-        boundary_tie=boundary,
-        cell_floor_ok=floor_ok,
+        interval=(1.0 - s.s0, s.s1),
+        boundary_tie=c.boundary,
+        cell_floor_ok=None if eps is None else p.satisfies_cell_floor(eps),
     )
 
 
@@ -305,42 +399,29 @@ def default_cell_floor(n: int) -> float:
     return 1.0 / (2.0 * n)
 
 
-def _require_valid(p: JointTR, s: RefPerf) -> None:
-    report = validate_assumptions(p, s)
-    if not report.passed:
-        raise RefutationError(
-            "assumptions refuted by the data: " + "; ".join(report.violated_assumptions())
-        )
+def _usable_point(p: JointTR, s: RefPerf) -> ReferenceColumns:
+    """The rule's columns at ``s`` alone; ``RefutationError`` when its (r, y) table is not usable."""
+    c = reference_columns(p, (s,))
+    reason = c.refutation(0)
+    if reason is not None:
+        raise RefutationError(reason)
+    return c
 
 
 def derived_prevalence(p: JointTR, s: RefPerf) -> float:
     """Prevalence implied by P(r=1) and the reference characteristics.
 
-    Solves P(r=1) = s1 P(y=1) + (1 - s0) P(y=0) for P(y=1).  Requires the
-    maintained assumptions to survive validation and guards against a
-    degenerate (near 0 or 1) result, which later bounds divide by.
+    Requires the maintained assumptions to survive validation and guards
+    against a degenerate (near 0 or 1) result, which later bounds divide
+    by; either failure raises ``RefutationError``.
     """
-    _require_valid(p, s)
-    prev = (p.p_r1 + s.s0 - 1.0) / (s.s1 + s.s0 - 1.0)
-    if not (PREVALENCE_GUARD < prev < 1.0 - PREVALENCE_GUARD):
-        raise RefutationError(
-            f"implied prevalence {prev!r} is degenerate: bounded prevalence "
-            "is refuted for these reference characteristics "
-            f"(P(r=1)={p.p_r1!r} outside ({1.0 - s.s0}, {s.s1}))"
-        )
-    return prev
+    return _usable_point(p, s).prevalence
 
 
 def derived_joint_ry(p: JointTR, s: RefPerf) -> DerivedRY:
     """Joint distribution of (r, y) implied by P(t, r) and (s1, s0)."""
-    prev = derived_prevalence(p, s)
-    return DerivedRY(
-        prevalence=prev,
-        p_r1_y1=s.s1 * prev,
-        p_r0_y1=(1.0 - s.s1) * prev,
-        p_r1_y0=(1.0 - s.s0) * (1.0 - prev),
-        p_r0_y0=s.s0 * (1.0 - prev),
-    )
+    c = _usable_point(p, s)
+    return DerivedRY(prevalence=c.prevalence, p_r1_y1=c.r1y1, p_r0_y1=c.r0y1, p_r1_y0=c.r1y0, p_r0_y0=c.r0y0)
 
 
 def apparent_measures(p: JointTR) -> tuple[float, float]:

@@ -14,13 +14,19 @@ file is ``json.dumps(obj, sort_keys=True, indent=1)``'s text, written by
 ``_json_text`` directly rather than by ``json``'s pure-Python indenting
 encoder.  At any depth a list of floats, or of equal-length float rows,
 is written in one pass from ``repr``, which is what makes
-``confidence_set.json`` fast to write.
+``confidence_set.json`` fast to write.  A list of records (dicts that
+share one set of ``str`` keys, such as a report's segments, validation
+records and prevalence curve) is written from one row template: each key
+becomes a column, a column of floats, bools, ints, strings or Nones is
+spelt in one pass, a column of equal-length lists of them is split into
+one column per position, and one ``%`` fills every row.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -38,19 +44,21 @@ from .exactci import clopper_pearson
 from .identification import (
     DependenceAssumption,
     IdentifiedSet,
-    frechet_comparator,
+    frechet_columns,
     sharp_union,
 )
-from .inference import _QUANTILE_METHOD, TestConfig, confidence_set
+from .inference import _QUANTILE_METHOD, TestConfig, check_grid_size, confidence_set
 from .moments import ThetaPoint, build_moment_system
 from .probability import (
     CellCounts,
-    RefutationError,
+    ReferenceColumns,
     SRegion,
+    _column,
+    _violated,
     apparent_measures,
     default_cell_floor,
     estimate_joint,
-    validate_assumptions,
+    reference_columns,
 )
 from .svgfig import identified_set_figure, width_curve_figure
 
@@ -144,7 +152,11 @@ def _text(v, nl: str) -> str:
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        return _floats_block(v, nl) or "[" + inner + ("," + inner).join([_text(x, inner) for x in v]) + nl + "]"
+        return (
+            _floats_block(v, nl)
+            or _records_block(v, nl)
+            or "[" + inner + ("," + inner).join([_text(x, inner) for x in v]) + nl + "]"
+        )
     if isinstance(v, dict):
         if not v:
             return "{}"
@@ -187,6 +199,73 @@ def _floats_block(v: list | tuple, nl: str) -> str | None:
     else:
         return None
     return text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
+# Fewer records than this are written one by one: the template and its
+# column checks cost about as much as two records of eight floats written
+# value by value.
+_TEMPLATE_ROWS = 3
+
+
+def _records_block(v: list | tuple, nl: str) -> str | None:
+    """``_TEMPLATE_ROWS`` or more dicts with one set of ``str`` keys, written from one row template; else None.
+
+    Every row has the same keys, so the template is built once, its keys'
+    ``%`` doubled, and filled with the column texts of ``_json_column`` in one
+    ``%``.  A column ``_json_column`` cannot spell is written value by value.
+    """
+    first = v[0]
+    if len(v) < _TEMPLATE_ROWS or type(first) is not dict or not first or set(map(type, v)) != {dict}:
+        return None
+    keys = first.keys()
+    if any(type(k) is not str for k in keys) or any(d.keys() != keys for d in v):
+        return None
+    inner = nl + " "
+    deep = inner + " "
+    parts, columns = [], []
+    for key in sorted(keys):
+        column = [d[key] for d in v]
+        part = "%s"
+        if (texts := _json_column(column)) is not None:
+            columns.append(texts)
+        elif (
+            set(map(type, column)) == {list}
+            and len(set(map(len, column))) == 1
+            and None not in (positions := [_json_column(c) for c in zip(*column)])
+        ):  # lists of one length: a column per position
+            cells = ("," + deep + " ").join(["%s"] * len(positions))
+            part = "[" + deep + " " + cells + deep + "]" if positions else "[]"
+            columns += positions
+        else:
+            columns.append([_text(x, deep) for x in column])
+        parts.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + part)
+    row = "{" + deep + ("," + deep).join(parts) + inner + "}"
+    return ("[" + inner + ("," + inner).join([row] * len(v)) + nl + "]") % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _json_column(values: list) -> list | None:
+    """Objects whose ``%s`` is each value's JSON text, when every value is a float, or a bool, an int, a str, a None.
+
+    A float's ``%s`` is its ``repr``, as is an int's; the others are
+    spelt here.  An infinity or a NaN makes a column's sum non-finite, so
+    a column with a finite sum needs no ``json`` words for them; any other
+    float column is spelt value by value.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    if kind is float:
+        if math.isfinite(sum(values)):
+            return values
+        return [_FLOAT_WORDS.get(r, r) for r in map(_float_repr, values)]
+    if kind is int:
+        return values
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    if kind is bool or kind is type(None):
+        return [_CONSTANT_WORDS[x] for x in values]
+    return None
 
 
 def _interval_pair(iv) -> list[float]:
@@ -267,25 +346,31 @@ class ReportBundle:
         return "\n".join(rows) + "\n"
 
 
-def _validation_records(counts: CellCounts, s_region: SRegion) -> list[dict]:
-    p = estimate_joint(counts)
-    eps = default_cell_floor(counts.n)
-    out = []
-    for s in s_region.points:
-        rep = validate_assumptions(p, s, eps=eps)
-        out.append(
-            {
-                "s1": s.s1,
-                "s0": s.s0,
-                "passed": rep.passed,
-                "index_rate_in_range": rep.index_rate_in_range,
-                "reference_rate_in_range": rep.reference_rate_in_range,
-                "boundary_tie": rep.boundary_tie,
-                "cell_floor_ok": rep.cell_floor_ok,
-                "violated": list(rep.violated_assumptions()),
-            }
-        )
-    return out
+def _validation_records(ref: ReferenceColumns, cell_floor_ok: bool) -> list[dict]:
+    """One record per reference point, read from the columns of the validation rule."""
+    flags = zip(ref.points, *map(_column, (ref.informative, ref.index_ok, ref.reference_ok, ref.boundary)))
+    return [
+        {
+            "s1": s.s1,
+            "s0": s.s0,
+            "passed": index_ok,
+            "index_rate_in_range": index_ok,
+            "reference_rate_in_range": reference_ok,
+            "boundary_tie": boundary,
+            "cell_floor_ok": cell_floor_ok,
+            "violated": _violated(informative, index_ok, reference_ok),
+        }
+        for s, informative, index_ok, reference_ok, boundary in flags
+    ]
+
+
+def _frechet_box(ref: ReferenceColumns) -> dict | None:
+    """The hull of the marginals-only boxes of the usable points, None when there are none."""
+    usable = _column(ref.usable)
+    if not any(usable):
+        return None
+    lo1, hi1, lo0, hi0 = ([x for x, ok in zip(_column(c), usable) if ok] for c in frechet_columns(ref))
+    return {"theta1": [min(lo1), max(hi1)], "theta0": [min(lo0), max(hi0)]}
 
 
 def _extremal_theta0(identified: IdentifiedSet) -> list[float]:
@@ -297,8 +382,11 @@ def _extremal_theta0(identified: IdentifiedSet) -> list[float]:
 
 def run_analysis(cfg: StudyConfig) -> ReportBundle:
     """Execute the configured pipeline and assemble (and write) the report."""
+    if cfg.toggles.confidence:
+        check_grid_size(cfg.test_config, len(cfg.s_region))
     counts = cfg.counts
     p = estimate_joint(counts)
+    ref = reference_columns(p, cfg.s_region.points)
     config = cfg.config_dict()
     data: dict = {
         "provenance": {
@@ -313,7 +401,7 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
         },
         "config": config,
         "n": counts.n,
-        "validation": _validation_records(counts, cfg.s_region),
+        "validation": _validation_records(ref, p.satisfies_cell_floor(default_cell_floor(counts.n))),
         "notes": [EXTRAPOLATION_NOTE],
     }
 
@@ -340,19 +428,8 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
         data["false_negative_rate"] = [1.0 - proj1.hi, 1.0 - proj1.lo]
         data["false_positive_rate"] = [1.0 - proj0.hi, 1.0 - proj0.lo]
 
-    if cfg.toggles.frechet:
-        boxes = []
-        for s in cfg.s_region.points:
-            try:
-                boxes.append(frechet_comparator(p, s))
-            except RefutationError:
-                continue
-        if boxes:
-            f1, f0 = zip(*boxes)
-            data["frechet"] = {
-                "theta1": [min(i.lo for i in f1), max(i.hi for i in f1)],
-                "theta0": [min(i.lo for i in f0), max(i.hi for i in f0)],
-            }
+    if cfg.toggles.frechet and (box := _frechet_box(ref)) is not None:
+        data["frechet"] = box
 
     if cfg.toggles.prevalence_curve and identified is not None:
         data["prevalence_curve"] = [_prevalence_record(*e) for e in prevalence_width_curve(identified)]

@@ -3,6 +3,9 @@
 The oracles here deliberately avoid the library's closed-form bound
 formulas: feasibility of latent cell configurations is checked directly,
 so agreement with the fast path is evidence, not tautology.  The
+identification oracle is the scalar rule, one reference point at a time
+in Python floats, against which the library's array rule over a whole
+region is checked bit for bit, exceptions and warnings included.  The
 prevalence oracle is the scalar endpoint rule, one rate and one segment
 at a time, against which the array rule is checked float for float.  The
 kernel oracle is the bootstrap test evaluated one row at a time, every
@@ -14,6 +17,9 @@ for byte.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 
 from diagbounds import (
@@ -21,12 +27,13 @@ from diagbounds import (
     DependenceAssumption,
     JointTR,
     RefPerf,
+    RefutationError,
     validate_assumptions,
 )
 from diagbounds.derived import SIGN_TOL, PrevalenceBounds
 from diagbounds.exactci import _BISECT_TOL, regularized_incomplete_beta
-from diagbounds.identification import Interval
-from diagbounds.probability import derived_joint_ry
+from diagbounds.identification import IdentifiedSet, Interval, ThetaSegment
+from diagbounds.probability import PREVALENCE_GUARD, PROB_TOL, DerivedRY, ValidationReport, derived_joint_ry
 from diagbounds.svgfig import SvgCanvas, _padded_box
 
 TABLE_DATASETS = {
@@ -112,6 +119,158 @@ def brute_force_theta_bounds(p, s, a, npts=100001):
     t0 = (theta0(xs.min(), zs.min()), theta0(xs.max(), zs.max()))
     clamp = lambda v: min(1.0, max(0.0, v))
     return tuple(map(clamp, t1)), tuple(map(clamp, t0))
+
+
+# The identification rules one reference point at a time, in Python floats:
+# validation, the implied (r, y) table, the latent-cell ranges, the sharp
+# segment and the marginals-only box as written before they became one
+# array rule over a region.
+
+
+def oracle_validate_assumptions(p: JointTR, s: RefPerf, eps: float | None = None) -> ValidationReport:
+    lo, hi = 1.0 - s.s0, s.s1
+    informative = s.is_informative
+    t_ok = informative and (lo < p.p_t1 < hi)
+    r_ok = informative and (lo < p.p_r1 < hi)
+    boundary = min(abs(p.p_t1 - lo), abs(p.p_t1 - hi)) <= PROB_TOL
+    floor_ok = None
+    if eps is not None:
+        floor_ok = p.satisfies_cell_floor(eps)
+    return ValidationReport(
+        passed=informative and t_ok,
+        reference_informative=informative,
+        index_rate_in_range=t_ok,
+        reference_rate_in_range=r_ok,
+        p_t1=p.p_t1,
+        p_r1=p.p_r1,
+        interval=(lo, hi),
+        boundary_tie=boundary,
+        cell_floor_ok=floor_ok,
+    )
+
+
+def oracle_derived_prevalence(p: JointTR, s: RefPerf) -> float:
+    report = oracle_validate_assumptions(p, s)
+    if not report.passed:
+        raise RefutationError(
+            "assumptions refuted by the data: " + "; ".join(report.violated_assumptions())
+        )
+    # Where s1 + s0 - 1 rounds to zero at a point that passes validation, the scalar rule
+    # divided by zero; the library calls that prevalence NaN, hence degenerate.
+    den = s.s1 + s.s0 - 1.0
+    prev = (p.p_r1 + s.s0 - 1.0) / den if den != 0.0 else math.nan
+    if not (PREVALENCE_GUARD < prev < 1.0 - PREVALENCE_GUARD):
+        raise RefutationError(
+            f"implied prevalence {prev!r} is degenerate: bounded prevalence "
+            "is refuted for these reference characteristics "
+            f"(P(r=1)={p.p_r1!r} outside ({1.0 - s.s0}, {s.s1}))"
+        )
+    return prev
+
+
+def oracle_derived_joint_ry(p: JointTR, s: RefPerf) -> DerivedRY:
+    prev = oracle_derived_prevalence(p, s)
+    return DerivedRY(
+        prevalence=prev,
+        p_r1_y1=s.s1 * prev,
+        p_r0_y1=(1.0 - s.s1) * prev,
+        p_r1_y0=(1.0 - s.s0) * (1.0 - prev),
+        p_r0_y0=s.s0 * (1.0 - prev),
+    )
+
+
+def _oracle_clamp01(x: float) -> float:
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+
+
+def oracle_latent_components(p: JointTR, d: DerivedRY, a: DependenceAssumption):
+    """(diag_lo, diag_hi, off_lo, off_hi) of the latent cells behind theta1, then theta0."""
+    wa1 = a in (DependenceAssumption.WRONGLY_AGREE_Y1, DependenceAssumption.WRONGLY_AGREE_BOTH)
+    wa0 = a in (DependenceAssumption.WRONGLY_AGREE_Y0, DependenceAssumption.WRONGLY_AGREE_BOTH)
+
+    def ranges(p_diag, p_off, p_mirror, r_agree, r_wrong, r_miss, wa_own, wa_mirror):
+        diag_hi = min(p_diag, r_agree)
+        if wa_mirror:
+            diag_hi = min(diag_hi, p_diag - r_wrong / 2.0)
+        off_hi = min(p_off, r_miss)
+        if wa_own:
+            off_hi = min(off_hi, r_miss / 2.0)
+        return max(0.0, p_diag - r_wrong), diag_hi, max(0.0, r_miss - p_mirror), off_hi
+
+    return (
+        ranges(p.p11, p.p10, p.p00, d.p_r1_y1, d.p_r1_y0, d.p_r0_y1, wa1, wa0),
+        ranges(p.p00, p.p01, p.p11, d.p_r0_y0, d.p_r0_y1, d.p_r1_y0, wa0, wa1),
+    )
+
+
+def oracle_theta_bounds_raw(p: JointTR, d: DerivedRY, a: DependenceAssumption):
+    """Raw (theta1, theta0) intervals before clamping; (1.0, 0.0) when a restriction empties one."""
+
+    def bounds(components, py):
+        diag_lo, diag_hi, off_lo, off_hi = components
+        if diag_hi < diag_lo <= diag_hi + 1e-12:
+            diag_lo = diag_hi = 0.5 * (diag_lo + diag_hi)
+        if off_hi < off_lo <= off_hi + 1e-12:
+            off_lo = off_hi = 0.5 * (off_lo + off_hi)
+        if diag_lo > diag_hi or off_lo > off_hi:
+            return 1.0, 0.0
+        return (diag_lo + off_lo) / py, (diag_hi + off_hi) / py
+
+    theta1, theta0 = oracle_latent_components(p, d, a)
+    return bounds(theta1, d.p_y1), bounds(theta0, d.p_y0)
+
+
+def oracle_sharp_segment(p: JointTR, s: RefPerf, a: DependenceAssumption) -> ThetaSegment:
+    d = oracle_derived_joint_ry(p, s)
+    slope = d.p_y1 / d.p_y0
+    intercept = 1.0 - p.p_t1 / d.p_y0
+
+    def _empty(which: str) -> RefutationError:
+        return RefutationError(
+            f"no (theta1, theta0) is consistent with the data at "
+            f"(s1={s.s1}, s0={s.s0}) under {a.value!r}: the {which} interval "
+            "is empty, so the dependence assumption is refuted there"
+        )
+
+    raw1, raw0 = oracle_theta_bounds_raw(p, d, a)
+    for raw, which in ((raw1, "theta1"), (raw0, "theta0")):
+        if raw[0] > raw[1]:
+            raise _empty(which)
+    t1_lo, t1_hi = (_oracle_clamp01(v) for v in raw1)
+    t0_lo, t0_hi = (_oracle_clamp01(v) for v in raw0)
+    lo1 = max(t1_lo, (t0_lo - intercept) / slope)
+    hi1 = min(t1_hi, (t0_hi - intercept) / slope)
+    if lo1 > hi1:
+        if lo1 - hi1 > 1e-9:
+            raise _empty("intersected theta1")
+        lo1 = hi1 = 0.5 * (lo1 + hi1)
+    lo1, hi1 = _oracle_clamp01(lo1), _oracle_clamp01(hi1)
+    lo = (lo1, _oracle_clamp01(slope * lo1 + intercept))
+    hi = (hi1, _oracle_clamp01(slope * hi1 + intercept))
+    return ThetaSegment(s=s, lo=lo, hi=hi, slope=slope, intercept=intercept)
+
+
+def oracle_sharp_union(p: JointTR, points, a: DependenceAssumption) -> IdentifiedSet:
+    segments = []
+    for s in sorted(points):
+        try:
+            segments.append(oracle_sharp_segment(p, s, a))
+        except RefutationError as exc:
+            warnings.warn(f"dropping refuted reference point (s1={s.s1}, s0={s.s0}): {exc}", stacklevel=2)
+    if not segments:
+        raise RefutationError("every (s1, s0) point in the region is refuted by the data")
+    return IdentifiedSet(segments=tuple(segments), assumption=a)
+
+
+def oracle_frechet_comparator(p: JointTR, s: RefPerf) -> tuple[Interval, Interval]:
+    d = oracle_derived_joint_ry(p, s)
+
+    def bounds(pt, py):
+        lo = max(0.0, pt - (1.0 - py)) / py
+        hi = min(pt, py) / py
+        return Interval(_oracle_clamp01(lo), _oracle_clamp01(hi))
+
+    return bounds(p.p_t1, d.p_y1), bounds(1.0 - p.p_t1, d.p_y0)
 
 
 def segment_distance_linf(seg, theta1, theta0):

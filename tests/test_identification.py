@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diagbounds import (
     CellCounts,
@@ -12,12 +17,22 @@ from diagbounds import (
     frechet_comparator,
     sharp_segment,
     sharp_union,
+    validate_assumptions,
 )
+from diagbounds.probability import default_cell_floor, derived_joint_ry, derived_prevalence, reference_columns
+from diagbounds.report import _frechet_box, _validation_records
 
 from helpers import (
     TABLE_DATASETS,
     WA1,
     brute_force_theta_bounds,
+    oracle_derived_joint_ry,
+    oracle_derived_prevalence,
+    oracle_frechet_comparator,
+    oracle_sharp_segment,
+    oracle_sharp_union,
+    oracle_theta_bounds_raw,
+    oracle_validate_assumptions,
     random_valid_instance,
     segment_distance_linf,
 )
@@ -52,17 +67,16 @@ def test_theta_intervals_are_line_images_of_each_other():
     # The accounting line maps the raw theta1 interval exactly onto the
     # raw theta0 interval under every assumption, including the one-sided
     # wrongly-agree cross-caps.
-    from diagbounds.identification import theta_bounds_raw
-    from diagbounds.probability import derived_joint_ry
-
+    # The raw intervals are read from the scalar oracle, which the library's
+    # region rule matches bit for bit (test_region_rule_matches_the_scalar_oracle).
     rng = np.random.default_rng(17)
     for _ in range(150):
         p, s = random_valid_instance(rng)
-        d = derived_joint_ry(p, s)
+        d = oracle_derived_joint_ry(p, s)
         slope = d.p_y1 / d.p_y0
         intercept = 1.0 - p.p_t1 / d.p_y0
         for a in DependenceAssumption:
-            b1, b0 = theta_bounds_raw(p, d, a)
+            b1, b0 = oracle_theta_bounds_raw(p, d, a)
             if b1[0] > b1[1] or b0[0] > b0[1]:
                 assert b1[0] > b1[1] and b0[0] > b0[1]
                 continue
@@ -172,7 +186,7 @@ def test_union_monotone_in_region():
 def test_union_drops_refuted_points_with_warning():
     # P(t=1) = 0.5; s1 = 0.45 refutes, s1 = 0.9 passes.
     p = JointTR(0.3, 0.1, 0.2, 0.4)
-    region = SRegion.from_points([(0.45, 0.9), (0.9, 0.9)])
+    region = SRegion((RefPerf(0.45, 0.9), RefPerf(0.9, 0.9)))
     with pytest.warns(UserWarning, match="dropping refuted"):
         union = sharp_union(p, region, DependenceAssumption.NO_RESTRICTION)
     assert len(union) == 1
@@ -181,7 +195,7 @@ def test_union_drops_refuted_points_with_warning():
 
 def test_union_errors_when_all_refuted():
     p = JointTR(0.3, 0.1, 0.2, 0.4)
-    region = SRegion.from_points([(0.45, 0.9), (0.48, 0.9)])
+    region = SRegion((RefPerf(0.45, 0.9), RefPerf(0.48, 0.9)))
     with pytest.warns(UserWarning):
         with pytest.raises(RefutationError):
             sharp_union(p, region, DependenceAssumption.NO_RESTRICTION)
@@ -240,3 +254,91 @@ def test_identified_set_serialization():
     rows = union.to_csv_rows()
     assert rows[0].startswith("s1,s0,theta1_lo")
     assert len(rows) == 4
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` does: its result's repr (signed zeros included) or its exception, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("returns", repr(f(*args)))
+        except (ArithmeticError, ValueError) as exc:  # RefutationError is a ValueError
+            result = ("raises", type(exc).__name__, str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _oracle_validation_record(p, s, eps):
+    rep = oracle_validate_assumptions(p, s, eps)
+    return {
+        "s1": s.s1, "s0": s.s0, "passed": rep.passed, "index_rate_in_range": rep.index_rate_in_range,
+        "reference_rate_in_range": rep.reference_rate_in_range, "boundary_tie": rep.boundary_tie,
+        "cell_floor_ok": rep.cell_floor_ok, "violated": list(rep.violated_assumptions()),
+    }
+
+
+def _oracle_frechet_box(p, points):
+    boxes = []
+    for s in points:
+        try:
+            boxes.append(oracle_frechet_comparator(p, s))
+        except RefutationError:
+            continue
+    if not boxes:
+        return None
+    f1, f0 = zip(*boxes)
+    return {"theta1": [min(i.lo for i in f1), max(i.hi for i in f1)],
+            "theta0": [min(i.lo for i in f0), max(i.hi for i in f0)]}
+
+
+@st.composite
+def _regions(draw):
+    """A table (empty cells included) and reference points on and around its refutation boundaries."""
+    cells = draw(st.tuples(*[st.integers(0, 60)] * 4).filter(any) | st.tuples(*[st.integers(0, 10**6)] * 4).filter(any))
+    p = estimate_joint(CellCounts(*cells))
+    # P(t=1) at an end of (1 - s0, s1) is a boundary tie; P(r=1) there makes the prevalence 0 or 1.
+    edges = [0.0, 0.5, 1.0, p.p_t1, 1.0 - p.p_t1, p.p_r1, 1.0 - p.p_r1]
+    edges += [math.nextafter(x, d) for x in edges for d in (0.0, 1.0)]
+    value = st.floats(0.0, 1.0) | st.sampled_from(edges) | st.floats(0.8, 1.0)
+    points = draw(st.lists(st.builds(RefPerf, value, value), min_size=1, max_size=12))
+    return cells, points
+
+
+_TABLES = [(99, 18, 5, 338), (199, 44, 2, 684), (33, 15, 5, 824)]
+_RECT = [(s1, s0) for s1 in (0.8, 0.85, 0.9) for s0 in (0.98, 1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=(_TABLES[0], [RefPerf(*s) for s in _RECT]))
+@example(case=(_TABLES[1], [RefPerf(*s) for s in _RECT]))
+@example(case=(_TABLES[2], [RefPerf(*s) for s in _RECT]))
+@example(case=((0, 3, 0, 4), [RefPerf(0.9, 1.0), RefPerf(0.8, 0.7), RefPerf(1.0, 1.0)]))  # empty cells: pinches
+@example(case=((30, 20, 20, 30), [RefPerf(1.0, 1.0), RefPerf(0.9, 0.9)]))  # a point segment
+@example(case=((0, 0, 1, 2), [RefPerf(0.33333333333333337, 0.6666666666666667)]))  # s1 + s0 - 1 rounds to 0
+@given(case=_regions())
+def test_region_rule_matches_the_scalar_oracle(case):
+    # The region rule over all points at once against the scalar rule one point
+    # at a time, bit for bit: segments by repr, dropped points and their
+    # warnings, the comparator box and the validation records; and each
+    # one-point view against its scalar original, exceptions included.
+    cells, points = case
+    p = estimate_joint(CellCounts(*cells))
+    eps = default_cell_floor(sum(cells))
+    for s in points:
+        for view, oracle in (
+            (derived_prevalence, oracle_derived_prevalence),
+            (derived_joint_ry, oracle_derived_joint_ry),
+            (frechet_comparator, oracle_frechet_comparator),
+        ):
+            assert _outcome(view, p, s) == _outcome(oracle, p, s)
+        assert _outcome(validate_assumptions, p, s, eps) == _outcome(oracle_validate_assumptions, p, s, eps)
+        for a in DependenceAssumption:
+            assert _outcome(sharp_segment, p, s, a) == _outcome(oracle_sharp_segment, p, s, a)
+
+    ref = reference_columns(p, points)
+    floor_ok = p.satisfies_cell_floor(eps)
+    assert repr(_validation_records(ref, floor_ok)) == repr([_oracle_validation_record(p, s, eps) for s in points])
+    assert repr(_frechet_box(ref)) == repr(_oracle_frechet_box(p, points))
+    region = [s for s in points if s.is_informative]
+    if region:
+        for a in DependenceAssumption:
+            assert _outcome(sharp_union, p, SRegion(tuple(region)), a) == _outcome(oracle_sharp_union, p, region, a)

@@ -1029,7 +1029,7 @@ def test_reference_point_with_no_survivors(monkeypatch, a, n_tested):
     for arr in (cs.t_n, cs.crit):
         assert arr.dtype == np.float64 and arr.shape == (0,)
     alone = confidence_set(EUA, SRegion.singleton(0.9, 1.0), a, cfg)
-    both = confidence_set(EUA, SRegion.from_points([(0.55, 0.5), (0.9, 1.0)]), a, cfg)
+    both = confidence_set(EUA, SRegion((RefPerf(0.55, 0.5), RefPerf(0.9, 1.0))), a, cfg)
     assert len(alone) > 0
     for field in ("points", "t_n", "crit"):
         got, want = getattr(both, field), getattr(alone, field)

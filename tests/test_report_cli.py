@@ -20,7 +20,9 @@ import diagbounds
 from diagbounds import DependenceAssumption, SRegion, TestConfig
 from diagbounds.cli import _VERBS, _test_config, build_parser, main
 from diagbounds.datasets import list_datasets, load_dataset, read_counts
-from diagbounds.inference import MAX_BOOTSTRAP, MAX_REPS, MAX_S_GRID, MAX_THETA_GRID
+from diagbounds.inference import (
+    MAX_BOOTSTRAP, MAX_GRID_POINTS, MAX_REPS, MAX_S_GRID, MAX_THETA_GRID, check_grid_size, confidence_set,
+)
 from diagbounds.report import (
     MAX_SWEEP_GRID,
     ReportBundle,
@@ -562,11 +564,14 @@ def test_cli_usage_errors_exit_invalid(argv, capsys):
         ["estimate", *_POINT, "--s-grid", str(MAX_S_GRID + 1)],
         ["simulate-coverage", *_POINT, "--n", "200", "--reps", str(MAX_REPS + 1)],
         ["sensitivity", *_POINT, "--s1-lo", "0.8", "--s1-hi", "0.9", "--grid", str(MAX_SWEEP_GRID + 1)],
+        ["infer", "--dataset", "eua_symptomatic", "--s1-range", "0.8", "0.9", "--s0-range", "0.98", "1.0",
+         "--s-grid", str(MAX_S_GRID), "--theta-grid", "317"],
     ],
     ids=[
         "s1-point-and-range", "s0-point-and-range", "sweep-grid-below-2", "coverage-without-s1", "seed-2**64",
         "s1-range-reversed", "theta-grid-1", "reps-0", "sweep-over-s0-range",
         "bootstrap-over-cap", "theta-grid-over-cap", "s-grid-over-cap", "reps-over-cap", "sweep-grid-over-cap",
+        "grid-points-over-cap",
     ],
 )
 def test_cli_refusals_exit_3_and_write_nothing(argv, tmp_path, capsys):
@@ -578,6 +583,21 @@ def test_cli_refusals_exit_3_and_write_nothing(argv, tmp_path, capsys):
     assert rc == 3
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grid_points_cap_admits_each_size_cap_alone():
+    # README's "Caps" calls: --theta-grid at its cap at one point, --s-grid at its cap on both axes
+    # at the default theta grid, and the largest product admitted, --theta-grid 3162 on a 2 x 2 grid.
+    check_grid_size(TestConfig(theta_grid=MAX_THETA_GRID), 1)
+    check_grid_size(TestConfig(s_grid=MAX_S_GRID), MAX_S_GRID**2)
+    check_grid_size(TestConfig(theta_grid=MAX_THETA_GRID), 4)
+    assert MAX_THETA_GRID**2 * 4 <= MAX_GRID_POINTS < MAX_THETA_GRID**2 * 5
+    with pytest.raises(ValueError, match="at most 40000000, got 317\\*\\*2 x 400"):
+        check_grid_size(TestConfig(theta_grid=317), 400)
+    region = SRegion.rectangle(0.8, 0.9, 0.98, 1.0, s1_points=MAX_S_GRID, s0_points=MAX_S_GRID)
+    with pytest.raises(ValueError, match="theta_grid"):  # the library call refuses it too
+        confidence_set(load_dataset("eua_symptomatic"), region, DependenceAssumption.WRONGLY_AGREE_Y1,
+                       TestConfig(theta_grid=317))
 
 
 def test_cli_out_at_a_file_exits_3(tmp_path, capsys):

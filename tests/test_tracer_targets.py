@@ -12,6 +12,7 @@ import ast
 import importlib
 import inspect
 import runpy
+import textwrap
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -27,6 +28,54 @@ def test_tracer_targets_resolve():
             assert hasattr(owner, part), f"{span}: {module}.{attr} does not resolve"
             owner = getattr(owner, part)
         assert callable(owner), f"{span}: {module}.{attr} is not callable"
+
+
+def _subscript_read(node):
+    """(i, None) for ``args[i]``, (None, name) for ``kwargs["name"]``, None for any other node."""
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and isinstance(node.slice, ast.Constant):
+        return {"args": (node.slice.value, None), "kwargs": (None, node.slice.value)}.get(node.value.id)
+    return None
+
+
+def _argument_reads(hook):
+    """(position, keyword) for each read of the wrapped call's arguments in ``hook``.
+
+    ``args[i] if ... else kwargs["name"]`` reads one argument both ways and
+    yields (i, "name"); a lone ``args[i]`` or ``kwargs["name"]`` leaves the
+    other None.
+    """
+    tree = ast.parse(textwrap.dedent(inspect.getsource(hook)))
+    paired = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.IfExp) and _subscript_read(node.body) and _subscript_read(node.orelse):
+            paired |= {id(node.body), id(node.orelse)}
+            yield _subscript_read(node.body)[0], _subscript_read(node.orelse)[1]
+    for node in ast.walk(tree):
+        if id(node) not in paired and _subscript_read(node):
+            yield _subscript_read(node)
+
+
+def test_counter_hooks_read_arguments_the_wrapped_function_takes():
+    # ``_count_segments`` reads ``args[1] if len(args) > 1 else kwargs["S"]`` of
+    # ``sharp_union``: a renamed or moved parameter would miscount silently.
+    checked = 0
+    for span, module, attr, hook in runpy.run_path(str(TRACER))["TARGETS"]:
+        if hook is None:
+            continue
+        target = importlib.import_module(module)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        params = list(inspect.signature(target).parameters)
+        for position, keyword in _argument_reads(hook):
+            where = f"{hook.__name__} on {module}.{attr}{tuple(params)}"
+            if position is not None:
+                assert position < len(params), f"{where} reads args[{position}]"
+            if keyword is not None:
+                assert keyword in params, f"{where} reads kwargs[{keyword!r}]"
+            if position is not None and keyword is not None:
+                assert params[position] == keyword, f"{where}: args[{position}] is not kwargs[{keyword!r}]"
+            checked += 1
+    assert checked  # _count_segments reads the region
 
 
 def _resolves(module, name: str) -> bool:

@@ -50,6 +50,37 @@ _RECORDS = st.lists(
 )
 _EMPTIES = st.recursive(st.just([]) | st.just({}), lambda kids: st.lists(kids, max_size=2)
                         | st.dictionaries(st.sampled_from(["a", "b"]), kids, max_size=2), max_leaves=4)
+# Lists of records sharing one key set, as a report's segments, validation records and
+# prevalence curve are, written column by column: one kind of value per key, float
+# pairs and string lists among them, keys with "%" or beyond ASCII; then possibly one
+# record with another key set, int keys for all, or an np.float64 value.
+_COLUMN_KINDS = {
+    "float": _FLOATS, "bool": st.booleans(), "int": st.integers(), "str": st.text(), "none": st.none(),
+    "pair": _PAIRS, "strings": st.lists(st.text(), max_size=1), "np": st.builds(np.float64, _FLOATS),
+    "mixed": _LEAVES,
+}
+
+
+@st.composite
+def _same_keyed(draw):
+    keys = draw(st.lists(st.text() | st.sampled_from(["%", "%s", "a%%b", "théta₁ ≤ 1", "q"]),
+                         min_size=1, max_size=6, unique=True))
+    kinds = {k: draw(st.sampled_from(sorted(_COLUMN_KINDS))) for k in keys}
+    records = [{k: draw(_COLUMN_KINDS[kinds[k]]) for k in keys} for _ in range(draw(st.integers(2, 8)))]
+    twist = draw(st.sampled_from(["none"] * 4 + ["drop", "add", "int keys", "np"]))
+    last = records[-1]
+    if twist == "drop":
+        del last[keys[0]]
+    elif twist == "add":
+        last["%extra"] = 0.5
+    elif twist == "int keys":  # one key set, but not of str
+        records = [dict(enumerate(r.values())) for r in records]
+    elif twist == "np":
+        last[keys[0]] = np.float64(0.25)
+    return records
+
+
+_SAME_KEYED = _same_keyed()
 _DICTS = (
     st.dictionaries(st.text(), _VALUES | _RECORDS | _EMPTIES, max_size=6)
     | st.dictionaries(st.integers(), _VALUES, max_size=3)
@@ -68,7 +99,12 @@ _DICTS = (
 @example(np.float64(-math.inf))
 @example("théta₁ ≤ 1")
 @example([[0.5, 1.0], [np.float64(0.5), 1.0]])
-@given(obj=_DICTS | _VALUES | _RECORDS | _EMPTIES | _LEAVES)
+@example([{"s1": 0.8, "passed": True, "cell_floor_ok": None, "n": 3, "violated": v} for v in ([], [], ["a"])])
+@example({"curve": [{"q": q, "sharp": [0.0, q], "rect": [-0.0, math.inf], "vacuous": False} for q in (0.0, 0.5, 1.0)]})
+@example([{"a%s": 1.0, "é%": "x%sy"}] * 3)
+@example([{"a": [], "b": [[]]}] * 3)
+@given(obj=_DICTS | _VALUES | _RECORDS | _EMPTIES | _LEAVES | _SAME_KEYED
+       | st.dictionaries(st.text(), _SAME_KEYED | _VALUES, max_size=3))
 def test_json_text_is_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
