@@ -174,13 +174,11 @@ class IdentifiedSet:
         }
 
     def to_csv_rows(self) -> list[str]:
-        rows = ["s1,s0,theta1_lo,theta1_hi,theta0_lo,theta0_hi"]
-        for seg in self.segments:
-            rows.append(
-                f"{seg.s.s1:.10g},{seg.s.s0:.10g},{seg.lo[0]:.12g},{seg.hi[0]:.12g},"
-                f"{seg.lo[1]:.12g},{seg.hi[1]:.12g}"
-            )
-        return rows
+        row = "%.10g,%.10g,%.12g,%.12g,%.12g,%.12g"
+        return [
+            "s1,s0,theta1_lo,theta1_hi,theta0_lo,theta0_hi",
+            *(row % (g.s.s1, g.s.s0, g.lo[0], g.hi[0], g.lo[1], g.hi[1]) for g in self.segments),
+        ]
 
 
 def _min(a, b):

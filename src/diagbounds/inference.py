@@ -38,49 +38,78 @@ whole (u, v) grid block of a reference point at once, in chunks of rows
 whose temporaries stay under a fixed element budget.  T_n has one
 formula, which broadcasts a column of rows against v as it does
 per-point vectors.  The survivors of the whole block are then evaluated
-in chunks of ``piece`` consecutive points, as many as a second budget
-gives three (point x draw) arrays.  Within a chunk a row is a run of
-points sharing the driving coordinate u; a run that spans two chunks is
-two rows, one in each.  Each chunk builds its row tables once per row: the bootstrap deviations
-of the six inequality components as (rows, 6, B), the equality
-component's draws, each component's step-two term recentered by +0.0,
-and their maximum, which is step one's.  Per-point arrays gather from
-them.  A chunk holds at most 17 piece B floats, three per point and 14
-per row with at most one row per point.  A row's tables and terms are
-the same elementwise formulas at every point, and the step-two rules
-below hold for any run of points of one u, so neither budget changes a
-bit.  The "higher" bootstrap
-quantile is one order statistic, the element at index ceil((B - 1) q)
-of the sorted draws, found by a partial sort.
+in batches of consecutive points.  A row is a run of points sharing the
+driving coordinate u; a row that spans two batches is a row in each.  A
+batch goes through two phases.
 
-Step two recenters each moment by min(bound, 0), a shift that is zero or
-negative, and two exact rules follow for inequality component j of a row:
+- *Phase A, once per row.*  The row tables, which depend on u alone: the
+  bootstrap deviations dev6 of the six inequality components, their
+  studentized maximum d6max (step one's inequality term) and base7, the
+  part of the equality component's draws that depends on u.  Then, for
+  each run of at most ``_ENVELOPE_RUN`` points of a row, an envelope
+  U(b), described below, that is at least every step-one maximum
+  max(d6max(b), |d7_p(b)| / s7_p) of the run's points at every draw b.
+  The m draws of largest U are the run's candidates, with
+  m = max(4 top, 64) where the order statistics read are the top-th
+  largest (92 at B = 500 and the default levels).  The (m + 1)-th
+  largest U is the run's cut c.
+- *Phase B, per point.*  The same elementwise step-one and step-two
+  formulas as on all B draws, at the run's m candidates only.  Step
+  one's bound bhat and the raw critical value are read as the same order
+  statistics counted from the top, each with one single-kth partial sort.
 
-- *Zero rule.*  Where the recentering is 0 at every point of the row, it
-  is +0.0 there (np.minimum(x, 0.0) never returns -0.0), and every
-  point's term is the row's +0.0-recentered vector, bit for bit.
-- *Skip rule.*  Every operation of the term is monotone in the
-  deviation, so it is at most its value at the row's largest deviation.
-  Where that is below zero at every point of the row, the term is below
-  zero at every draw and is skipped.  Skipping it lowers only entries of
-  the step-two maximum that are already negative (a skipped term is never
-  NaN, so every NaN entry stays), so the maximum keeps its entries that are
-  zero or more and its number of negative ones.  The critical value is
-  an order statistic of the maximum floored at zero: where the order
-  statistic is zero or more it is the same element, and where it is
-  negative the floor gives +0.0 either way.
+The envelope is the larger of d6max(b) and the equality term's bound.
+d7_p(b) / sqrt(n) = a_b + v_p g_b is affine in v, with a_b = base7_b -
+fA7 - fU7 u and g_b = PV7_b - fV7, so over the run's v in [lo, hi] its
+absolute value is at most |a_b + mid g_b| + half |g_b|, with mid and half
+the midpoint and half-width.  This is scaled by
+sqrt(n) (1 + rho) / min s7 over the run's points, with rho =
+``_ENVELOPE_RTOL``, after adding the allowance rho mag.  Here mag bounds
+every summand of d7 / sqrt(n): max|PA7| + |u| max|PU7| +
+vmax (max|PV7| + |fV7|) + |fA7| + |fU7 u|, with vmax the larger of |lo|
+and |hi|.  Where a run has a point with s7 = 0, U is +inf.
 
-The maximum still folds t0..t5, then E_a, then E_b, from -inf.  Signed
-zeros: step one's terms differ from the row-by-row form's only in the
-sign of a zero.  Its inequality maximum d6max is taken over z6, whose
-deviation dev + 0.0 is +0.0 where the row-by-row form's dev is -0.0.  Its
-equality term is |d7| / S, which is +0.0 where max(d7 / S, -d7 / S) may
-be -0.0 and equal to it everywhere else (at S = 0 both are +inf where d7
-is not zero and -inf where it is).  A reduction or a tie may also keep
--0.0 where the row-by-row form kept +0.0 (the order statistic of a
-bound).  np.minimum(x, 0.0) and np.maximum(x, 0.0) turn either zero into
-+0.0, and every recentering, T_n and every critical value passes through
-one of them, so no -0.0 reaches an output.
+*Rounding allowance.*  d7 is computed by seven roundings, each an error of
+at most one unit u = 2^-53 of a partial sum bounded by mag (1 + u)^3, so
+it differs from sqrt(n) times the exact affine value by at most about
+5 u mag times sqrt(n).  The envelope's own arithmetic adds as much at the
+midpoint, and the rounding of mid and half adds at most 3 u mag.  The
+multiplication by sqrt(n), the division by s7 and the envelope's last
+scaling add at most 9 u relative.  rho = 1e-12 is about 9,000 u.  So the
+allowance rho mag exceeds the 14 u mag of absolute error, and the factor
+1 + rho exceeds the relative error, both by more than 600 times.  Hence U
+is at least every computed step-one maximum of the run.
+
+*Why the result is exact.*  Every step-two term is at most the step-one
+term of its component and draw.  Step two adds a recentering that is
+zero, negative, -inf, or NaN where the scale is zero, and every later
+operation is monotone in the sum.  ``_stud`` maps a NaN numerator over a
+zero scale to -inf.  So at every draw outside the candidates, both
+steps' maxima are at most c.  When the top-th largest candidate value
+exceeds c, every draw holding one of the top values of all B draws is a
+candidate, and the order statistic is the same value.  A point is exact
+when c < bhat, since its recenterings, and so its step-two terms at the
+candidates, are then those of all B draws, and when c < raw crit.  The
+cut is never negative, since U is an absolute value times a positive
+scale, or +inf.  Every other point is evaluated again by the same code
+on all B draws, reading the row tables themselves without copying them.
+So is every point when m is not below B, and every point of a call with
+fewer than ``_ENVELOPE_MIN_POINTS`` points (``rsw2_test``'s one point, a
+coverage replicate's few).  The order statistics need no NaN handling,
+since no term is NaN.  Step one's terms are quotients of finite numbers,
+or ``_stud``'s +-inf, and a step-two term is NaN nowhere, as above.
+
+Signed zeros: step one's terms differ from the row-by-row form's only in
+the sign of a zero.  Its equality term is |d7| / S, which is +0.0 where
+max(d7 / S, -d7 / S) may be -0.0, and is equal to it everywhere else.  At
+S = 0 both are +inf where d7 is not zero and -inf where it is.  A
+reduction or a tie may also keep -0.0 where the row-by-row form kept +0.0
+(the order statistic of a bound).  np.minimum(x, 0.0) and
+np.maximum(x, 0.0) turn either zero into +0.0.  Every recentering, T_n
+and critical value passes through one of them, so no -0.0 reaches an
+output.  A row's tables and terms are the same elementwise formulas at
+every point, and a point's candidates only decide whether it is
+evaluated again, so no batch or chunk size changes a bit.
 
 One kernel per (dataset, reference point) decides every test: a single
 point, the candidates of a coverage replicate, the survivors of a grid.
@@ -122,16 +151,30 @@ _SCREEN_VAR_FLOOR = 1e-6
 
 # Element budgets of the kernel's float temporaries.  The screen takes a
 # reference point's (u, v) block in chunks of rows of at most
-# _SCREEN_BLOCK points.  The survivors are evaluated in chunks of
-# piece = max(1, _EVAL_BLOCK // (3 B)) consecutive points, whose three
-# (point x draw) arrays (d7, the running maximum, a temporary) then hold
-# at most _EVAL_BLOCK elements, or one point's when that alone is more.  A
-# chunk's 14 tables per row (dev6 and z6 with six components each, base7,
-# d6max) add at most one row per point, so a chunk holds at most
-# 3 piece B + 14 rows B <= 17 piece B floats, reached when every point has
-# its own u.  Neither budget changes a result, only speed and peak memory.
+# _SCREEN_BLOCK points.  The survivors are evaluated in batches of at most
+# rows = max(1, _EVAL_BLOCK // (12 B)) rows and _ENVELOPE_RUN rows points,
+# so of at most 2 rows runs.  A batch keeps 8 rows B floats of row tables
+# (dev6 with six components, d6max, base7).  Phase A adds a (6, rows, B)
+# temporary.  Picking candidates adds two (runs, B) float arrays and the
+# argpartition's (runs, B) indices.  Phase B adds the candidates' indices
+# and tables, 10 runs m words, and three (point x m) arrays for a chunk of
+# at most c = max(1, _EVAL_BLOCK // (9 m)) points at a time, m being the
+# candidate count, or B for the points evaluated on all draws.  So a batch
+# holds at most 8 rows B + max(6 rows B, 20 rows m + 3 c m) words: at most
+# 2.7 _EVAL_BLOCK while 12 B <= _EVAL_BLOCK, and 1.2 _EVAL_BLOCK at
+# B = 500.  Neither budget changes a result, only speed and peak memory.
 _SCREEN_BLOCK = 2**13
 _EVAL_BLOCK = 2**16
+
+# Phase A's envelope: its rounding allowance (module docstring), the fewest
+# points a call needs for the envelope to pay, and the most points of a row
+# that one envelope covers (a longer run of v loosens it).  At B = 500, on
+# points of one row, candidates took 1.58, 1.33, 1.04, 0.67 and 0.36 times
+# the time of all B draws at 1, 3, 8, 16 and 64 points (``evaluate``,
+# 2-core VM); on rows of one point each, 1.17-1.55 times at every size.
+_ENVELOPE_RTOL = 1e-12
+_ENVELOPE_MIN_POINTS = 16
+_ENVELOPE_RUN = 32
 
 # Substream tags keep bootstrap draws, simulated datasets, and derived
 # seeds in disjoint regions of the counter-based key space: substream
@@ -291,23 +334,35 @@ def _chi_square_bound(counts: CellCounts, boot_freqs: np.ndarray, level: float) 
     occupied = f > 0.0  # draws leave an empty cell empty: no deviation there
     dev = boot_freqs[:, occupied] - f[occupied]
     x2 = counts.n * np.sum(dev**2 / f[occupied], axis=1)
-    return max(float(_quantile(np.sqrt(x2), level)), 0.0)
+    return max(float(_top(np.sqrt(x2), _rank_from_top(x2.size, level))), 0.0)
 
 
-def _quantile(x: np.ndarray, q: float) -> np.ndarray:
-    """``np.quantile(x, q, axis=-1, method=_QUANTILE_METHOD)`` as one order statistic.
+def _rank_from_top(m: int, q: float) -> int:
+    """The "higher" ``q`` quantile of m values is their ``m - ceil((m - 1) q)``-th largest."""
+    return m - math.ceil((m - 1) * q)
 
-    The "higher" quantile of m values is the element at index
-    ceil((m - 1) q) of the sorted values.  Partitioning at that index and
-    at the last one, the kth list np.quantile passes, puts the same
-    element there (of equal values such as 0.0 and -0.0, the same one) and
-    any NaN last, from where it is propagated as np.quantile does.  ``x``
-    is partitioned in place, as np.partition partitions its copy.
+
+def _top(x: np.ndarray, top: int) -> np.ndarray:
+    """The ``top``-th largest value along the last axis of ``x``, by one partial sort in place.
+
+    It is ``np.quantile(x, q, axis=-1, method=_QUANTILE_METHOD)`` for
+    ``top = _rank_from_top(m, q)`` where ``x`` holds no NaN, which no
+    caller passes.  Of equal values it may return another one than
+    np.quantile does (0.0 for -0.0), a difference that every caller's floor
+    or recentering at zero removes.
     """
-    k = math.ceil((x.shape[-1] - 1) * q)
-    x.partition((k, -1), axis=-1)
-    last = x[..., -1]
-    return np.where(np.isnan(last), last, x[..., k])
+    k = x.shape[-1] - top
+    x.partition(k, axis=-1)
+    return x[..., k].copy()
+
+
+def _candidate_count(draws: int, top: int, points: int) -> int:
+    """Candidate draws kept per run of a row when the ``top``-th largest values are read.
+
+    max(4 top, 64), or every draw when a call has fewer than
+    ``_ENVELOPE_MIN_POINTS`` points, too few for the envelope to pay.
+    """
+    return max(4 * top, 64) if points >= _ENVELOPE_MIN_POINTS else draws
 
 
 def _stud(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -317,10 +372,21 @@ def _stud(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np
     the inequality: positive numerator maps to +inf, non-positive to
     -inf (the component drops out of a maximum).
     """
+    return _divider(den)(num, den, out=out)
+
+
+def _divider(den: np.ndarray):
+    """The division ``_stud`` makes by ``den``, for a caller that divides by it more than once.
+
+    np.divide where every denominator is positive (what the masked form
+    gives there, without the masks), else the masked form.
+    """
+    return np.divide if (np.asarray(den) > 0.0).all() else _masked_divide
+
+
+def _masked_divide(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
-    if (den > 0.0).all():
-        return np.divide(num, den, out=out)  # what the masked form below gives, without the masks
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
     if out is None:
@@ -337,8 +403,9 @@ def _rejects(tn: np.ndarray, crit: np.ndarray) -> np.ndarray:
 class _SPointKernel:
     """Vectorized test evaluation for one (s1, s0) and one dataset.
 
-    Precomputes, from the affine cell tables m = A + theta1 B + theta0 C,
-    every data-side and bootstrap-side projection needed to evaluate the
+    Precomputes, from the affine cell tables m = A + theta1 B + theta0 C
+    of one assumption and reference point (``moment_cell_tables``), every
+    data-side and bootstrap-side projection needed to evaluate the
     statistic and its critical value at arbitrary theta grids.  The six
     inequality components load on a single theta coordinate (the driving
     coordinate ``u``); the equality pair loads on both.
@@ -348,13 +415,12 @@ class _SPointKernel:
         self,
         counts: CellCounts,
         a: DependenceAssumption,
-        s: RefPerf,
+        tables: tuple[np.ndarray, np.ndarray, np.ndarray],
         boot_freqs: np.ndarray,
     ) -> None:
         n = counts.n
         self.check(n)
-        A, B, C = moment_cell_tables(a, s)
-        self.n = n
+        A, B, C = tables
         self.sqrt_n = math.sqrt(n)
         # Driving coordinate: theta0 for the wrongly-agree-y0 system.
         self.u_is_theta1 = a is not DependenceAssumption.WRONGLY_AGREE_Y0
@@ -379,11 +445,14 @@ class _SPointKernel:
         # draw makes the max statistic explode in resamples that nearly
         # empty a thin cell and loses the published rejections.  The six
         # inequality components are kept as (6, B) rows, the layout of the
-        # (rows, 6, B) row tables; the equality component as (B,) vectors.
+        # (6, rows, B) row tables; the equality component as (B,) vectors.
         PA, PU, PV = F @ A, F @ U, F @ V
         self.draws = F.shape[0]
         self.PA6, self.PU6 = PA[:, :6].T.copy(), PU[:, :6].T.copy()
         self.PA7, self.PU7, self.PV7 = PA[:, 6].copy(), PU[:, 6].copy(), PV[:, 6].copy()
+        # The envelope's slope in v and the magnitudes its allowance scales with.
+        self.slope7 = np.abs(self.PV7 - self.fV[6])
+        self.mag7 = (np.abs(self.PA7).max(), np.abs(self.PU7).max(), np.abs(self.PV7).max())
 
     @staticmethod
     def check(n: int) -> None:
@@ -465,91 +534,187 @@ class _SPointKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """T_n and critical value at the points (u[k], v[k]).
 
-        The critical values are computed in chunks of ``piece``
-        consecutive points, as many as fit three (point x draw) arrays in
-        ``_EVAL_BLOCK`` elements, or one point when that alone is more.
+        The points are taken in batches of consecutive points, at most
+        ``rows`` rows (runs of equal u) and ``_ENVELOPE_RUN`` times as many
+        points each; a row that spans two batches is a row in each.  ``m``
+        is the number of candidate draws per run, or B where the envelope
+        does not pay.
         """
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         mu6, s6, mu7, s7, tn = self._statistic(u, v)
-        piece = max(1, _EVAL_BLOCK // (3 * self.draws))
-        crit = np.empty(v.size)
-        for lo in range(0, v.size, piece):
-            part = slice(lo, lo + piece)
+        nb, n = self.draws, v.size
+        tops = (_rank_from_top(nb, 1.0 - beta), _rank_from_top(nb, 1.0 - alpha + beta))
+        m = min(_candidate_count(nb, max(tops), n), nb)
+        rows = max(1, _EVAL_BLOCK // (12 * nb))
+        first = np.empty(n, dtype=bool)
+        first[:1] = True
+        first[1:] = u[1:] != u[:-1]
+        starts = np.append(np.flatnonzero(first), n)
+        row = np.cumsum(first) - 1  # each point's row
+        crit = np.empty(n)
+        lo = 0
+        while lo < n:
+            hi = min(lo + _ENVELOPE_RUN * rows, starts[min(row[lo] + rows, starts.size - 1)])
+            part = slice(lo, hi)
             crit[part] = self._critical_values(
-                u[part], v[part], mu6[part], s6[part], mu7[part], s7[part], alpha, beta
+                u[part], v[part], mu6[part], s6[part], mu7[part], s7[part], tops, m
             )
+            lo = hi
         return tn, crit
 
-    def _critical_values(self, u, v, mu6, s6, mu7, s7, alpha, beta) -> np.ndarray:
-        """Critical values of consecutive points, from their statistics.
+    def _critical_values(self, u, v, mu6, s6, mu7, s7, tops, m) -> np.ndarray:
+        """Critical values of a batch of consecutive points, from their statistics.
 
-        A row is a run of points with equal ``u``.  The row tables hold
-        what depends on u alone, built once per row; the (point x draw)
-        arrays gather from them.
+        Phase A builds the row tables; phase B evaluates every point on its
+        run's ``m`` candidate draws when m is below B.  The points where
+        that is not exact, or every point when m is B, are evaluated on the
+        row tables themselves.
         """
-        rn, n, nb = self.sqrt_n, v.size, self.draws
+        n = v.size
         first = np.empty(n, dtype=bool)
         first[0] = True
         first[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(first)
         row = np.cumsum(first) - 1  # each point's row
-        d7, g, w = np.empty((3, n, nb))
-        dev6, z6 = np.empty((2, starts.size, 6, nb))
-        base7, d6max = np.empty((2, starts.size, nb))
+        tables = self._row_tables(u[first], mu6[first], s6[first])
+        every = (*tables, self.PV7[None])
+        if m >= self.draws:
+            return np.maximum(self._order_stats(every, row, v, mu6, s6, mu7, s7, tops)[1], 0.0)
+        raw, exact = self._on_candidates(tables, row, u, v, mu6, s6, mu7, s7, tops, m)
+        if not exact.all():
+            todo = ~exact
+            points = (x[todo] for x in (row, v, mu6, s6, mu7, s7))
+            raw[todo] = self._order_stats(every, *points, tops)[1]
+        return np.maximum(raw, 0.0)
 
-        # Row tables.  z6 holds the step-two terms recentered by +0.0; d6max, their maximum, is step one's.
-        ur, s6c = u[first], s6[first][:, :, None]
-        np.add(self.PA6, np.multiply(self.PU6, ur[:, None, None], out=dev6), out=dev6)
-        np.subtract(dev6, mu6[first][:, :, None], out=dev6)
-        _stud(np.multiply(rn, np.add(dev6, 0.0, out=z6), out=z6), s6c, out=z6)
-        np.max(z6, axis=1, out=d6max)
-        top6 = np.max(dev6, axis=2)
-        np.add(self.PA7, np.multiply(self.PU7, ur[:, None], out=base7), out=base7)
-        s7c = s7[:, None]
+    def _on_candidates(self, tables, row, u, v, mu6, s6, mu7, s7, tops, m):
+        """Raw critical values of points on their runs' ``m`` candidate draws, and which are exact.
 
-        # Step 1: joint upper confidence bounds for the moments.  Every
-        # row index is in range; mode="clip" spares the copy "raise" makes.
-        np.take(base7, row, axis=0, out=d7, mode="clip")
-        np.add(d7, np.multiply(v[:, None], self.PV7, out=w), out=d7)
-        np.multiply(rn, np.subtract(d7, mu7[:, None], out=d7), out=d7)
-        _stud(np.abs(d7, out=g), s7c, out=g)
-        np.maximum(np.take(d6max, row, axis=0, out=w, mode="clip"), g, out=g)
-        bhat = _quantile(g, 1.0 - beta)
+        ``row`` is each point's row of the row tables; each run of at most
+        ``_ENVELOPE_RUN`` consecutive points of a row has its own candidates.
+        """
+        dev6, d6max, base7 = tables
+        n = v.size
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        first[1:] = row[1:] != row[:-1]
+        lead = (np.arange(n) - np.flatnonzero(first)[np.cumsum(first) - 1]) % _ENVELOPE_RUN == 0
+        runs = np.flatnonzero(lead)
+        run = np.cumsum(lead) - 1  # each point's run
+        owner = row[runs]
+        keep, cut = self._candidates(
+            owner, u[runs], base7, d6max, np.minimum.reduceat(v, runs),
+            np.maximum.reduceat(v, runs), np.minimum.reduceat(s7, runs), m,
+        )
+        owner = owner[:, None]
+        kept = (dev6[:, owner, keep], d6max[owner, keep], base7[owner, keep], self.PV7[keep])
+        bhat, raw = self._order_stats(kept, run, v, mu6, s6, mu7, s7, tops)
+        cut = cut[run]
+        return raw, (cut < bhat) & (cut < raw)
 
-        # Step 2: recenter by the bounds truncated at zero.  An infinite
-        # bound on a zero-scale component gives inf * 0 = NaN, and the
-        # component drops out of the maximum (``_stud`` maps it to -inf).
-        scale, scale7 = s6 / rn, s7 / rn
-        with np.errstate(invalid="ignore"):
-            lam6 = np.minimum(mu6 + bhat[:, None] * scale, 0.0)
-            lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
-            lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
+    def _row_tables(self, ur, mu6r, s6r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phase A's tables of the rows at ``ur``: dev6 (6, rows, B), d6max and base7 (rows, B).
 
-        # A row's term j is skipped where it is below zero at every draw
-        # (``top`` bounds it); where every lam6 of the row is 0 it is one
-        # shared vector.
-        top = _stud(rn * (top6[row] + lam6), s6)
-        skip = np.logical_and.reduceat(top < 0.0, starts, axis=0).tolist()
-        zero = np.logical_and.reduceat(lam6 == 0.0, starts, axis=0).tolist()
+        dev6 holds the six inequality deviations, d6max the maximum of their
+        studentized values (step one's inequality term), base7 the part of
+        the equality component's draws that depends on u alone.
+        """
+        dev6 = np.multiply(self.PU6[:, None, :], ur[:, None])
+        np.add(self.PA6[:, None, :], dev6, out=dev6)
+        np.subtract(dev6, mu6r.T[:, :, None], out=dev6)
+        z6 = np.multiply(self.sqrt_n, dev6)
+        d6max = _stud(z6, s6r.T[:, :, None], out=z6).max(axis=0)
+        base7 = np.add(self.PA7, np.multiply(self.PU7, ur[:, None]))
+        return dev6, d6max, base7
 
-        # The fold t0..t5, E_a, E_b of every point, from -inf: max(-inf, x) is x.
-        g.fill(-np.inf)
-        bounds = starts.tolist() + [n]
-        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            gr, wr = g[lo:hi], w[lo:hi]
+    def _envelope(self, owner, ur, base7, d6max, lo_v, hi_v, s7min) -> np.ndarray:
+        """U(b) of runs at ``ur`` in rows ``owner`` whose v lie in [lo_v, hi_v].
+
+        At least every step-one maximum of a point of the run, at every
+        draw.  ``base7`` and ``d6max`` are the row tables and ``s7min`` the
+        smallest equality SD of each run's points.
+        """
+        j = 6
+        mid, half = 0.5 * (lo_v + hi_v), 0.5 * (hi_v - lo_v)
+        v_abs = np.maximum(np.abs(lo_v), np.abs(hi_v))
+        mag_a, mag_u, mag_v = self.mag7
+        mag = (
+            mag_a + np.abs(ur) * mag_u + v_abs * (mag_v + abs(self.fV[j]))
+            + abs(self.fA[j]) + np.abs(self.fU[j] * ur)
+        )
+        env, tmp = np.empty((2, ur.size, self.draws))
+        np.take(base7, owner, axis=0, out=env)
+        np.add(env, np.multiply(mid[:, None], self.PV7, out=tmp), out=env)
+        np.subtract(env, (self.fA[j] + self.fU[j] * ur + self.fV[j] * mid)[:, None], out=env)
+        np.abs(env, out=env)
+        np.add(env, np.multiply(half[:, None], self.slope7, out=tmp), out=env)
+        np.add(env, (_ENVELOPE_RTOL * mag)[:, None], out=env)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(env, (self.sqrt_n * (1.0 + _ENVELOPE_RTOL) / s7min)[:, None], out=env)
+        env[s7min == 0.0] = np.inf  # |d7| / 0 is +inf wherever d7 is not zero
+        return np.maximum(env, np.take(d6max, owner, axis=0, out=tmp), out=env)
+
+    def _candidates(self, owner, ur, base7, d6max, lo_v, hi_v, s7min, m):
+        """Each run's ``m`` draws of largest envelope, (runs, m), and its cut.
+
+        Run k lies in row ``owner[k]``.  The cut is the (m + 1)-th largest
+        envelope of the run; no draw outside the candidates has a larger one.
+        """
+        k = self.draws - m - 1
+        env = self._envelope(owner, ur, base7, d6max, lo_v, hi_v, s7min)
+        order = np.argpartition(env, k, axis=1)
+        return order[:, k + 1 :].copy(), np.take_along_axis(env, order[:, k, None], axis=1)[:, 0]
+
+    def _order_stats(self, tables, row, v, mu6, s6, mu7, s7, tops):
+        """Step one's bound and step two's raw critical value at points of the tables' rows.
+
+        ``tables`` are (dev6, d6max, base7, pv7) over the draws the points
+        are evaluated on, m of them: all B, or a run's candidates; ``row``
+        is each point's row of them.  A pv7 of one row serves every row, as
+        PV7 itself does on all B draws.  Both figures are read as the order
+        statistics ``tops`` counted from the top.  The points are taken in
+        chunks whose three (point x m) arrays hold at most a third of
+        ``_EVAL_BLOCK`` floats, or one point's when that alone is more.
+        """
+        dev6, d6max, base7, pv7 = tables
+        rn, n, m = self.sqrt_n, v.size, d6max.shape[1]
+        step = max(1, _EVAL_BLOCK // (9 * m))
+        bhat, raw = np.empty((2, n))
+        for lo in range(0, n, step):
+            k = slice(lo, lo + step)
+            r, vk, s7c = row[k], v[k, None], s7[k, None]
+            d7, g, w = np.empty((3, r.size, m))
+            stud6, stud7 = _divider(s6[k]), _divider(s7c)
+
+            # Step 1: joint upper confidence bounds for the moments.  Every
+            # row index is in range; mode="clip" spares the copy "raise" makes.
+            base7.take(r, axis=0, out=d7, mode="clip")
+            pv = pv7 if len(pv7) == 1 else pv7.take(r, axis=0, out=w, mode="clip")
+            np.add(d7, np.multiply(vk, pv, out=w), out=d7)
+            np.multiply(rn, np.subtract(d7, mu7[k, None], out=d7), out=d7)
+            stud7(np.abs(d7, out=g), s7c, out=g)
+            np.maximum(d6max.take(r, axis=0, out=w, mode="clip"), g, out=g)
+            bhat[k] = b = _top(g, tops[0])
+
+            # Step 2: recenter by the bounds truncated at zero.  An infinite
+            # bound on a zero-scale component gives inf * 0 = NaN, and the
+            # component drops out of the maximum (``_stud`` maps it to -inf).
+            with np.errstate(invalid="ignore"):
+                lam6 = np.minimum(mu6[k] + b[:, None] * (s6[k] / rn), 0.0)
+                lam7a = np.minimum(mu7[k] + b * (s7[k] / rn), 0.0)
+                lam7b = np.minimum(-mu7[k] + b * (s7[k] / rn), 0.0)
             for j in range(6):
-                if skip[r][j]:
-                    continue
-                if zero[r][j]:
-                    np.maximum(gr, z6[r, j], out=gr)
-                    continue
-                np.multiply(rn, np.add(dev6[r, j], lam6[lo:hi, j, None], out=wr), out=wr)
-                np.maximum(gr, _stud(wr, s6[lo, j], out=wr), out=gr)
-        np.add(d7, rn * lam7a[:, None], out=w)
-        np.maximum(g, _stud(w, s7c, out=w), out=g)
-        np.add(np.negative(d7, out=w), rn * lam7b[:, None], out=w)
-        np.maximum(g, _stud(w, s7c, out=w), out=g)
-        return np.maximum(_quantile(g, 1.0 - alpha + beta), 0.0)
+                t = g if j == 0 else w
+                dev6[j].take(r, axis=0, out=t, mode="clip")
+                np.multiply(rn, np.add(t, lam6[:, j, None], out=t), out=t)
+                stud6(t, s6[k, j, None], out=t)
+                if j:
+                    np.maximum(g, w, out=g)
+            np.add(d7, rn * lam7a[:, None], out=w)
+            np.maximum(g, stud7(w, s7c, out=w), out=g)
+            np.add(np.negative(d7, out=w), rn * lam7b[:, None], out=w)
+            np.maximum(g, stud7(w, s7c, out=w), out=g)
+            raw[k] = _top(g, tops[1])
+        return bhat, raw
 
 
 def rsw2_test(
@@ -566,7 +731,7 @@ def rsw2_test(
     _SPointKernel.check(counts.n)
     _check_in_box(theta, a)
     boot_freqs = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
-    kernel = _SPointKernel(counts, a, theta.s, boot_freqs)
+    kernel = _SPointKernel(counts, a, moment_cell_tables(a, theta.s), boot_freqs)
     u, v = kernel.orient(np.array([theta.theta1]), np.array([theta.theta0]))
     tn, crit = kernel.evaluate(u, v, cfg.alpha, cfg.beta_value)
     return TestResult(reject=bool(_rejects(tn, crit)[0]), t_n=float(tn[0]), crit=float(crit[0]))
@@ -672,7 +837,7 @@ def confidence_set(
     blocks: list[tuple[np.ndarray, ...]] = []
     n_tested = 0
     for s_idx, s in enumerate(s_points):
-        kernel = _SPointKernel(counts, a, s, boot_freqs)
+        kernel = _SPointKernel(counts, a, moment_cell_tables(a, s), boot_freqs)
         (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
         idx1 = np.flatnonzero((axis >= lo1) & (axis <= hi1))
         idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
@@ -760,6 +925,7 @@ def coverage_simulation(
     groups: dict[RefPerf, list[int]] = {}  # candidates by reference point
     for k, tp in enumerate(theta_points):
         groups.setdefault(tp.s, []).append(k)
+    tables = {s: moment_cell_tables(a, s) for s in groups}
     t1 = np.array([tp.theta1 for tp in theta_points])
     t0 = np.array([tp.theta0 for tp in theta_points])
 
@@ -771,7 +937,7 @@ def coverage_simulation(
         counts = CellCounts(*(int(c) for c in draw))
         boot = bootstrap_cell_frequencies(counts, cfg.bootstrap, streams.derive_seed(r))
         for s, k in groups.items():
-            kernel = _SPointKernel(counts, a, s, boot)
+            kernel = _SPointKernel(counts, a, tables[s], boot)
             tn, crit = kernel.evaluate(*kernel.orient(t1[k], t0[k]), cfg.alpha, cfg.beta_value)
             accept[r, k] = ~_rejects(tn, crit)
     coverage = accept.mean(axis=0)

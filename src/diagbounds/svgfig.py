@@ -46,23 +46,26 @@ class SvgCanvas:
     def _y(self, y: float) -> float:
         return _H - _MARGIN - (y - self.y_lo) / (self.y_hi - self.y_lo) * (_H - 2 * _MARGIN)
 
-    def line(self, x1, y1, x2, y2, color="black", width=1.5):
-        self._parts.append(
-            f'<line x1="{self._x(x1):.2f}" y1="{self._y(y1):.2f}" '
-            f'x2="{self._x(x2):.2f}" y2="{self._y(y2):.2f}" '
-            f'stroke="{color}" stroke-width="{width}"/>'
-        )
-
-    def circles(self, xs, ys, r, color):
-        """One circle per (x, y); ``_x`` and ``_y`` map the whole arrays, element by element.
+    def _xy(self, xs, ys) -> list[tuple[float, float]]:
+        """(``_x``, ``_y``) of whole arrays, element by element.
 
         Overflow gives inf silently, as the same arithmetic on one float does.
         """
         with np.errstate(over="ignore"):
             cx = self._x(np.asarray(xs, dtype=float)).tolist()
             cy = self._y(np.asarray(ys, dtype=float)).tolist()
+        return list(zip(cx, cy))
+
+    def lines(self, ends, color="black", width=1.5):
+        """One line per row (x1, y1, x2, y2) of the (n, 4) array ``ends``."""
+        tag = f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{color}" stroke-width="{width}"/>'
+        starts, stops = self._xy(ends[:, 0], ends[:, 1]), self._xy(ends[:, 2], ends[:, 3])
+        self._parts += [tag % (*a, *b) for a, b in zip(starts, stops)]
+
+    def circles(self, xs, ys, r, color):
+        """One circle per (x, y)."""
         tag = f'<circle cx="%.2f" cy="%.2f" r="{r}" fill="{color}"/>'
-        self._parts += [tag % xy for xy in zip(cx, cy)]
+        self._parts += [tag % xy for xy in self._xy(xs, ys)]
 
     def rect(self, x_lo, y_lo, x_hi, y_hi, stroke="gray", dash="4 3"):
         self._parts.append(
@@ -138,10 +141,8 @@ def identified_set_figure(
     title="",
 ) -> str:
     """Segments plus optional apparent point/CI box, scatter and comparator box."""
-    xs, ys = [], []
-    for seg in segments:
-        xs += [seg.lo[0], seg.hi[0]]
-        ys += [seg.lo[1], seg.hi[1]]
+    ends = np.array([(*seg.lo, *seg.hi) for seg in segments], dtype=float).reshape(-1, 4)
+    xs, ys = ends[:, 0::2].ravel().tolist(), ends[:, 1::2].ravel().tolist()
     if apparent is not None:
         xs.append(apparent[0])
         ys.append(apparent[1])
@@ -162,8 +163,7 @@ def identified_set_figure(
         canvas.circles(thinned[:, 0], thinned[:, 1], r=1.2, color="#9ecae1")
     if comparator_box is not None:
         canvas.rect(*comparator_box)
-    for seg in segments:
-        canvas.line(seg.lo[0], seg.lo[1], seg.hi[0], seg.hi[1], color="#d62728", width=2.5)
+    canvas.lines(ends, color="#d62728", width=2.5)
     if apparent_box is not None:
         canvas.rect(*apparent_box, stroke="#2ca02c", dash="2 2")
     if apparent is not None:

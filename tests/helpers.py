@@ -8,11 +8,12 @@ in Python floats, against which the library's array rule over a whole
 region is checked bit for bit, exceptions and warnings included.  The
 prevalence oracle is the scalar endpoint rule, one rate and one segment
 at a time, against which the array rule is checked float for float.  The
-kernel oracle is the bootstrap test evaluated one row at a time, every
-step-two term in full, against which the chunked kernel is checked bit
-for bit.  The writer oracles format a confidence set one point at a time,
-against which the one-pass CSV rows and scatter figure are checked byte
-for byte.
+kernel oracles are the bootstrap test evaluated one row at a time, every
+step-two term in full, and the chunked evaluation on all B draws with its
+zero and skip rules, against both of which the kernel's candidate draws
+are checked bit for bit.  The writer oracles format a set one point or
+segment at a time, against which the one-pass CSV rows and set figures
+are checked byte for byte.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from diagbounds import (
 from diagbounds.derived import SIGN_TOL, PrevalenceBounds
 from diagbounds.exactci import _BISECT_TOL, regularized_incomplete_beta
 from diagbounds.identification import IdentifiedSet, Interval, ThetaSegment
+from diagbounds.inference import _stud
 from diagbounds.probability import PREVALENCE_GUARD, PROB_TOL, DerivedRY, ValidationReport, derived_joint_ry
 from diagbounds.svgfig import SvgCanvas, _padded_box
 
@@ -409,7 +411,10 @@ def oracle_evaluate_row(kernel, u, v, alpha, beta):
     np.maximum(gmax, oracle_stud(d7 + rn * lam7a[:, None], s7c), out=gmax)
     np.maximum(gmax, oracle_stud(-d7 + rn * lam7b[:, None], s7c), out=gmax)
     crit = np.maximum(np.quantile(gmax, 1.0 - alpha + beta, axis=-1, method="higher"), 0.0)
-    parts = {"s6": s6, "s7": s7, "dev6": dev6, "lam6": lam6, "lam7a": lam7a, "lam7b": lam7b}
+    parts = {
+        "s6": s6, "s7": s7, "dev6": dev6, "lam6": lam6, "lam7a": lam7a, "lam7b": lam7b,
+        "step_one": g1, "step_two": gmax,
+    }
     return tn, crit, parts
 
 
@@ -426,9 +431,88 @@ def oracle_evaluate(kernel, u, v, alpha, beta):
     return tn, crit
 
 
-# The confidence-set writers one point at a time: the CSV row f-string and
-# the scatter figure's per-point circle loop over Python lists, as written
-# before each became one pass over the arrays.
+# The kernel's critical values as computed before candidate draws: chunks
+# of consecutive points, each with its own row tables, every point
+# evaluated on all B draws, with the zero rule (a row's shared
+# +0.0-recentered term) and the skip rule (terms below zero at every draw
+# of the row are left out of the step-two maximum).
+
+
+def oracle_critical_values(kernel, u, v, alpha, beta):
+    """T_n and critical values at the points (u[k], v[k]), all points one chunk."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    mu6, s6, mu7, s7, tn = kernel._statistic(u, v)
+    rn, n, nb = kernel.sqrt_n, v.size, kernel.draws
+    if n == 0:
+        return tn, np.empty(0)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    first[1:] = u[1:] != u[:-1]
+    starts = np.flatnonzero(first)
+    row = np.cumsum(first) - 1
+    d7, g, w = np.empty((3, n, nb))
+    dev6, z6 = np.empty((2, starts.size, 6, nb))
+    base7, d6max = np.empty((2, starts.size, nb))
+
+    # Row tables.  z6 holds the step-two terms recentered by +0.0; d6max, their maximum, is step one's.
+    ur, s6c = u[first], s6[first][:, :, None]
+    np.add(kernel.PA6, np.multiply(kernel.PU6, ur[:, None, None], out=dev6), out=dev6)
+    np.subtract(dev6, mu6[first][:, :, None], out=dev6)
+    _stud(np.multiply(rn, np.add(dev6, 0.0, out=z6), out=z6), s6c, out=z6)
+    np.max(z6, axis=1, out=d6max)
+    top6 = np.max(dev6, axis=2)
+    np.add(kernel.PA7, np.multiply(kernel.PU7, ur[:, None], out=base7), out=base7)
+    s7c = s7[:, None]
+
+    # Step 1.
+    np.take(base7, row, axis=0, out=d7)
+    np.add(d7, np.multiply(v[:, None], kernel.PV7, out=w), out=d7)
+    np.multiply(rn, np.subtract(d7, mu7[:, None], out=d7), out=d7)
+    _stud(np.abs(d7, out=g), s7c, out=g)
+    np.maximum(np.take(d6max, row, axis=0), g, out=g)
+    bhat = np.quantile(g, 1.0 - beta, axis=-1, method="higher")
+
+    # Step 2, with the zero and skip rules.
+    scale, scale7 = s6 / rn, s7 / rn
+    with np.errstate(invalid="ignore"):
+        lam6 = np.minimum(mu6 + bhat[:, None] * scale, 0.0)
+        lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
+        lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
+    top = _stud(rn * (top6[row] + lam6), s6)
+    skip = np.logical_and.reduceat(top < 0.0, starts, axis=0).tolist()
+    zero = np.logical_and.reduceat(lam6 == 0.0, starts, axis=0).tolist()
+    g.fill(-np.inf)
+    bounds = starts.tolist() + [n]
+    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        gr, wr = g[lo:hi], w[lo:hi]
+        for j in range(6):
+            if skip[r][j]:
+                continue
+            if zero[r][j]:
+                np.maximum(gr, z6[r, j], out=gr)
+                continue
+            np.multiply(rn, np.add(dev6[r, j], lam6[lo:hi, j, None], out=wr), out=wr)
+            np.maximum(gr, _stud(wr, s6[lo, j], out=wr), out=gr)
+    np.add(d7, rn * lam7a[:, None], out=w)
+    np.maximum(g, _stud(w, s7c, out=w), out=g)
+    np.add(np.negative(d7, out=w), rn * lam7b[:, None], out=w)
+    np.maximum(g, _stud(w, s7c, out=w), out=g)
+    return tn, np.maximum(np.quantile(g, 1.0 - alpha + beta, axis=-1, method="higher"), 0.0)
+
+
+# The set writers one point or segment at a time: the CSV row f-strings and
+# the set figure's per-point circle and per-segment line loops over Python
+# lists, as written before each became one pass over the arrays.
+
+
+def oracle_identified_csv_rows(identified):
+    rows = ["s1,s0,theta1_lo,theta1_hi,theta0_lo,theta0_hi"]
+    for seg in identified.segments:
+        rows.append(
+            f"{seg.s.s1:.10g},{seg.s.s0:.10g},{seg.lo[0]:.12g},{seg.hi[0]:.12g},"
+            f"{seg.lo[1]:.12g},{seg.hi[1]:.12g}"
+        )
+    return rows
 
 
 def oracle_csv_rows(cs):
@@ -442,6 +526,13 @@ def oracle_csv_rows(cs):
 
 
 class _PointCanvas(SvgCanvas):
+    def line(self, x1, y1, x2, y2, color="black", width=1.5):
+        self._parts.append(
+            f'<line x1="{self._x(x1):.2f}" y1="{self._y(y1):.2f}" '
+            f'x2="{self._x(x2):.2f}" y2="{self._y(y2):.2f}" '
+            f'stroke="{color}" stroke-width="{width}"/>'
+        )
+
     def circle(self, x, y, r, color):
         self._parts.append(
             f'<circle cx="{self._x(x):.2f}" cy="{self._y(y):.2f}" r="{r}" fill="{color}"/>'

@@ -28,21 +28,35 @@ from diagbounds import inference
 from diagbounds.inference import (
     _QUANTILE_METHOD,
     BETA_PRESETS,
-    _quantile,
+    _rank_from_top,
     _rejects,
     _SPointKernel,
     _stud,
     _Substreams,
+    _top,
     bootstrap_cell_frequencies,
 )
-from diagbounds.moments import build_moment_system, param_space_box
+from diagbounds.moments import build_moment_system, moment_cell_tables, param_space_box
 from diagbounds.report import _json_text
 
-from helpers import TABLE_DATASETS, WA1, oracle_evaluate, oracle_evaluate_row, oracle_stud, retains
+from helpers import (
+    TABLE_DATASETS,
+    WA1,
+    oracle_critical_values,
+    oracle_evaluate,
+    oracle_evaluate_row,
+    oracle_stud,
+    retains,
+)
 
 EUA = TABLE_DATASETS["eua_sx"]
 S91 = RefPerf(0.9, 1.0)
 CFG = TestConfig(alpha=0.05, seed=20240501)
+
+
+def _kernel(counts, a, s, boot):
+    """The kernel of one dataset, assumption and reference point."""
+    return _SPointKernel(counts, a, moment_cell_tables(a, s), boot)
 
 
 def test_config_validation():
@@ -200,26 +214,26 @@ def _levels():
     return out
 
 
-def test_quantile_picks_numpys_order_statistic_for_every_draw_count():
+def test_top_picks_numpys_order_statistic_for_every_draw_count():
     levels = _levels()
     assert len(levels) == 24
     rng = np.random.default_rng(6)
     for m in range(1, 2001):
         x = rng.permutation(m).astype(float)  # distinct values name their rank
         want = np.quantile(x, levels, method=_QUANTILE_METHOD)
-        got = [_quantile(x.copy(), q) for q in levels]
+        got = [_top(x.copy(), _rank_from_top(m, q)) for q in levels]
         assert _same_bits(got, want), m
 
 
 _QUANTILE_VALUES = st.one_of(
     st.floats(allow_nan=False),
     st.sampled_from([0.0, -0.0]),
-    st.sampled_from([np.inf, -np.inf, np.nan, 1.0, -1.0]),
+    st.sampled_from([np.inf, -np.inf, 1.0, -1.0]),
 )
 
 
 @settings(max_examples=150, deadline=None)
-@example(rows=2, m=50, values=[0.0, -0.0], shuffle=0, q=0.955)  # fails if partitioned at k alone
+@example(rows=2, m=50, values=[0.0, -0.0], shuffle=0, q=0.955)  # signed zeros tied at the statistic
 @given(
     rows=st.integers(1, 4),
     m=st.integers(1, 600),
@@ -227,14 +241,20 @@ _QUANTILE_VALUES = st.one_of(
     shuffle=st.integers(0, 2**32 - 1),
     q=st.sampled_from(_levels() + [0.0, 0.5, 1.0]),
 )
-def test_quantile_matches_numpy_with_ties_infinities_and_nans(rows, m, values, shuffle, q):
-    # A few values repeated in random order: many ties, signed zeros among them.
+def test_top_matches_numpy_with_ties_and_infinities(rows, m, values, shuffle, q):
+    # A few values repeated in random order: many ties, signed zeros among
+    # them.  The kernel passes no NaN.  Of two zeros _top may return the
+    # other one; np.maximum(x, 0.0) and np.minimum(x, 0.0), through which
+    # every order statistic of the kernel passes, give +0.0 for either.
     pool = np.resize(np.array(values), rows * m)
     x = np.random.default_rng(shuffle).permutation(pool).reshape(rows, m)
     want = np.quantile(x, q, axis=-1, method=_QUANTILE_METHOD)
-    # _quantile partitions its argument in place: give it copies.
-    assert _same_bits(_quantile(x.copy(), q), want)
-    assert _same_bits(_quantile(x[0].copy(), q), np.quantile(x[0], q, method=_QUANTILE_METHOD))
+    # _top partitions its argument in place: give it copies.
+    got = _top(x.copy(), _rank_from_top(m, q))
+    np.testing.assert_array_equal(got, want)
+    for floor in (np.maximum, np.minimum):
+        assert _same_bits(floor(got, 0.0), floor(want, 0.0))
+    assert _top(x[0].copy(), _rank_from_top(m, q)) == np.quantile(x[0], q, method=_QUANTILE_METHOD)
 
 
 def test_apparent_point_rejected_on_eua():
@@ -557,7 +577,7 @@ def _unscreened_confidence_set(counts, S, a, cfg, bound_rtol=1e-12):
     retained, rejected = [], []
     n_tested = 0
     for s_idx, s in enumerate(sorted(S.points, key=lambda q: (q.s1, q.s0))):
-        kernel = _SPointKernel(counts, a, s, boot)
+        kernel = _kernel(counts, a, s, boot)
         (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
         idx1 = np.flatnonzero((axis >= lo1) & (axis <= hi1))
         idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
@@ -718,7 +738,7 @@ def test_ill_conditioned_points_take_the_full_evaluation(monkeypatch):
     s = RefPerf(1.0, 1.0)
     cfg = TestConfig(alpha=0.05, seed=3, bootstrap=50, theta_grid=5)
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
-    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed))
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed))
     assert not kernel.u_is_theta1
     rows, _ = kernel.screen(np.array([0.0, 1.0]), axis, 0.0)
     for r, edge in enumerate((0.0, 1.0)):
@@ -778,7 +798,7 @@ def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cutoff, b
     counts = CellCounts(*cells)
     axis = np.linspace(0.0, 1.0, grid)
     s = S.points[0]
-    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
     (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
     u, v = kernel.orient(
         axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)]
@@ -794,40 +814,48 @@ def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cutoff, b
 
 @pytest.mark.parametrize("budget", ["_SCREEN_BLOCK", "_EVAL_BLOCK"])
 def test_memory_budgets_change_no_bit(monkeypatch, budget):
-    # A small table screens out little, so rows keep many survivors.
+    # A small table screens out little, so rows keep many survivors.  At
+    # B = 200 the default candidate count (64) is below B, so both phases run.
     counts = CellCounts(12, 3, 4, 20)
     S = SRegion.rectangle(0.85, 0.95, 0.95, 1.0, s1_points=2, s0_points=1)
-    cfg = TestConfig(alpha=0.05, seed=4, bootstrap=60, theta_grid=25)
+    cfg = TestConfig(alpha=0.05, seed=4, bootstrap=200, theta_grid=25)
     eq_stats = _SPointKernel._eq_stats
     critical_values = _SPointKernel._critical_values
     signature = inspect.signature(critical_values)
-    shapes, chunks = [], []
+    shapes, batches = [], []
 
     def spy(self, u, v):
         shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
         return eq_stats(self, u, v)
 
-    def chunk_spy(self, *args, **kwargs):
-        chunks.append(signature.bind(self, *args, **kwargs).arguments["v"].size)
+    def batch_spy(self, *args, **kwargs):
+        u = signature.bind(self, *args, **kwargs).arguments["u"]
+        batches.append((np.unique(u).size, u.size))
         return critical_values(self, *args, **kwargs)
 
     def run():
         shapes.clear()
-        chunks.clear()
+        batches.clear()
+        calls.clear()
         cs = confidence_set(counts, S, WA1, cfg)
-        # Screen chunks are (rows, v) blocks, evaluation chunks vectors of survivors.
-        return cs, [sh for sh in shapes if len(sh) == 2], list(chunks)
+        # Screen chunks are (rows, v) blocks, evaluation batches vectors of survivors.
+        return cs, [sh for sh in shapes if len(sh) == 2], list(batches), list(calls)
 
     monkeypatch.setattr(_SPointKernel, "_eq_stats", spy)
-    monkeypatch.setattr(_SPointKernel, "_critical_values", chunk_spy)
-    want, screened, evaluated = run()
+    monkeypatch.setattr(_SPointKernel, "_critical_values", batch_spy)
+    calls = _spy_on_order_stats(monkeypatch)
+    want, screened, evaluated, phases = run()
     monkeypatch.setattr(inference, budget, 1)
-    got, screened_1, evaluated_1 = run()
+    got, screened_1, evaluated_1, phases_1 = run()
     if budget == "_SCREEN_BLOCK":
         assert max(sh[0] for sh in screened) > 1 and {sh[0] for sh in screened_1} == {1}
     else:
-        assert max(evaluated) > 1 and set(evaluated_1) == {1}
-        assert sum(evaluated_1) == sum(evaluated)
+        # Batches of one row and at most _ENVELOPE_RUN points, against several rows.
+        assert max(rows for rows, _ in evaluated) > 1 and {rows for rows, _ in evaluated_1} == {1}
+        assert max(size for _, size in evaluated_1) <= inference._ENVELOPE_RUN
+        assert sum(size for _, size in evaluated_1) == sum(size for _, size in evaluated)
+    for p in (phases, phases_1):
+        assert {m for _, m in p} == {64}  # every point exact on its candidates
     for field in ("points", "t_n", "crit"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
     assert got.n_tested == want.n_tested
@@ -874,7 +902,7 @@ def test_kernel_variances_match_per_observation_sums(cells, a, s, f1, f0):
     s = RefPerf(*s)
     (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
     theta = ThetaPoint(lo1 + f1 * (hi1 - lo1), lo0 + f0 * (hi0 - lo0), s)
-    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
     u, v = kernel.orient(theta.theta1, theta.theta0)
     mu6, s6 = kernel._ineq_stats(u)
     mu7, s7 = kernel._eq_stats(u, np.array([v]))
@@ -909,11 +937,35 @@ def _box_points(kernel, a, s, grid, layout, seed):
 
 
 def _assert_kernel_matches_oracle(kernel, u, v, alpha, beta, budget):
+    """``evaluate`` at an ``_EVAL_BLOCK`` budget against both kernel oracles, bit for bit."""
     with mock.patch.object(inference, "_EVAL_BLOCK", budget):
         tn, crit = kernel.evaluate(u, v, alpha, beta)
-    want_tn, want_crit = oracle_evaluate(kernel, u, v, alpha, beta)
-    assert tn.tobytes() == want_tn.tobytes()
-    assert crit.tobytes() == want_crit.tobytes()
+    for oracle in (oracle_evaluate, oracle_critical_values):
+        want_tn, want_crit = oracle(kernel, u, v, alpha, beta)
+        assert tn.tobytes() == want_tn.tobytes()
+        assert crit.tobytes() == want_crit.tobytes()
+
+
+def _candidate_counts(rule):
+    """A stand-in for ``_candidate_count``: one more than the fewest that hold the order statistics, 92, or B."""
+    if rule == "top+1":
+        return lambda draws, top, points: top + 1
+    if rule == "B":
+        return lambda draws, top, points: draws
+    return lambda draws, top, points: rule
+
+
+def _spy_on_order_stats(monkeypatch):
+    """Record (points, draws evaluated on) for every phase-B call."""
+    calls = []
+    order_stats = _SPointKernel._order_stats
+
+    def spy(self, tables, row, *args):
+        calls.append((row.size, tables[1].shape[1]))
+        return order_stats(self, tables, row, *args)
+
+    monkeypatch.setattr(_SPointKernel, "_order_stats", spy)
+    return calls
 
 
 @settings(max_examples=150, deadline=None)
@@ -936,10 +988,106 @@ def test_kernel_matches_the_row_by_row_oracle(cells, a, S, bootstrap, seed, grid
     # below-zero ones change no bit.
     counts = CellCounts(*cells)
     s = S.points[0]
-    kernel = _SPointKernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
     u, v = _box_points(kernel, a, s, grid, layout, seed)
     beta = TestConfig(alpha=alpha).beta_value
     _assert_kernel_matches_oracle(kernel, u, v, alpha, beta, budget)
+
+
+@settings(max_examples=120, deadline=None)
+@example(  # a row whose points include s7 = 0: its envelope is +inf
+    cells=[1, 0, 4, 0], a=DependenceAssumption.NO_RESTRICTION, s=(0.8, 0.5), bootstrap=37,
+    seed=0, grid=41, preset=10,
+)
+@given(
+    cells=st.one_of(
+        st.lists(st.integers(1, 75), min_size=4, max_size=4), _tables_with_an_empty_cell()
+    ),
+    a=st.sampled_from(list(DependenceAssumption)),
+    s=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)).filter(lambda p: p[0] + p[1] >= 1.02),
+    bootstrap=st.sampled_from([1, 2, 37, 500, 2000]),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.integers(2, 41),
+    preset=st.sampled_from(BETA_PRESETS),
+)
+def test_envelope_bounds_every_step_one_maximum(cells, a, s, bootstrap, seed, grid, preset):
+    # Over each run of a row as the kernel cuts it, the envelope is at least
+    # every step-one maximum the kernel computes at every draw, and that in
+    # turn is at least every step-two term (the fact the cut relies on).
+    counts = CellCounts(*cells)
+    s = RefPerf(*s)
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
+    beta = TestConfig.with_beta_preset(0.05, preset).beta_value
+    u, v = _box_points(kernel, a, s, grid, "rows", seed)
+    run = inference._ENVELOPE_RUN
+    for x in np.unique(u):
+        row_v = v[u == x]
+        for lo in range(0, row_v.size, run):
+            vr = row_v[lo : lo + run]
+            mu6, s6, _, s7, _ = kernel._statistic(np.full(vr.size, x), vr)
+            _, d6max, base7 = kernel._row_tables(np.array([x]), mu6[:1], s6[:1])
+            env = kernel._envelope(
+                np.zeros(1, dtype=int), np.array([x]), base7, d6max,
+                vr.min(keepdims=True), vr.max(keepdims=True), s7.min(keepdims=True),
+            )
+            _, _, parts = oracle_evaluate_row(kernel, float(x), vr, 0.05, beta)
+            assert np.all(parts["step_one"] <= env)
+            assert np.all(parts["step_two"] <= parts["step_one"])
+            assert np.all(env >= 0.0)  # so the cut is never negative
+
+
+def test_envelope_is_infinite_where_s7_is_zero(monkeypatch):
+    # The pinned row's first point has s7 = 0: its run's cut is +inf, so
+    # every point of the run is evaluated again on all B draws.
+    counts = CellCounts(1, 0, 4, 0)
+    a, s, x = DependenceAssumption.NO_RESTRICTION, RefPerf(0.8, 0.5), 1.0
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 20, 0))
+    v = np.linspace(0.0, 0.4, 17)
+    mu6, s6, _, s7, _ = kernel._statistic(np.full(v.size, x), v)
+    assert s7[0] == 0.0 and np.all(s7[1:] > 0.0)
+    _, d6max, base7 = kernel._row_tables(np.array([x]), mu6[:1], s6[:1])
+    env = kernel._envelope(
+        np.zeros(1, dtype=int), np.array([x]), base7, d6max, v[:1], v[-1:], s7.min(keepdims=True)
+    )
+    assert np.all(env == np.inf)
+    monkeypatch.setattr(inference, "_candidate_count", _candidate_counts("top+1"))
+    calls = _spy_on_order_stats(monkeypatch)
+    _assert_kernel_matches_oracle(kernel, np.full(v.size, x), v, 0.05, 0.005, inference._EVAL_BLOCK)
+    assert calls == [(v.size, 2), (v.size, 20)]  # top + 1 = 2 candidates, then every draw
+
+
+@settings(max_examples=120, deadline=None)
+@example(  # bhat at or below the cut, the critical value above it
+    cells=[21, 67, 21, 61], a=WA1, S=SRegion.singleton(0.9628572886072093, 0.979206815888976),
+    bootstrap=207, seed=4131681658, grid=10, layout="rows", count="top+1",
+    budget=inference._EVAL_BLOCK, beta=0.04,
+)
+@given(
+    cells=st.one_of(
+        st.lists(st.integers(1, 75), min_size=4, max_size=4), _tables_with_an_empty_cell()
+    ),
+    a=st.sampled_from(list(DependenceAssumption)),
+    S=_s_regions(),
+    bootstrap=st.one_of(st.integers(1, 300), st.just(500)),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.integers(2, 12),
+    layout=st.sampled_from(["rows", "subsets", "scattered"]),
+    count=st.sampled_from(["top+1", 92, "B"]),
+    budget=st.one_of(st.integers(1, 4000), st.just(inference._EVAL_BLOCK)),
+    beta=st.sampled_from([0.05 / d for d in BETA_PRESETS] + [0.04]),
+)
+def test_candidate_draws_match_both_oracles(cells, a, S, bootstrap, seed, grid, layout, count, budget, beta):
+    # With the candidate count forced, whatever the call's size: the fewest
+    # candidates that hold the order statistics plus one, the default's 92,
+    # or B, which sends every point to the evaluation on all B draws.  Past
+    # alpha / 2, beta puts step one's order statistic below step two's, so
+    # bhat can fall below the cut where the critical value does not.
+    counts = CellCounts(*cells)
+    s = S.points[0]
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
+    u, v = _box_points(kernel, a, s, grid, layout, seed)
+    with mock.patch.object(inference, "_candidate_count", _candidate_counts(count)):
+        _assert_kernel_matches_oracle(kernel, u, v, 0.05, beta, budget)
 
 
 def _step_two_facts(kernel, u, v):
@@ -990,23 +1138,33 @@ def _step_two_facts(kernel, u, v):
     ],
 )
 def test_kernel_step_two_rules_on_pinned_rows(monkeypatch, cells, a, s, bootstrap, seed, u, v, holds):
+    # Rows where the chunked oracle's zero and skip rules act, or where s7
+    # or s6 is zero: the kernel evaluates every step-two term, on candidate
+    # draws and on all B draws, and agrees with both oracles bit for bit.
     counts = CellCounts(*cells)
-    kernel = _SPointKernel(counts, a, RefPerf(*s), bootstrap_cell_frequencies(counts, bootstrap, seed))
+    kernel = _kernel(counts, a, RefPerf(*s), bootstrap_cell_frequencies(counts, bootstrap, seed))
     v = np.array(v)
     assert holds(_step_two_facts(kernel, u, v))
-    critical_values = _SPointKernel._critical_values
+    calls = _spy_on_order_stats(monkeypatch)
+    top = inference._top
     chunks = []
 
-    def chunk_spy(self, u, v, *args):
-        chunks.append((budget, v.size))
-        return critical_values(self, u, v, *args)
+    def chunk_spy(x, k):
+        chunks.append((count, budget, x.shape))
+        return top(x, k)
 
-    monkeypatch.setattr(_SPointKernel, "_critical_values", chunk_spy)
-    for budget in (1, 20 * bootstrap, 60 * bootstrap, inference._EVAL_BLOCK):
-        _assert_kernel_matches_oracle(kernel, np.full(v.size, u), v, 0.05, 0.005, budget)
-    # At 20 B a chunk holds 6 points, so a 9-point row is split in two.
-    at_20b = [size for b, size in chunks if b == 20 * bootstrap]
-    assert at_20b == ([6, 3] if v.size == 9 else [v.size])
+    monkeypatch.setattr(inference, "_top", chunk_spy)
+    for count in ("top+1", "B"):
+        monkeypatch.setattr(inference, "_candidate_count", _candidate_counts(count))
+        for budget in (1, 20 * bootstrap, inference._EVAL_BLOCK):
+            _assert_kernel_matches_oracle(kernel, np.full(v.size, u), v, 0.05, 0.005, budget)
+    # Both phases ran: points on top + 1 candidate draws, the rest on all B.
+    m = 2 if bootstrap < 21 else 3
+    assert {width for _, width in calls} == {m, bootstrap}
+    # On all B draws a chunk at 20 B holds 2 points (three (point x B) arrays
+    # within a third of the budget), so a 9-point row takes five chunks.
+    at_20b = [shape[0] for c, b, shape in chunks if (c, b) == ("B", 20 * bootstrap)]
+    assert at_20b[::2] == ([2, 2, 2, 2, 1] if v.size == 9 else [v.size])
 
 
 @pytest.mark.parametrize(
@@ -1034,6 +1192,33 @@ def test_reference_point_with_no_survivors(monkeypatch, a, n_tested):
     for field in ("points", "t_n", "crit"):
         got, want = getattr(both, field), getattr(alone, field)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "s1_points, digest, retained",
+    [
+        pytest.param(
+            2, "d8349115aba4a9f04575d3d2edf9b971ffb9076ce520a089cccd223e342b6604", 1323, id="infer-grid"
+        ),
+        pytest.param(
+            10, "15ec192a9653ac7337609cead2b79ee7bb2ca46c3a7ddcf374ad7c77a714b680", 6630, id="ten-points"
+        ),
+    ],
+)
+def test_pinned_regions_keep_their_digests(monkeypatch, s1_points, digest, retained):
+    # EUA under wa1 over s1 in [0.8, 0.9] at s0 = 1.0, 316^2 grid, B = 500,
+    # seed 1: the sha256 of the points, t_n and crit bytes, as the kernel
+    # gave them before candidate draws.  On the two-point region every
+    # survivor is exact on its 92 candidate draws, none is evaluated again
+    # on all B: a loosened envelope fails here rather than only slowing.
+    calls = _spy_on_order_stats(monkeypatch)
+    cfg = TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=316)
+    S = SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=s1_points, s0_points=1)
+    cs = confidence_set(EUA, S, WA1, cfg)
+    got = hashlib.sha256(cs.points.tobytes() + cs.t_n.tobytes() + cs.crit.tobytes()).hexdigest()
+    assert (got, len(cs)) == (digest, retained)
+    if s1_points == 2:
+        assert {m for _, m in calls} == {92} and sum(p for p, _ in calls) == 1949
 
 
 def test_minimum_and_maximum_against_zero_give_positive_zero():
@@ -1067,10 +1252,11 @@ def _traced_peak(call):
 
 
 def test_kernel_memory_is_bounded_by_the_budget_at_large_b():
-    # At B = 20,000 a chunk is one point.  The (point x draw) arrays and the
-    # row tables are built per chunk, never per reference point, so the
-    # peak stays at a fixed multiple of the budget: the kernel's own (B, 8)
-    # tables, the draws and one point's scratch.
+    # At B = 20,000 a batch is one row and a phase-B chunk on all B draws one
+    # point.  The row tables and the (point x draw) arrays are built per
+    # batch, never per reference point, so the peak stays at a fixed
+    # multiple of the budget: the kernel's own (B, 8) tables, the draws, one
+    # row's tables and candidates and one point's scratch.
     counts = CellCounts(12, 3, 4, 20)
     cfg = TestConfig(alpha=0.05, seed=4, bootstrap=20_000, theta_grid=9)
     cs, peak = _traced_peak(lambda: confidence_set(counts, SRegion.singleton(0.9, 1.0), WA1, cfg))
@@ -1079,20 +1265,22 @@ def test_kernel_memory_is_bounded_by_the_budget_at_large_b():
 
 
 def test_kernel_memory_is_one_chunk_of_single_point_rows():
-    # Scattered points are rows of one point each, the chunk's worst case:
-    # three (point x draw) arrays and 14 row tables per point, 17 piece B
-    # floats.  Beyond one chunk the peak holds per-point figures (the inputs,
-    # their statistics and recenterings) and numpy's iteration buffer of
+    # Scattered points are rows of one point each, a batch's worst case:
+    # as many rows and runs as points.  The bound is what one chunk of
+    # piece = _EVAL_BLOCK // (3 B) points took before candidate draws, 17
+    # piece B floats; a batch now holds at most 1.2 _EVAL_BLOCK at B = 500.
+    # Beyond one batch the peak holds per-point figures (the inputs, their
+    # statistics and recenterings) and numpy's iteration buffer of
     # getbufsize() elements for each of two operands, never an array of
     # every point's draws.
     draws = 500
-    kernel = _SPointKernel(EUA, WA1, S91, bootstrap_cell_frequencies(EUA, draws, 1))
+    kernel = _kernel(EUA, WA1, S91, bootstrap_cell_frequencies(EUA, draws, 1))
     piece = inference._EVAL_BLOCK // (3 * draws)
     (lo1, hi1), (lo0, hi0) = param_space_box(WA1, S91)
     rng = np.random.default_rng(0)
     n = 3 * piece
     u, v = rng.uniform(lo1, hi1, n), rng.uniform(lo0, hi0, n)
-    assert np.unique(u).size == n and n > 2 * piece  # three chunks of single-point rows
+    assert np.unique(u).size == n and n > 2 * piece  # single-point rows, many batches of them
     (tn, crit), peak = _traced_peak(lambda: kernel.evaluate(u, v, 0.05, 0.005))
     assert np.all(np.isfinite(crit))
     per_point = 48 * n * 8
@@ -1115,7 +1303,7 @@ def test_screen_memory_stays_below_a_mask_of_the_whole_block():
     # The screen gathers each chunk's survivors, so its peak is the survivors'
     # indices and one chunk's temporaries, not a (u x v) boolean mask.
     axis = np.linspace(0.0, 1.0, 3000)
-    kernel = _SPointKernel(EUA, WA1, S91, bootstrap_cell_frequencies(EUA, 2, 0))
+    kernel = _kernel(EUA, WA1, S91, bootstrap_cell_frequencies(EUA, 2, 0))
     (lo1, hi1), (lo0, hi0) = param_space_box(WA1, S91)
     u, v = kernel.orient(axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)])
     cutoff = inference._chi_square_bound(EUA, bootstrap_cell_frequencies(EUA, 200, 0), 0.955)

@@ -1,12 +1,14 @@
-"""The confidence-set writers against the slow paths they replace.
+"""The set writers against the slow paths they replace.
 
-``report._json_text`` against ``json.dumps`` itself, ``ConfidenceSet.to_csv_rows``
-and the scatter figure against the one-point-at-a-time oracles in
-``helpers``: every file must come out byte for byte the same.
+``report._json_text`` against ``json.dumps`` itself; ``ConfidenceSet.to_csv_rows``,
+``IdentifiedSet.to_csv_rows`` and the set figure's scatter and segments against
+the one-point-at-a-time and one-segment-at-a-time oracles in ``helpers``: every
+file must come out byte for byte the same.
 """
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +17,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diagbounds import SRegion, TestConfig, sharp_union
+from diagbounds.identification import IdentifiedSet
 from diagbounds.inference import ConfidenceSet
 from diagbounds.probability import estimate_joint
 from diagbounds.report import ReportBundle, StudyConfig, _analysis_files, _json_text
 from diagbounds.svgfig import identified_set_figure
 
-from helpers import S_POINT, TABLE_DATASETS, WA1, oracle_csv_rows, oracle_identified_set_figure
+from helpers import (
+    S_POINT,
+    TABLE_DATASETS,
+    WA1,
+    oracle_csv_rows,
+    oracle_identified_csv_rows,
+    oracle_identified_set_figure,
+)
 
 _EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
                 1.7976931348623157e308, -1e-300, 1e16, 1e22, 0.1)
@@ -189,3 +199,42 @@ def test_thinned_scatter_figure_matches_the_point_oracle(n):
     scatter = rng.uniform(0.5, 1.0, size=(n, 2))
     scatter[rng.integers(0, n, 40), rng.integers(0, 2, 40)] = rng.choice(_EDGE_FLOATS, 40)
     _assert_scatter_matches_the_oracle(scatter, marks=True)
+
+
+# Segments as the writers read them (reference point and endpoints).  The
+# CSV rows take any floats; a figure's endpoints lie in [0, 1], as every
+# segment's do, since a plot window of one point's width has no scale.
+def _segments(coordinate):
+    pair = st.tuples(*[coordinate | st.builds(np.float64, coordinate)] * 2)
+    return st.lists(
+        st.builds(
+            lambda s1, s0, lo, hi: SimpleNamespace(s=SimpleNamespace(s1=s1, s0=s0), lo=lo, hi=hi),
+            _FLOATS, _FLOATS, pair, pair,
+        ),
+        min_size=1, max_size=30,
+    )
+
+
+_UNIT = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0.1, 1.0 - 2**-53])
+
+
+@settings(max_examples=200, deadline=None)
+@example(segments=list(_IDENTIFIED.segments))
+@given(segments=_segments(_FLOATS))
+def test_identified_csv_rows_match_the_segment_oracle(segments):
+    identified = IdentifiedSet(segments=tuple(segments), assumption=WA1)
+    assert identified.to_csv_rows() == oracle_identified_csv_rows(identified)
+
+
+@settings(max_examples=200, deadline=None)
+@example(segments=list(_IDENTIFIED.segments), marks=True)
+@example(segments=[SimpleNamespace(s=S_POINT, lo=(0.0, 0.2), hi=(0.0, -0.0))], marks=False)
+@given(segments=_segments(_UNIT), marks=st.booleans())
+def test_segment_figure_matches_the_segment_oracle(segments, marks):
+    kwargs = {"title": "t"}
+    if marks:
+        kwargs.update(apparent=(0.85, 0.98), apparent_box=(0.77, 0.91, 0.96, 0.99),
+                      comparator_box=(0.6, 0.9, 0.95, 1.0))
+    got = identified_set_figure(segments, **kwargs)
+    assert got == oracle_identified_set_figure(segments, **kwargs)
+    assert got.count("<line") == len(segments)
