@@ -33,13 +33,58 @@ margin and applies only where every studentizing variance, computed as
 E[m^2] - mu^2, is well above rounding error of its second moment; every
 other point goes through the full evaluation.
 
-The screen's closed-form T_n and conditioning gate are evaluated over the
-whole (u, v) grid block of a reference point at once, in chunks of rows
-whose temporaries stay under a fixed element budget.  T_n has one
-formula, which broadcasts a column of rows against v as it does
-per-point vectors.  The survivors of the whole block are then evaluated
-in batches of consecutive points.  A row is a run of points sharing the
-driving coordinate u; a row that spans two batches is a row in each.  A
+The screen takes the (u, v) grid block of a reference point row by row
+first.  A row is a run of points sharing the driving coordinate u, and
+the six inequality statistics depend on u alone: their part of T_n,
+t6 = max_j sqrt(n) mu_j / s_j, and their six gates are computed once per
+row, the same elementwise values the per-point formula broadcasts.  A
+row is rejected whole where t6 exceeds the cutoff (T_n >= t6 at each of
+its points), its six gates hold, and the row proof below shows that the
+equality component passes its gate at every v of the row.  Every other
+row goes through the per-point T_n and gates, in chunks of rows whose
+temporaries stay under a fixed element budget, so the survivors are
+exactly those of the per-point screen.  T_n has one formula, which
+broadcasts a column of rows against v as it does per-point vectors.
+
+*The row proof.*  On the kernel's stored coefficients (component 7 of
+each), the equality component's mean is a + b v, with a = fA + fU u and
+b = fV, and its second moment is P(v) = p0 + 2 p1 v + p2 v^2, with
+p0 = fAA + 2 u fAU + u^2 fUU, p1 = fAV + u fUV and p2 = fVV.  Its variance
+is c0 + 2 c1 v + c2 v^2, with c0 = p0 - a^2, c1 = p1 - a b and
+c2 = p2 - b^2.  In exact arithmetic the gate asks for a variance above
+floor P(v), floor being ``_SCREEN_VAR_FLOOR``.  Over the row's v in
+[lo, hi] the variance is at least the larger of two bounds.  One is
+min(var(lo), var(hi)) - max(c2, 0) (hi - lo)^2 / 4, since the variance is
+the chord through its two end values minus c2 (v - lo)(hi - v).  The
+other, where c2 > 0, is its global minimum c0 - c1^2 / c2.  P is convex,
+since p2 is a sum of products f V^2 that are never negative, so P(v) is
+at most max(P(lo), P(hi)).
+
+*Its rounding allowance.*  Let m0 = |fAA| + 2|u||fAU| + u^2|fUU| +
+(|fA| + |u||fU|)^2, m1 = |fAV| + |u||fUV| + (|fA| + |u||fU|)|fV|,
+m2 = fVV + fV^2 and mag = m0 + 2 w m1 + w^2 m2, with w the larger of |lo|
+and |hi|.  mag bounds the sum of the absolute summands of every variance
+and second moment of the row, as the per-point pass computes them at any
+v in [lo, hi] and as the proof does at lo and hi.  Each takes at most a
+dozen roundings, each of at most eps = 2^-53 of a partial sum, so each is
+within about 20 eps mag of its exact value; c0, c1 and c2 are within
+about 12 eps times m0, m1 and m2 of theirs.  The global minimum is used only where
+c2 > rho m2, with rho = ``_ROW_RTOL``, and with each coefficient moved
+against the bound by rho times its magnitude: c0 - rho m0 - (|c1| +
+rho m1)^2 / (c2 - rho m2) is at most the exact minimum.  Where it decides
+a row it is positive, so its quotient is below c0 <= m0, and its own
+roundings add at most about 6 eps mag.  A row is claimed when the lower
+bound minus rho mag exceeds floor times (the upper bound plus rho mag).
+At every v in [lo, hi] the kernel's variance is then above the lower
+bound less about 40 eps mag, so it is positive and the square root
+clamps nothing; s^2 is within 3 eps of it relative, and s^2 + mu^2 is
+within about 40 eps mag and 4 eps relative of the upper bound.  rho =
+1e-12 is about 9,000 eps, so the allowance exceeds that rounding, with
+the relative errors of the gate's two sides (each at most 2 mag), more
+than 100 times: the per-point gate holds at every point of a claimed row.
+
+The survivors of the whole block are then evaluated in batches of
+consecutive points; a row that spans two batches is a row in each.  A
 batch goes through two phases.
 
 - *Phase A, once per row.*  The row tables, which depend on u alone: the
@@ -124,7 +169,7 @@ import numpy as np
 
 from .identification import DependenceAssumption, Interval, sharp_segment
 from .moments import ThetaPoint, moment_cell_tables, param_space_box
-from .probability import CellCounts, JointTR, RefPerf, SRegion, default_cell_floor
+from .probability import CellCounts, JointTR, RefPerf, SRegion, _distinct_texts, default_cell_floor
 
 __all__ = [
     "TestConfig",
@@ -148,6 +193,8 @@ DEFAULT_BETA_PRESET = 10
 _SCREEN_RTOL = 1e-9
 _SCREEN_ATOL = 1e-12
 _SCREEN_VAR_FLOOR = 1e-6
+# The row screen's rounding allowance (module docstring).
+_ROW_RTOL = 1e-12
 
 # Element budgets of the kernel's float temporaries.  The screen takes a
 # reference point's (u, v) block in chunks of rows of at most
@@ -395,6 +442,11 @@ def _masked_divide(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = No
     return out
 
 
+def _conditioned(mu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The screen's conditioning gate: s^2 above ``_SCREEN_VAR_FLOOR`` of the second moment s^2 + mu^2."""
+    return s * s > _SCREEN_VAR_FLOOR * (s * s + mu * mu)
+
+
 def _rejects(tn: np.ndarray, crit: np.ndarray) -> np.ndarray:
     """The reject rule: T_n above its critical value, or T_n not finite."""
     return (tn > crit) | ~np.isfinite(tn)
@@ -491,18 +543,20 @@ class _SPointKernel:
         )
         return mu, np.sqrt(np.maximum(var, 0.0))
 
+    def _t6(self, mu6: np.ndarray, s6: np.ndarray) -> np.ndarray:
+        """The largest studentized inequality statistic, over the trailing axis of six."""
+        return np.max(_stud(self.sqrt_n * mu6, s6), axis=-1)
+
     def _statistic(self, u, v) -> tuple[np.ndarray, ...]:
         """Data-side means, SDs and T_n at the points (u, v), broadcast together.
 
         ``u`` and ``v`` may be per-point vectors, or a column of rows against
         ``v``; the inequality statistics carry a trailing axis of six.
         """
-        rn = self.sqrt_n
         mu6, s6 = self._ineq_stats(np.expand_dims(u, -1))
         mu7, s7 = self._eq_stats(u, v)
-        t6 = np.max(_stud(rn * mu6, s6), axis=-1)
-        t7 = _stud(rn * np.abs(mu7), s7)
-        return mu6, s6, mu7, s7, np.maximum(np.maximum(t6, t7), 0.0)
+        t7 = _stud(self.sqrt_n * np.abs(mu7), s7)
+        return mu6, s6, mu7, s7, np.maximum(np.maximum(self._t6(mu6, s6), t7), 0.0)
 
     def screen(self, u: np.ndarray, v: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
         """The points of the (u, v) block the chi-square screen cannot reject.
@@ -510,22 +564,57 @@ class _SPointKernel:
         Returns their (index into ``u``, index into ``v``) arrays in
         row-major order.  A point is rejected outright when its T_n exceeds
         ``cutoff`` (the chi-square bound with its margin) and every
-        studentizing variance there is well conditioned.  Rows are taken
+        studentizing variance there is well conditioned.  A row is rejected
+        whole where its inequality statistic alone exceeds ``cutoff``, its
+        six variances pass the gate and ``_equality_gate_holds`` proves the
+        equality variance passes it at every v.  The other rows are taken
         in chunks of at most ``_SCREEN_BLOCK`` points, and each chunk's
         survivors are gathered as it is done, so no mask of the whole block
-        is ever built.  ``u`` is not empty: every parameter box holds 0.
+        is ever built.  ``u`` and ``v`` are not empty: every parameter box
+        holds 0.
         """
-        floor = _SCREEN_VAR_FLOOR
-        step = max(1, _SCREEN_BLOCK // max(v.size, 1))
-        found = []
-        for lo in range(0, u.size, step):
-            mu6, s6, mu7, s7, tn = self._statistic(u[lo : lo + step, None], v)
-            exact6 = np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6), axis=-1)
-            exact7 = s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
-            r, c = np.nonzero(~((tn > cutoff) & exact6 & exact7))
-            found.append((r + lo, c))
+        mu6, s6 = self._ineq_stats(u[:, None])
+        claimed = (self._t6(mu6, s6) > cutoff) & np.all(_conditioned(mu6, s6), axis=-1)
+        claimed &= self._equality_gate_holds(u, v.min(), v.max())
+        rows = np.flatnonzero(~claimed)
+        step = max(1, _SCREEN_BLOCK // v.size)
+        found = [(rows[:0], rows[:0])]  # no survivor where every row is claimed
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            mu6, s6, mu7, s7, tn = self._statistic(u[r, None], v)
+            exact6 = np.all(_conditioned(mu6, s6), axis=-1)
+            i, c = np.nonzero(~((tn > cutoff) & exact6 & _conditioned(mu7, s7)))
+            found.append((r[i], c))
         rows, cols = zip(*found)
         return np.concatenate(rows), np.concatenate(cols)
+
+    def _equality_gate_holds(self, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """Rows at ``u`` whose equality variance passes the gate at every v in [lo, hi].
+
+        In closed form, with a rounding allowance of ``_ROW_RTOL`` times a
+        bound on every summand (module docstring): the variance c0 + 2 c1 v
+        + c2 v^2 is bounded below over [lo, hi], its second moment above.
+        """
+        j, rho = 6, _ROW_RTOL
+        au = np.abs(u)
+        a = self.fA[j] + self.fU[j] * u  # the mean at v = 0; its slope in v is b
+        b = self.fV[j]
+        p0 = self.fAA[j] + 2.0 * u * self.fAU[j] + u * u * self.fUU[j]
+        p1 = self.fAV[j] + u * self.fUV[j]
+        p2 = self.fVV[j]  # never negative
+        c0, c1, c2 = p0 - a * a, p1 - a * b, p2 - b * b
+        a_mag = abs(self.fA[j]) + au * abs(self.fU[j])
+        m0 = abs(self.fAA[j]) + 2.0 * au * abs(self.fAU[j]) + au * au * abs(self.fUU[j]) + a_mag * a_mag
+        m1 = abs(self.fAV[j]) + au * abs(self.fUV[j]) + a_mag * abs(b)
+        m2 = p2 + b * b
+        w = max(abs(lo), abs(hi))
+        mag = m0 + 2.0 * w * m1 + w * w * m2
+        var_lo, var_hi = (c0 + 2.0 * c1 * x + c2 * x * x for x in (lo, hi))
+        var_min = np.minimum(var_lo, var_hi) - max(c2, 0.0) * (hi - lo) ** 2 / 4.0
+        if c2 > rho * m2:  # the global minimum c0 - c1^2 / c2, for coefficients off by rho m
+            var_min = np.maximum(var_min, c0 - rho * m0 - (np.abs(c1) + rho * m1) ** 2 / (c2 - rho * m2))
+        second = np.maximum(*(p0 + 2.0 * p1 * x + p2 * x * x for x in (lo, hi)))
+        return var_min - rho * mag > _SCREEN_VAR_FLOOR * (second + rho * mag)
 
     # -- full evaluation ------------------------------------------------
 
@@ -805,9 +894,12 @@ class ConfidenceSet:
         }
 
     def to_csv_rows(self) -> list[str]:
-        table = np.column_stack([self.points, self.t_n, self.crit]).tolist()
-        row = "%.12g,%.12g,%.10g,%.10g,%.12g,%.12g,1"
-        return ["theta1,theta0,s1,s0,Tn,crit,accepted", *(row % tuple(r) for r in table)]
+        """The CSV rows; each coordinate column spells each of its few distinct values once."""
+        spellings = ("%.12g", "%.12g", "%.10g", "%.10g")  # theta1, theta0, s1, s0
+        coords = (_distinct_texts(self.points[:, k], f.__mod__) for k, f in enumerate(spellings))
+        row = "%s,%s,%s,%s,%.12g,%.12g,1"
+        table = zip(*coords, self.t_n.tolist(), self.crit.tolist())
+        return ["theta1,theta0,s1,s0,Tn,crit,accepted", *(row % r for r in table)]
 
 
 def confidence_set(

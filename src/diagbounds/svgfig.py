@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .probability import _distinct_texts
+
 __all__ = ["SvgCanvas", "identified_set_figure", "width_curve_figure"]
 
 _W, _H, _MARGIN = 640, 480, 56
@@ -46,26 +48,26 @@ class SvgCanvas:
     def _y(self, y: float) -> float:
         return _H - _MARGIN - (y - self.y_lo) / (self.y_hi - self.y_lo) * (_H - 2 * _MARGIN)
 
-    def _xy(self, xs, ys) -> list[tuple[float, float]]:
+    def _xy(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         """(``_x``, ``_y``) of whole arrays, element by element.
 
         Overflow gives inf silently, as the same arithmetic on one float does.
         """
         with np.errstate(over="ignore"):
-            cx = self._x(np.asarray(xs, dtype=float)).tolist()
-            cy = self._y(np.asarray(ys, dtype=float)).tolist()
-        return list(zip(cx, cy))
+            return self._x(np.asarray(xs, dtype=float)), self._y(np.asarray(ys, dtype=float))
 
     def lines(self, ends, color="black", width=1.5):
         """One line per row (x1, y1, x2, y2) of the (n, 4) array ``ends``."""
         tag = f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{color}" stroke-width="{width}"/>'
-        starts, stops = self._xy(ends[:, 0], ends[:, 1]), self._xy(ends[:, 2], ends[:, 3])
-        self._parts += [tag % (*a, *b) for a, b in zip(starts, stops)]
+        x1, y1 = self._xy(ends[:, 0], ends[:, 1])
+        x2, y2 = self._xy(ends[:, 2], ends[:, 3])
+        self._parts += [tag % r for r in zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist())]
 
     def circles(self, xs, ys, r, color):
-        """One circle per (x, y)."""
-        tag = f'<circle cx="%.2f" cy="%.2f" r="{r}" fill="{color}"/>'
-        self._parts += [tag % xy for xy in self._xy(xs, ys)]
+        """One circle per (x, y); each distinct pixel coordinate is spelt once."""
+        tag = f'<circle cx="%s" cy="%s" r="{r}" fill="{color}"/>'
+        cx, cy = (_distinct_texts(c, "%.2f".__mod__) for c in self._xy(xs, ys))
+        self._parts += [tag % xy for xy in zip(cx, cy)]
 
     def rect(self, x_lo, y_lo, x_hi, y_hi, stroke="gray", dash="4 3"):
         self._parts.append(

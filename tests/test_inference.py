@@ -812,6 +812,59 @@ def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cutoff, b
     np.testing.assert_array_equal(got, want)
 
 
+@settings(max_examples=200, deadline=None)
+@example(  # ill-conditioned at the theta0 edges
+    cells=[1, 1, 10**6, 10**6], a=DependenceAssumption.WRONGLY_AGREE_Y0, s=(1.0, 1.0), grid=5, ends=(0, 4),
+    cutoff=0.0,
+)
+@example(  # ill-conditioned in the first row only
+    cells=[10**6, 10**6, 10**6, 2], a=DependenceAssumption.WRONGLY_AGREE_BOTH, s=(1.0, 1.0), grid=7,
+    ends=(0, 6), cutoff=1.0,
+)
+@example(  # row u = 1 has s7 = 0 at v = 0; rows from u = 0.24 on have t6 = 1.68 and pass exact6
+    cells=[1, 0, 4, 0], a=DependenceAssumption.NO_RESTRICTION, s=(0.8, 0.5), grid=26, ends=(0, 10),
+    cutoff=1.0,
+)
+@given(
+    cells=st.one_of(
+        st.lists(st.integers(1, 75), min_size=4, max_size=4),
+        st.lists(st.integers(1, 10**6), min_size=4, max_size=4),
+        _tables_with_an_empty_cell(),
+    ),
+    a=st.sampled_from(list(DependenceAssumption)),
+    s=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)).filter(lambda p: p[0] + p[1] >= 1.02),
+    grid=st.integers(2, 60),
+    ends=st.tuples(st.integers(0, 59), st.integers(0, 59)),
+    cutoff=st.floats(0.0, 5.0),
+)
+def test_row_proof_holds_the_equality_gate_at_every_v(cells, a, s, grid, ends, cutoff):
+    # Wherever the screen's closed-form proof claims a row for an interval
+    # [lo, hi] of v, the per-point conditioning gate of the equality
+    # component holds at every axis v in it, at its ends and between them;
+    # and the screen of the axis points in [lo, hi], tables with empty cells
+    # among them, keeps what the row-by-row screen keeps.
+    counts = CellCounts(*cells)
+    s = RefPerf(*s)
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
+    axis = np.linspace(0.0, 1.0, grid)
+    (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
+    u, v = kernel.orient(
+        axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)]
+    )
+    i, j = sorted(e % v.size for e in ends)
+    lo, hi = v[i], v[j]
+    claimed = kernel._equality_gate_holds(u, lo, hi)
+    vs = np.concatenate([v[i : j + 1], [lo, hi], np.linspace(lo, hi, 200)])
+    mu7, s7 = kernel._eq_stats(u[claimed, None], vs)
+    floor = inference._SCREEN_VAR_FLOOR
+    assert np.all(s7 * s7 > floor * (s7 * s7 + mu7 * mu7))
+    w = v[i : j + 1]
+    rows, cols = kernel.screen(u, w, cutoff)
+    got = np.zeros((u.size, w.size), dtype=bool)
+    got[rows, cols] = True
+    np.testing.assert_array_equal(got, [_row_screen(kernel, float(x), w, cutoff) for x in u])
+
+
 @pytest.mark.parametrize("budget", ["_SCREEN_BLOCK", "_EVAL_BLOCK"])
 def test_memory_budgets_change_no_bit(monkeypatch, budget):
     # A small table screens out little, so rows keep many survivors.  At
@@ -1211,7 +1264,24 @@ def test_pinned_regions_keep_their_digests(monkeypatch, s1_points, digest, retai
     # gave them before candidate draws.  On the two-point region every
     # survivor is exact on its 92 candidate draws, none is evaluated again
     # on all B: a loosened envelope fails here rather than only slowing.
+    # The row screen rejects 220 of 284 and 230 of 300 rows whole, and the
+    # per-point screen runs on the other 64 and 70: a loosened row proof
+    # fails here rather than only slowing.
     calls = _spy_on_order_stats(monkeypatch)
+    screened = []  # [rows, rows of the per-point pass] per reference point
+    screen, eq_stats = _SPointKernel.screen, _SPointKernel._eq_stats
+
+    def screen_spy(self, u, v, cutoff):
+        screened.append([u.size, 0])
+        return screen(self, u, v, cutoff)
+
+    def eq_stats_spy(self, u, v):
+        if np.ndim(u) == 2:  # a chunk of rows against v
+            screened[-1][1] += np.shape(u)[0]
+        return eq_stats(self, u, v)
+
+    monkeypatch.setattr(_SPointKernel, "screen", screen_spy)
+    monkeypatch.setattr(_SPointKernel, "_eq_stats", eq_stats_spy)
     cfg = TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=316)
     S = SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=s1_points, s0_points=1)
     cs = confidence_set(EUA, S, WA1, cfg)
@@ -1219,6 +1289,7 @@ def test_pinned_regions_keep_their_digests(monkeypatch, s1_points, digest, retai
     assert (got, len(cs)) == (digest, retained)
     if s1_points == 2:
         assert {m for _, m in calls} == {92} and sum(p for p, _ in calls) == 1949
+        assert screened == [[284, 64], [300, 70]]
 
 
 def test_minimum_and_maximum_against_zero_give_positive_zero():

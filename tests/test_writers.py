@@ -19,8 +19,8 @@ from hypothesis.extra.numpy import arrays
 from diagbounds import SRegion, TestConfig, sharp_union
 from diagbounds.identification import IdentifiedSet
 from diagbounds.inference import ConfidenceSet
-from diagbounds.probability import estimate_joint
-from diagbounds.report import ReportBundle, StudyConfig, _analysis_files, _json_text
+from diagbounds.probability import _DISTINCT_MIN, estimate_joint
+from diagbounds.report import _DISTINCT_ROWS, ReportBundle, StudyConfig, _analysis_files, _json_text
 from diagbounds.svgfig import identified_set_figure
 
 from helpers import (
@@ -35,12 +35,19 @@ from helpers import (
 _EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
                 1.7976931348623157e308, -1e-300, 1e16, 1e22, 0.1)
 _FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+# Few values, so that each repeats: the writers spell each distinct value once
+# in a column of _DISTINCT_MIN values or more.
+_POOL = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 0.5, 0.1))
 _LEAVES = (
     st.none() | st.booleans() | st.integers() | _FLOATS | st.builds(np.float64, _FLOATS)
     | st.text() | st.sampled_from(["a\nb", 'say "hi"', "théta₁ ≤ 1", "\\n"])
 )
 _MATRICES = st.integers(1, 4).flatmap(
     lambda m: st.lists(st.lists(_FLOATS, min_size=m, max_size=m), min_size=1, max_size=6)
+)
+# Matrices long enough to be written from their distinct values.
+_LONG_MATRICES = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(_POOL, min_size=m, max_size=m), min_size=_DISTINCT_ROWS, max_size=_DISTINCT_ROWS + 9)
 )
 _VALUES = (
     st.lists(_FLOATS, max_size=8)  # the fast path when non-empty
@@ -113,8 +120,11 @@ _DICTS = (
 @example({"curve": [{"q": q, "sharp": [0.0, q], "rect": [-0.0, math.inf], "vacuous": False} for q in (0.0, 0.5, 1.0)]})
 @example([{"a%s": 1.0, "é%": "x%sy"}] * 3)
 @example([{"a": [], "b": [[]]}] * 3)
+@example({"points": [[x, 1.0] for x in (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.5, 0.0)] * 16})
+@example({"points": [[x, 1.0] for x in (0.0, -0.0, math.inf, math.nan, 5e-324)] * 25})  # one row short
 @given(obj=_DICTS | _VALUES | _RECORDS | _EMPTIES | _LEAVES | _SAME_KEYED
-       | st.dictionaries(st.text(), _SAME_KEYED | _VALUES, max_size=3))
+       | st.dictionaries(st.text(), _SAME_KEYED | _VALUES, max_size=3)
+       | st.dictionaries(st.sampled_from(["points", "s_points"]), _LONG_MATRICES, min_size=1))
 def test_json_text_is_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
@@ -161,10 +171,14 @@ def test_confidence_set_json_writes_infinity_and_nan_as_json_does():
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(0, 40))
-def test_csv_rows_match_the_row_oracle(data, n):
+@given(
+    data=st.data(),
+    n=st.integers(0, 40) | st.integers(_DISTINCT_MIN, _DISTINCT_MIN + 40),
+    elements=st.sampled_from([_FLOATS, _POOL]),
+)
+def test_csv_rows_match_the_row_oracle(data, n, elements):
     points, t_n, crit = (
-        data.draw(arrays(np.float64, shape, elements=_FLOATS)) for shape in ((n, 4), n, n)
+        data.draw(arrays(np.float64, shape, elements=elements)) for shape in ((n, 4), n, n)
     )
     cs = _confidence_set(points, t_n, crit)
     assert cs.to_csv_rows() == oracle_csv_rows(cs)
@@ -187,7 +201,13 @@ def _assert_scatter_matches_the_oracle(scatter, marks):
 
 @settings(max_examples=150, deadline=None)
 @example(scatter=np.array([[math.nan, 0.2], [0.0, math.nan], [math.inf, -0.0]]), marks=False)
-@given(scatter=arrays(np.float64, st.tuples(st.integers(0, 60), st.just(2)), elements=_FLOATS), marks=st.booleans())
+@example(scatter=np.array([[0.8, 0.0], [0.9, -0.0], [0.8, 5e-324], [0.9, 0.0], [-math.nan, math.nan]] * 60), marks=True)
+@given(
+    scatter=arrays(np.float64, st.tuples(st.integers(0, 60), st.just(2)), elements=_FLOATS)
+    | arrays(np.float64, st.tuples(st.integers(0, _DISTINCT_MIN + 40), st.just(2)),
+             elements=_POOL | st.sampled_from([0.8, 0.85, 1.0])),
+    marks=st.booleans(),
+)
 def test_scatter_figure_matches_the_point_oracle(scatter, marks):
     _assert_scatter_matches_the_oracle(scatter, marks)
 
