@@ -16,9 +16,12 @@ counts only when its computed I clears q by twice a bound on the
 rounding error of I: one error at the end, one at the midpoint.  The
 bound is ``_ERR_ULPS`` units of eps times the size of the lgamma and log
 terms of ln I, whose cancellation is where the error comes from.
-Measured errors stayed below 0.25 such units up to n = 10**8.  Near
-n = 10**12 the bound is tens of percent of I, few ends qualify, and the
-loop is close to the plain bisection again.
+Measured errors stayed below 0.25 such units up to n = 10**8.
+
+The same cancellation caps the trials at 10**10.  Against scipy's
+``beta.ppf``, over 10,000 counts per n, the largest endpoint error is
+5.1e-11 at n = 10**10, but 3.0e-10 at 10**11 and 8.8e-10 at 10**12, past
+the 1e-10 the bisection promises.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ _CF_TINY = 1e-300
 # at a + b = 3.5e5 and 1,800 at 1e8, near x = a / (a + b)).
 _CF_MAXITER = 300
 # Beyond this many trials the lgamma terms of I_x(a, b), each about
-# n log n, cancel away the digits the intervals need.
-_MAX_TRIALS = 10**12
+# n log n, cancel away the digits the intervals need (module docstring).
+_MAX_TRIALS = 10**10
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -195,7 +198,7 @@ def clopper_pearson(successes: int, n: int, alpha: float = 0.05) -> Interval:
     trials succeed.
     """
     if not (1 <= n <= _MAX_TRIALS):
-        raise ValueError(f"need between 1 and 10**12 trials, got n={n}")
+        raise ValueError(f"need between 1 and 10**10 trials, got n={n}")
     if not (0 <= successes <= n):
         raise ValueError(f"successes must lie in [0, {n}], got {successes}")
     if not (0.0 < alpha < 1.0):

@@ -99,8 +99,9 @@ batch goes through two phases.
   largest (92 at B = 500 and the default levels).  The (m + 1)-th
   largest U is the run's cut c.
 - *Phase B, per point.*  The same elementwise step-one and step-two
-  formulas as on all B draws, at the run's m candidates only.  Step
-  one's bound bhat and the raw critical value are read as the same order
+  formulas as on all B draws, at the run's m candidates only, in chunks
+  of points that take step two by the exact rules below.  Step one's
+  bound bhat and the raw critical value are read as the same order
   statistics counted from the top, each with one single-kth partial sort.
 
 The envelope is the larger of d6max(b) and the equality term's bound.
@@ -156,6 +157,46 @@ output.  A row's tables and terms are the same elementwise formulas at
 every point, and a point's candidates only decide whether it is
 evaluated again, so no batch or chunk size changes a bit.
 
+*Step two's exact rules.*  Most of step two is the same at every point of
+a chunk, or cannot matter.  Step one keeps its equality term
+e = |d7| / s7 in an array of its own, and per chunk and inequality
+component one of three rules applies.  Every term they keep is the
+per-point formula's, so bhat and the raw critical value keep their bits,
+on candidate draws and on all B draws alike.
+
+- *Rule E, equality reuse.*  Where every s7 of the chunk is positive and
+  both equality recenterings are +0.0 at every point, the step-two
+  equality terms are (d7 + 0.0) / s7 and (-d7 + 0.0) / s7, since sqrt(n)
+  times +0.0 is +0.0.  Where d7 is not zero, one of d7 and -d7 is |d7|
+  and the other is negative, so the larger term is |d7| divided by the
+  same s7 with the same rounding: e.  Where d7 is either zero, x + 0.0
+  is +0.0, and both terms and e are +0.0.  So step two's maximum starts
+  from e.  In exact arithmetic the condition holds at every retained
+  point, since t7 <= T_n <= crit <= bhat puts |mu7| <= bhat s7 / sqrt(n);
+  the kernel checks it rather than assuming it.
+- *Rule Z, shared term.*  A component whose recentering is +0.0 at every
+  point of the chunk has the term sqrt(n) (dev + 0.0) / s6 at each draw
+  of a table row, the same at every point of the row, whose s6 depends on
+  u alone.  Where the chunk has fewer table rows than points, the term is
+  computed once per row and gathered per point.
+- *Rule S, skip.*  Only under rule E's condition: the maximum then holds
+  e >= +0.0 at every draw, so a term below zero at every draw never wins
+  it.  A term is monotone in its deviation under rounding: adding the
+  recentering, multiplying by sqrt(n) and dividing by a positive s6 each
+  are, and at s6 = 0 ``_stud`` maps a numerator to +-inf by its sign.  So
+  the term at the row's largest deviation bounds the row's terms, and a
+  component is skipped where that bound is below zero at every point of
+  the chunk.  Without rule E's condition the equality terms may all be
+  negative at a draw (an s7 = 0 point, a negative recentering), and a
+  skipped term could have set the raw critical value.
+
+Zero signs cannot move.  No recentering is -0.0, so no step-two
+numerator is (x + y is -0.0 only where both are), and neither is e.  A
+quotient of a numerator by a positive scale keeps its sign unless it
+underflows, far below any deviation of these moments.  So the order in
+which the terms enter the maximum, and the rules a chunk takes, change
+no bit of it.
+
 One kernel per (dataset, reference point) decides every test: a single
 point, the candidates of a coverage replicate, the survivors of a grid.
 """
@@ -200,16 +241,20 @@ _ROW_RTOL = 1e-12
 # reference point's (u, v) block in chunks of rows of at most
 # _SCREEN_BLOCK points.  The survivors are evaluated in batches of at most
 # rows = max(1, _EVAL_BLOCK // (12 B)) rows and _ENVELOPE_RUN rows points,
-# so of at most 2 rows runs.  A batch keeps 8 rows B floats of row tables
-# (dev6 with six components, d6max, base7).  Phase A adds a (6, rows, B)
-# temporary.  Picking candidates adds two (runs, B) float arrays and the
-# argpartition's (runs, B) indices.  Phase B adds the candidates' indices
-# and tables, 10 runs m words, and three (point x m) arrays for a chunk of
-# at most c = max(1, _EVAL_BLOCK // (9 m)) points at a time, m being the
-# candidate count, or B for the points evaluated on all draws.  So a batch
-# holds at most 8 rows B + max(6 rows B, 20 rows m + 3 c m) words: at most
-# 2.7 _EVAL_BLOCK while 12 B <= _EVAL_BLOCK, and 1.2 _EVAL_BLOCK at
-# B = 500.  Neither budget changes a result, only speed and peak memory.
+# so of at most 2 rows runs.  Every float array of a batch with a draw
+# axis is a view of one scratch that ``evaluate`` allocates per call
+# (``_scratch_words``).  It starts with the 8 R B floats of the batch's
+# R <= rows row tables (dev6 with six components, d6max, base7), and
+# the words after them serve one phase at a time: phase A's (6, R, B)
+# temporary; the envelope's two (runs, B) arrays; the candidates' 9 runs m
+# floats of tables and phase B's three (point x m) arrays for a chunk of at
+# most c = max(1, _EVAL_BLOCK // (9 m)) points, m being the candidate
+# count; or the three (point x B) arrays of a chunk evaluated on all draws.
+# So the scratch holds 8 R B + max(6 R B, 2 runs B, 9 runs m + 3 c m,
+# 3 c B) words: at most 2.5 _EVAL_BLOCK while 12 B <= _EVAL_BLOCK, and
+# 78,364 words (1.2 _EVAL_BLOCK) at B = 500 and m = 92.  The argpartition's
+# (runs, B) and the candidates' (runs, m) indices are allocated per batch.
+# Neither budget changes a result, only speed and peak memory.
 _SCREEN_BLOCK = 2**13
 _EVAL_BLOCK = 2**16
 
@@ -410,6 +455,49 @@ def _candidate_count(draws: int, top: int, points: int) -> int:
     ``_ENVELOPE_MIN_POINTS`` points, too few for the envelope to pay.
     """
     return max(4 * top, 64) if points >= _ENVELOPE_MIN_POINTS else draws
+
+
+def _chunk_points(width: int) -> int:
+    """Points per phase-B chunk on ``width`` draws: three (point x width) arrays in a third of ``_EVAL_BLOCK``."""
+    return max(1, _EVAL_BLOCK // (9 * width))
+
+
+def _scratch_words(draws: int, m: int, rows: int, points: int) -> int:
+    """Floats of the scratch an ``evaluate`` call's batches share (the budgets' comment).
+
+    ``rows`` and ``points`` bound the rows and points of any one batch.
+    """
+    runs = min(points, rows + points // _ENVELOPE_RUN)
+    phases = [6 * rows * draws, 3 * min(_chunk_points(draws), points) * draws]
+    if m < draws:
+        phases += [2 * runs * draws, 9 * runs * m + 3 * min(_chunk_points(m), points) * m]
+    return 8 * rows * draws + max(phases)
+
+
+def _carve(scratch: np.ndarray, *shapes: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Consecutive C-ordered views of ``scratch`` with the given shapes, and the scratch after them."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(scratch[at : at + size].reshape(shape))
+        at += size
+    return views, scratch[at:]
+
+
+def _step_two_rules(lam6, lam7a, lam7b, s7, bound) -> tuple[bool, list[bool], list[bool]]:
+    """The exact rules a phase-B chunk's step two takes (module docstring): (reuse, skip, share).
+
+    ``reuse``: rule E, the larger equality term is step one's |d7| / s7.
+    ``skip``: rule S, per component, its terms are below zero at every
+    draw, as ``bound()``, each point's term at its largest deviation,
+    shows; only under rule E.  ``share``: rule Z, per component not
+    skipped, its recentering is +0.0 at every point.  Per-point arrays
+    are (points, 6).  No recentering is -0.0, and any() counts NaN as
+    nonzero.
+    """
+    reuse = bool(s7.min() > 0.0) and not (lam7a.any() or lam7b.any())
+    skip = (bound().max(axis=0) < 0.0).tolist() if reuse else [False] * 6
+    return reuse, skip, [not (nz or sk) for nz, sk in zip(lam6.any(axis=0).tolist(), skip)]
 
 
 def _stud(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -627,7 +715,7 @@ class _SPointKernel:
         ``rows`` rows (runs of equal u) and ``_ENVELOPE_RUN`` times as many
         points each; a row that spans two batches is a row in each.  ``m``
         is the number of candidate draws per run, or B where the envelope
-        does not pay.
+        does not pay.  Every batch works in one scratch allocated here.
         """
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         mu6, s6, mu7, s7, tn = self._statistic(u, v)
@@ -640,46 +728,49 @@ class _SPointKernel:
         first[1:] = u[1:] != u[:-1]
         starts = np.append(np.flatnonzero(first), n)
         row = np.cumsum(first) - 1  # each point's row
+        points = min(n, _ENVELOPE_RUN * rows)
+        scratch = np.empty(_scratch_words(nb, m, min(rows, starts.size - 1), points))
         crit = np.empty(n)
         lo = 0
         while lo < n:
-            hi = min(lo + _ENVELOPE_RUN * rows, starts[min(row[lo] + rows, starts.size - 1)])
+            hi = min(lo + points, starts[min(row[lo] + rows, starts.size - 1)])
             part = slice(lo, hi)
             crit[part] = self._critical_values(
-                u[part], v[part], mu6[part], s6[part], mu7[part], s7[part], tops, m
+                u[part], v[part], mu6[part], s6[part], mu7[part], s7[part], tops, m, scratch
             )
             lo = hi
-        return tn, crit
+        return tn, np.maximum(crit, 0.0, out=crit)
 
-    def _critical_values(self, u, v, mu6, s6, mu7, s7, tops, m) -> np.ndarray:
-        """Critical values of a batch of consecutive points, from their statistics.
+    def _critical_values(self, u, v, mu6, s6, mu7, s7, tops, m, scratch) -> np.ndarray:
+        """Raw critical values of a batch of consecutive points, from their statistics.
 
         Phase A builds the row tables; phase B evaluates every point on its
         run's ``m`` candidate draws when m is below B.  The points where
         that is not exact, or every point when m is B, are evaluated on the
-        row tables themselves.
+        row tables themselves.  ``evaluate`` floors the values at zero.
         """
         n = v.size
         first = np.empty(n, dtype=bool)
         first[0] = True
         first[1:] = u[1:] != u[:-1]
         row = np.cumsum(first) - 1  # each point's row
-        tables = self._row_tables(u[first], mu6[first], s6[first])
+        tables, free = self._row_tables(u[first], mu6[first], s6[first], scratch)
         every = (*tables, self.PV7[None])
         if m >= self.draws:
-            return np.maximum(self._order_stats(every, row, v, mu6, s6, mu7, s7, tops)[1], 0.0)
-        raw, exact = self._on_candidates(tables, row, u, v, mu6, s6, mu7, s7, tops, m)
+            return self._order_stats(every, row, v, mu6, s6, mu7, s7, tops, free)[1]
+        raw, exact = self._on_candidates(tables, row, u, v, mu6, s6, mu7, s7, tops, m, free)
         if not exact.all():
             todo = ~exact
             points = (x[todo] for x in (row, v, mu6, s6, mu7, s7))
-            raw[todo] = self._order_stats(every, *points, tops)[1]
-        return np.maximum(raw, 0.0)
+            raw[todo] = self._order_stats(every, *points, tops, free)[1]
+        return raw
 
-    def _on_candidates(self, tables, row, u, v, mu6, s6, mu7, s7, tops, m):
+    def _on_candidates(self, tables, row, u, v, mu6, s6, mu7, s7, tops, m, free):
         """Raw critical values of points on their runs' ``m`` candidate draws, and which are exact.
 
         ``row`` is each point's row of the row tables; each run of at most
-        ``_ENVELOPE_RUN`` consecutive points of a row has its own candidates.
+        ``_ENVELOPE_RUN`` consecutive points of a row has its own candidates,
+        whose tables are gathered into ``free``.
         """
         dev6, d6max, base7 = tables
         n = v.size
@@ -692,31 +783,41 @@ class _SPointKernel:
         owner = row[runs]
         keep, cut = self._candidates(
             owner, u[runs], base7, d6max, np.minimum.reduceat(v, runs),
-            np.maximum.reduceat(v, runs), np.minimum.reduceat(s7, runs), m,
+            np.maximum.reduceat(v, runs), np.minimum.reduceat(s7, runs), m, free,
         )
-        owner = owner[:, None]
-        kept = (dev6[:, owner, keep], d6max[owner, keep], base7[owner, keep], self.PV7[keep])
-        bhat, raw = self._order_stats(kept, run, v, mu6, s6, mu7, s7, tops)
+        # The envelope is spent: the candidates' tables take its place.
+        shape = keep.shape
+        kept, free = _carve(free, (6, *shape), shape, shape, shape)
+        at = owner[:, None] * self.draws + keep  # into a row table's flattened draws
+        np.take(dev6.reshape(6, -1), at, axis=1, out=kept[0], mode="clip")
+        for table, out in zip((d6max, base7), kept[1:]):
+            np.take(table, at, out=out, mode="clip")
+        np.take(self.PV7, keep, out=kept[3], mode="clip")
+        bhat, raw = self._order_stats(kept, run, v, mu6, s6, mu7, s7, tops, free)
         cut = cut[run]
         return raw, (cut < bhat) & (cut < raw)
 
-    def _row_tables(self, ur, mu6r, s6r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Phase A's tables of the rows at ``ur``: dev6 (6, rows, B), d6max and base7 (rows, B).
+    def _row_tables(self, ur, mu6r, s6r, scratch):
+        """Phase A's tables of the rows at ``ur``, as views of ``scratch``, and the scratch after them.
 
-        dev6 holds the six inequality deviations, d6max the maximum of their
-        studentized values (step one's inequality term), base7 the part of
-        the equality component's draws that depends on u alone.
+        The tables are dev6 (6, rows, B), the six inequality deviations;
+        d6max (rows, B), the maximum of their studentized values (step one's
+        inequality term); and base7 (rows, B), the part of the equality
+        component's draws that depends on u alone.
         """
-        dev6 = np.multiply(self.PU6[:, None, :], ur[:, None])
+        R, B = ur.size, self.draws
+        (dev6, d6max, base7), free = _carve(scratch, (6, R, B), (R, B), (R, B))
+        np.multiply(self.PU6[:, None, :], ur[:, None], out=dev6)
         np.add(self.PA6[:, None, :], dev6, out=dev6)
         np.subtract(dev6, mu6r.T[:, :, None], out=dev6)
-        z6 = np.multiply(self.sqrt_n, dev6)
-        d6max = _stud(z6, s6r.T[:, :, None], out=z6).max(axis=0)
-        base7 = np.add(self.PA7, np.multiply(self.PU7, ur[:, None]))
-        return dev6, d6max, base7
+        (z6,), _ = _carve(free, (6, R, B))
+        np.multiply(self.sqrt_n, dev6, out=z6)
+        _stud(z6, s6r.T[:, :, None], out=z6).max(axis=0, out=d6max)
+        np.add(self.PA7, np.multiply(self.PU7, ur[:, None], out=base7), out=base7)
+        return (dev6, d6max, base7), free
 
-    def _envelope(self, owner, ur, base7, d6max, lo_v, hi_v, s7min) -> np.ndarray:
-        """U(b) of runs at ``ur`` in rows ``owner`` whose v lie in [lo_v, hi_v].
+    def _envelope(self, owner, ur, base7, d6max, lo_v, hi_v, s7min, free) -> np.ndarray:
+        """U(b) of runs at ``ur`` in rows ``owner`` whose v lie in [lo_v, hi_v], as a view of ``free``.
 
         At least every step-one maximum of a point of the run, at every
         draw.  ``base7`` and ``d6max`` are the row tables and ``s7min`` the
@@ -730,8 +831,8 @@ class _SPointKernel:
             mag_a + np.abs(ur) * mag_u + v_abs * (mag_v + abs(self.fV[j]))
             + abs(self.fA[j]) + np.abs(self.fU[j] * ur)
         )
-        env, tmp = np.empty((2, ur.size, self.draws))
-        np.take(base7, owner, axis=0, out=env)
+        (env, tmp), _ = _carve(free, (ur.size, self.draws), (ur.size, self.draws))
+        np.take(base7, owner, axis=0, out=env, mode="clip")
         np.add(env, np.multiply(mid[:, None], self.PV7, out=tmp), out=env)
         np.subtract(env, (self.fA[j] + self.fU[j] * ur + self.fV[j] * mid)[:, None], out=env)
         np.abs(env, out=env)
@@ -740,20 +841,20 @@ class _SPointKernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             np.multiply(env, (self.sqrt_n * (1.0 + _ENVELOPE_RTOL) / s7min)[:, None], out=env)
         env[s7min == 0.0] = np.inf  # |d7| / 0 is +inf wherever d7 is not zero
-        return np.maximum(env, np.take(d6max, owner, axis=0, out=tmp), out=env)
+        return np.maximum(env, np.take(d6max, owner, axis=0, out=tmp, mode="clip"), out=env)
 
-    def _candidates(self, owner, ur, base7, d6max, lo_v, hi_v, s7min, m):
+    def _candidates(self, owner, ur, base7, d6max, lo_v, hi_v, s7min, m, free):
         """Each run's ``m`` draws of largest envelope, (runs, m), and its cut.
 
         Run k lies in row ``owner[k]``.  The cut is the (m + 1)-th largest
         envelope of the run; no draw outside the candidates has a larger one.
         """
         k = self.draws - m - 1
-        env = self._envelope(owner, ur, base7, d6max, lo_v, hi_v, s7min)
+        env = self._envelope(owner, ur, base7, d6max, lo_v, hi_v, s7min, free)
         order = np.argpartition(env, k, axis=1)
         return order[:, k + 1 :].copy(), np.take_along_axis(env, order[:, k, None], axis=1)[:, 0]
 
-    def _order_stats(self, tables, row, v, mu6, s6, mu7, s7, tops):
+    def _order_stats(self, tables, row, v, mu6, s6, mu7, s7, tops, free):
         """Step one's bound and step two's raw critical value at points of the tables' rows.
 
         ``tables`` are (dev6, d6max, base7, pv7) over the draws the points
@@ -761,27 +862,31 @@ class _SPointKernel:
         is each point's row of them.  A pv7 of one row serves every row, as
         PV7 itself does on all B draws.  Both figures are read as the order
         statistics ``tops`` counted from the top.  The points are taken in
-        chunks whose three (point x m) arrays hold at most a third of
-        ``_EVAL_BLOCK`` floats, or one point's when that alone is more.
+        chunks of ``_chunk_points(m)``, whose three (point x m) arrays are
+        views of ``free``.  Step two takes the rules of
+        ``_step_two_rules`` per chunk.
         """
         dev6, d6max, base7, pv7 = tables
         rn, n, m = self.sqrt_n, v.size, d6max.shape[1]
-        step = max(1, _EVAL_BLOCK // (9 * m))
+        step = min(_chunk_points(m), n)
+        arrays, _ = _carve(free, (step, m), (step, m), (step, m))
+        top6 = dev6.max(axis=2)  # each table row's largest deviation, (6, rows)
         bhat, raw = np.empty((2, n))
         for lo in range(0, n, step):
             k = slice(lo, lo + step)
             r, vk, s7c = row[k], v[k, None], s7[k, None]
-            d7, g, w = np.empty((3, r.size, m))
+            d7, e, g = (x[: r.size] for x in arrays)
             stud6, stud7 = _divider(s6[k]), _divider(s7c)
 
             # Step 1: joint upper confidence bounds for the moments.  Every
             # row index is in range; mode="clip" spares the copy "raise" makes.
+            # e keeps the equality term |d7| / s7 for rule E.
             base7.take(r, axis=0, out=d7, mode="clip")
-            pv = pv7 if len(pv7) == 1 else pv7.take(r, axis=0, out=w, mode="clip")
-            np.add(d7, np.multiply(vk, pv, out=w), out=d7)
+            pv = pv7 if len(pv7) == 1 else pv7.take(r, axis=0, out=e, mode="clip")
+            np.add(d7, np.multiply(vk, pv, out=e), out=d7)
             np.multiply(rn, np.subtract(d7, mu7[k, None], out=d7), out=d7)
-            stud7(np.abs(d7, out=g), s7c, out=g)
-            np.maximum(d6max.take(r, axis=0, out=w, mode="clip"), g, out=g)
+            stud7(np.abs(d7, out=e), s7c, out=e)
+            np.maximum(d6max.take(r, axis=0, out=g, mode="clip"), e, out=g)
             bhat[k] = b = _top(g, tops[0])
 
             # Step 2: recenter by the bounds truncated at zero.  An infinite
@@ -791,18 +896,39 @@ class _SPointKernel:
                 lam6 = np.minimum(mu6[k] + b[:, None] * (s6[k] / rn), 0.0)
                 lam7a = np.minimum(mu7[k] + b * (s7[k] / rn), 0.0)
                 lam7b = np.minimum(-mu7[k] + b * (s7[k] / rn), 0.0)
+            reuse, skip, share = _step_two_rules(
+                lam6, lam7a, lam7b, s7[k], lambda: stud6(rn * (top6.take(r, axis=1).T + lam6), s6[k])
+            )
+            if reuse:  # the maximum starts as e, and d7 and g are free
+                acc, t, z = e, d7, g
+            else:
+                acc, t, z = g, e, d7
+                stud7(np.add(d7, rn * lam7a[:, None], out=g), s7c, out=g)
+                np.add(np.negative(d7, out=d7), rn * lam7b[:, None], out=d7)
+                np.maximum(g, stud7(d7, s7c, out=d7), out=g)
+            # Rule Z pays where the chunk has fewer table rows than points;
+            # elsewhere the per-point formula gives a shared term's same bits.
+            grouped = any(share) and r[-1] - r[0] + 1 < r.size
+            if grouped:
+                first = np.empty(r.size, dtype=bool)
+                first[0] = True
+                first[1:] = r[1:] != r[:-1]
+                local = np.cumsum(first) - 1
+                z = z[: local[-1] + 1]
             for j in range(6):
-                t = g if j == 0 else w
-                dev6[j].take(r, axis=0, out=t, mode="clip")
-                np.multiply(rn, np.add(t, lam6[:, j, None], out=t), out=t)
-                stud6(t, s6[k, j, None], out=t)
-                if j:
-                    np.maximum(g, w, out=g)
-            np.add(d7, rn * lam7a[:, None], out=w)
-            np.maximum(g, stud7(w, s7c, out=w), out=g)
-            np.add(np.negative(d7, out=w), rn * lam7b[:, None], out=w)
-            np.maximum(g, stud7(w, s7c, out=w), out=g)
-            raw[k] = _top(g, tops[1])
+                if skip[j]:
+                    continue
+                if grouped and share[j]:  # each table row's term once, gathered per point
+                    dev6[j].take(r[first], axis=0, out=z, mode="clip")
+                    np.multiply(rn, np.add(z, 0.0, out=z), out=z)
+                    stud6(z, s6[k][first, j, None], out=z)
+                    z.take(local, axis=0, out=t, mode="clip")
+                else:
+                    dev6[j].take(r, axis=0, out=t, mode="clip")
+                    np.multiply(rn, np.add(t, lam6[:, j, None], out=t), out=t)
+                    stud6(t, s6[k, j, None], out=t)
+                np.maximum(acc, t, out=acc)
+            raw[k] = _top(acc, tops[1])
         return bhat, raw
 
 

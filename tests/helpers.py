@@ -410,25 +410,36 @@ def oracle_evaluate_row(kernel, u, v, alpha, beta):
         np.maximum(gmax, oracle_stud(num, s6[j]), out=gmax)
     np.maximum(gmax, oracle_stud(d7 + rn * lam7a[:, None], s7c), out=gmax)
     np.maximum(gmax, oracle_stud(-d7 + rn * lam7b[:, None], s7c), out=gmax)
-    crit = np.maximum(np.quantile(gmax, 1.0 - alpha + beta, axis=-1, method="higher"), 0.0)
+    raw = np.quantile(gmax, 1.0 - alpha + beta, axis=-1, method="higher")
     parts = {
         "s6": s6, "s7": s7, "dev6": dev6, "lam6": lam6, "lam7a": lam7a, "lam7b": lam7b,
-        "step_one": g1, "step_two": gmax,
+        "step_one": g1, "step_two": gmax, "raw": raw,
     }
-    return tn, crit, parts
+    return tn, np.maximum(raw, 0.0), parts
 
 
-def oracle_evaluate(kernel, u, v, alpha, beta):
-    """``oracle_evaluate_row`` over points (u[k], v[k]), one row per run of equal u."""
-    tn, crit = np.empty(len(v)), np.empty(len(v))
+def _oracle_rows(kernel, u, v, alpha, beta):
+    """``oracle_evaluate_row`` over points (u[k], v[k]), one row per run of equal u: T_n, crit and raw."""
+    tn, crit, raw = np.empty((3, len(v)))
     lo = 0
     while lo < len(u):
         hi = lo + 1
         while hi < len(u) and u[hi] == u[lo]:
             hi += 1
-        tn[lo:hi], crit[lo:hi], _ = oracle_evaluate_row(kernel, float(u[lo]), np.asarray(v[lo:hi]), alpha, beta)
+        tn[lo:hi], crit[lo:hi], parts = oracle_evaluate_row(kernel, float(u[lo]), np.asarray(v[lo:hi]), alpha, beta)
+        raw[lo:hi] = parts["raw"]
         lo = hi
-    return tn, crit
+    return tn, crit, raw
+
+
+def oracle_evaluate(kernel, u, v, alpha, beta):
+    """T_n and critical values at the points (u[k], v[k]), one ``oracle_evaluate_row`` per run of equal u."""
+    return _oracle_rows(kernel, u, v, alpha, beta)[:2]
+
+
+def oracle_raw_critical_values(kernel, u, v, alpha, beta):
+    """Step two's order statistic at the points (u[k], v[k]) before its floor at zero."""
+    return _oracle_rows(kernel, u, v, alpha, beta)[2]
 
 
 # The kernel's critical values as computed before candidate draws: chunks

@@ -80,21 +80,30 @@ def test_large_samples_converge_and_larger_ones_are_refused():
         iv = clopper_pearson(k, n)
         assert iv.lo == pytest.approx(stats.beta.ppf(0.025, k, n - k + 1), abs=1e-9)
         assert iv.hi == pytest.approx(stats.beta.ppf(0.975, k + 1, n - k), abs=1e-9)
-    with pytest.raises(ValueError, match="10\\*\\*12"):
-        clopper_pearson(5, 10**12 + 1)
+    with pytest.raises(ValueError, match="10\\*\\*10"):
+        clopper_pearson(5, 10**10 + 1)
+
+
+@pytest.mark.parametrize("k", [1, 4_971_895_478, 10**10 // 3, 10**10 - 1])
+def test_largest_samples_stay_within_the_bisection_tolerance(k):
+    # At the cap the endpoints keep the 1e-10 the bisection promises.
+    n = 10**10
+    iv = clopper_pearson(k, n)
+    assert iv.lo == pytest.approx(stats.beta.ppf(0.025, k, n - k + 1), abs=1e-10)
+    assert iv.hi == pytest.approx(stats.beta.ppf(0.975, k + 1, n - k), abs=1e-10)
 
 
 @settings(max_examples=300, deadline=None)
-# At n = 10**12 the rounding error of I is about 1% of it: a fixed relative
-# margin of 1e-9 on the bracket ends moved this lower endpoint.
-@example(n_and_successes=(10**12, 497_189_547_844), alpha=0.05)
+# The cap, at the share of successes whose lower endpoint a fixed relative
+# margin of 1e-9 on the bracket ends once moved at n = 10**12.
+@example(n_and_successes=(10**10, 4_971_895_478), alpha=0.05)
 @example(n_and_successes=(1, 0), alpha=0.05)
-@example(n_and_successes=(10**12, 1), alpha=0.05)
+@example(n_and_successes=(10**10, 1), alpha=0.05)
 @example(n_and_successes=(343, 338), alpha=0.05)
 @example(n_and_successes=(10, 3), alpha=1e-300)  # the density at the lower root underflows
 @example(n_and_successes=(117, 39), alpha=1e-20)  # 1 - alpha / 2 rounds to 1
 @given(
-    n_and_successes=(st.integers(1, 10**12) | st.integers(1, 2000)).flatmap(
+    n_and_successes=(st.integers(1, 10**10) | st.integers(1, 2000)).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, n) | st.integers(0, min(n, 5)) | st.integers(n - min(n, 5), n))
     ),
     alpha=st.floats(0.001, 0.5, exclude_min=True, exclude_max=True),

@@ -45,6 +45,7 @@ from helpers import (
     oracle_critical_values,
     oracle_evaluate,
     oracle_evaluate_row,
+    oracle_raw_critical_values,
     oracle_stud,
     retains,
 )
@@ -990,13 +991,26 @@ def _box_points(kernel, a, s, grid, layout, seed):
 
 
 def _assert_kernel_matches_oracle(kernel, u, v, alpha, beta, budget):
-    """``evaluate`` at an ``_EVAL_BLOCK`` budget against both kernel oracles, bit for bit."""
-    with mock.patch.object(inference, "_EVAL_BLOCK", budget):
+    """``evaluate`` at an ``_EVAL_BLOCK`` budget against both kernel oracles, bit for bit.
+
+    The raw critical values, step two's order statistics before their floor
+    at zero, equal the row-by-row oracle's too.
+    """
+    raw = []
+    critical_values = _SPointKernel._critical_values
+
+    def spy(self, *args):
+        raw.append(critical_values(self, *args).copy())
+        return raw[-1]
+
+    with mock.patch.object(inference, "_EVAL_BLOCK", budget), mock.patch.object(_SPointKernel, "_critical_values", spy):
         tn, crit = kernel.evaluate(u, v, alpha, beta)
     for oracle in (oracle_evaluate, oracle_critical_values):
         want_tn, want_crit = oracle(kernel, u, v, alpha, beta)
         assert tn.tobytes() == want_tn.tobytes()
         assert crit.tobytes() == want_crit.tobytes()
+    raw = np.concatenate(raw) if raw else np.empty(0)
+    np.testing.assert_array_equal(raw, oracle_raw_critical_values(kernel, u, v, alpha, beta))
 
 
 def _candidate_counts(rule):
@@ -1022,6 +1036,10 @@ def _spy_on_order_stats(monkeypatch):
 
 
 @settings(max_examples=150, deadline=None)
+@example(  # rule E fails in the one chunk, where a term below zero at every draw sets the raw critical value
+    cells=[1, 1, 1, 16], a=DependenceAssumption.NO_RESTRICTION, S=SRegion.singleton(0.75, 0.5),
+    bootstrap=1, seed=1, grid=2, layout="rows", budget=inference._EVAL_BLOCK, alpha=0.05,
+)
 @given(
     cells=st.one_of(
         st.lists(st.integers(1, 75), min_size=4, max_size=4), _tables_with_an_empty_cell()
@@ -1078,10 +1096,10 @@ def test_envelope_bounds_every_step_one_maximum(cells, a, s, bootstrap, seed, gr
         for lo in range(0, row_v.size, run):
             vr = row_v[lo : lo + run]
             mu6, s6, _, s7, _ = kernel._statistic(np.full(vr.size, x), vr)
-            _, d6max, base7 = kernel._row_tables(np.array([x]), mu6[:1], s6[:1])
+            (_, d6max, base7), free = kernel._row_tables(np.array([x]), mu6[:1], s6[:1], np.empty(14 * bootstrap))
             env = kernel._envelope(
                 np.zeros(1, dtype=int), np.array([x]), base7, d6max,
-                vr.min(keepdims=True), vr.max(keepdims=True), s7.min(keepdims=True),
+                vr.min(keepdims=True), vr.max(keepdims=True), s7.min(keepdims=True), free,
             )
             _, _, parts = oracle_evaluate_row(kernel, float(x), vr, 0.05, beta)
             assert np.all(parts["step_one"] <= env)
@@ -1098,9 +1116,9 @@ def test_envelope_is_infinite_where_s7_is_zero(monkeypatch):
     v = np.linspace(0.0, 0.4, 17)
     mu6, s6, _, s7, _ = kernel._statistic(np.full(v.size, x), v)
     assert s7[0] == 0.0 and np.all(s7[1:] > 0.0)
-    _, d6max, base7 = kernel._row_tables(np.array([x]), mu6[:1], s6[:1])
+    (_, d6max, base7), free = kernel._row_tables(np.array([x]), mu6[:1], s6[:1], np.empty(14 * 20))
     env = kernel._envelope(
-        np.zeros(1, dtype=int), np.array([x]), base7, d6max, v[:1], v[-1:], s7.min(keepdims=True)
+        np.zeros(1, dtype=int), np.array([x]), base7, d6max, v[:1], v[-1:], s7.min(keepdims=True), free
     )
     assert np.all(env == np.inf)
     monkeypatch.setattr(inference, "_candidate_count", _candidate_counts("top+1"))
@@ -1218,6 +1236,121 @@ def test_kernel_step_two_rules_on_pinned_rows(monkeypatch, cells, a, s, bootstra
     # within a third of the budget), so a 9-point row takes five chunks.
     at_20b = [shape[0] for c, b, shape in chunks if (c, b) == ("B", 20 * bootstrap)]
     assert at_20b[::2] == ([2, 2, 2, 2, 1] if v.size == 9 else [v.size])
+
+
+def _spy_on_step_two_rules(monkeypatch):
+    """Record (points, reuse, skip, share) for every phase-B chunk."""
+    chunks = []
+    rules = inference._step_two_rules
+
+    def spy(lam6, *args):
+        reuse, skip, share = rules(lam6, *args)
+        chunks.append((lam6.shape[0], reuse, skip, share))
+        return reuse, skip, share
+
+    monkeypatch.setattr(inference, "_step_two_rules", spy)
+    return chunks
+
+
+def _oracle_parts(kernel, u, v):
+    """The oracle's s7, recenterings and reject decisions at points (u[k], v[k]), rows of equal u."""
+    parts = []
+    for x in np.unique(u):
+        tn, crit, p = oracle_evaluate_row(kernel, float(x), v[u == x], 0.05, 0.005)
+        parts.append((p["s7"], p["lam7a"], p["lam7b"], p["lam6"], _rejects(tn, crit)))
+    return (np.concatenate(col) for col in zip(*parts))
+
+
+@pytest.mark.parametrize("budget", [1, inference._EVAL_BLOCK])
+@pytest.mark.parametrize("count", ["top+1", 92, "B"])
+def test_step_two_rules_in_one_mixed_chunk(monkeypatch, count, budget):
+    # The 25 points of a 5 x 5 box grid make one chunk at the default
+    # budget, on candidate draws and on all 200.  They mix every case the
+    # rules must tell apart: a point with s7 = 0, rejected points with a
+    # negative equality recentering next to points where both are 0, and
+    # components recentered by +0.0 at some points and by less at others.
+    # So the chunk takes no rule E, hence no rule S, and shares no mixed
+    # component.  At budget 1 every point is a chunk of its own.
+    counts = CellCounts(1, 0, 4, 0)
+    a, s = DependenceAssumption.NO_RESTRICTION, RefPerf(0.8, 0.5)
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 200, 0))
+    u, v = _box_points(kernel, a, s, 5, "rows", 0)
+    s7, lam7a, lam7b, lam6, rejected = _oracle_parts(kernel, u, v)
+    flat7 = (lam7a == 0.0) & (lam7b == 0.0)
+    mixed = (lam6 == 0.0).any(axis=0) & (lam6 < 0.0).any(axis=0)
+    assert (s7 == 0.0).any() and (rejected & ~flat7).any() and (flat7 & (s7 > 0.0)).any() and mixed.any()
+    chunks = _spy_on_step_two_rules(monkeypatch)
+    monkeypatch.setattr(inference, "_candidate_count", _candidate_counts(count))
+    _assert_kernel_matches_oracle(kernel, u, v, 0.05, 0.005, budget)
+    if budget == 1:
+        assert {points for points, *_ in chunks} == {1}
+        assert any(reuse for _, reuse, _, _ in chunks)  # the rules act on points of their own
+    else:
+        points, reuse, skip, share = chunks[0]
+        assert points == u.size and not reuse and not any(skip)
+        assert not np.any(np.array(share) & mixed)
+
+
+def test_step_two_rules_on_the_infer_grid_region(monkeypatch):
+    # The benchmark's infer call (EUA, wa1, s1 in [0.8, 0.9] at s0 = 1.0,
+    # 316^2 grid, B = 500, seed 1) takes 32 phase-B chunks, all on 92
+    # candidate draws.  Rule E holds in every one, and of the 192 (chunk,
+    # component) pairs, 90 are skipped, 78 shared and 24 evaluated per
+    # point: a rule that stops acting fails here rather than only slowing.
+    chunks = _spy_on_step_two_rules(monkeypatch)
+    cfg = TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=316)
+    confidence_set(EUA, SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=2, s0_points=1), WA1, cfg)
+    assert len(chunks) == 32 and all(reuse for _, reuse, _, _ in chunks)
+    skipped = sum(sum(skip) for *_, skip, _ in chunks)
+    shared = sum(sum(share) for *_, share in chunks)
+    assert (skipped, shared, 6 * len(chunks) - skipped - shared) == (90, 78, 24)
+
+
+def test_every_array_of_an_evaluate_call_lives_in_one_scratch(monkeypatch):
+    # Candidates of top + 1 draws leave points to evaluate again on all B
+    # draws, so every phase runs, over several batches.  The row tables,
+    # envelopes, candidates' tables and the chunk arrays _top sorts are
+    # views of one scratch per call, and each call allocates its own.
+    kernel = _kernel(EUA, WA1, S91, bootstrap_cell_frequencies(EUA, 500, 1))
+    u, v = _box_points(kernel, WA1, S91, 40, "rows", 0)
+    monkeypatch.setattr(inference, "_candidate_count", _candidate_counts("top+1"))
+    calls = _spy_on_order_stats(monkeypatch)
+    arrays = []
+    top, row_tables, envelope = inference._top, _SPointKernel._row_tables, _SPointKernel._envelope
+    order_stats = _SPointKernel._order_stats  # the spy above
+
+    def top_spy(x, k):
+        arrays.append(x)
+        return top(x, k)
+
+    def row_tables_spy(self, *args):
+        tables, free = row_tables(self, *args)
+        arrays.extend(tables)
+        return tables, free
+
+    def envelope_spy(self, *args):
+        arrays.append(envelope(self, *args))
+        return arrays[-1]
+
+    def order_stats_spy(self, tables, *args):
+        dev6, d6max, base7, pv7 = tables
+        arrays.extend((dev6, d6max, base7) if pv7.base is self.PV7 else tables)  # PV7 serves all B
+        return order_stats(self, tables, *args)
+
+    monkeypatch.setattr(inference, "_top", top_spy)
+    monkeypatch.setattr(_SPointKernel, "_row_tables", row_tables_spy)
+    monkeypatch.setattr(_SPointKernel, "_envelope", envelope_spy)
+    monkeypatch.setattr(_SPointKernel, "_order_stats", order_stats_spy)
+    scratches = []
+    for _ in range(2):
+        arrays.clear()
+        calls.clear()
+        kernel.evaluate(u, v, 0.05, 0.005)
+        assert {m for _, m in calls} == {24, 500} and len(calls) > 4
+        scratch = arrays[0].base
+        assert scratch.ndim == 1 and all(np.shares_memory(x, scratch) for x in arrays)
+        scratches.append(scratch)
+    assert scratches[0] is not scratches[1]
 
 
 @pytest.mark.parametrize(
