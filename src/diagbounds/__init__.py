@@ -18,7 +18,6 @@ from .probability import (
 from .identification import (
     DependenceAssumption,
     Interval,
-    ThetaSegment,
     IdentifiedSet,
     sharp_segment,
     sharp_union,
@@ -26,7 +25,7 @@ from .identification import (
 )
 from .derived import (
     PretestRange,
-    PrevalenceBounds,
+    PrevalenceCurve,
     predictive_value_bounds,
     prevalence_width_curve,
 )
@@ -66,13 +65,12 @@ __all__ = [
     "apparent_measures",
     "DependenceAssumption",
     "Interval",
-    "ThetaSegment",
     "IdentifiedSet",
     "sharp_segment",
     "sharp_union",
     "frechet_comparator",
     "PretestRange",
-    "PrevalenceBounds",
+    "PrevalenceCurve",
     "predictive_value_bounds",
     "prevalence_width_curve",
     "ThetaPoint",

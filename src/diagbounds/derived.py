@@ -9,29 +9,32 @@ segment endpoints; treating the identified set as a rectangle of its
 projections forgets that structure and strictly widens the bounds
 whenever the segment is non-degenerate.
 
-``prevalence_width_curve`` is the one prevalence entry point: a segment
-or a set, at any list of rates (a single rate is a one-element list).
-Every bound is one array rule, ``_ratio_bounds``: the ratio at every
-(rate, segment, candidate point) at once, the candidates being a
-segment's two endpoints or its rectangle's four corners, reduced to one
-interval per (rate, segment) clamped into [0, 1]; ``_combine`` takes the
-hull over the segments.  Of equal values such as 0.0 and -0.0 each step
-keeps the one Python's ``min`` and ``max`` keep, so every float is that
-of a scalar evaluation.  A union's per-segment intervals come from one
-call per segment.
+``prevalence_width_curve`` is the one prevalence entry point: an
+identified set, of one segment or many, at any list of rates (a single
+rate is a one-element list), returned as columns over the rates.  Every
+bound is one array rule, ``_ratio_bounds``: the ratio at every (rate,
+segment, candidate point) at once, the candidates being a segment's two
+endpoints or its rectangle's four corners, reduced to one interval per
+(rate, segment) clamped into [0, 1]; ``_hull`` takes the hull over the
+segments.  ``predictive_value_bounds`` is one array rule over the
+segments' endpoints.  Of equal values such as 0.0 and -0.0 each step
+keeps the one Python's ``min`` and ``max`` keep (``_first``), so every
+float is that of a scalar evaluation.  A segment's own bounds are those
+of the set of its one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .identification import IdentifiedSet, Interval, ThetaSegment
+from .identification import IdentifiedSet, Interval, _first
 
 __all__ = [
     "PretestRange",
-    "PrevalenceBounds",
+    "PrevalenceCurve",
     "predictive_value_bounds",
     "prevalence_width_curve",
 ]
@@ -55,29 +58,27 @@ class PretestRange:
             )
 
 
-@dataclass(frozen=True)
-class PrevalenceBounds:
-    """Interval of feasible prevalence values.
+class PrevalenceCurve(NamedTuple):
+    """Sharp and rectangular prevalence bounds at m screened rates, as columns.
 
-    ``vacuous`` marks the fallback [0, 1] that applies when some feasible
-    (theta1, theta0) has theta1 = 1 - theta0 (the test could be pure
-    noise, so the data say nothing about prevalence).  ``q_consistent``
-    is False when the screened rate is impossible under every point of
-    the segment; the interval then degenerates to the nearest boundary.
-    Over a set, the interval is the hull of the segments' intervals, which
-    can in principle be disconnected; each segment's own interval is the
-    bound of one call on that segment.
+    ``sharp`` and ``rect`` are (m, 2) arrays of interval ends.  A
+    ``vacuous`` flag marks the fallback [0, 1] that applies when some
+    feasible (theta1, theta0) has theta1 = 1 - theta0 (the test could be
+    pure noise, so the data say nothing about prevalence); it is the same
+    at every rate.  A ``q_consistent`` column (m,) is False where the
+    screened rate is impossible under every point of the set; the
+    interval then degenerates to the nearest boundary.  Over a set, the
+    interval is the hull of the segments' intervals, which can in
+    principle be disconnected.
     """
 
-    interval: Interval
-    vacuous: bool = False
-    q_consistent: bool = True
-
-
-def _first(x: np.ndarray, pick) -> np.ndarray:
-    """Row minima or maxima (``pick`` is np.argmin or np.argmax), each the
-    first of equal values as Python's ``min`` and ``max`` keep it."""
-    return x[np.arange(len(x)), pick(x, axis=1)]
+    q: np.ndarray
+    sharp: np.ndarray
+    rect: np.ndarray
+    sharp_vacuous: bool
+    rect_vacuous: bool
+    sharp_q_consistent: np.ndarray
+    rect_q_consistent: np.ndarray
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
@@ -112,8 +113,8 @@ def _ratio_bounds(
     return np.where(vacuous, 0.0, _clamp(lo)), np.where(vacuous, 1.0, _clamp(hi)), ok
 
 
-def _combine(qs: list[float], points: np.ndarray, vacuous: np.ndarray) -> list[PrevalenceBounds]:
-    """Per rate, the hull of the segments' intervals.
+def _hull(qs: list[float], points: np.ndarray, vacuous: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Per rate, the hull of the segments' intervals: the ends (m, 2), the vacuous flag and ``q_consistent`` (m,).
 
     The hull runs over the segments at which the rate is consistent, or
     over all of them when it is consistent at none.  A vacuous segment
@@ -125,15 +126,7 @@ def _combine(qs: list[float], points: np.ndarray, vacuous: np.ndarray) -> list[P
     vac = bool(vacuous.any())
     h_lo = np.where(vac, 0.0, _first(np.where(pool, lo, np.inf), np.argmin))
     h_hi = np.where(vac, 1.0, _first(np.where(pool, hi, -np.inf), np.argmax))
-    return [
-        PrevalenceBounds(Interval(a, b), vac, c)
-        for a, b, c in zip(h_lo.tolist(), h_hi.tolist(), consistent.tolist())
-    ]
-
-
-def _segments(identified: "IdentifiedSet | ThetaSegment") -> list[ThetaSegment]:
-    """The segments of a set; a lone segment is a set of one."""
-    return [identified] if isinstance(identified, ThetaSegment) else list(identified)
+    return np.stack([h_lo, h_hi], axis=-1), vac, consistent
 
 
 def _sharp(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,25 +151,16 @@ def _rect(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return corners, corners[:, 0, 0] + corners[:, 0, 1] - 1.0 <= SIGN_TOL
 
 
-def _ppv(theta1: float, theta0: float, pi: float) -> float | None:
-    num = theta1 * pi
-    den = num + (1.0 - theta0) * (1.0 - pi)
-    if den == 0.0:
-        return None
-    return num / den
+def _predictive_bound(num: np.ndarray, rest: np.ndarray) -> Interval:
+    """From the least of row 0 to the largest of row 1 of num / (num + rest); [0, 1] on any 0/0."""
+    den = num + rest
+    if (den == 0.0).any():
+        return Interval(0.0, 1.0)
+    lo, hi = num / den
+    return Interval(lo[lo.argmin()].item(), hi[hi.argmax()].item())
 
 
-def _npv(theta1: float, theta0: float, pi: float) -> float | None:
-    num = theta0 * (1.0 - pi)
-    den = num + (1.0 - theta1) * pi
-    if den == 0.0:
-        return None
-    return num / den
-
-
-def predictive_value_bounds(
-    identified: "IdentifiedSet | ThetaSegment", pi: PretestRange
-) -> tuple[Interval, Interval]:
+def predictive_value_bounds(identified: IdentifiedSet, pi: PretestRange) -> tuple[Interval, Interval]:
     """Bounds on PPV and NPV over the identified set and pre-test range.
 
     Both predictive values increase in theta1 and theta0 jointly, hence
@@ -185,40 +169,32 @@ def predictive_value_bounds(
     0/0 evaluation (e.g. a pure-noise corner) makes the affected quantity
     uninformative and returns the degenerate bound [0, 1].
     """
-    segments = _segments(identified)
-    ppv_lo = [_ppv(*seg.lo, pi.pi_lo) for seg in segments]
-    ppv_hi = [_ppv(*seg.hi, pi.pi_hi) for seg in segments]
-    npv_lo = [_npv(*seg.lo, pi.pi_hi) for seg in segments]
-    npv_hi = [_npv(*seg.hi, pi.pi_lo) for seg in segments]
-
-    if any(v is None for v in ppv_lo + ppv_hi):
-        ppv = Interval(0.0, 1.0)
-    else:
-        ppv = Interval(min(ppv_lo), max(ppv_hi))
-    if any(v is None for v in npv_lo + npv_hi):
-        npv = Interval(0.0, 1.0)
-    else:
-        npv = Interval(min(npv_lo), max(npv_hi))
-    return ppv, npv
+    # Row 0 holds the low endpoints, row 1 the high ones: PPV at pi_lo, then
+    # pi_hi, and NPV at pi_hi, then pi_lo.
+    t1, t0 = identified.segments[..., 0].T, identified.segments[..., 1].T
+    up = np.array([[pi.pi_lo], [pi.pi_hi]])
+    down = up[::-1]
+    return (
+        _predictive_bound(t1 * up, (1.0 - t0) * (1.0 - up)),
+        _predictive_bound(t0 * (1.0 - down), (1.0 - t1) * down),
+    )
 
 
-def prevalence_width_curve(
-    identified: "IdentifiedSet | ThetaSegment", q_grid=None
-) -> list[tuple[float, PrevalenceBounds, PrevalenceBounds]]:
+def prevalence_width_curve(identified: IdentifiedSet, q_grid=None) -> PrevalenceCurve:
     """Sharp and rectangular prevalence bounds along a grid of screened rates.
 
     Default grid is 201 equally spaced rates on [0, 1]; a single rate is
-    ``q_grid=[q]``.  Each entry is (rate, sharp, rectangular): the sharp
-    bounds evaluate each segment at its endpoints, the rectangular ones
-    treat it as the rectangle of its projections, which is what methods
-    reporting only marginal theta bounds can do.  The rectangular bounds
-    always contain the sharp ones; on one segment they are strictly wider
-    unless it is a single point.  Over a set each bound is the hull of the
-    segments'.
+    ``q_grid=[q]``.  The sharp bounds evaluate each segment at its
+    endpoints, the rectangular ones treat it as the rectangle of its
+    projections, which is what methods reporting only marginal theta
+    bounds can do.  The rectangular bounds always contain the sharp ones;
+    on one segment they are strictly wider unless it is a single point.
+    Over a set each bound is the hull of the segments'.
     """
     if q_grid is None:
         qs = [i / 200.0 for i in range(201)]
     else:
         qs = [float(q) for q in q_grid]
-    ends = np.array([seg.lo + seg.hi for seg in _segments(identified)], dtype=float).reshape(-1, 2, 2)
-    return list(zip(qs, _combine(qs, *_sharp(ends)), _combine(qs, *_rect(ends))))
+    sharp, sharp_vacuous, sharp_ok = _hull(qs, *_sharp(identified.segments))
+    rect, rect_vacuous, rect_ok = _hull(qs, *_rect(identified.segments))
+    return PrevalenceCurve(np.array(qs, dtype=float), sharp, rect, sharp_vacuous, rect_vacuous, sharp_ok, rect_ok)

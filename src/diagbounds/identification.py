@@ -10,10 +10,12 @@ wrongly agree") shrink those intervals from above only.  When (s1, s0) is
 only known to lie in a compact region, the identified set is the union of
 the per-point segments.
 
-Every set in the (theta1, theta0) plane answers for both axes at once:
-``ThetaSegment.projections`` and ``IdentifiedSet.projections`` are the
-(theta1, theta0) interval pair, and ``frechet_comparator`` returns the
-marginals-only box as the same pair.
+An ``IdentifiedSet`` holds its segments as columns, one row per kept
+reference point: the endpoints (k, 2, 2), the slopes and the intercepts.
+A single point's segment is a set of one row.  Every set in the
+(theta1, theta0) plane answers for both axes at once:
+``IdentifiedSet.projections`` is the (theta1, theta0) interval pair, and
+``frechet_comparator`` returns the marginals-only box as the same pair.
 
 The rules are written once and evaluated at every reference point of a
 region at once, as numpy arrays: ``probability.reference_columns``
@@ -25,14 +27,16 @@ they evaluate in Python floats.  Python's ``min(a, b)`` is written
 ``np.where(b < a, b, a)`` on arrays and ``max(a, b)``
 ``np.where(b > a, b, a)``, not ``np.minimum`` or ``np.maximum``: on a tie,
 or on 0.0 against -0.0, they return the same operand Python does, so a
-region's columns hold the bits of each point evaluated alone.
+region's columns hold the bits of each point evaluated alone.  The
+reductions over a set's rows, its projections, keep the first of equal
+values for the same reason (``_first``).
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,7 @@ from .probability import (
     RefPerf,
     RefutationError,
     SRegion,
-    _column,
+    _at,
     _usable_point,
     _where,
     reference_columns,
@@ -52,7 +56,6 @@ from .probability import (
 __all__ = [
     "DependenceAssumption",
     "Interval",
-    "ThetaSegment",
     "IdentifiedSet",
     "sharp_segment",
     "sharp_union",
@@ -88,96 +91,93 @@ class Interval:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class ThetaSegment:
-    """A line segment of jointly feasible (theta1, theta0) for fixed (s1, s0).
-
-    Both endpoints satisfy theta0 = slope * theta1 + intercept with
-    slope = P(y=1)/P(y=0) > 0 and intercept = 1 - P(t=1)/P(y=0), so the
-    theta0 ordering matches the theta1 ordering.
-    """
-
-    s: RefPerf
-    lo: tuple[float, float]
-    hi: tuple[float, float]
-    slope: float
-    intercept: float
-
-    def __post_init__(self) -> None:
-        (t1l, t0l), (t1u, t0u) = self.lo, self.hi
-        if not (0.0 <= t1l <= t1u <= 1.0 and 0.0 <= t0l <= t0u <= 1.0):
-            raise ValueError(f"segment endpoints out of order or range: {self.lo}, {self.hi}")
-        if self.slope <= 0.0:
-            raise ValueError(f"segment slope must be positive, got {self.slope}")
-        for t1, t0 in (self.lo, self.hi):
-            if abs(t0 - (self.slope * t1 + self.intercept)) > LINE_TOL:
-                raise ValueError(
-                    f"endpoint ({t1}, {t0}) is off the feasibility line by more "
-                    f"than {LINE_TOL}"
-                )
-
-    @property
-    def projections(self) -> tuple[Interval, Interval]:
-        """The (theta1, theta0) intervals the segment spans."""
-        return Interval(self.lo[0], self.hi[0]), Interval(self.lo[1], self.hi[1])
-
-    def theta0_at(self, theta1: float) -> float:
-        return self.slope * theta1 + self.intercept
-
-    def point_at(self, frac: float) -> tuple[float, float]:
-        """Point a fraction ``frac`` of the way from the low to high endpoint."""
-        t1 = self.lo[0] + frac * (self.hi[0] - self.lo[0])
-        return (t1, self.theta0_at(t1))
+def _first(x: np.ndarray, pick) -> np.ndarray:
+    """Row minima or maxima (``pick`` is np.argmin or np.argmax), each the
+    first of equal values as Python's ``min`` and ``max`` keep it."""
+    return x[np.arange(len(x)), pick(x, axis=1)]
 
 
 @dataclass(frozen=True)
 class IdentifiedSet:
-    """Union of per-(s1, s0) segments over a region of reference values."""
+    """Union of per-(s1, s0) segments over a region of reference values, as columns.
 
-    segments: tuple[ThetaSegment, ...]
+    Row i of ``segments`` (k, 2, 2) is the segment at ``s_points[i]``,
+    ``[[theta1_lo, theta0_lo], [theta1_hi, theta0_hi]]``.  Both endpoints
+    satisfy theta0 = slope * theta1 + intercept with
+    slope = P(y=1)/P(y=0) > 0 and intercept = 1 - P(t=1)/P(y=0), so the
+    theta0 ordering matches the theta1 ordering.  A single reference point
+    is a set of one row.  The columns are read-only float arrays.
+    """
+
     assumption: DependenceAssumption
+    s_points: tuple[RefPerf, ...]
+    segments: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.segments:
+        k = len(self.s_points)
+        if not k:
             raise ValueError("identified set must contain at least one segment")
+        for name in ("segments", "slope", "intercept"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        ends, slope, intercept = self.segments, self.slope, self.intercept
+        if ends.shape != (k, 2, 2) or slope.shape != (k,) or intercept.shape != (k,):
+            raise ValueError(f"identified set columns must have shapes ({k}, 2, 2), ({k},) and ({k},)")
+        # A row is refused where a segment checked alone was, by the first
+        # check that fails it and with that check's message.  A NaN endpoint
+        # fails the order check; a NaN slope or intercept passes the other two,
+        # whose arithmetic is as quiet as Python's.
+        lo, hi = ends[:, 0], ends[:, 1]
+        order = ~((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)).all(axis=1)
+        with np.errstate(all="ignore"):
+            line = np.abs(ends[..., 1] - (slope[:, None] * ends[..., 0] + intercept[:, None])) > LINE_TOL
+        refused = order | (slope <= 0.0) | line.any(axis=1)
+        if refused.any():
+            i = int(refused.argmax())
+            lo, hi = map(tuple, ends[i].tolist())
+            if order[i]:
+                raise ValueError(f"segment endpoints out of order or range: {lo}, {hi}")
+            if slope[i] <= 0.0:
+                raise ValueError(f"segment slope must be positive, got {slope[i].item()}")
+            t1, t0 = lo if line[i, 0] else hi
+            raise ValueError(f"endpoint ({t1}, {t0}) is off the feasibility line by more than {LINE_TOL}")
 
     def __len__(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self):
-        return iter(self.segments)
+        return len(self.s_points)
 
     @property
     def projections(self) -> tuple[Interval, Interval]:
         """Projection bounds on (theta1, theta0): sensitivity, then specificity."""
-        return tuple(
-            Interval(min(seg.lo[k] for seg in self.segments), max(seg.hi[k] for seg in self.segments))
-            for k in (0, 1)
-        )
+        lo = _first(self.segments[:, 0].T, np.argmin).tolist()
+        hi = _first(self.segments[:, 1].T, np.argmax).tolist()
+        return Interval(lo[0], hi[0]), Interval(lo[1], hi[1])
+
+    def point_at(self, frac) -> np.ndarray:
+        """Each segment's point a fraction ``frac`` of the way from its low to its high endpoint, (k, 2)."""
+        lo, hi = self.segments[:, 0, 0], self.segments[:, 1, 0]
+        t1 = lo + frac * (hi - lo)
+        return np.stack([t1, self.slope * t1 + self.intercept], axis=-1)
+
+    def _rows(self) -> list[list[float]]:
+        """Per segment, (theta1_lo, theta1_hi, theta0_lo, theta0_hi)."""
+        return self.segments.transpose(0, 2, 1).reshape(-1, 4).tolist()
 
     def to_dict(self) -> dict:
+        keys = ("s1", "s0", "theta1_lo", "theta1_hi", "theta0_lo", "theta0_hi", "slope", "intercept")
+        rows = zip(self.s_points, self._rows(), self.slope.tolist(), self.intercept.tolist())
         return {
             "assumption": self.assumption.value,
-            "segments": [
-                {
-                    "s1": seg.s.s1,
-                    "s0": seg.s.s0,
-                    "theta1_lo": seg.lo[0],
-                    "theta1_hi": seg.hi[0],
-                    "theta0_lo": seg.lo[1],
-                    "theta0_hi": seg.hi[1],
-                    "slope": seg.slope,
-                    "intercept": seg.intercept,
-                }
-                for seg in self.segments
-            ],
+            "segments": [dict(zip(keys, (s.s1, s.s0, *ends, m, c))) for s, ends, m, c in rows],
         }
 
     def to_csv_rows(self) -> list[str]:
         row = "%.10g,%.10g,%.12g,%.12g,%.12g,%.12g"
         return [
             "s1,s0,theta1_lo,theta1_hi,theta0_lo,theta0_hi",
-            *(row % (g.s.s1, g.s.s0, g.lo[0], g.hi[0], g.lo[1], g.hi[1]) for g in self.segments),
+            *(row % (s.s1, s.s0, *ends) for s, ends in zip(self.s_points, self._rows())),
         ]
 
 
@@ -233,12 +233,13 @@ _WA1 = (DependenceAssumption.WRONGLY_AGREE_Y1, DependenceAssumption.WRONGLY_AGRE
 _WA0 = (DependenceAssumption.WRONGLY_AGREE_Y0, DependenceAssumption.WRONGLY_AGREE_BOTH)
 
 
-def _sharp_segments(
-    p: JointTR, points: Sequence[RefPerf], a: DependenceAssumption
-) -> Iterator[ThetaSegment | str]:
-    """The sharp segment at each of ``points`` in turn, or why there is none, from one pass over them all.
+def _sharp_segments(p: JointTR, points: Sequence[RefPerf], a: DependenceAssumption) -> tuple:
+    """The sharp segments at all of ``points`` from one pass over them, and why the refuted ones have none.
 
-    The accounting line maps the theta1 interval exactly onto the theta0
+    Returns the columns (kept, ends, slope, intercept) over ``points``, the
+    last three as ``IdentifiedSet`` holds them and meaningful where
+    ``kept``, and the list of (index, reason) of the points not kept.  The
+    accounting line maps the theta1 interval exactly onto the theta0
     interval, so intersecting the two only absorbs floating-point noise;
     bounds are clamped to [0, 1] afterwards for the same reason.  A
     wrongly-agree restriction that empties either interval refutes the
@@ -260,37 +261,37 @@ def _sharp_segments(
     lo1, hi1 = _clamp01(_where(crossed, mid, lo1)), _clamp01(_where(crossed, mid, hi1))
     lo0, hi0 = _clamp01(slope * lo1 + intercept), _clamp01(slope * hi1 + intercept)
 
-    usable, empty1, empty0, apart, lo1, hi1, lo0, hi0, slope, intercept = map(_column, (
-        ref.usable, raw1[0] > raw1[1], raw0[0] > raw0[1], apart, lo1, hi1, lo0, hi0, slope, intercept
-    ))
-    for k, s in enumerate(points):
-        if usable[k] and not (empty1[k] or empty0[k] or apart[k]):
-            yield ThetaSegment(s, (lo1[k], lo0[k]), (hi1[k], hi0[k]), slope[k], intercept[k])
-            continue
+    empty1, empty0 = raw1[0] > raw1[1], raw0[0] > raw0[1]
+    kept = np.array(ref.usable, ndmin=1) & ~np.array(empty1 | empty0 | apart, ndmin=1)
+    refuted = []
+    for k in np.flatnonzero(~kept).tolist():
         reason = ref.refutation(k)
         if reason is None:
-            which = "theta1" if empty1[k] else "theta0" if empty0[k] else "intersected theta1"
+            s = points[k]
+            which = "theta1" if _at(empty1, k) else "theta0" if _at(empty0, k) else "intersected theta1"
             reason = (
                 f"no (theta1, theta0) is consistent with the data at "
                 f"(s1={s.s1}, s0={s.s0}) under {a.value!r}: the {which} interval "
                 "is empty, so the dependence assumption is refuted there"
             )
-        yield reason
+        refuted.append((k, reason))
+    ends = np.array([lo1, lo0, hi1, hi0], dtype=float).T.reshape(-1, 2, 2)
+    return kept, ends, np.array(slope, ndmin=1), np.array(intercept, ndmin=1), refuted
 
 
 def sharp_segment(
     p: JointTR, s: RefPerf, a: DependenceAssumption = DependenceAssumption.NO_RESTRICTION
-) -> ThetaSegment:
-    """Sharp identified segment for (theta1, theta0) at known (s1, s0).
+) -> IdentifiedSet:
+    """Sharp identified segment for (theta1, theta0) at known (s1, s0): a set of one row.
 
     Raises ``RefutationError`` when the data refute the maintained
     assumptions at ``s``, or a wrongly-agree restriction empties the set
     there (which refutes the dependence assumption rather than the data).
     """
-    seg = next(_sharp_segments(p, (s,), a))
-    if isinstance(seg, str):
-        raise RefutationError(seg)
-    return seg
+    _, ends, slope, intercept, refuted = _sharp_segments(p, (s,), a)
+    if refuted:
+        raise RefutationError(refuted[0][1])
+    return IdentifiedSet(a, (s,), ends, slope, intercept)
 
 
 def sharp_union(
@@ -303,17 +304,16 @@ def sharp_union(
     the union.  All points refuted is an error.
     """
     points = sorted(S.points)
-    segments = []
-    for s, seg in zip(points, _sharp_segments(p, points, a)):
-        if isinstance(seg, str):
-            warnings.warn(f"dropping refuted reference point (s1={s.s1}, s0={s.s0}): {seg}", stacklevel=2)
-        else:
-            segments.append(seg)
-    if not segments:
+    kept, ends, slope, intercept, refuted = _sharp_segments(p, points, a)
+    for k, reason in refuted:
+        s = points[k]
+        warnings.warn(f"dropping refuted reference point (s1={s.s1}, s0={s.s0}): {reason}", stacklevel=2)
+    if len(refuted) == len(points):
         raise RefutationError(
             "every (s1, s0) point in the region is refuted by the data"
         )
-    return IdentifiedSet(segments=tuple(segments), assumption=a)
+    kept_points = tuple(s for s, ok in zip(points, kept.tolist()) if ok)
+    return IdentifiedSet(a, kept_points, ends[kept], slope[kept], intercept[kept])
 
 
 def frechet_columns(ref: ReferenceColumns) -> tuple:

@@ -159,10 +159,10 @@ evaluated again, so no batch or chunk size changes a bit.
 
 *Step two's exact rules.*  Most of step two is the same at every point of
 a chunk, or cannot matter.  Step one keeps its equality term
-e = |d7| / s7 in an array of its own, and per chunk and inequality
-component one of three rules applies.  Every term they keep is the
-per-point formula's, so bhat and the raw critical value keep their bits,
-on candidate draws and on all B draws alike.
+e = |d7| / s7 in an array of its own.  Rule E applies per chunk, and
+under it rule S per chunk and inequality component.  Every term they keep
+is the per-point formula's, so bhat and the raw critical value keep their
+bits, on candidate draws and on all B draws alike.
 
 - *Rule E, equality reuse.*  Where every s7 of the chunk is positive and
   both equality recenterings are +0.0 at every point, the step-two
@@ -174,11 +174,6 @@ on candidate draws and on all B draws alike.
   from e.  In exact arithmetic the condition holds at every retained
   point, since t7 <= T_n <= crit <= bhat puts |mu7| <= bhat s7 / sqrt(n);
   the kernel checks it rather than assuming it.
-- *Rule Z, shared term.*  A component whose recentering is +0.0 at every
-  point of the chunk has the term sqrt(n) (dev + 0.0) / s6 at each draw
-  of a table row, the same at every point of the row, whose s6 depends on
-  u alone.  Where the chunk has fewer table rows than points, the term is
-  computed once per row and gathered per point.
 - *Rule S, skip.*  Only under rule E's condition: the maximum then holds
   e >= +0.0 at every draw, so a term below zero at every draw never wins
   it.  A term is monotone in its deviation under rounding: adding the
@@ -484,20 +479,18 @@ def _carve(scratch: np.ndarray, *shapes: tuple[int, ...]) -> tuple[list[np.ndarr
     return views, scratch[at:]
 
 
-def _step_two_rules(lam6, lam7a, lam7b, s7, bound) -> tuple[bool, list[bool], list[bool]]:
-    """The exact rules a phase-B chunk's step two takes (module docstring): (reuse, skip, share).
+def _step_two_rules(lam7a, lam7b, s7, bound) -> tuple[bool, list[bool]]:
+    """The exact rules a phase-B chunk's step two takes (module docstring): (reuse, skip).
 
     ``reuse``: rule E, the larger equality term is step one's |d7| / s7.
     ``skip``: rule S, per component, its terms are below zero at every
     draw, as ``bound()``, each point's term at its largest deviation,
-    shows; only under rule E.  ``share``: rule Z, per component not
-    skipped, its recentering is +0.0 at every point.  Per-point arrays
-    are (points, 6).  No recentering is -0.0, and any() counts NaN as
-    nonzero.
+    shows; only under rule E.  Per-point arrays are (points,), and
+    ``bound()`` is (points, 6).  No recentering is -0.0, and any() counts
+    NaN as nonzero.
     """
     reuse = bool(s7.min() > 0.0) and not (lam7a.any() or lam7b.any())
-    skip = (bound().max(axis=0) < 0.0).tolist() if reuse else [False] * 6
-    return reuse, skip, [not (nz or sk) for nz, sk in zip(lam6.any(axis=0).tolist(), skip)]
+    return reuse, (bound().max(axis=0) < 0.0).tolist() if reuse else [False] * 6
 
 
 def _stud(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -896,37 +889,22 @@ class _SPointKernel:
                 lam6 = np.minimum(mu6[k] + b[:, None] * (s6[k] / rn), 0.0)
                 lam7a = np.minimum(mu7[k] + b * (s7[k] / rn), 0.0)
                 lam7b = np.minimum(-mu7[k] + b * (s7[k] / rn), 0.0)
-            reuse, skip, share = _step_two_rules(
-                lam6, lam7a, lam7b, s7[k], lambda: stud6(rn * (top6.take(r, axis=1).T + lam6), s6[k])
+            reuse, skip = _step_two_rules(
+                lam7a, lam7b, s7[k], lambda: stud6(rn * (top6.take(r, axis=1).T + lam6), s6[k])
             )
-            if reuse:  # the maximum starts as e, and d7 and g are free
-                acc, t, z = e, d7, g
+            if reuse:  # the maximum starts as e, and d7 is free
+                acc, t = e, d7
             else:
-                acc, t, z = g, e, d7
+                acc, t = g, e
                 stud7(np.add(d7, rn * lam7a[:, None], out=g), s7c, out=g)
                 np.add(np.negative(d7, out=d7), rn * lam7b[:, None], out=d7)
                 np.maximum(g, stud7(d7, s7c, out=d7), out=g)
-            # Rule Z pays where the chunk has fewer table rows than points;
-            # elsewhere the per-point formula gives a shared term's same bits.
-            grouped = any(share) and r[-1] - r[0] + 1 < r.size
-            if grouped:
-                first = np.empty(r.size, dtype=bool)
-                first[0] = True
-                first[1:] = r[1:] != r[:-1]
-                local = np.cumsum(first) - 1
-                z = z[: local[-1] + 1]
             for j in range(6):
                 if skip[j]:
                     continue
-                if grouped and share[j]:  # each table row's term once, gathered per point
-                    dev6[j].take(r[first], axis=0, out=z, mode="clip")
-                    np.multiply(rn, np.add(z, 0.0, out=z), out=z)
-                    stud6(z, s6[k][first, j, None], out=z)
-                    z.take(local, axis=0, out=t, mode="clip")
-                else:
-                    dev6[j].take(r, axis=0, out=t, mode="clip")
-                    np.multiply(rn, np.add(t, lam6[:, j, None], out=t), out=t)
-                    stud6(t, s6[k, j, None], out=t)
+                dev6[j].take(r, axis=0, out=t, mode="clip")
+                np.multiply(rn, np.add(t, lam6[:, j, None], out=t), out=t)
+                stud6(t, s6[k, j, None], out=t)
                 np.maximum(acc, t, out=acc)
             raw[k] = _top(acc, tops[1])
         return bhat, raw
@@ -1134,10 +1112,8 @@ def coverage_simulation(
         )
     if theta_points is None:
         seg = sharp_segment(true_p, s_true, a)
-        theta_points = tuple(
-            ThetaPoint(t1, t0, s_true)
-            for t1, t0 in dict.fromkeys(seg.point_at(f) for f in (0.25, 0.5, 0.75))
-        )
+        points = (tuple(seg.point_at(f)[0].tolist()) for f in (0.25, 0.5, 0.75))
+        theta_points = tuple(ThetaPoint(t1, t0, s_true) for t1, t0 in dict.fromkeys(points))
     for tp in theta_points:
         _check_in_box(tp, a)
     groups: dict[RefPerf, list[int]] = {}  # candidates by reference point

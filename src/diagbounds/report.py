@@ -298,15 +298,11 @@ def _interval_pair(iv) -> list[float]:
     return [iv.lo, iv.hi]
 
 
-def _prevalence_record(q: float, sharp, rect) -> dict:
-    """One entry of ``prevalence_width_curve`` as the report writes it."""
-    return {
-        "q": q,
-        "sharp": _interval_pair(sharp.interval),
-        "rect": _interval_pair(rect.interval),
-        "sharp_vacuous": sharp.vacuous,
-        "rect_vacuous": rect.vacuous,
-    }
+def _prevalence_records(curve) -> list[dict]:
+    """The rates of a ``prevalence_width_curve`` as the report writes them, one record per rate."""
+    vacuous = {"sharp_vacuous": curve.sharp_vacuous, "rect_vacuous": curve.rect_vacuous}
+    rows = zip(curve.q.tolist(), curve.sharp.tolist(), curve.rect.tolist())
+    return [{"q": q, "sharp": sharp, "rect": rect, **vacuous} for q, sharp, rect in rows]
 
 
 @dataclass(frozen=True)
@@ -400,10 +396,9 @@ def _frechet_box(ref: ReferenceColumns) -> dict | None:
 
 
 def _extremal_theta0(identified: IdentifiedSet) -> list[float]:
-    """theta0 range of the segments attaining the extreme theta1 values."""
-    seg_lo = min(identified.segments, key=lambda g: g.lo[0])
-    seg_hi = max(identified.segments, key=lambda g: g.hi[0])
-    return [seg_lo.lo[1], seg_hi.hi[1]]
+    """theta0 range of the segments attaining the extreme theta1 values (the first of ties)."""
+    lo, hi = identified.segments[:, 0], identified.segments[:, 1]
+    return [lo[lo[:, 0].argmin(), 1].item(), hi[hi[:, 0].argmax(), 1].item()]
 
 
 def run_analysis(cfg: StudyConfig) -> ReportBundle:
@@ -458,10 +453,9 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
         data["frechet"] = box
 
     if cfg.toggles.prevalence_curve and identified is not None:
-        data["prevalence_curve"] = [_prevalence_record(*e) for e in prevalence_width_curve(identified)]
+        data["prevalence_curve"] = _prevalence_records(prevalence_width_curve(identified))
         if cfg.screen_q is not None:
-            at_q = prevalence_width_curve(identified, [cfg.screen_q])[0]
-            data["prevalence_at_q"] = _prevalence_record(*at_q)
+            data["prevalence_at_q"] = _prevalence_records(prevalence_width_curve(identified, [cfg.screen_q]))[0]
 
     if cfg.toggles.predictive_values and identified is not None and cfg.pretest is not None:
         ppv, npv = predictive_value_bounds(identified, cfg.pretest)
@@ -615,10 +609,9 @@ def _moment_cells_csv(cfg: StudyConfig, identified: IdentifiedSet) -> str:
     """Debug dump of the moment cell values at each segment midpoint."""
     rows = ["s1,s0,cell,j,value"]
     cells = ("t1r1", "t0r1", "t1r0", "t0r0")
-    for seg in identified.segments:
-        mid = seg.point_at(0.5)
-        system = build_moment_system(ThetaPoint(mid[0], mid[1], seg.s), cfg.assumption)
+    for s, (t1, t0) in zip(identified.s_points, identified.point_at(0.5).tolist()):
+        system = build_moment_system(ThetaPoint(t1, t0, s), cfg.assumption)
         for cname, row in zip(cells, system.cell_values):
             for j, value in enumerate(row, 1):
-                rows.append(f"{seg.s.s1:.10g},{seg.s.s0:.10g},{cname},{j},{value:.12g}")
+                rows.append(f"{s.s1:.10g},{s.s0:.10g},{cname},{j},{value:.12g}")
     return "\n".join(rows) + "\n"

@@ -142,8 +142,11 @@ def identified_set_figure(
     comparator_box=None,
     title="",
 ) -> str:
-    """Segments plus optional apparent point/CI box, scatter and comparator box."""
-    ends = np.array([(*seg.lo, *seg.hi) for seg in segments], dtype=float).reshape(-1, 4)
+    """Segments (k, 2, 2), as ``IdentifiedSet.segments``, plus optional apparent point/CI box, scatter and comparator box.
+
+    Each row of ``segments`` is drawn from its first (theta1, theta0) to its second.
+    """
+    ends = np.asarray(segments, dtype=float).reshape(-1, 4)
     xs, ys = ends[:, 0::2].ravel().tolist(), ends[:, 1::2].ravel().tolist()
     if apparent is not None:
         xs.append(apparent[0])

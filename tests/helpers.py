@@ -6,20 +6,27 @@ so agreement with the fast path is evidence, not tautology.  The
 identification oracle is the scalar rule, one reference point at a time
 in Python floats, against which the library's array rule over a whole
 region is checked bit for bit, exceptions and warnings included.  The
-prevalence oracle is the scalar endpoint rule, one rate and one segment
-at a time, against which the array rule is checked float for float.  The
-kernel oracles are the bootstrap test evaluated one row at a time, every
-step-two term in full, and the chunked evaluation on all B draws with its
-zero and skip rules, against both of which the kernel's candidate draws
-are checked bit for bit.  The writer oracles format a set one point or
-segment at a time, against which the one-pass CSV rows and set figures
-are checked byte for byte.
+prevalence and predictive-value oracles are the scalar endpoint rules,
+one rate and one segment at a time, against which the array rules are
+checked float for float.  The oracles return the scalar forms the library
+held before its sets and curves became columns: ``ScalarSegment``, which
+keeps the checks each segment once made of itself (the oracle of the
+set's array checks), ``ScalarSet`` and ``PrevalenceBounds``;
+``scalar_set`` and ``scalar_curve`` read the library's columns into them,
+so that the two are compared by repr.  The kernel oracles are the
+bootstrap test evaluated one row at a time, every step-two term in full,
+and the chunked evaluation on all B draws with its zero and skip rules,
+against both of which the kernel's candidate draws are checked bit for
+bit.  The writer oracles format a set one point or segment at a time,
+against which the one-pass CSV rows and set figures are checked byte for
+byte.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +38,9 @@ from diagbounds import (
     RefutationError,
     validate_assumptions,
 )
-from diagbounds.derived import SIGN_TOL, PrevalenceBounds
+from diagbounds.derived import SIGN_TOL
 from diagbounds.exactci import _BISECT_TOL, regularized_incomplete_beta
-from diagbounds.identification import IdentifiedSet, Interval, ThetaSegment
+from diagbounds.identification import LINE_TOL, IdentifiedSet, Interval
 from diagbounds.inference import _stud
 from diagbounds.probability import PREVALENCE_GUARD, PROB_TOL, DerivedRY, ValidationReport, derived_joint_ry
 from diagbounds.svgfig import SvgCanvas, _padded_box
@@ -222,7 +229,103 @@ def oracle_theta_bounds_raw(p: JointTR, d: DerivedRY, a: DependenceAssumption):
     return bounds(theta1, d.p_y1), bounds(theta0, d.p_y0)
 
 
-def oracle_sharp_segment(p: JointTR, s: RefPerf, a: DependenceAssumption) -> ThetaSegment:
+# The scalar forms the library's columns replaced (see the module docstring).
+
+
+@dataclass(frozen=True)
+class ScalarSegment:
+    """A line segment of jointly feasible (theta1, theta0) for fixed (s1, s0)."""
+
+    s: RefPerf
+    lo: tuple[float, float]
+    hi: tuple[float, float]
+    slope: float
+    intercept: float
+
+    def __post_init__(self) -> None:
+        (t1l, t0l), (t1u, t0u) = self.lo, self.hi
+        if not (0.0 <= t1l <= t1u <= 1.0 and 0.0 <= t0l <= t0u <= 1.0):
+            raise ValueError(f"segment endpoints out of order or range: {self.lo}, {self.hi}")
+        if self.slope <= 0.0:
+            raise ValueError(f"segment slope must be positive, got {self.slope}")
+        for t1, t0 in (self.lo, self.hi):
+            if abs(t0 - (self.slope * t1 + self.intercept)) > LINE_TOL:
+                raise ValueError(
+                    f"endpoint ({t1}, {t0}) is off the feasibility line by more "
+                    f"than {LINE_TOL}"
+                )
+
+
+@dataclass(frozen=True)
+class ScalarSet:
+    """Union of per-(s1, s0) segments over a region of reference values."""
+
+    segments: tuple[ScalarSegment, ...]
+    assumption: DependenceAssumption
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("identified set must contain at least one segment")
+
+    def __len__(self) -> int:
+        return len(self.segments)
+
+    def __iter__(self):
+        return iter(self.segments)
+
+    @property
+    def projections(self) -> tuple[Interval, Interval]:
+        return tuple(
+            Interval(min(seg.lo[k] for seg in self.segments), max(seg.hi[k] for seg in self.segments))
+            for k in (0, 1)
+        )
+
+
+@dataclass(frozen=True)
+class PrevalenceBounds:
+    interval: Interval
+    vacuous: bool = False
+    q_consistent: bool = True
+
+
+def scalar_set(identified: IdentifiedSet) -> ScalarSet:
+    """The library's set as one scalar segment per row, each checked again."""
+    rows = zip(identified.s_points, identified.segments.tolist(), identified.slope.tolist(),
+               identified.intercept.tolist())
+    return ScalarSet(
+        tuple(ScalarSegment(s, tuple(lo), tuple(hi), m, c) for s, (lo, hi), m, c in rows), identified.assumption
+    )
+
+
+def column_set(segments, assumption=DependenceAssumption.NO_RESTRICTION) -> IdentifiedSet:
+    """Scalar segments as the library's set of columns."""
+    return IdentifiedSet(
+        assumption, tuple(g.s for g in segments), [(g.lo, g.hi) for g in segments],
+        [g.slope for g in segments], [g.intercept for g in segments],
+    )
+
+
+def segment_sets(identified: IdentifiedSet) -> list[IdentifiedSet]:
+    """Each segment of ``identified`` as the set of its one row."""
+    columns = (identified.segments, identified.slope, identified.intercept)
+    return [
+        IdentifiedSet(identified.assumption, (s,), *(c[k : k + 1] for c in columns))
+        for k, s in enumerate(identified.s_points)
+    ]
+
+
+def scalar_curve(curve) -> list:
+    """A ``prevalence_width_curve``'s columns as (rate, sharp, rect) entries of one rate each."""
+
+    def bounds(ends, vacuous, ok):
+        return [PrevalenceBounds(Interval(lo, hi), vacuous, c) for (lo, hi), c in zip(ends.tolist(), ok.tolist())]
+
+    sharp = bounds(curve.sharp, curve.sharp_vacuous, curve.sharp_q_consistent)
+    rect = bounds(curve.rect, curve.rect_vacuous, curve.rect_q_consistent)
+    return list(zip(curve.q.tolist(), sharp, rect))
+
+
+def oracle_sharp_segment(p: JointTR, s: RefPerf, a: DependenceAssumption) -> ScalarSegment:
     d = oracle_derived_joint_ry(p, s)
     slope = d.p_y1 / d.p_y0
     intercept = 1.0 - p.p_t1 / d.p_y0
@@ -249,10 +352,10 @@ def oracle_sharp_segment(p: JointTR, s: RefPerf, a: DependenceAssumption) -> The
     lo1, hi1 = _oracle_clamp01(lo1), _oracle_clamp01(hi1)
     lo = (lo1, _oracle_clamp01(slope * lo1 + intercept))
     hi = (hi1, _oracle_clamp01(slope * hi1 + intercept))
-    return ThetaSegment(s=s, lo=lo, hi=hi, slope=slope, intercept=intercept)
+    return ScalarSegment(s=s, lo=lo, hi=hi, slope=slope, intercept=intercept)
 
 
-def oracle_sharp_union(p: JointTR, points, a: DependenceAssumption) -> IdentifiedSet:
+def oracle_sharp_union(p: JointTR, points, a: DependenceAssumption) -> ScalarSet:
     segments = []
     for s in sorted(points):
         try:
@@ -261,7 +364,7 @@ def oracle_sharp_union(p: JointTR, points, a: DependenceAssumption) -> Identifie
             warnings.warn(f"dropping refuted reference point (s1={s.s1}, s0={s.s0}): {exc}", stacklevel=2)
     if not segments:
         raise RefutationError("every (s1, s0) point in the region is refuted by the data")
-    return IdentifiedSet(segments=tuple(segments), assumption=a)
+    return ScalarSet(segments=tuple(segments), assumption=a)
 
 
 def oracle_frechet_comparator(p: JointTR, s: RefPerf) -> tuple[Interval, Interval]:
@@ -276,12 +379,13 @@ def oracle_frechet_comparator(p: JointTR, s: RefPerf) -> tuple[Interval, Interva
 
 
 def segment_distance_linf(seg, theta1, theta0):
-    """Exact L-infinity distance from points to a segment with slope > 0."""
-    m, c = seg.slope, seg.intercept
+    """Exact L-infinity distance from points to the segment of a one-row set, whose slope is > 0."""
+    m, c = seg.slope[0], seg.intercept[0]
+    (lo1, _), (hi1, _) = seg.segments[0]
     t1 = np.asarray(theta1, dtype=float)
     t0 = np.asarray(theta0, dtype=float)
     delta = t0 - (m * t1 + c)
-    t_star = np.clip(t1 + delta / (1.0 + m), seg.lo[0], seg.hi[0])
+    t_star = np.clip(t1 + delta / (1.0 + m), lo1, hi1)
     return np.maximum(np.abs(t1 - t_star), np.abs(t0 - (m * t_star + c)))
 
 
@@ -367,6 +471,44 @@ def oracle_width_curve(identified, q_grid):
         (float(q), oracle_bounds_union(identified, float(q)), oracle_bounds_rect_union(identified, float(q)))
         for q in q_grid
     ]
+
+
+# The predictive-value rule one segment at a time in Python floats, kept as
+# the oracle of the array rule over the endpoints in ``diagbounds.derived``.
+
+
+def _oracle_ppv(theta1, theta0, pi):
+    num = theta1 * pi
+    den = num + (1.0 - theta0) * (1.0 - pi)
+    if den == 0.0:
+        return None
+    return num / den
+
+
+def _oracle_npv(theta1, theta0, pi):
+    num = theta0 * (1.0 - pi)
+    den = num + (1.0 - theta1) * pi
+    if den == 0.0:
+        return None
+    return num / den
+
+
+def oracle_predictive_value_bounds(identified, pi):
+    segments = list(identified)
+    ppv_lo = [_oracle_ppv(*seg.lo, pi.pi_lo) for seg in segments]
+    ppv_hi = [_oracle_ppv(*seg.hi, pi.pi_hi) for seg in segments]
+    npv_lo = [_oracle_npv(*seg.lo, pi.pi_hi) for seg in segments]
+    npv_hi = [_oracle_npv(*seg.hi, pi.pi_lo) for seg in segments]
+
+    if any(v is None for v in ppv_lo + ppv_hi):
+        ppv = Interval(0.0, 1.0)
+    else:
+        ppv = Interval(min(ppv_lo), max(ppv_hi))
+    if any(v is None for v in npv_lo + npv_hi):
+        npv = Interval(0.0, 1.0)
+    else:
+        npv = Interval(min(npv_lo), max(npv_hi))
+    return ppv, npv
 
 
 # The kernel's critical values one row at a time, every step-two term of

@@ -70,9 +70,9 @@ def test_criterion_01_worked_examples_exact():
     ]
     ok = True
     for a, hi in cases:
-        seg = sharp_segment(EX1_P, EX1_S, a)
-        ok &= max(abs(seg.lo[0] - 0.8), abs(seg.lo[1] - 0.8)) <= 1e-12
-        ok &= max(abs(seg.hi[0] - hi[0]), abs(seg.hi[1] - hi[1])) <= 1e-12
+        lo, seg_hi = sharp_segment(EX1_P, EX1_S, a).segments[0].tolist()
+        ok &= max(abs(lo[0] - 0.8), abs(lo[1] - 0.8)) <= 1e-12
+        ok &= max(abs(seg_hi[0] - hi[0]), abs(seg_hi[1] - hi[1])) <= 1e-12
     reps = 200
     t0 = time.perf_counter()
     for _ in range(reps):
@@ -99,10 +99,10 @@ def test_criterion_02_published_estimates_table():
     for name, (app, t1, t0) in TABLE2.items():
         p = estimate_joint(TABLE_DATASETS[name])
         a1, a0 = apparent_measures(p)
-        seg = sharp_segment(p, S91, WA1)
+        lo, hi = sharp_segment(p, S91, WA1).segments[0].tolist()
         ok &= abs(a1 - app[0]) <= 1e-3 and abs(a0 - app[1]) <= 1e-3
-        ok &= abs(seg.lo[0] - t1[0]) <= 1e-3 and abs(seg.hi[0] - t1[1]) <= 1e-3
-        ok &= abs(seg.lo[1] - t0[0]) <= 1e-3 and abs(seg.hi[1] - t0[1]) <= 1e-3
+        ok &= abs(lo[0] - t1[0]) <= 1e-3 and abs(hi[0] - t1[1]) <= 1e-3
+        ok &= abs(lo[1] - t0[0]) <= 1e-3 and abs(hi[1] - t0[1]) <= 1e-3
     reps = 200
     t_start = time.perf_counter()
     for _ in range(reps):
@@ -144,8 +144,8 @@ def test_criterion_03_sensitivity_sweep_table():
 
 
 def test_criterion_04_false_negative_rate_headline():
-    seg = sharp_segment(estimate_joint(TABLE_DATASETS["eua_sx"]), S91, WA1)
-    fnr = (1.0 - seg.hi[0], 1.0 - seg.lo[0])
+    (lo1, _), (hi1, _) = sharp_segment(estimate_joint(TABLE_DATASETS["eua_sx"]), S91, WA1).segments[0].tolist()
+    fnr = (1.0 - hi1, 1.0 - lo1)
     ok = abs(fnr[0] - 0.200) <= 1e-3 and abs(fnr[1] - 0.239) <= 1e-3
     ratio = (fnr[0] / 0.083, fnr[1] / 0.083)
     # The published ratio endpoints are displayed to two decimals.
@@ -193,12 +193,13 @@ def test_criterion_05_identification_moments_equivalence():
             dist = segment_distance_linf(seg, T1, T0)
             if np.any(inside_m & (dist > pitch * (1 + 1e-9))):
                 mismatches += 1
+            (lo1, lo0), (hi1, hi0) = seg.segments[0]
             interior = (
                 (np.abs(E[:, :, 6]) <= 0.8 * tol7)
-                & (T1 >= seg.lo[0] + p1)
-                & (T1 <= seg.hi[0] - p1)
-                & (T0 >= seg.lo[1] + p0)
-                & (T0 <= seg.hi[1] - p0)
+                & (T1 >= lo1 + p1)
+                & (T1 <= hi1 - p1)
+                & (T0 >= lo0 + p0)
+                & (T0 <= hi0 - p0)
             )
             if np.any(interior & ~inside_m):
                 mismatches += 1
@@ -226,7 +227,8 @@ def test_criterion_06_brute_force_sharpness():
             continue
         assert oracle is not None
         (lo1, hi1), _ = oracle
-        worst = max(worst, abs(seg.lo[0] - lo1), abs(seg.hi[0] - hi1))
+        (seg_lo1, _), (seg_hi1, _) = seg.segments[0].tolist()
+        worst = max(worst, abs(seg_lo1 - lo1), abs(seg_hi1 - hi1))
         checked += 1
     _report(
         6,
@@ -238,12 +240,13 @@ def test_criterion_06_brute_force_sharpness():
 
 def test_criterion_07_prevalence_dominance():
     seg1 = sharp_segment(EX1_P, EX1_S, DependenceAssumption.NO_RESTRICTION)
-    _, sharp, rect = prevalence_width_curve(seg1, [0.5])[0]
+    curve = prevalence_width_curve(seg1, [0.5])
+    (sharp_lo, sharp_hi), (rect_lo, rect_hi) = curve.sharp[0].tolist(), curve.rect[0].tolist()
     ok = (
-        abs(sharp.interval.lo - 0.5) <= 1e-12
-        and abs(sharp.interval.hi - 0.5) <= 1e-12
-        and abs(rect.interval.lo - 0.375) <= 1e-12
-        and abs(rect.interval.hi - 0.625) <= 1e-12
+        abs(sharp_lo - 0.5) <= 1e-12
+        and abs(sharp_hi - 0.5) <= 1e-12
+        and abs(rect_lo - 0.375) <= 1e-12
+        and abs(rect_hi - 0.625) <= 1e-12
     )
     rng = np.random.default_rng(707)
     tested = 0
@@ -254,9 +257,10 @@ def test_criterion_07_prevalence_dominance():
         except RefutationError:
             continue
         q = float(rng.uniform(0.0, 1.0))
-        _, a, b = prevalence_width_curve(seg, [q])[0]
-        ok &= a.interval.lo >= b.interval.lo - 1e-10
-        ok &= a.interval.hi <= b.interval.hi + 1e-10
+        curve = prevalence_width_curve(seg, [q])
+        (a_lo, a_hi), (b_lo, b_hi) = curve.sharp[0].tolist(), curve.rect[0].tolist()
+        ok &= a_lo >= b_lo - 1e-10
+        ok &= a_hi <= b_hi + 1e-10
         tested += 1
     _report(
         7,
@@ -337,7 +341,9 @@ def test_criterion_09_inference_headline(eua_full_inversion):
         near = 0
         missing = 0
         for t1 in grid:
-            for t0 in grid[np.abs(grid - seg.theta0_at(np.clip(t1, seg.lo[0], seg.hi[0]))) <= 1.5 * pitch]:
+            (lo1, _), (hi1, _) = seg.segments[0]
+            on_line = seg.slope[0] * np.clip(t1, lo1, hi1) + seg.intercept[0]
+            for t0 in grid[np.abs(grid - on_line) <= 1.5 * pitch]:
                 if segment_distance_linf(seg, t1, t0) <= pitch:
                     near += 1
                     if (round(t1, 10), round(t0, 10)) not in pts:

@@ -20,17 +20,24 @@ from diagbounds import (
     sharp_union,
 )
 from diagbounds.datasets import list_datasets, load_dataset
-from diagbounds.identification import IdentifiedSet, RefutationError, ThetaSegment
+from diagbounds.identification import IdentifiedSet, RefutationError
 
 from helpers import (
     TABLE_DATASETS,
     WA1,
+    ScalarSegment,
+    ScalarSet,
+    column_set,
     oracle_bounds_rect,
     oracle_bounds_rect_union,
     oracle_bounds_segment,
     oracle_bounds_union,
+    oracle_predictive_value_bounds,
     oracle_width_curve,
     random_valid_instance,
+    scalar_curve,
+    scalar_set,
+    segment_sets,
 )
 
 EX1_SEG = sharp_segment(
@@ -39,8 +46,8 @@ EX1_SEG = sharp_segment(
 
 
 def _at(identified, q):
-    """Sharp and rectangular prevalence bounds at one screened rate."""
-    _, sharp, rect = prevalence_width_curve(identified, [q])[0]
+    """Sharp and rectangular prevalence bounds at one screened rate, as scalar bounds."""
+    _, sharp, rect = scalar_curve(prevalence_width_curve(identified, [q]))[0]
     return sharp, rect
 
 
@@ -49,7 +56,7 @@ def _singleton_segment(theta1, theta0):
     slope = prev / (1 - prev)
     pt1 = theta1 * prev + (1 - theta0) * (1 - prev)
     intercept = 1 - pt1 / (1 - prev)
-    return ThetaSegment(
+    return ScalarSegment(
         s=RefPerf(0.9, 0.9),
         lo=(theta1, theta0),
         hi=(theta1, theta0),
@@ -58,8 +65,13 @@ def _singleton_segment(theta1, theta0):
     )
 
 
+def _singleton(theta1, theta0):
+    """The one-point segment at (theta1, theta0) as a set of one row."""
+    return column_set([_singleton_segment(theta1, theta0)])
+
+
 def test_singleton_segment_point_value():
-    seg = _singleton_segment(0.8, 0.9)
+    seg = _singleton(0.8, 0.9)
     b, _ = _at(seg, 0.3)
     assert b.interval.lo == pytest.approx(0.285714, abs=1e-6)
     assert b.interval.hi == pytest.approx(0.285714, abs=1e-6)
@@ -81,7 +93,8 @@ def test_rect_bounds_worked_example():
 def test_vacuous_when_segment_crosses_antidiagonal():
     p = JointTR(0.25, 0.25, 0.25, 0.25)
     seg = sharp_segment(p, RefPerf(0.8, 0.8), DependenceAssumption.NO_RESTRICTION)
-    assert seg.lo[0] + seg.lo[1] - 1.0 < 0.0 < seg.hi[0] + seg.hi[1] - 1.0
+    lo, hi = seg.segments[0]
+    assert lo[0] + lo[1] - 1.0 < 0.0 < hi[0] + hi[1] - 1.0
     b, _ = _at(seg, 0.3)
     assert b.vacuous and (b.interval.lo, b.interval.hi) == (0.0, 1.0)
 
@@ -94,7 +107,7 @@ def test_rect_strictly_wider_on_eua_segment():
 
 
 def test_rect_equals_segment_for_singleton():
-    seg = _singleton_segment(0.8, 0.9)
+    seg = _singleton(0.8, 0.9)
     for q in (0.1, 0.3, 0.7):
         a, b = _at(seg, q)
         assert a.interval.lo == pytest.approx(b.interval.lo, abs=1e-12)
@@ -116,7 +129,8 @@ def test_sharp_within_rect_everywhere():
             continue
         assert sharp.interval.lo >= rect.interval.lo - 1e-10
         assert sharp.interval.hi <= rect.interval.hi + 1e-10
-        if seg.lo != seg.hi and not sharp.vacuous and sharp.q_consistent:
+        lo, hi = seg.segments[0].tolist()
+        if lo != hi and not sharp.vacuous and sharp.q_consistent:
             assert sharp.interval.hi - sharp.interval.lo < rect.interval.hi - rect.interval.lo + 1e-12
         tested += 1
 
@@ -131,13 +145,14 @@ def test_segment_bounds_match_dense_scan():
             seg = sharp_segment(p, s, DependenceAssumption.NO_RESTRICTION)
         except RefutationError:
             continue
-        d_lo = seg.lo[0] + seg.lo[1] - 1.0
-        d_hi = seg.hi[0] + seg.hi[1] - 1.0
+        lo, hi = seg.segments[0]
+        d_lo = lo[0] + lo[1] - 1.0
+        d_hi = hi[0] + hi[1] - 1.0
         if d_lo * d_hi <= 0 or min(abs(d_lo), abs(d_hi)) < 1e-6:
             continue
         q = rng.uniform(0.0, 1.0)
-        t1 = np.linspace(seg.lo[0], seg.hi[0], 10001)
-        t0 = seg.slope * t1 + seg.intercept
+        t1 = np.linspace(lo[0], hi[0], 10001)
+        t0 = seg.slope[0] * t1 + seg.intercept[0]
         vals = (q + t0 - 1.0) / (t1 + t0 - 1.0)
         lo, hi = np.clip([vals.min(), vals.max()], 0.0, 1.0)
         b, _ = _at(seg, q)
@@ -158,7 +173,7 @@ def test_union_hull_and_components():
     # The screened rate equals the study's own P(t=1), so the implied
     # prevalence at s1 = 0.9 must be admitted.
     assert b.interval.lo - 1e-9 <= 0.282609 <= b.interval.hi + 1e-9
-    for seg in union:
+    for seg in segment_sets(union):
         comp = _at(seg, q)[0].interval
         assert comp.lo >= b.interval.lo - 1e-12
         assert comp.hi <= b.interval.hi + 1e-12
@@ -167,30 +182,27 @@ def test_union_hull_and_components():
 def test_union_singleton_equals_segment():
     p = estimate_joint(TABLE_DATASETS["eua_sx"])
     union = sharp_union(p, SRegion.singleton(0.9, 1.0), WA1)
+    seg = sharp_segment(p, RefPerf(0.9, 1.0), WA1)
     for q in (0.1, 0.226087, 0.5):
-        assert _at(union, q) == _at(union.segments[0], q)
+        assert _at(union, q) == _at(seg, q)
 
 
 def test_union_hull_of_two_disjoint_components():
-    seg_a = _singleton_segment(0.9, 0.95)
-    seg_b = _singleton_segment(0.7, 0.8)
-    from diagbounds.identification import IdentifiedSet
-
-    union = IdentifiedSet(segments=(seg_a, seg_b), assumption=DependenceAssumption.NO_RESTRICTION)
+    union = column_set([_singleton_segment(0.9, 0.95), _singleton_segment(0.7, 0.8)])
     b, _ = _at(union, 0.4)
-    components = [_at(seg, 0.4)[0].interval for seg in union]
+    components = [_at(seg, 0.4)[0].interval for seg in segment_sets(union)]
     assert (b.interval.lo, b.interval.hi) == (min(c.lo for c in components), max(c.hi for c in components))
 
 
 def test_predictive_values_perfect_test():
-    seg = _singleton_segment(1.0, 1.0)
+    seg = _singleton(1.0, 1.0)
     ppv, npv = predictive_value_bounds(seg, PretestRange(0.2, 0.2))
     assert (ppv.lo, ppv.hi) == (1.0, 1.0)
     assert (npv.lo, npv.hi) == (1.0, 1.0)
 
 
 def test_predictive_values_point_formulas():
-    seg = _singleton_segment(0.8, 0.9)
+    seg = _singleton(0.8, 0.9)
     ppv, npv = predictive_value_bounds(seg, PretestRange(0.2, 0.2))
     assert ppv.lo == pytest.approx(0.666667, abs=1e-6)
     assert ppv.hi == pytest.approx(0.666667, abs=1e-6)
@@ -201,8 +213,9 @@ def test_predictive_values_point_formulas():
 def test_predictive_values_brute_force_over_segment():
     pi = PretestRange(0.1, 0.3)
     ppv, npv = predictive_value_bounds(EX1_SEG, pi)
-    t1 = np.linspace(EX1_SEG.lo[0], EX1_SEG.hi[0], 10001)
-    t0 = EX1_SEG.slope * t1 + EX1_SEG.intercept
+    (lo1, _), (hi1, _) = EX1_SEG.segments[0]
+    t1 = np.linspace(lo1, hi1, 10001)
+    t0 = EX1_SEG.slope[0] * t1 + EX1_SEG.intercept[0]
     ppv_vals = []
     npv_vals = []
     for pival in (pi.pi_lo, pi.pi_hi):
@@ -219,7 +232,7 @@ def test_predictive_values_brute_force_over_segment():
 )
 def test_predictive_values_degenerate_denominator(theta1, theta0, which):
     # A never-positive test makes PPV 0/0, an always-positive one NPV.
-    bounds = predictive_value_bounds(_singleton_segment(theta1, theta0), PretestRange(0.2, 0.4))
+    bounds = predictive_value_bounds(_singleton(theta1, theta0), PretestRange(0.2, 0.4))
     assert (bounds[which].lo, bounds[which].hi) == (0.0, 1.0)
 
 
@@ -241,20 +254,18 @@ def test_width_curve_dominance_and_shape():
     p = estimate_joint(TABLE_DATASETS["eua_sx"])
     union = sharp_union(p, SRegion.singleton(0.9, 1.0), WA1)
     curve = prevalence_width_curve(union)
-    assert len(curve) == 201
-    for q, sharp, rect in curve:
-        assert sharp.interval.hi - sharp.interval.lo <= rect.interval.hi - rect.interval.lo + 1e-12
+    assert curve.q.shape == curve.sharp_q_consistent.shape == (201,)
+    assert curve.sharp.shape == curve.rect.shape == (201, 2)
+    for sharp, rect in zip(curve.sharp, curve.rect):
+        assert sharp[1] - sharp[0] <= rect[1] - rect[0] + 1e-12
 
 
 def test_width_curve_singleton_theta_zero_everywhere():
-    from diagbounds.identification import IdentifiedSet
-
-    seg = _singleton_segment(0.8, 0.9)
-    union = IdentifiedSet(segments=(seg,), assumption=DependenceAssumption.NO_RESTRICTION)
-    for q, sharp, rect in prevalence_width_curve(union, q_grid=[0.1, 0.5, 0.9]):
-        if sharp.q_consistent:
-            assert sharp.interval.hi - sharp.interval.lo == pytest.approx(0.0, abs=1e-12)
-            assert rect.interval.hi - rect.interval.lo == pytest.approx(0.0, abs=1e-12)
+    curve = prevalence_width_curve(_singleton(0.8, 0.9), q_grid=[0.1, 0.5, 0.9])
+    for sharp, rect, ok in zip(curve.sharp, curve.rect, curve.sharp_q_consistent):
+        if ok:
+            assert sharp[1] - sharp[0] == pytest.approx(0.0, abs=1e-12)
+            assert rect[1] - rect[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_screening_input_validation():
@@ -281,32 +292,32 @@ def test_dominance_property_over_random_segments(t1_lo, width, prev, q):
     if lo_icpt > hi_icpt:
         return
     intercept = 0.5 * (lo_icpt + hi_icpt)
-    seg = ThetaSegment(
-        s=RefPerf(0.9, 0.9),
-        lo=(t1_lo, slope * t1_lo + intercept),
-        hi=(t1_hi, slope * t1_hi + intercept),
-        slope=slope,
-        intercept=intercept,
+    seg = IdentifiedSet(
+        DependenceAssumption.NO_RESTRICTION,
+        (RefPerf(0.9, 0.9),),
+        [[(t1_lo, slope * t1_lo + intercept), (t1_hi, slope * t1_hi + intercept)]],
+        [slope],
+        [intercept],
     )
     sharp, rect = _at(seg, q)
     assert sharp.interval.lo >= rect.interval.lo - 1e-9
     assert sharp.interval.hi <= rect.interval.hi + 1e-9
 
 
-def _bounds_record(b, parts):
-    comps = tuple((c.interval.lo, c.interval.hi) for c in parts)
-    return (b.interval.lo, b.interval.hi, b.vacuous, b.q_consistent, comps)
-
-
 def _records(union, q_grid):
-    """Per rate, the sharp and rectangular hull records, each with every
-    segment's own interval from one curve call per segment."""
-    parts = [prevalence_width_curve(seg, q_grid) for seg in union]
-    return [
-        (q, _bounds_record(sharp, [part[i][1] for part in parts]),
-         _bounds_record(rect, [part[i][2] for part in parts]))
-        for i, (q, sharp, rect) in enumerate(prevalence_width_curve(union, q_grid))
-    ]
+    """Per rate, the sharp and rectangular hull records (lo, hi, vacuous,
+    q_consistent, components), the components being every segment's own
+    interval from one curve call per segment."""
+    curve = prevalence_width_curve(union, q_grid)
+    parts = [prevalence_width_curve(seg, q_grid) for seg in segment_sets(union)]
+
+    def records(kind):
+        hulls, vacuous = getattr(curve, kind).tolist(), getattr(curve, f"{kind}_vacuous")
+        ok = getattr(curve, f"{kind}_q_consistent").tolist()
+        components = zip(*(map(tuple, getattr(part, kind).tolist()) for part in parts))
+        return [(lo, hi, vacuous, c, comps) for (lo, hi), c, comps in zip(hulls, ok, components)]
+
+    return list(zip(curve.q.tolist(), records("sharp"), records("rect")))
 
 
 def test_derived_outputs_pinned():
@@ -354,21 +365,21 @@ def _theta_segments(draw):
         lo, hi = (t1a, t0a), (t1b, t0b)
         slope = (t0b - t0a) / (t1b - t1a)
     try:
-        return ThetaSegment(RefPerf(0.9, 0.9), lo, hi, slope, t0a - slope * t1a)
+        return ScalarSegment(RefPerf(0.9, 0.9), lo, hi, slope, t0a - slope * t1a)
     except ValueError:  # endpoints too close for the line check
         assume(False)
 
 
 # A below-chance segment at q = 1 - 0.25: its lower endpoint gives
 # 0.0 / -0.5 = -0.0, the upper bound of its interval.
-_BELOW = ThetaSegment(RefPerf(0.9, 0.9), (0.25, 0.25), (0.5, 0.375), 0.5, 0.125)
+_BELOW = ScalarSegment(RefPerf(0.9, 0.9), (0.25, 0.25), (0.5, 0.375), 0.5, 0.125)
 # An above-chance segment whose interval at q = 0.75 is [0.0, 0.0]: with
 # _BELOW, the hull's upper end is a tie of -0.0 and 0.0.
-_ABOVE = ThetaSegment(RefPerf(0.9, 0.9), (0.9375, 0.125), (1.0, 0.25), 2.0, -1.75)
+_ABOVE = ScalarSegment(RefPerf(0.9, 0.9), (0.9375, 0.125), (1.0, 0.25), 2.0, -1.75)
 
 
 def test_below_chance_segment_keeps_a_negative_zero():
-    b, _ = _at(_BELOW, 0.75)
+    b, _ = _at(column_set([_BELOW]), 0.75)
     assert (b.interval.lo, b.interval.hi) == (0.0, 0.0)
     assert math.copysign(1.0, b.interval.hi) == -1.0
     assert repr(b) == repr(oracle_bounds_segment(_BELOW, 0.75))
@@ -384,39 +395,63 @@ def test_below_chance_segment_keeps_a_negative_zero():
     extra=st.lists(st.floats(0.0, 1.0), max_size=3),
 )
 def test_prevalence_rule_matches_the_scalar_oracle(segments, extra):
-    identified = IdentifiedSet(segments=tuple(segments), assumption=DependenceAssumption.NO_RESTRICTION)
+    identified = column_set(segments)
+    scalar = ScalarSet(tuple(segments), DependenceAssumption.NO_RESTRICTION)
     qs = [0.0, 1.0] + [1.0 - seg.lo[1] for seg in segments] + [1.0 - seg.hi[1] for seg in segments]
     qs += extra
     for q in qs:
         for seg in segments:
-            sharp, rect = _at(seg, q)
+            sharp, rect = _at(column_set([seg]), q)
             assert repr(sharp) == repr(oracle_bounds_segment(seg, q))
             assert repr(rect) == repr(oracle_bounds_rect(seg, q))
         sharp, rect = _at(identified, q)
-        assert repr(sharp) == repr(oracle_bounds_union(identified, q))
-        assert repr(rect) == repr(oracle_bounds_rect_union(identified, q))
-    curve = prevalence_width_curve(identified, qs)
+        assert repr(sharp) == repr(oracle_bounds_union(scalar, q))
+        assert repr(rect) == repr(oracle_bounds_rect_union(scalar, q))
+    curve = scalar_curve(prevalence_width_curve(identified, qs))
     assert len(curve) == len(qs)
-    for entry, oracle in zip(curve, oracle_width_curve(identified, qs)):
+    for entry, oracle in zip(curve, oracle_width_curve(scalar, qs)):
         assert repr(entry) == repr(oracle)
+
+
+# Points at the origin, signed one way and the other: every predictive value
+# at them ties 0.0 against -0.0.
+_ORIGIN = ScalarSegment(RefPerf(0.9, 0.9), (0.0, 0.0), (0.0, 0.0), 1.0, 0.0)
+_NEGATIVE_ORIGIN = ScalarSegment(RefPerf(0.9, 0.9), (-0.0, -0.0), (-0.0, -0.0), 1.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@example(segments=[_ORIGIN, _NEGATIVE_ORIGIN], pi=[0.25, 0.5])
+@example(segments=[_NEGATIVE_ORIGIN, _ORIGIN], pi=[0.25, 0.5])
+@example(segments=[_BELOW, _singleton_segment(0.0, 1.0)], pi=[0.25, 0.5])  # a never-positive test: PPV 0/0
+@example(segments=[_singleton_segment(1.0, 0.0), _ABOVE], pi=[0.0, 0.0])  # an always-positive one: NPV 0/0
+@given(
+    segments=st.lists(_theta_segments(), min_size=1, max_size=4),
+    pi=st.lists(_COORD, min_size=2, max_size=2).map(sorted),
+)
+def test_predictive_rule_matches_the_scalar_oracle(segments, pi):
+    pi = PretestRange(*pi)
+    scalar = ScalarSet(tuple(segments), DependenceAssumption.NO_RESTRICTION)
+    assert repr(predictive_value_bounds(column_set(segments), pi)) == repr(oracle_predictive_value_bounds(scalar, pi))
 
 
 @pytest.mark.parametrize("bad", [1.2, float("nan"), -0.5])
 def test_rates_outside_the_unit_interval_raise_as_before(bad):
-    identified = IdentifiedSet(segments=(EX1_SEG, _BELOW), assumption=DependenceAssumption.NO_RESTRICTION)
+    (ex1,) = scalar_set(EX1_SEG)
+    scalar = ScalarSet((ex1, _BELOW), DependenceAssumption.NO_RESTRICTION)
+    identified = column_set(scalar.segments)
     grid = [0.1, bad, 0.5]
     with pytest.raises(ValueError) as new:
         prevalence_width_curve(identified, grid)
     with pytest.raises(ValueError) as old:
-        oracle_width_curve(identified, grid)
+        oracle_width_curve(scalar, grid)
     assert str(new.value) == str(old.value)
-    for arg, oracles in [
-        (EX1_SEG, (oracle_bounds_segment, oracle_bounds_rect)),
-        (identified, (oracle_bounds_union, oracle_bounds_rect_union)),
+    for arg, oracle_arg, oracles in [
+        (EX1_SEG, ex1, (oracle_bounds_segment, oracle_bounds_rect)),
+        (identified, scalar, (oracle_bounds_union, oracle_bounds_rect_union)),
     ]:
         with pytest.raises(ValueError) as new:
             _at(arg, bad)
         for oracle in oracles:
             with pytest.raises(ValueError) as old:
-                oracle(arg, bad)
+                oracle(oracle_arg, bad)
             assert str(new.value) == str(old.value)

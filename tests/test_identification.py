@@ -19,12 +19,15 @@ from diagbounds import (
     sharp_union,
     validate_assumptions,
 )
+from diagbounds.identification import LINE_TOL, IdentifiedSet
 from diagbounds.probability import default_cell_floor, derived_joint_ry, derived_prevalence, reference_columns
 from diagbounds.report import _frechet_box, _validation_records
 
 from helpers import (
     TABLE_DATASETS,
     WA1,
+    ScalarSegment,
+    ScalarSet,
     brute_force_theta_bounds,
     oracle_derived_joint_ry,
     oracle_derived_prevalence,
@@ -34,6 +37,7 @@ from helpers import (
     oracle_theta_bounds_raw,
     oracle_validate_assumptions,
     random_valid_instance,
+    scalar_set,
     segment_distance_linf,
 )
 
@@ -50,17 +54,17 @@ EX1_S = RefPerf(0.9, 0.9)
     ],
 )
 def test_worked_example_segments_exact(assumption, hi):
-    seg = sharp_segment(EX1_P, EX1_S, assumption)
-    np.testing.assert_allclose(seg.lo, (0.8, 0.8), atol=1e-12, rtol=0)
-    np.testing.assert_allclose(seg.hi, (hi, hi), atol=1e-12, rtol=0)
+    lo, hi_end = sharp_segment(EX1_P, EX1_S, assumption).segments[0]
+    np.testing.assert_allclose(lo, (0.8, 0.8), atol=1e-12, rtol=0)
+    np.testing.assert_allclose(hi_end, (hi, hi), atol=1e-12, rtol=0)
 
 
 def test_eua_segment_matches_published_projections():
-    seg = sharp_segment(estimate_joint(TABLE_DATASETS["eua_sx"]), RefPerf(0.9, 1.0), WA1)
-    assert seg.lo[0] == pytest.approx(0.761, abs=1e-3)
-    assert seg.hi[0] == pytest.approx(0.800, abs=1e-3)
-    assert seg.lo[1] == pytest.approx(0.985, abs=1e-3)
-    assert seg.hi[1] == pytest.approx(1.000, abs=1e-3)
+    (lo1, lo0), (hi1, hi0) = sharp_segment(estimate_joint(TABLE_DATASETS["eua_sx"]), RefPerf(0.9, 1.0), WA1).segments[0]
+    assert lo1 == pytest.approx(0.761, abs=1e-3)
+    assert hi1 == pytest.approx(0.800, abs=1e-3)
+    assert lo0 == pytest.approx(0.985, abs=1e-3)
+    assert hi0 == pytest.approx(1.000, abs=1e-3)
 
 
 def test_theta_intervals_are_line_images_of_each_other():
@@ -93,8 +97,8 @@ def test_segment_endpoints_lie_on_line():
                 seg = sharp_segment(p, s, a)
             except RefutationError:
                 continue
-            for t1, t0 in (seg.lo, seg.hi):
-                assert abs(t0 - (seg.slope * t1 + seg.intercept)) <= 1e-10
+            for t1, t0 in seg.segments[0]:
+                assert abs(t0 - (seg.slope[0] * t1 + seg.intercept[0])) <= 1e-10
 
 
 def test_assumption_monotonicity():
@@ -108,14 +112,14 @@ def test_assumption_monotonicity():
     for _ in range(100):
         p, s = random_valid_instance(rng)
         try:
-            segs = [sharp_segment(p, s, a) for a in order]
+            segs = [sharp_segment(p, s, a).segments[0] for a in order]
         except RefutationError:
             continue
-        for tighter, looser in zip(segs[1:], segs[:-1]):
-            assert tighter.hi[0] <= looser.hi[0] + 1e-12
-            assert tighter.hi[1] <= looser.hi[1] + 1e-12
-            assert tighter.lo[0] == pytest.approx(looser.lo[0], abs=1e-12)
-            assert tighter.lo[1] == pytest.approx(looser.lo[1], abs=1e-12)
+        for (tight_lo, tight_hi), (loose_lo, loose_hi) in zip(segs[1:], segs[:-1]):
+            assert tight_hi[0] <= loose_hi[0] + 1e-12
+            assert tight_hi[1] <= loose_hi[1] + 1e-12
+            assert tight_lo[0] == pytest.approx(loose_lo[0], abs=1e-12)
+            assert tight_lo[1] == pytest.approx(loose_lo[1], abs=1e-12)
 
 
 def test_brute_force_oracle_agreement():
@@ -134,10 +138,11 @@ def test_brute_force_oracle_agreement():
                 continue
             assert oracle is not None
             (lo1, hi1), (lo0, hi0) = oracle
-            assert seg.lo[0] == pytest.approx(lo1, abs=1e-3)
-            assert seg.hi[0] == pytest.approx(hi1, abs=1e-3)
-            assert seg.lo[1] == pytest.approx(lo0, abs=1e-3)
-            assert seg.hi[1] == pytest.approx(hi0, abs=1e-3)
+            lo, hi = seg.segments[0]
+            assert lo[0] == pytest.approx(lo1, abs=1e-3)
+            assert hi[0] == pytest.approx(hi1, abs=1e-3)
+            assert lo[1] == pytest.approx(lo0, abs=1e-3)
+            assert hi[1] == pytest.approx(hi0, abs=1e-3)
             checked += 1
 
 
@@ -147,7 +152,7 @@ def test_segment_distance_helper_is_exact():
     # sliding distance 1 / (1 + slope).
     assert segment_distance_linf(seg, 0.9, 0.9) == pytest.approx(0.0, abs=1e-12)
     d = segment_distance_linf(seg, 0.9, 0.95)
-    assert d == pytest.approx(0.05 / (1.0 + seg.slope), abs=1e-12)
+    assert d == pytest.approx(0.05 / (1.0 + seg.slope[0]), abs=1e-12)
 
 
 def test_union_of_singleton_matches_segment():
@@ -156,7 +161,7 @@ def test_union_of_singleton_matches_segment():
     seg = sharp_segment(p, s, WA1)
     union = sharp_union(p, SRegion.singleton(0.9, 1.0), WA1)
     assert len(union) == 1
-    assert union.segments[0] == seg
+    assert repr(scalar_set(union)) == repr(scalar_set(seg))
     assert union.projections == seg.projections
 
 
@@ -189,8 +194,8 @@ def test_union_drops_refuted_points_with_warning():
     region = SRegion((RefPerf(0.45, 0.9), RefPerf(0.9, 0.9)))
     with pytest.warns(UserWarning, match="dropping refuted"):
         union = sharp_union(p, region, DependenceAssumption.NO_RESTRICTION)
-    assert len(union) == 1
-    assert union.segments[0].s.s1 == 0.9
+    assert len(union) == len(union.segments) == 1
+    assert union.s_points[0].s1 == 0.9
 
 
 def test_union_errors_when_all_refuted():
@@ -204,8 +209,8 @@ def test_union_errors_when_all_refuted():
 def test_projection_of_singleton_segment_degenerate():
     p = JointTR(0.3, 0.2, 0.2, 0.3)  # independent t, r
     s = RefPerf(1.0, 1.0)
-    seg = sharp_segment(p, s, DependenceAssumption.NO_RESTRICTION)
-    assert seg.lo == seg.hi
+    lo, hi = sharp_segment(p, s, DependenceAssumption.NO_RESTRICTION).segments[0]
+    assert lo.tobytes() == hi.tobytes()
     union = sharp_union(p, SRegion.singleton(1.0, 1.0), DependenceAssumption.NO_RESTRICTION)
     proj = union.projections[0]
     assert proj.lo == proj.hi
@@ -265,6 +270,16 @@ def _outcome(f, *args):
         except (ArithmeticError, ValueError) as exc:  # RefutationError is a ValueError
             result = ("raises", type(exc).__name__, str(exc))
     return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _segment_of(p, s, a):
+    """``sharp_segment``'s one row as the scalar segment the oracle builds."""
+    return scalar_set(sharp_segment(p, s, a)).segments[0]
+
+
+def _union_of(p, S, a):
+    """``sharp_union``'s rows as the scalar set the oracle builds."""
+    return scalar_set(sharp_union(p, S, a))
 
 
 def _oracle_validation_record(p, s, eps):
@@ -332,7 +347,7 @@ def test_region_rule_matches_the_scalar_oracle(case):
             assert _outcome(view, p, s) == _outcome(oracle, p, s)
         assert _outcome(validate_assumptions, p, s, eps) == _outcome(oracle_validate_assumptions, p, s, eps)
         for a in DependenceAssumption:
-            assert _outcome(sharp_segment, p, s, a) == _outcome(oracle_sharp_segment, p, s, a)
+            assert _outcome(_segment_of, p, s, a) == _outcome(oracle_sharp_segment, p, s, a)
 
     ref = reference_columns(p, points)
     floor_ok = p.satisfies_cell_floor(eps)
@@ -341,4 +356,62 @@ def test_region_rule_matches_the_scalar_oracle(case):
     region = [s for s in points if s.is_informative]
     if region:
         for a in DependenceAssumption:
-            assert _outcome(sharp_union, p, SRegion(tuple(region)), a) == _outcome(oracle_sharp_union, p, region, a)
+            assert _outcome(_union_of, p, SRegion(tuple(region)), a) == _outcome(oracle_sharp_union, p, region, a)
+
+
+# Values at the edges of the set's checks: signed zeros, the ends of the
+# unit interval and just past them, infinities and NaN.
+_EDGES = st.sampled_from(
+    [0.0, -0.0, 1.0, 0.5, -1e-300, 1.0 + 2**-52, 5e-324, math.inf, -math.inf, math.nan, 2.0, -1.0]
+)
+_NUDGES = st.sampled_from([0.0, 0.0, LINE_TOL / 2, -LINE_TOL / 2, 2 * LINE_TOL, -2 * LINE_TOL, 1e-3])
+
+
+@st.composite
+def _rows(draw):
+    """One segment as (theta1_lo, theta0_lo, theta1_hi, theta0_hi, slope, intercept): most on their
+    line, some nudged off it by about the line tolerance, some with an entry replaced by an edge value."""
+    unit = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 5e-324])
+    t1_lo, t1_hi = sorted(draw(st.lists(unit, min_size=2, max_size=2)))
+    t0_lo, t0_hi = sorted(draw(st.lists(unit, min_size=2, max_size=2)))
+    if t1_hi > t1_lo and t0_hi > t0_lo:
+        slope = (t0_hi - t0_lo) / (t1_hi - t1_lo)
+    else:
+        slope = draw(st.floats(0.01, 100.0))
+    row = [t1_lo, t0_lo, t1_hi, t0_hi + draw(_NUDGES), slope, t0_lo - slope * t1_lo]
+    for i in draw(st.lists(st.integers(0, 5), max_size=2)):
+        row[i] = draw(_EDGES)
+    return row
+
+
+def _column_set(rows):
+    ends = [[(t1l, t0l), (t1u, t0u)] for t1l, t0l, t1u, t0u, _, _ in rows]
+    return IdentifiedSet(WA1, (RefPerf(0.9, 1.0),) * len(rows), ends, [r[4] for r in rows], [r[5] for r in rows])
+
+
+def _scalar_set(rows):
+    segments = (ScalarSegment(RefPerf(0.9, 1.0), (t1l, t0l), (t1u, t0u), m, c) for t1l, t0l, t1u, t0u, m, c in rows)
+    return ScalarSet(tuple(segments), WA1)
+
+
+_ORIGIN, _NEGATIVE_ORIGIN = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [-0.0, -0.0, -0.0, -0.0, 1.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@example(rows=[_ORIGIN, _NEGATIVE_ORIGIN])  # every projection end ties 0.0 against -0.0: the first is kept
+@example(rows=[_NEGATIVE_ORIGIN, _ORIGIN])
+@example(rows=[[0.25, 0.625, 0.5, 0.75, 0.5, 0.5], [math.nan, 0.625, 0.5, 0.75, 0.5, 0.5]])  # a NaN endpoint
+@example(rows=[[0.25, 0.625, 0.5, 0.75, math.nan, 0.5]])  # a NaN slope passes the scalar checks
+@example(rows=[[0.25, 0.625, 0.5, 0.75, 0.5, math.nan]])  # and so does a NaN intercept
+@example(rows=[[0.0, 0.0, 5e-324, 0.125, math.inf, -math.nan]])  # inf * 0.0 on the line, quietly
+@example(rows=[[0.25, 0.625, 0.5, 0.75, -0.0, 0.5]])  # a zero slope
+@example(rows=[[0.25, 0.625 + 2 * LINE_TOL, 0.5, 0.75 + 2 * LINE_TOL, 0.5, 0.5]])  # both ends off the line
+@given(rows=st.lists(_rows(), min_size=1, max_size=4))
+def test_set_checks_refuse_what_the_segment_checks_refuse(rows):
+    # The set's array checks against the checks each segment once made of
+    # itself: the same sets refused, NaN rows included, with the same
+    # message, and an accepted set's projections by repr (signed zeros
+    # included).  Each row is also checked as a set of its own.
+    for part in [rows] + [[row] for row in rows]:
+        got = _outcome(lambda: _column_set(part).projections)
+        assert got == _outcome(lambda: _scalar_set(part).projections)

@@ -266,7 +266,7 @@ def test_apparent_point_rejected_on_eua():
 
 def test_segment_midpoint_accepted_on_eua():
     seg = sharp_segment(estimate_joint(EUA), S91, WA1)
-    mid = seg.point_at(0.5)
+    mid = seg.point_at(0.5)[0].tolist()
     res = rsw2_test(EUA, ThetaPoint(*mid, S91), WA1, CFG)
     assert not res.reject
     assert res.t_n == pytest.approx(0.0, abs=1e-9)
@@ -312,15 +312,16 @@ def test_confidence_set_retains_estimated_segment_neighborhood():
     cs = confidence_set(EUA, SRegion.singleton(0.9, 1.0), WA1, SMALL)
     seg = sharp_segment(estimate_joint(EUA), S91, WA1)
     pitch = 1.0 / (SMALL.theta_grid - 1)
+    (lo1, _), (hi1, _) = seg.segments[0]
     for t1 in cs.theta_axis:
-        if seg.lo[0] <= t1 <= seg.hi[0]:
-            t0_line = seg.theta0_at(t1)
+        if lo1 <= t1 <= hi1:
+            t0_line = seg.slope[0] * t1 + seg.intercept[0]
             j = int(round(t0_line * (SMALL.theta_grid - 1)))
             t0 = cs.theta_axis[min(j, SMALL.theta_grid - 1)]
             assert retains(cs, t1, t0, S91), (t1, t0)
     proj = cs.projections
     assert proj is not None
-    assert proj[0].lo <= seg.lo[0] and proj[0].hi >= seg.hi[0] - pitch
+    assert proj[0].lo <= lo1 and proj[0].hi >= hi1 - pitch
 
 
 def test_confidence_sets_nest_in_alpha_under_shared_seed():
@@ -466,10 +467,11 @@ def test_wrongly_agree_y0_system_behaves_like_the_mirror():
     a = DependenceAssumption.WRONGLY_AGREE_Y0
     seg = sharp_segment(estimate_joint(counts), s, a)
     unrestricted = sharp_segment(estimate_joint(counts), s, DependenceAssumption.NO_RESTRICTION)
-    assert seg.hi[1] < unrestricted.hi[1]  # halved upper cap binds
-    assert seg.hi[0] < unrestricted.hi[0]  # and crosses over to theta1
+    hi, unrestricted_hi = seg.segments[0, 1], unrestricted.segments[0, 1]
+    assert hi[1] < unrestricted_hi[1]  # halved upper cap binds
+    assert hi[0] < unrestricted_hi[0]  # and crosses over to theta1
     cfg = TestConfig(alpha=0.05, seed=77)
-    mid = seg.point_at(0.5)
+    mid = seg.point_at(0.5)[0].tolist()
     assert not rsw2_test(counts, ThetaPoint(*mid, s), a, cfg).reject
     assert rsw2_test(counts, ThetaPoint(0.05, 0.05, s), a, cfg).reject
     cs = confidence_set(
@@ -481,7 +483,7 @@ def test_wrongly_agree_y0_system_behaves_like_the_mirror():
 
 def test_beta_presets_run_and_agree_qualitatively():
     seg = sharp_segment(estimate_joint(EUA), S91, WA1)
-    mid = ThetaPoint(*seg.point_at(0.5), S91)
+    mid = ThetaPoint(*seg.point_at(0.5)[0].tolist(), S91)
     apparent = ThetaPoint(0.846, 0.985, S91)
     for divisor in (5, 10, 20):
         cfg = TestConfig.with_beta_preset(0.05, divisor, seed=20240501)
@@ -528,7 +530,7 @@ def test_coverage_simulation_mixed_reference_points():
 
     def on_segment(s):
         seg = sharp_segment(p, s, a)
-        return tuple(ThetaPoint(*seg.point_at(f), s) for f in (0.2, 0.8))
+        return tuple(ThetaPoint(*seg.point_at(f)[0].tolist(), s) for f in (0.2, 0.8))
 
     def run(points):
         res = coverage_simulation(p, RefPerf(0.9, 0.9), a, n=300, reps=12, cfg=cfg, theta_points=points)
@@ -1055,8 +1057,8 @@ def _spy_on_order_stats(monkeypatch):
 )
 def test_kernel_matches_the_row_by_row_oracle(cells, a, S, bootstrap, seed, grid, layout, budget, alpha):
     # Chunks of a fixed number of points (a run of equal u that spans two
-    # chunks is a row in each), shared zero-recentered terms and skipped
-    # below-zero ones change no bit.
+    # chunks is a row in each), a reused equality term and skipped
+    # below-zero terms change no bit.
     counts = CellCounts(*cells)
     s = S.points[0]
     kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
@@ -1239,14 +1241,14 @@ def test_kernel_step_two_rules_on_pinned_rows(monkeypatch, cells, a, s, bootstra
 
 
 def _spy_on_step_two_rules(monkeypatch):
-    """Record (points, reuse, skip, share) for every phase-B chunk."""
+    """Record (points, reuse, skip) for every phase-B chunk."""
     chunks = []
     rules = inference._step_two_rules
 
-    def spy(lam6, *args):
-        reuse, skip, share = rules(lam6, *args)
-        chunks.append((lam6.shape[0], reuse, skip, share))
-        return reuse, skip, share
+    def spy(lam7a, *args):
+        reuse, skip = rules(lam7a, *args)
+        chunks.append((lam7a.shape[0], reuse, skip))
+        return reuse, skip
 
     monkeypatch.setattr(inference, "_step_two_rules", spy)
     return chunks
@@ -1269,8 +1271,8 @@ def test_step_two_rules_in_one_mixed_chunk(monkeypatch, count, budget):
     # rules must tell apart: a point with s7 = 0, rejected points with a
     # negative equality recentering next to points where both are 0, and
     # components recentered by +0.0 at some points and by less at others.
-    # So the chunk takes no rule E, hence no rule S, and shares no mixed
-    # component.  At budget 1 every point is a chunk of its own.
+    # So the chunk takes no rule E, hence no rule S.  At budget 1 every
+    # point is a chunk of its own.
     counts = CellCounts(1, 0, 4, 0)
     a, s = DependenceAssumption.NO_RESTRICTION, RefPerf(0.8, 0.5)
     kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 200, 0))
@@ -1284,26 +1286,24 @@ def test_step_two_rules_in_one_mixed_chunk(monkeypatch, count, budget):
     _assert_kernel_matches_oracle(kernel, u, v, 0.05, 0.005, budget)
     if budget == 1:
         assert {points for points, *_ in chunks} == {1}
-        assert any(reuse for _, reuse, _, _ in chunks)  # the rules act on points of their own
+        assert any(reuse for _, reuse, _ in chunks)  # the rules act on points of their own
     else:
-        points, reuse, skip, share = chunks[0]
+        points, reuse, skip = chunks[0]
         assert points == u.size and not reuse and not any(skip)
-        assert not np.any(np.array(share) & mixed)
 
 
 def test_step_two_rules_on_the_infer_grid_region(monkeypatch):
     # The benchmark's infer call (EUA, wa1, s1 in [0.8, 0.9] at s0 = 1.0,
     # 316^2 grid, B = 500, seed 1) takes 32 phase-B chunks, all on 92
     # candidate draws.  Rule E holds in every one, and of the 192 (chunk,
-    # component) pairs, 90 are skipped, 78 shared and 24 evaluated per
-    # point: a rule that stops acting fails here rather than only slowing.
+    # component) pairs, 90 are skipped and 102 evaluated per point: a rule
+    # that stops acting fails here rather than only slowing.
     chunks = _spy_on_step_two_rules(monkeypatch)
     cfg = TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=316)
     confidence_set(EUA, SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=2, s0_points=1), WA1, cfg)
-    assert len(chunks) == 32 and all(reuse for _, reuse, _, _ in chunks)
-    skipped = sum(sum(skip) for *_, skip, _ in chunks)
-    shared = sum(sum(share) for *_, share in chunks)
-    assert (skipped, shared, 6 * len(chunks) - skipped - shared) == (90, 78, 24)
+    assert len(chunks) == 32 and all(reuse for _, reuse, _ in chunks)
+    skipped = sum(sum(skip) for *_, skip in chunks)
+    assert (skipped, 6 * len(chunks) - skipped) == (90, 102)
 
 
 def test_every_array_of_an_evaluate_call_lives_in_one_scratch(monkeypatch):

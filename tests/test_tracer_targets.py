@@ -13,7 +13,13 @@ import importlib
 import inspect
 import runpy
 import textwrap
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from diagbounds import DependenceAssumption, JointTR, RefPerf, SRegion, sharp_union
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -76,6 +82,21 @@ def test_counter_hooks_read_arguments_the_wrapped_function_takes():
                 assert params[position] == keyword, f"{where}: args[{position}] is not kwargs[{keyword!r}]"
             checked += 1
     assert checked  # _count_segments reads the region
+
+
+def test_segment_counter_counts_kept_and_dropped_points():
+    # ``_count_segments`` counts a real ``sharp_union`` result's kept points as
+    # ``len(identified.segments)`` and the rest of the region as dropped, with
+    # the region passed either way.  P(t=1) = 0.5, so s1 = 0.45 is refuted.
+    count = runpy.run_path(str(TRACER))["_count_segments"]
+    p = JointTR(0.3, 0.1, 0.2, 0.4)
+    region = SRegion((RefPerf(0.45, 0.9), RefPerf(0.9, 0.9), RefPerf(0.95, 0.9)))
+    with pytest.warns(UserWarning, match="dropping refuted"):
+        identified = sharp_union(p, region, DependenceAssumption.NO_RESTRICTION)
+    for args, kwargs in (((p, region), {}), ((p,), {"S": region})):
+        tracer = SimpleNamespace(counts=defaultdict(float))
+        count(tracer, args, kwargs, identified)
+        assert tracer.counts == {"identification.segments": 2, "identification.dropped_points": 1}
 
 
 def _resolves(module, name: str) -> bool:

@@ -30,6 +30,7 @@ from helpers import (
     oracle_csv_rows,
     oracle_identified_csv_rows,
     oracle_identified_set_figure,
+    scalar_set,
 )
 
 _EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -195,7 +196,7 @@ def _assert_scatter_matches_the_oracle(scatter, marks):
         kwargs.update(apparent=(0.85, 0.98), apparent_box=(0.77, 0.91, 0.96, 0.99),
                       comparator_box=(0.6, 0.9, 0.95, 1.0))
     got = identified_set_figure(_IDENTIFIED.segments, **kwargs)
-    assert got == oracle_identified_set_figure(_IDENTIFIED.segments, **kwargs)
+    assert got == oracle_identified_set_figure(scalar_set(_IDENTIFIED).segments, **kwargs)
     assert got.count("<circle") == len(scatter[:: max(1, len(scatter) // 3000)]) + marks
 
 
@@ -224,6 +225,7 @@ def test_thinned_scatter_figure_matches_the_point_oracle(n):
 # Segments as the writers read them (reference point and endpoints).  The
 # CSV rows take any floats; a figure's endpoints lie in [0, 1], as every
 # segment's do, since a plot window of one point's width has no scale.
+# The oracles read them one by one, the library as columns.
 def _segments(coordinate):
     pair = st.tuples(*[coordinate | st.builds(np.float64, coordinate)] * 2)
     return st.lists(
@@ -238,16 +240,31 @@ def _segments(coordinate):
 _UNIT = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0.1, 1.0 - 2**-53])
 
 
+def _ends(segments) -> np.ndarray:
+    """The segments' endpoints as ``IdentifiedSet.segments`` holds them, (k, 2, 2)."""
+    return np.array([(g.lo, g.hi) for g in segments], dtype=float)
+
+
+def _unchecked_set(segments) -> IdentifiedSet:
+    """The segments as a set's columns without the set's checks, since the CSV rows take any floats."""
+    identified = object.__new__(IdentifiedSet)
+    zeros = np.zeros(len(segments))
+    columns = (WA1, tuple(g.s for g in segments), _ends(segments), zeros, zeros)
+    for name, value in zip(("assumption", "s_points", "segments", "slope", "intercept"), columns):
+        object.__setattr__(identified, name, value)
+    return identified
+
+
 @settings(max_examples=200, deadline=None)
-@example(segments=list(_IDENTIFIED.segments))
+@example(segments=list(scalar_set(_IDENTIFIED).segments))
 @given(segments=_segments(_FLOATS))
 def test_identified_csv_rows_match_the_segment_oracle(segments):
-    identified = IdentifiedSet(segments=tuple(segments), assumption=WA1)
-    assert identified.to_csv_rows() == oracle_identified_csv_rows(identified)
+    oracle = oracle_identified_csv_rows(SimpleNamespace(segments=segments))
+    assert _unchecked_set(segments).to_csv_rows() == oracle
 
 
 @settings(max_examples=200, deadline=None)
-@example(segments=list(_IDENTIFIED.segments), marks=True)
+@example(segments=list(scalar_set(_IDENTIFIED).segments), marks=True)
 @example(segments=[SimpleNamespace(s=S_POINT, lo=(0.0, 0.2), hi=(0.0, -0.0))], marks=False)
 @given(segments=_segments(_UNIT), marks=st.booleans())
 def test_segment_figure_matches_the_segment_oracle(segments, marks):
@@ -255,6 +272,6 @@ def test_segment_figure_matches_the_segment_oracle(segments, marks):
     if marks:
         kwargs.update(apparent=(0.85, 0.98), apparent_box=(0.77, 0.91, 0.96, 0.99),
                       comparator_box=(0.6, 0.9, 0.95, 1.0))
-    got = identified_set_figure(segments, **kwargs)
+    got = identified_set_figure(_ends(segments), **kwargs)
     assert got == oracle_identified_set_figure(segments, **kwargs)
     assert got.count("<line") == len(segments)
