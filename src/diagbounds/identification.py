@@ -127,20 +127,19 @@ class IdentifiedSet:
         if ends.shape != (k, 2, 2) or slope.shape != (k,) or intercept.shape != (k,):
             raise ValueError(f"identified set columns must have shapes ({k}, 2, 2), ({k},) and ({k},)")
         # A row is refused where a segment checked alone was, by the first
-        # check that fails it and with that check's message.  A NaN endpoint
-        # fails the order check; a NaN slope or intercept passes the other two,
-        # whose arithmetic is as quiet as Python's.
+        # check that fails it and with that check's message.  NaN fails
+        # every check, and the line check's arithmetic is as quiet as Python's.
         lo, hi = ends[:, 0], ends[:, 1]
         order = ~((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)).all(axis=1)
         with np.errstate(all="ignore"):
-            line = np.abs(ends[..., 1] - (slope[:, None] * ends[..., 0] + intercept[:, None])) > LINE_TOL
-        refused = order | (slope <= 0.0) | line.any(axis=1)
+            line = ~(np.abs(ends[..., 1] - (slope[:, None] * ends[..., 0] + intercept[:, None])) <= LINE_TOL)
+        refused = order | ~(slope > 0.0) | line.any(axis=1)
         if refused.any():
             i = int(refused.argmax())
             lo, hi = map(tuple, ends[i].tolist())
             if order[i]:
                 raise ValueError(f"segment endpoints out of order or range: {lo}, {hi}")
-            if slope[i] <= 0.0:
+            if not slope[i] > 0.0:
                 raise ValueError(f"segment slope must be positive, got {slope[i].item()}")
             t1, t0 = lo if line[i, 0] else hi
             raise ValueError(f"endpoint ({t1}, {t0}) is off the feasibility line by more than {LINE_TOL}")

@@ -26,62 +26,69 @@ X2_b = n sum_c (F_bc - f_c)^2 / f_c the Pearson statistic of draw b,
 summed over the occupied cells (a draw leaves an empty cell empty).
 Quantiles are monotone in the draws, so at every theta, (s1, s0) and
 assumption the critical value is at most c_bar, the same-level quantile
-of sqrt(X2_b) floored at zero: one scalar per dataset and seed.  A grid point whose closed-form T_n exceeds c_bar
-is rejected without its bootstrap.  The bound holds in exact arithmetic,
-so the screen asks T_n to clear c_bar by a small relative and absolute
-margin and applies only where every studentizing variance, computed as
-E[m^2] - mu^2, is well above rounding error of its second moment; every
-other point goes through the full evaluation.
+of sqrt(X2_b) floored at zero: one scalar per dataset and seed.  A grid
+point whose T_n exceeds c_bar inflated by a certified rounding allowance
+is rejected without its bootstrap.
 
-The screen takes the (u, v) grid block of a reference point row by row
-first.  A row is a run of points sharing the driving coordinate u, and
-the six inequality statistics depend on u alone: their part of T_n,
-t6 = max_j sqrt(n) mu_j / s_j, and their six gates are computed once per
-row, the same elementwise values the per-point formula broadcasts.  A
-row is rejected whole where t6 exceeds the cutoff (T_n >= t6 at each of
-its points), its six gates hold, and the row proof below shows that the
-equality component passes its gate at every v of the row.  Every other
-row goes through the per-point T_n and gates, in chunks of rows whose
-temporaries stay under a fixed element budget, so the survivors are
-exactly those of the per-point screen.  T_n has one formula, which
-broadcasts a column of rows against v as it does per-point vectors.
+*The certified cutoff.*  Take the kernel's float inputs as exact, with
+eps = 2^-53.  Each allowance is rho = ``_RTOL`` = 1e-12, about 9,000 eps,
+times a sum of absolute summands.  For a component, mag = m0 + 2|v| m1 +
+v^2 m2, with the row proof's m0, m1 and m2 on its own coefficients (m1 =
+m2 = 0 for the inequalities), bounds every summand of its variance
+E[m^2] - mu^2 and, as 2|xy| <= x^2 + y^2, of the sums behind its
+coefficients; dmag = max|A| + |u| max|U| + |v| max|V| over the cells
+bounds every |m_c|.  So the kernel's s^2 is within about 100 eps mag of
+the exact variance sigma^2, and sigma <= s (1 + e), with e = rho mag / s^2.
+Its deviations are within about 30 eps dmag of the exact ones, as is the
+Cauchy-Schwarz bound with frequencies summing to within 2 eps of 1.  A
+computed term is at most the rounded sqrt(n) |dev| / s, as the
+recentering is never positive and rounding is monotone, so at most
+(1 + 4 eps) (sqrt(X2_b) (1 + e) + d), with d = sqrt(n) rho dmag / s, e and
+d the largest over the seven components.  That grows with X2_b, whose
+computed roots are within 5 eps, so crit is at most (1 + 11 eps)
+((1 + e) c_bar + d), and the cutoff (``_cutoff``) is (1 + rho) ((1 + e)
+c_bar + d): each allowance exceeds what it covers at least 90 times.
+Where a variance is within its allowance of 0 (e at least 1, or NaN at
+s = 0) the cutoff is +inf, and the point is bootstrapped.
 
-*The row proof.*  On the kernel's stored coefficients (component 7 of
-each), the equality component's mean is a + b v, with a = fA + fU u and
-b = fV, and its second moment is P(v) = p0 + 2 p1 v + p2 v^2, with
-p0 = fAA + 2 u fAU + u^2 fUU, p1 = fAV + u fUV and p2 = fVV.  Its variance
-is c0 + 2 c1 v + c2 v^2, with c0 = p0 - a^2, c1 = p1 - a b and
-c2 = p2 - b^2.  In exact arithmetic the gate asks for a variance above
-floor P(v), floor being ``_SCREEN_VAR_FLOOR``.  Over the row's v in
-[lo, hi] the variance is at least the larger of two bounds.  One is
-min(var(lo), var(hi)) - max(c2, 0) (hi - lo)^2 / 4, since the variance is
-the chord through its two end values minus c2 (v - lo)(hi - v).  The
-other, where c2 > 0, is its global minimum c0 - c1^2 / c2.  P is convex,
-since p2 is a sum of products f V^2 that are never negative, so P(v) is
-at most max(P(lo), P(hi)).
+The screen takes the (u, v) block of a reference point row by row first.
+A row is a run of points sharing the driving coordinate u, and the six
+inequality statistics depend on u alone: their part of T_n,
+t6 = max_j sqrt(n) mu_j / s_j, and their allowances are computed once per
+row, the same elementwise values the per-point formula broadcasts.  The
+row proof bounds the equality SD below over the row's v, so the row's
+cutoff is at least each of its points' (every rounded operation of the
+allowances and of ``_cutoff`` is monotone), and T_n >= t6: a row whose t6
+exceeds its cutoff is rejected whole.  The other rows go through the
+per-point T_n in chunks of rows under a fixed element budget, and only a
+T_n between (1 + rho) c_bar, below every cutoff, and its row's cutoff
+needs its point's own.  So the survivors are exactly those of the
+per-point screen.
+
+*The row proof.*  On the kernel's coefficients of the equality component,
+its mean is a + b v, with a = fA + fU u and b = fV, and its second moment
+is p0 + 2 p1 v + p2 v^2, with p0 = fAA + 2 u fAU + u^2 fUU,
+p1 = fAV + u fUV and p2 = fVV.  Its variance is c0 + 2 c1 v + c2 v^2, with
+c0 = p0 - a^2, c1 = p1 - a b and c2 = p2 - b^2.  Over the row's v in
+[lo, hi] it is at least min(var(lo), var(hi)) - max(c2, 0) (hi - lo)^2 / 4,
+the chord through its end values minus c2 (v - lo)(hi - v), and, where
+c2 > 0, at least its global minimum c0 - c1^2 / c2.
 
 *Its rounding allowance.*  Let m0 = |fAA| + 2|u||fAU| + u^2|fUU| +
 (|fA| + |u||fU|)^2, m1 = |fAV| + |u||fUV| + (|fA| + |u||fU|)|fV|,
 m2 = fVV + fV^2 and mag = m0 + 2 w m1 + w^2 m2, with w the larger of |lo|
-and |hi|.  mag bounds the sum of the absolute summands of every variance
-and second moment of the row, as the per-point pass computes them at any
-v in [lo, hi] and as the proof does at lo and hi.  Each takes at most a
-dozen roundings, each of at most eps = 2^-53 of a partial sum, so each is
-within about 20 eps mag of its exact value; c0, c1 and c2 are within
-about 12 eps times m0, m1 and m2 of theirs.  The global minimum is used only where
-c2 > rho m2, with rho = ``_ROW_RTOL``, and with each coefficient moved
-against the bound by rho times its magnitude: c0 - rho m0 - (|c1| +
-rho m1)^2 / (c2 - rho m2) is at most the exact minimum.  Where it decides
-a row it is positive, so its quotient is below c0 <= m0, and its own
-roundings add at most about 6 eps mag.  A row is claimed when the lower
-bound minus rho mag exceeds floor times (the upper bound plus rho mag).
-At every v in [lo, hi] the kernel's variance is then above the lower
-bound less about 40 eps mag, so it is positive and the square root
-clamps nothing; s^2 is within 3 eps of it relative, and s^2 + mu^2 is
-within about 40 eps mag and 4 eps relative of the upper bound.  rho =
-1e-12 is about 9,000 eps, so the allowance exceeds that rounding, with
-the relative errors of the gate's two sides (each at most 2 mag), more
-than 100 times: the per-point gate holds at every point of a claimed row.
+and |hi|.  mag bounds the absolute summands of every variance of the
+row, as the per-point pass and the proof compute them, so each is within
+about 20 eps mag of its exact value, and c0, c1 and c2 within about 12 eps
+times m0, m1 and m2 of theirs.  The global minimum is used only where
+c2 > rho m2, with each coefficient moved against the bound by rho times
+its magnitude: c0 - rho m0 - (|c1| + rho m1)^2 / (c2 - rho m2) is at most
+the exact minimum, and where positive its roundings add about 6 eps mag.
+So at every v in [lo, hi] the kernel's variance exceeds low, the lower
+bound less rho mag, by over 200 times its rounding; where low > 0, s7 is
+at least sqrt(low) (``_equality_sd_min``).  mag and dmag at w are at least
+those at any |v| <= w under the same roundings, so the row's equality
+allowances, at w and sqrt(low), are at least each point's.
 
 The survivors of the whole block are then evaluated in batches of
 consecutive points; a row that spans two batches is a row in each.  A
@@ -109,22 +116,23 @@ d7_p(b) / sqrt(n) = a_b + v_p g_b is affine in v, with a_b = base7_b -
 fA7 - fU7 u and g_b = PV7_b - fV7, so over the run's v in [lo, hi] its
 absolute value is at most |a_b + mid g_b| + half |g_b|, with mid and half
 the midpoint and half-width.  This is scaled by
-sqrt(n) (1 + rho) / min s7 over the run's points, with rho =
-``_ENVELOPE_RTOL``, after adding the allowance rho mag.  Here mag bounds
-every summand of d7 / sqrt(n): max|PA7| + |u| max|PU7| +
-vmax (max|PV7| + |fV7|) + |fA7| + |fU7 u|, with vmax the larger of |lo|
-and |hi|.  Where a run has a point with s7 = 0, U is +inf.
+sqrt(n) (1 + rho) / min s7 over the run's points, after adding the
+allowance rho mag, with mag = 2 dmag at |v| the larger of |lo| and |hi|:
+every summand of d7 / sqrt(n) is a sum over the cells of frequencies
+(summing to within 2 eps of 1) times the cell values, times 1, u or v, so
+their sum is at most mag (1 + 2 eps).  Where a run has a point with
+s7 = 0, U is +inf.
 
 *Rounding allowance.*  d7 is computed by seven roundings, each an error of
-at most one unit u = 2^-53 of a partial sum bounded by mag (1 + u)^3, so
-it differs from sqrt(n) times the exact affine value by at most about
-5 u mag times sqrt(n).  The envelope's own arithmetic adds as much at the
-midpoint, and the rounding of mid and half adds at most 3 u mag.  The
+at most eps of a partial sum bounded by mag (1 + eps)^5, so it differs
+from sqrt(n) times the exact affine value by at most about 5 eps mag
+times sqrt(n).  The envelope's own arithmetic adds as much at the
+midpoint, and the rounding of mid and half adds at most 3 eps mag.  The
 multiplication by sqrt(n), the division by s7 and the envelope's last
-scaling add at most 9 u relative.  rho = 1e-12 is about 9,000 u.  So the
-allowance rho mag exceeds the 14 u mag of absolute error, and the factor
-1 + rho exceeds the relative error, both by more than 600 times.  Hence U
-is at least every computed step-one maximum of the run.
+scaling add at most 9 eps relative.  So the allowance rho mag exceeds the
+14 eps mag of absolute error, and the factor 1 + rho exceeds the relative
+error, both by more than 600 times.  Hence U is at least every computed
+step-one maximum of the run.
 
 *Why the result is exact.*  Every step-two term is at most the step-one
 term of its component and draw.  Step two adds a recentering that is
@@ -222,15 +230,9 @@ _QUANTILE_METHOD = "higher"
 BETA_PRESETS = (5, 10, 20)  # first-stage levels beta = alpha / preset
 DEFAULT_BETA_PRESET = 10
 
-# The chi-square screen rejects a point only when T_n clears the bound by
-# this relative and absolute margin, and only when every studentizing
-# variance there exceeds this share of its second moment (below it,
-# E[m^2] - mu^2 may have lost the digits the bound relies on).
-_SCREEN_RTOL = 1e-9
-_SCREEN_ATOL = 1e-12
-_SCREEN_VAR_FLOOR = 1e-6
-# The row screen's rounding allowance (module docstring).
-_ROW_RTOL = 1e-12
+# The one rounding allowance of the screen, the row proof and the envelope:
+# _RTOL times a sum of the absolute values of summands (module docstring).
+_RTOL = 1e-12
 
 # Element budgets of the kernel's float temporaries.  The screen takes a
 # reference point's (u, v) block in chunks of rows of at most
@@ -253,13 +255,12 @@ _ROW_RTOL = 1e-12
 _SCREEN_BLOCK = 2**13
 _EVAL_BLOCK = 2**16
 
-# Phase A's envelope: its rounding allowance (module docstring), the fewest
-# points a call needs for the envelope to pay, and the most points of a row
-# that one envelope covers (a longer run of v loosens it).  At B = 500, on
-# points of one row, candidates took 1.58, 1.33, 1.04, 0.67 and 0.36 times
-# the time of all B draws at 1, 3, 8, 16 and 64 points (``evaluate``,
-# 2-core VM); on rows of one point each, 1.17-1.55 times at every size.
-_ENVELOPE_RTOL = 1e-12
+# Phase A's envelope: the fewest points a call needs for the envelope to
+# pay, and the most points of a row that one envelope covers (a longer run
+# of v loosens it).  At B = 500, on points of one row, candidates took 1.58,
+# 1.33, 1.04, 0.67 and 0.36 times the time of all B draws at 1, 3, 8, 16 and
+# 64 points (``evaluate``, 2-core VM); on rows of one point each, 1.17-1.55
+# times at every size.
 _ENVELOPE_MIN_POINTS = 16
 _ENVELOPE_RUN = 32
 
@@ -523,9 +524,10 @@ def _masked_divide(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = No
     return out
 
 
-def _conditioned(mu: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The screen's conditioning gate: s^2 above ``_SCREEN_VAR_FLOOR`` of the second moment s^2 + mu^2."""
-    return s * s > _SCREEN_VAR_FLOOR * (s * s + mu * mu)
+def _cutoff(cbar: float, e: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The certified cutoff (1 + rho) ((1 + e) c_bar + d), +inf where e is not below 1 (module docstring)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(e < 1.0, (1.0 + _RTOL) * ((1.0 + e) * cbar + d), np.inf)
 
 
 def _rejects(tn: np.ndarray, crit: np.ndarray) -> np.ndarray:
@@ -583,9 +585,15 @@ class _SPointKernel:
         self.draws = F.shape[0]
         self.PA6, self.PU6 = PA[:, :6].T.copy(), PU[:, :6].T.copy()
         self.PA7, self.PU7, self.PV7 = PA[:, 6].copy(), PU[:, 6].copy(), PV[:, 6].copy()
-        # The envelope's slope in v and the magnitudes its allowance scales with.
+        # The envelope's slope in v.
         self.slope7 = np.abs(self.PV7 - self.fV[6])
-        self.mag7 = (np.abs(self.PA7).max(), np.abs(self.PU7).max(), np.abs(self.PV7).max())
+        # The summand bounds of ``_magnitudes``, per component: mag's coefficients
+        # of 1, 2|u|, u^2, 2|v|, 2|u||v| and v^2, and dmag's of 1, |u| and |v|.
+        j = slice(0, 7)
+        aA, aU, aV = (np.abs(x[j]) for x in (self.fA, self.fU, self.fV))
+        products = np.abs([self.fAA[j], self.fAU[j], self.fUU[j], self.fAV[j], self.fUV[j], self.fVV[j]])
+        self.mag_coef = products + [aA * aA, aA * aU, aU * aU, aA * aV, aU * aV, aV * aV]
+        self.amax, self.umax, self.vmax = (np.abs(T[:, j]).max(axis=0) for T in (A, U, V))
 
     @staticmethod
     def check(n: int) -> None:
@@ -639,63 +647,69 @@ class _SPointKernel:
         t7 = _stud(self.sqrt_n * np.abs(mu7), s7)
         return mu6, s6, mu7, s7, np.maximum(np.maximum(self._t6(mu6, s6), t7), 0.0)
 
-    def screen(self, u: np.ndarray, v: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-        """The points of the (u, v) block the chi-square screen cannot reject.
+    def screen(self, u: np.ndarray, v: np.ndarray, cbar: float) -> tuple[np.ndarray, np.ndarray]:
+        """The points of the (u, v) block whose T_n does not exceed the certified cutoff of ``cbar``.
 
         Returns their (index into ``u``, index into ``v``) arrays in
-        row-major order.  A point is rejected outright when its T_n exceeds
-        ``cutoff`` (the chi-square bound with its margin) and every
-        studentizing variance there is well conditioned.  A row is rejected
-        whole where its inequality statistic alone exceeds ``cutoff``, its
-        six variances pass the gate and ``_equality_gate_holds`` proves the
-        equality variance passes it at every v.  The other rows are taken
-        in chunks of at most ``_SCREEN_BLOCK`` points, and each chunk's
-        survivors are gathered as it is done, so no mask of the whole block
-        is ever built.  ``u`` and ``v`` are not empty: every parameter box
-        holds 0.
+        row-major order.  Rows are taken whole first, the rest in chunks of
+        at most ``_SCREEN_BLOCK`` points whose survivors are gathered as
+        each is done, so no mask of the whole block is ever built.  ``u``
+        and ``v`` are not empty: every parameter box holds 0.
         """
         mu6, s6 = self._ineq_stats(u[:, None])
-        claimed = (self._t6(mu6, s6) > cutoff) & np.all(_conditioned(mu6, s6), axis=-1)
-        claimed &= self._equality_gate_holds(u, v.min(), v.max())
-        rows = np.flatnonzero(~claimed)
+        w = np.abs(v)
+        m0, m1, mag, dmag = self._magnitudes(u, w.max())
+        e6, d6 = (x.max(axis=-1) for x in self._allowance(mag[:, :6], dmag[:, :6], s6))
+        sd7 = self._equality_sd_min(u, v.min(), v.max(), m0[:, 6], m1[:, 6], mag[:, 6])
+        e7, d7 = self._allowance(mag[:, 6], dmag[:, 6], sd7)
+        cut = _cutoff(cbar, np.maximum(e6, e7), np.maximum(d6, d7))  # at least each point's of the row
+        rows = np.flatnonzero(~(self._t6(mu6, s6) > cut))
         step = max(1, _SCREEN_BLOCK // v.size)
         found = [(rows[:0], rows[:0])]  # no survivor where every row is claimed
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]
-            mu6, s6, mu7, s7, tn = self._statistic(u[r, None], v)
-            exact6 = np.all(_conditioned(mu6, s6), axis=-1)
-            i, c = np.nonzero(~((tn > cutoff) & exact6 & _conditioned(mu7, s7)))
+            *_, s7, tn = self._statistic(u[r, None], v)
+            # Only a T_n in ((1 + rho) c_bar, its row's cutoff] needs its point's own.
+            keep = ~(tn > cut[r, None])
+            i, c = np.nonzero(keep & (tn > (1.0 + _RTOL) * cbar))
+            if i.size:
+                _, _, mag, dmag = self._magnitudes(u[r[i]], w[c])
+                e7, d7 = self._allowance(mag[:, 6], dmag[:, 6], s7[i, c])
+                keep[i, c] = ~(tn[i, c] > _cutoff(cbar, np.maximum(e6[r[i]], e7), np.maximum(d6[r[i]], d7)))
+            i, c = np.nonzero(keep)
             found.append((r[i], c))
         rows, cols = zip(*found)
         return np.concatenate(rows), np.concatenate(cols)
 
-    def _equality_gate_holds(self, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        """Rows at ``u`` whose equality variance passes the gate at every v in [lo, hi].
+    def _magnitudes(self, u, w) -> tuple[np.ndarray, ...]:
+        """The seven components' summand bounds at u and |v| = w, broadcast: (m0, m1, mag, dmag), each (..., 7)."""
+        cAA, cAU, cUU, cAV, cUV, cVV = self.mag_coef
+        au, w = np.abs(u)[..., None], np.asarray(w)[..., None]
+        m0, m1 = cAA + 2.0 * au * cAU + au * au * cUU, cAV + au * cUV
+        return m0, m1, m0 + 2.0 * w * m1 + w * w * cVV, self.amax + au * self.umax + w * self.vmax
 
-        In closed form, with a rounding allowance of ``_ROW_RTOL`` times a
-        bound on every summand (module docstring): the variance c0 + 2 c1 v
-        + c2 v^2 is bounded below over [lo, hi], its second moment above.
+    def _allowance(self, mag, dmag, s):
+        """The allowances e = rho mag / s^2 and d = sqrt(n) rho dmag / s of components with SD ``s``."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _RTOL * mag / (s * s), self.sqrt_n * _RTOL * dmag / s
+
+    def _equality_sd_min(self, u: np.ndarray, lo: float, hi: float, m0, m1, mag) -> np.ndarray:
+        """Per row at ``u``, a lower bound on the kernel's equality SD at every v in [lo, hi], or 0.
+
+        The row proof (module docstring), on the equality column of ``_magnitudes`` at max(|lo|, |hi|).
         """
-        j, rho = 6, _ROW_RTOL
-        au = np.abs(u)
+        j, rho = 6, _RTOL
         a = self.fA[j] + self.fU[j] * u  # the mean at v = 0; its slope in v is b
         b = self.fV[j]
         p0 = self.fAA[j] + 2.0 * u * self.fAU[j] + u * u * self.fUU[j]
         p1 = self.fAV[j] + u * self.fUV[j]
-        p2 = self.fVV[j]  # never negative
-        c0, c1, c2 = p0 - a * a, p1 - a * b, p2 - b * b
-        a_mag = abs(self.fA[j]) + au * abs(self.fU[j])
-        m0 = abs(self.fAA[j]) + 2.0 * au * abs(self.fAU[j]) + au * au * abs(self.fUU[j]) + a_mag * a_mag
-        m1 = abs(self.fAV[j]) + au * abs(self.fUV[j]) + a_mag * abs(b)
-        m2 = p2 + b * b
-        w = max(abs(lo), abs(hi))
-        mag = m0 + 2.0 * w * m1 + w * w * m2
+        c0, c1, c2 = p0 - a * a, p1 - a * b, self.fVV[j] - b * b
+        m2 = self.mag_coef[5][j]
         var_lo, var_hi = (c0 + 2.0 * c1 * x + c2 * x * x for x in (lo, hi))
         var_min = np.minimum(var_lo, var_hi) - max(c2, 0.0) * (hi - lo) ** 2 / 4.0
         if c2 > rho * m2:  # the global minimum c0 - c1^2 / c2, for coefficients off by rho m
             var_min = np.maximum(var_min, c0 - rho * m0 - (np.abs(c1) + rho * m1) ** 2 / (c2 - rho * m2))
-        second = np.maximum(*(p0 + 2.0 * p1 * x + p2 * x * x for x in (lo, hi)))
-        return var_min - rho * mag > _SCREEN_VAR_FLOOR * (second + rho * mag)
+        return np.sqrt(np.maximum(var_min - rho * mag, 0.0))
 
     # -- full evaluation ------------------------------------------------
 
@@ -729,48 +743,40 @@ class _SPointKernel:
             hi = min(lo + points, starts[min(row[lo] + rows, starts.size - 1)])
             part = slice(lo, hi)
             crit[part] = self._critical_values(
-                u[part], v[part], mu6[part], s6[part], mu7[part], s7[part], tops, m, scratch
+                np.r_[True, first[lo + 1 : hi]], row[part] - row[lo], u[part], v[part], mu6[part], s6[part],
+                mu7[part], s7[part], tops, m, scratch,
             )
             lo = hi
         return tn, np.maximum(crit, 0.0, out=crit)
 
-    def _critical_values(self, u, v, mu6, s6, mu7, s7, tops, m, scratch) -> np.ndarray:
-        """Raw critical values of a batch of consecutive points, from their statistics.
+    def _critical_values(self, first, row, u, v, mu6, s6, mu7, s7, tops, m, scratch) -> np.ndarray:
+        """Raw critical values of a batch of consecutive points, from their statistics and rows.
 
         Phase A builds the row tables; phase B evaluates every point on its
         run's ``m`` candidate draws when m is below B.  The points where
         that is not exact, or every point when m is B, are evaluated on the
         row tables themselves.  ``evaluate`` floors the values at zero.
         """
-        n = v.size
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = u[1:] != u[:-1]
-        row = np.cumsum(first) - 1  # each point's row
         tables, free = self._row_tables(u[first], mu6[first], s6[first], scratch)
         every = (*tables, self.PV7[None])
         if m >= self.draws:
             return self._order_stats(every, row, v, mu6, s6, mu7, s7, tops, free)[1]
-        raw, exact = self._on_candidates(tables, row, u, v, mu6, s6, mu7, s7, tops, m, free)
+        raw, exact = self._on_candidates(tables, first, row, u, v, mu6, s6, mu7, s7, tops, m, free)
         if not exact.all():
             todo = ~exact
             points = (x[todo] for x in (row, v, mu6, s6, mu7, s7))
             raw[todo] = self._order_stats(every, *points, tops, free)[1]
         return raw
 
-    def _on_candidates(self, tables, row, u, v, mu6, s6, mu7, s7, tops, m, free):
+    def _on_candidates(self, tables, first, row, u, v, mu6, s6, mu7, s7, tops, m, free):
         """Raw critical values of points on their runs' ``m`` candidate draws, and which are exact.
 
-        ``row`` is each point's row of the row tables; each run of at most
-        ``_ENVELOPE_RUN`` consecutive points of a row has its own candidates,
-        whose tables are gathered into ``free``.
+        ``row`` is each point's row of the row tables, ``first`` marks each
+        row's first point; each run of at most ``_ENVELOPE_RUN`` consecutive
+        points of a row has its own candidates, gathered into ``free``.
         """
         dev6, d6max, base7 = tables
-        n = v.size
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = row[1:] != row[:-1]
-        lead = (np.arange(n) - np.flatnonzero(first)[np.cumsum(first) - 1]) % _ENVELOPE_RUN == 0
+        lead = (np.arange(v.size) - np.flatnonzero(first)[row]) % _ENVELOPE_RUN == 0
         runs = np.flatnonzero(lead)
         run = np.cumsum(lead) - 1  # each point's run
         owner = row[runs]
@@ -818,21 +824,16 @@ class _SPointKernel:
         """
         j = 6
         mid, half = 0.5 * (lo_v + hi_v), 0.5 * (hi_v - lo_v)
-        v_abs = np.maximum(np.abs(lo_v), np.abs(hi_v))
-        mag_a, mag_u, mag_v = self.mag7
-        mag = (
-            mag_a + np.abs(ur) * mag_u + v_abs * (mag_v + abs(self.fV[j]))
-            + abs(self.fA[j]) + np.abs(self.fU[j] * ur)
-        )
+        dmag = self._magnitudes(ur, np.maximum(np.abs(lo_v), np.abs(hi_v)))[3][:, j]
         (env, tmp), _ = _carve(free, (ur.size, self.draws), (ur.size, self.draws))
         np.take(base7, owner, axis=0, out=env, mode="clip")
         np.add(env, np.multiply(mid[:, None], self.PV7, out=tmp), out=env)
         np.subtract(env, (self.fA[j] + self.fU[j] * ur + self.fV[j] * mid)[:, None], out=env)
         np.abs(env, out=env)
         np.add(env, np.multiply(half[:, None], self.slope7, out=tmp), out=env)
-        np.add(env, (_ENVELOPE_RTOL * mag)[:, None], out=env)
+        np.add(env, (2.0 * _RTOL * dmag)[:, None], out=env)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(env, (self.sqrt_n * (1.0 + _ENVELOPE_RTOL) / s7min)[:, None], out=env)
+            np.multiply(env, (self.sqrt_n * (1.0 + _RTOL) / s7min)[:, None], out=env)
         env[s7min == 0.0] = np.inf  # |d7| / 0 is +inf wherever d7 is not zero
         return np.maximum(env, np.take(d6max, owner, axis=0, out=tmp, mode="clip"), out=env)
 
@@ -1027,7 +1028,6 @@ def confidence_set(
     s_points = tuple(sorted(S.points))
     alpha, beta = cfg.alpha, cfg.beta_value
     cbar = _chi_square_bound(counts, boot_freqs, 1.0 - alpha + beta)
-    cutoff = cbar * (1.0 + _SCREEN_RTOL) + _SCREEN_ATOL
 
     # Retained points as blocks of (theta1 index, theta0 index, s index, T_n, crit).
     blocks: list[tuple[np.ndarray, ...]] = []
@@ -1039,7 +1039,7 @@ def confidence_set(
         idx0 = np.flatnonzero((axis >= lo0) & (axis <= hi0))
         n_tested += idx1.size * idx0.size
         iu, iv = kernel.orient(idx1, idx0)
-        r, c = kernel.screen(axis[iu], axis[iv], cutoff)
+        r, c = kernel.screen(axis[iu], axis[iv], cbar)
         i, j = iu[r], iv[c]
         tn, crit = kernel.evaluate(axis[i], axis[j], alpha, beta)
         keep = ~_rejects(tn, crit)

@@ -246,10 +246,10 @@ class ScalarSegment:
         (t1l, t0l), (t1u, t0u) = self.lo, self.hi
         if not (0.0 <= t1l <= t1u <= 1.0 and 0.0 <= t0l <= t0u <= 1.0):
             raise ValueError(f"segment endpoints out of order or range: {self.lo}, {self.hi}")
-        if self.slope <= 0.0:
+        if not self.slope > 0.0:
             raise ValueError(f"segment slope must be positive, got {self.slope}")
         for t1, t0 in (self.lo, self.hi):
-            if abs(t0 - (self.slope * t1 + self.intercept)) > LINE_TOL:
+            if not abs(t0 - (self.slope * t1 + self.intercept)) <= LINE_TOL:
                 raise ValueError(
                     f"endpoint ({t1}, {t0}) is off the feasibility line by more "
                     f"than {LINE_TOL}"

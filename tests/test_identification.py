@@ -401,9 +401,11 @@ _ORIGIN, _NEGATIVE_ORIGIN = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [-0.0, -0.0, -0.0, -
 @example(rows=[_ORIGIN, _NEGATIVE_ORIGIN])  # every projection end ties 0.0 against -0.0: the first is kept
 @example(rows=[_NEGATIVE_ORIGIN, _ORIGIN])
 @example(rows=[[0.25, 0.625, 0.5, 0.75, 0.5, 0.5], [math.nan, 0.625, 0.5, 0.75, 0.5, 0.5]])  # a NaN endpoint
-@example(rows=[[0.25, 0.625, 0.5, 0.75, math.nan, 0.5]])  # a NaN slope passes the scalar checks
-@example(rows=[[0.25, 0.625, 0.5, 0.75, 0.5, math.nan]])  # and so does a NaN intercept
+@example(rows=[[0.25, 0.625, 0.5, 0.75, math.nan, 0.5]])  # a NaN slope is refused
+@example(rows=[[0.25, 0.625, 0.5, 0.75, 0.5, math.nan]])  # and so is a NaN intercept
+@example(rows=[[0.25, 0.625, 0.5, 0.75, math.inf, math.nan]])  # an infinite slope with a NaN intercept
 @example(rows=[[0.0, 0.0, 5e-324, 0.125, math.inf, -math.nan]])  # inf * 0.0 on the line, quietly
+@example(rows=[[0.25, 0.625, 0.5, 0.75, 0.5, 0.5], [0.25, 0.625, 0.5, 0.75, math.nan, 0.5]])  # a NaN row after a good one
 @example(rows=[[0.25, 0.625, 0.5, 0.75, -0.0, 0.5]])  # a zero slope
 @example(rows=[[0.25, 0.625 + 2 * LINE_TOL, 0.5, 0.75 + 2 * LINE_TOL, 0.5, 0.5]])  # both ends off the line
 @given(rows=st.lists(_rows(), min_size=1, max_size=4))
@@ -415,3 +417,5 @@ def test_set_checks_refuse_what_the_segment_checks_refuse(rows):
     for part in [rows] + [[row] for row in rows]:
         got = _outcome(lambda: _column_set(part).projections)
         assert got == _outcome(lambda: _scalar_set(part).projections)
+        if any(math.isnan(m) or math.isnan(c) for *_, m, c in part):
+            assert got[0][0] == "raises"

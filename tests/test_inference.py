@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diagbounds import (
@@ -562,18 +562,17 @@ def _chi_square_bound(counts, boot, level):
     return max(float(np.quantile(np.sqrt(x2), level, method="higher")), 0.0)
 
 
-def _unscreened_confidence_set(counts, S, a, cfg, bound_rtol=1e-12):
+def _unscreened_confidence_set(counts, S, a, cfg):
     """Confidence set from full-row kernel evaluations, with no screen.
 
-    Also checks the screen's invariant at every grid point where its
-    conditioning gate holds (s^2 > _SCREEN_VAR_FLOOR (s^2 + mu^2) for all
-    seven components), the only points it may reject on the bound: the
-    critical value never exceeds the chi-square bound.  The bound can be
-    attained (a component parallel to a draw's deviation), so rounding may
-    put the critical value an ulp above it; the screen's margin covers that.
-    Returns the tested points that are not retained as well.
+    Also checks the screen's invariant at every grid point: the critical
+    value never exceeds the certified cutoff of the chi-square bound, which
+    is finite only where every variance exceeds its allowance, the only
+    points the screen may reject.  The bound can be attained (a component
+    parallel to a draw's deviation), so rounding may put the critical value
+    above it; the allowance covers that.  Returns the tested points that
+    are not retained as well.
     """
-    floor = inference._SCREEN_VAR_FLOOR
     boot = bootstrap_cell_frequencies(counts, cfg.bootstrap, cfg.seed)
     axis = np.linspace(0.0, 1.0, cfg.theta_grid)
     cbar = _chi_square_bound(counts, boot, 1.0 - cfg.alpha + cfg.beta_value)
@@ -589,10 +588,8 @@ def _unscreened_confidence_set(counts, S, a, cfg, bound_rtol=1e-12):
         for i in iu:
             u, v = np.full(iv.size, axis[i]), axis[iv]
             tn, crit = kernel.evaluate(u, v, cfg.alpha, cfg.beta_value)
-            mu6, s6, mu7, s7, _ = kernel._statistic(u, v)
-            gated = np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6), axis=-1)
-            gated &= s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
-            assert np.all(crit[gated] <= cbar * (1.0 + bound_rtol)), (crit[gated].max(), cbar)
+            cut = _row_cutoff(kernel, axis[i], v, cbar)
+            assert np.all(crit <= cut), (crit[crit > cut], cut[crit > cut], cbar)
             for j, t, c in zip(iv, tn, crit):
                 i1, i0 = kernel.orient(i, j)
                 if np.isfinite(t) and t <= c:
@@ -611,9 +608,9 @@ def _spread(n, k=3):
     return np.unique(np.linspace(0, n - 1, min(n, k)).astype(int))
 
 
-def _assert_matches_unscreened(counts, S, a, cfg, bound_rtol=1e-12):
+def _assert_matches_unscreened(counts, S, a, cfg):
     cs = confidence_set(counts, S, a, cfg)
-    points, t_n, crit, n_tested, rejected = _unscreened_confidence_set(counts, S, a, cfg, bound_rtol)
+    points, t_n, crit, n_tested, rejected = _unscreened_confidence_set(counts, S, a, cfg)
     np.testing.assert_array_equal(cs.points, points)
     np.testing.assert_array_equal(cs.t_n, t_n)
     np.testing.assert_array_equal(cs.crit, crit)
@@ -642,6 +639,10 @@ def _s_regions(draw):
 @example(
     cells=[1, 1, 1, 1], a=DependenceAssumption.NO_RESTRICTION,
     S=SRegion.singleton(1.0, 1.0), bootstrap=20, seed=12, grid=15, alpha=0.05,
+)
+@example(  # T_n is in the thousands where a fixed conditioning floor kept the points
+    cells=[1, 1, 10**6, 10**6], a=DependenceAssumption.WRONGLY_AGREE_Y0,
+    S=SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=2), bootstrap=50, seed=1, grid=40, alpha=0.05,
 )
 @given(
     cells=st.lists(st.integers(1, 75), min_size=4, max_size=4),
@@ -675,7 +676,7 @@ def _tables_with_an_empty_cell(high=75):
     cells=[1, 0, 0, 1], a=DependenceAssumption.NO_RESTRICTION,
     S=SRegion.singleton(0.875, 0.5), bootstrap=20, seed=0, grid=19, alpha=0.05,
 )
-@example(  # the bound is exceeded by 2e-6 relative only where the gate is off
+@example(  # crit exceeds c_bar by 2e-6 relative, within its points' allowance
     cells=[1, 0, 0, 1], a=DependenceAssumption.NO_RESTRICTION,
     S=SRegion.singleton(0.99999, 1.0), bootstrap=20, seed=0, grid=15, alpha=0.05,
 )
@@ -693,10 +694,49 @@ def test_screened_confidence_set_equals_unscreened_with_empty_cells(
 ):
     # With two occupied cells every component attains the chi-square bound
     # at every point, so crit sits at c_bar up to the rounding of the
-    # E[m^2] - mu^2 variances (1.5e-12 relative on (1, 0, 0, 1)); the
-    # screen's own margin is the invariant that keeps both sets equal.
+    # E[m^2] - mu^2 variances; the certified cutoff is the invariant that
+    # keeps both sets equal.
     cfg = TestConfig(alpha=alpha, seed=seed, bootstrap=bootstrap, theta_grid=grid)
-    _assert_matches_unscreened(CellCounts(*cells), S, a, cfg, bound_rtol=inference._SCREEN_RTOL)
+    _assert_matches_unscreened(CellCounts(*cells), S, a, cfg)
+
+
+@st.composite
+def _ill_conditioned_tables(draw):
+    """Two cells of one or two observations and two of millions, in a layout that keeps a point at s = (1, 1)."""
+    small = draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
+    big = draw(st.lists(st.integers(10**6, 3 * 10**6), min_size=2, max_size=2))
+    if draw(st.booleans()):
+        return [small[0], big[0], big[1], small[1]]
+    return [big[0], small[0], small[1], big[1]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cells=_ill_conditioned_tables(),
+    a=st.sampled_from(list(DependenceAssumption)),
+    bootstrap=st.integers(20, 200),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.integers(15, 40),
+    alpha=st.sampled_from([0.05, 0.10]),
+)
+def test_screen_keeps_retained_ill_conditioned_points(cells, a, bootstrap, seed, grid, alpha):
+    # At s = (1, 1) these tables retain a point where a variance is below
+    # 1e-6 of its second moment, a point a fixed conditioning floor sent to
+    # the bootstrap.  Its allowance is finite there, so its certified cutoff
+    # decides it, and the screen must keep it.
+    counts, s = CellCounts(*cells), RefPerf(1.0, 1.0)
+    cfg = TestConfig(alpha=alpha, seed=seed, bootstrap=bootstrap, theta_grid=grid)
+    cs = _assert_matches_unscreened(counts, SRegion.singleton(1.0, 1.0), a, cfg)
+    assume(len(cs) > 0)  # about 1 in 300 draws retains nothing
+    boot = bootstrap_cell_frequencies(counts, bootstrap, seed)
+    cbar = _chi_square_bound(counts, boot, 1.0 - cfg.alpha + cfg.beta_value)
+    kernel = _kernel(counts, a, s, boot)
+    decided = []
+    for u, v in zip(*kernel.orient(cs.points[:, 0], cs.points[:, 1])):
+        mu6, s6, mu7, s7, _ = kernel._statistic(u, np.array([v]))
+        ratio = min(np.min(s6 * s6 / (s6 * s6 + mu6 * mu6)), s7[0] ** 2 / (s7[0] ** 2 + mu7[0] ** 2))
+        decided.append(ratio < 1e-6 and np.isfinite(_row_cutoff(kernel, u, np.array([v]), cbar)[0]))
+    assert any(decided)
 
 
 def test_empty_cell_table_stays_under_the_chi_square_bound():
@@ -731,11 +771,12 @@ def test_screen_skips_the_bootstrap_at_most_grid_points(monkeypatch):
     assert len(cs) <= len(evaluated) < cs.n_tested / 20
 
 
-def test_ill_conditioned_points_take_the_full_evaluation(monkeypatch):
+def test_ill_conditioned_points_are_screened_by_their_allowance(monkeypatch):
     # Two single-observation cells among two million: at the theta0 edges
     # (the driving coordinate under wa0) the variance of a moment component
-    # is about 5e-7 of its second moment, so the screen must leave those
-    # rows to the bootstrap even though their T_n is in the thousands.
+    # is about 5e-7 of its second moment.  A fixed conditioning floor left
+    # those rows to the bootstrap; their allowances are far below 1 and
+    # their T_n is in the thousands, so the screen rejects them.
     counts = CellCounts(1, 1, 1_000_000, 1_000_000)
     a = DependenceAssumption.WRONGLY_AGREE_Y0
     s = RefPerf(1.0, 1.0)
@@ -747,7 +788,7 @@ def test_ill_conditioned_points_take_the_full_evaluation(monkeypatch):
     for r, edge in enumerate((0.0, 1.0)):
         mu6, s6, _, _, tn = kernel._statistic(edge, axis)
         assert np.min(s6 * s6 / (s6 * s6 + mu6 * mu6)) < 1e-6
-        assert np.all(tn > 1e3) and np.count_nonzero(rows == r) == axis.size
+        assert np.all(tn > 1e3) and np.count_nonzero(rows == r) == 0
 
     evaluated = _spy_on_evaluate(monkeypatch)
     cs = confidence_set(counts, SRegion.singleton(1.0, 1.0), a, cfg)
@@ -755,36 +796,70 @@ def test_ill_conditioned_points_take_the_full_evaluation(monkeypatch):
     for edge in (0.0, 1.0):
         for theta1 in axis:
             res = rsw2_test(counts, ThetaPoint(float(theta1), edge, s), a, cfg)
-            assert res.reject
-            assert evaluated[(edge, float(theta1))] == (res.t_n, res.crit)
+            assert res.reject and (edge, float(theta1)) not in evaluated
     assert not np.any(np.isin(cs.points[:, 1], [0.0, 1.0]))
     _assert_matches_unscreened(counts, SRegion.singleton(1.0, 1.0), a, cfg)
 
 
-def _row_screen(kernel, u, v, cutoff):
+def test_ill_conditioned_reference_point_passes_no_point_through_the_screen():
+    # (1, 1, 10^6, 10^6) under wa0 at s = (0.9, 1.0), 316^2, B = 500, seed
+    # 1: T_n exceeds c_bar by half at every point, and a fixed conditioning
+    # floor sent 99,224 of the 99,856 points to the bootstrap.  Their
+    # allowances are far below 1, so the screen passes none.
+    counts, a, s = CellCounts(1, 1, 10**6, 10**6), DependenceAssumption.WRONGLY_AGREE_Y0, RefPerf(0.9, 1.0)
+    boot = bootstrap_cell_frequencies(counts, 500, 1)
+    kernel = _kernel(counts, a, s, boot)
+    axis = np.linspace(0.0, 1.0, 316)
+    (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
+    u, v = kernel.orient(axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)])
+    rows, cols = kernel.screen(u, v, inference._chi_square_bound(counts, boot, 0.955))
+    assert u.size * v.size == 99_856 and rows.size == cols.size == 0
+
+
+def _row_cutoff(kernel, u, v, cbar):
+    """The certified cutoff of ``cbar`` along one row, restated with a scalar u.
+
+    Each component's allowances e = rho mag / s^2 and d = sqrt(n) rho
+    dmag / s, with its summand bounds mag and dmag from the kernel's
+    coefficients; +inf where a variance is within its allowance of 0.
+    """
+    rho, rn = inference._RTOL, kernel.sqrt_n
+    _, s6 = kernel._ineq_stats(u)
+    _, s7 = kernel._eq_stats(u, v)
+    cAA, cAU, cUU, cAV, cUV, cVV = kernel.mag_coef
+    au, av = abs(u), np.abs(v)
+    m0 = cAA + 2.0 * au * cAU + au * au * cUU
+    m1 = cAV + au * cUV
+    dmag = kernel.amax + au * kernel.umax
+    mag7 = m0[6] + 2.0 * av * m1[6] + av * av * cVV[6]
+    dmag7 = dmag[6] + av * kernel.vmax[6]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.maximum(np.max(rho * m0[:6] / (s6 * s6)), rho * mag7 / (s7 * s7))
+        d = np.maximum(np.max(rn * rho * dmag[:6] / s6), rn * rho * dmag7 / s7)
+    return inference._cutoff(cbar, e, d)
+
+
+def _row_screen(kernel, u, v, cbar):
     """The screen's mask along one row, computed row by row with a scalar u."""
     rn = kernel.sqrt_n
     mu6, s6 = kernel._ineq_stats(u)
     mu7, s7 = kernel._eq_stats(u, v)
     t6 = float(np.max(_stud(rn * mu6, s6)))
     tn = np.maximum(np.maximum(t6, _stud(rn * np.abs(mu7), s7)), 0.0)
-    floor = inference._SCREEN_VAR_FLOOR
-    exact6 = bool(np.all(s6 * s6 > floor * (s6 * s6 + mu6 * mu6)))
-    exact7 = s7 * s7 > floor * (s7 * s7 + mu7 * mu7)
-    return ~((tn > cutoff) & exact6 & exact7)
+    return ~(tn > _row_cutoff(kernel, u, v, cbar))
 
 
 @settings(max_examples=150, deadline=None)
 @example(
     cells=[1, 1, 10**6, 10**6], a=DependenceAssumption.WRONGLY_AGREE_Y0,
-    S=SRegion.singleton(1.0, 1.0), grid=5, cutoff=0.0, budget=10,
+    S=SRegion.singleton(1.0, 1.0), grid=5, cbar=0.0, budget=10,
 )
 @example(  # only the first row is ill-conditioned; it shares a chunk with the second
     cells=[10**6, 10**6, 10**6, 2], a=DependenceAssumption.WRONGLY_AGREE_BOTH,
-    S=SRegion.singleton(1.0, 1.0), grid=7, cutoff=1.0, budget=14,
+    S=SRegion.singleton(1.0, 1.0), grid=7, cbar=1.0, budget=14,
 )
 @example(
-    cells=[99, 18, 5, 338], a=WA1, S=SRegion.singleton(0.9, 1.0), grid=60, cutoff=3.0, budget=200,
+    cells=[99, 18, 5, 338], a=WA1, S=SRegion.singleton(0.9, 1.0), grid=60, cbar=3.0, budget=200,
 )
 @given(
     cells=st.one_of(
@@ -794,10 +869,10 @@ def _row_screen(kernel, u, v, cutoff):
     a=st.sampled_from(list(DependenceAssumption)),
     S=_s_regions(),
     grid=st.integers(2, 60),
-    cutoff=st.floats(0.0, 20.0),
+    cbar=st.floats(0.0, 20.0),
     budget=st.integers(1, 400),
 )
-def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cutoff, budget):
+def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cbar, budget):
     counts = CellCounts(*cells)
     axis = np.linspace(0.0, 1.0, grid)
     s = S.points[0]
@@ -807,26 +882,26 @@ def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cutoff, b
         axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)]
     )
     with mock.patch.object(inference, "_SCREEN_BLOCK", budget):
-        rows, cols = kernel.screen(u, v, cutoff)
+        rows, cols = kernel.screen(u, v, cbar)
     assert np.all(np.diff(rows * v.size + cols) > 0)  # row-major, each point once
     got = np.zeros((u.size, v.size), dtype=bool)
     got[rows, cols] = True
-    want = np.array([_row_screen(kernel, float(x), v, cutoff) for x in u]).reshape(got.shape)
+    want = np.array([_row_screen(kernel, float(x), v, cbar) for x in u]).reshape(got.shape)
     np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None)
 @example(  # ill-conditioned at the theta0 edges
     cells=[1, 1, 10**6, 10**6], a=DependenceAssumption.WRONGLY_AGREE_Y0, s=(1.0, 1.0), grid=5, ends=(0, 4),
-    cutoff=0.0,
+    cbar=0.0,
 )
 @example(  # ill-conditioned in the first row only
     cells=[10**6, 10**6, 10**6, 2], a=DependenceAssumption.WRONGLY_AGREE_BOTH, s=(1.0, 1.0), grid=7,
-    ends=(0, 6), cutoff=1.0,
+    ends=(0, 6), cbar=1.0,
 )
-@example(  # row u = 1 has s7 = 0 at v = 0; rows from u = 0.24 on have t6 = 1.68 and pass exact6
+@example(  # row u = 1 has s7 = 0 at v = 0; rows from u = 0.24 on have t6 = 1.68
     cells=[1, 0, 4, 0], a=DependenceAssumption.NO_RESTRICTION, s=(0.8, 0.5), grid=26, ends=(0, 10),
-    cutoff=1.0,
+    cbar=1.0,
 )
 @given(
     cells=st.one_of(
@@ -838,14 +913,16 @@ def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cutoff, b
     s=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)).filter(lambda p: p[0] + p[1] >= 1.02),
     grid=st.integers(2, 60),
     ends=st.tuples(st.integers(0, 59), st.integers(0, 59)),
-    cutoff=st.floats(0.0, 5.0),
+    cbar=st.floats(0.0, 5.0),
 )
-def test_row_proof_holds_the_equality_gate_at_every_v(cells, a, s, grid, ends, cutoff):
-    # Wherever the screen's closed-form proof claims a row for an interval
-    # [lo, hi] of v, the per-point conditioning gate of the equality
-    # component holds at every axis v in it, at its ends and between them;
-    # and the screen of the axis points in [lo, hi], tables with empty cells
-    # among them, keeps what the row-by-row screen keeps.
+def test_row_proof_holds_the_equality_gate_at_every_v(cells, a, s, grid, ends, cbar):
+    # For an interval [lo, hi] of v, the row proof's bound on the equality
+    # SD is at most the kernel's SD at every v in it, at its ends and
+    # between them.  Where the bound certifies a row (its allowance e is
+    # below 1), every point's equality variance exceeds its own allowance
+    # and its allowances are at most the row's.  And the screen of the axis
+    # points in [lo, hi], tables with empty cells among them, keeps what the
+    # row-by-row screen keeps.
     counts = CellCounts(*cells)
     s = RefPerf(*s)
     kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
@@ -856,16 +933,22 @@ def test_row_proof_holds_the_equality_gate_at_every_v(cells, a, s, grid, ends, c
     )
     i, j = sorted(e % v.size for e in ends)
     lo, hi = v[i], v[j]
-    claimed = kernel._equality_gate_holds(u, lo, hi)
+    m0, m1, mag, dmag = kernel._magnitudes(u, max(abs(lo), abs(hi)))
+    sd = kernel._equality_sd_min(u, lo, hi, m0[:, 6], m1[:, 6], mag[:, 6])
+    e_row, d_row = kernel._allowance(mag[:, 6], dmag[:, 6], sd)
     vs = np.concatenate([v[i : j + 1], [lo, hi], np.linspace(lo, hi, 200)])
-    mu7, s7 = kernel._eq_stats(u[claimed, None], vs)
-    floor = inference._SCREEN_VAR_FLOOR
-    assert np.all(s7 * s7 > floor * (s7 * s7 + mu7 * mu7))
+    _, s7 = kernel._eq_stats(u[:, None], vs)
+    assert np.all(s7 >= sd[:, None])
+    _, _, mag, dmag = kernel._magnitudes(u[:, None], np.abs(vs))
+    e, d = kernel._allowance(mag[..., 6], dmag[..., 6], s7)
+    held = e_row < 1.0
+    assert np.all(e[held] < 1.0)
+    assert np.all(e[held] <= e_row[held, None]) and np.all(d[held] <= d_row[held, None])
     w = v[i : j + 1]
-    rows, cols = kernel.screen(u, w, cutoff)
+    rows, cols = kernel.screen(u, w, cbar)
     got = np.zeros((u.size, w.size), dtype=bool)
     got[rows, cols] = True
-    np.testing.assert_array_equal(got, [_row_screen(kernel, float(x), w, cutoff) for x in u])
+    np.testing.assert_array_equal(got, [_row_screen(kernel, float(x), w, cbar) for x in u])
 
 
 @pytest.mark.parametrize("budget", ["_SCREEN_BLOCK", "_EVAL_BLOCK"])
@@ -917,22 +1000,24 @@ def test_memory_budgets_change_no_bit(monkeypatch, budget):
     assert got.n_tested == want.n_tested
 
 
-def _direct_variances(counts, theta, a):
-    """Exact per-observation mean, centered variance and second moment per component.
+def _direct_moments(counts, theta, a, boot):
+    """Exact per-observation mean and centered variance per component, and each draw's deviation of the mean.
 
     Every observation in a cell has that cell's component value, so the
     sums over observations are count-weighted sums over cells, taken here
-    in rational arithmetic.
+    in rational arithmetic; a draw's counts are its frequencies times n.
+    The deviations are (components, draws).
     """
     values = build_moment_system(theta, a).cell_values  # (4 cells, 8)
     n = counts.n
+    draws = [[round(x * n) for x in fb] for fb in boot]
     out = []
     for col in values.T:
         m = [Fraction(float(x)) for x in col]
         mean = sum(k * x for k, x in zip(counts.cells, m)) / n
         var = sum(k * (x - mean) ** 2 for k, x in zip(counts.cells, m)) / n
-        second = sum(k * x * x for k, x in zip(counts.cells, m)) / n
-        out.append((float(mean), float(var), float(second)))
+        dev = [sum(k * x for k, x in zip(draw, m)) / n - mean for draw in draws]
+        out.append((float(mean), float(var), [float(d) for d in dev]))
     return (np.array(col) for col in zip(*out))
 
 
@@ -949,28 +1034,32 @@ def _direct_variances(counts, theta, a):
     f0=st.floats(0.0, 1.0),
 )
 def test_kernel_variances_match_per_observation_sums(cells, a, s, f1, f0):
-    # The kernel computes each variance as E[m^2] - mu^2.  Wherever a variance
-    # is above 1e-6 of its second moment, it must agree with the centered
-    # per-observation sum to 1e-6, and the screen's gate, evaluated on the
-    # kernel's figures, must classify every variance a factor of two away
-    # from that threshold as the exact figures do.
+    # The kernel computes each variance as E[m^2] - mu^2 and each bootstrap
+    # deviation from its coefficient tables.  Each must agree with the exact
+    # per-observation sum to a tenth of its rounding allowance: rho mag for
+    # a variance, rho dmag for a deviation, mag and dmag being the
+    # component's summand bounds at the point.
     counts = CellCounts(*cells)
     s = RefPerf(*s)
     (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
     theta = ThetaPoint(lo1 + f1 * (hi1 - lo1), lo0 + f0 * (hi0 - lo0), s)
-    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
+    boot = bootstrap_cell_frequencies(counts, 2, 0)
+    kernel = _kernel(counts, a, s, boot)
     u, v = kernel.orient(theta.theta1, theta.theta0)
     mu6, s6 = kernel._ineq_stats(u)
     mu7, s7 = kernel._eq_stats(u, np.array([v]))
     # The kernel's seven components: six inequalities and the equality pair.
-    mean, var, second = (x[:7] for x in _direct_variances(counts, theta, a))
-    got = np.concatenate([s6 * s6, s7 * s7])
+    mean, var, dev = (x[:7] for x in _direct_moments(counts, theta, a, boot))
     np.testing.assert_allclose(np.concatenate([mu6, mu7]), mean, rtol=1e-12, atol=1e-12)
-    floor = inference._SCREEN_VAR_FLOOR
-    trusted = var > floor * second
-    np.testing.assert_allclose(got[trusted], var[trusted], rtol=1e-6)
-    gate = got > floor * (got + np.concatenate([mu6, mu7]) ** 2)
-    assert np.all(gate[var > 2 * floor * second]) and not np.any(gate[var < floor / 2 * second])
+    # The deviations as phase A and phase B compute them, before sqrt(n).
+    got_dev = np.vstack([
+        kernel.PA6 + kernel.PU6 * u - mu6[:, None],
+        kernel.PA7 + kernel.PU7 * u + v * kernel.PV7 - mu7,
+    ])
+    _, _, mag, dmag = kernel._magnitudes(u, abs(v))
+    rho = inference._RTOL
+    assert np.all(np.abs(np.concatenate([s6 * s6, s7 * s7]) - var) <= rho * mag / 10)
+    assert np.all(np.abs(got_dev - dev) <= rho * dmag[:, None] / 10)
 
 
 # -- the chunked kernel against the row-by-row oracle -------------------
@@ -1404,9 +1493,9 @@ def test_pinned_regions_keep_their_digests(monkeypatch, s1_points, digest, retai
     screened = []  # [rows, rows of the per-point pass] per reference point
     screen, eq_stats = _SPointKernel.screen, _SPointKernel._eq_stats
 
-    def screen_spy(self, u, v, cutoff):
+    def screen_spy(self, u, v, cbar):
         screened.append([u.size, 0])
-        return screen(self, u, v, cutoff)
+        return screen(self, u, v, cbar)
 
     def eq_stats_spy(self, u, v):
         if np.ndim(u) == 2:  # a chunk of rows against v
@@ -1510,7 +1599,7 @@ def test_screen_memory_stays_below_a_mask_of_the_whole_block():
     kernel = _kernel(EUA, WA1, S91, bootstrap_cell_frequencies(EUA, 2, 0))
     (lo1, hi1), (lo0, hi0) = param_space_box(WA1, S91)
     u, v = kernel.orient(axis[(axis >= lo1) & (axis <= hi1)], axis[(axis >= lo0) & (axis <= hi0)])
-    cutoff = inference._chi_square_bound(EUA, bootstrap_cell_frequencies(EUA, 200, 0), 0.955)
-    (rows, _), peak = _traced_peak(lambda: kernel.screen(u, v, cutoff))
+    cbar = inference._chi_square_bound(EUA, bootstrap_cell_frequencies(EUA, 200, 0), 0.955)
+    (rows, _), peak = _traced_peak(lambda: kernel.screen(u, v, cbar))
     assert 0 < rows.size < u.size * v.size // 50
     assert peak < u.size * v.size, (peak, u.size * v.size)
