@@ -6,9 +6,17 @@ population bounds and width curve), ``predict`` (predictive-value
 bounds), ``sensitivity`` (reference-sensitivity sweep) and
 ``simulate-coverage`` (Monte-Carlo acceptance rates).  The first four
 share one handler, ``cmd_report``, and differ only in their options and
-the ``ReportToggles`` that ``build_parser`` gives them.  A verb takes
-only the options it reads; ``simulate-coverage`` tests one reference
-point, writes no file and keeps ``--out`` alone of the output options.
+the report sections they add (``StudyConfig``).  Every report holds the
+apparent measures with exact CIs, the sharp identified set and the
+marginals-only comparator.  ``infer`` adds the confidence set and
+``prevalence`` the prevalence-width curve, through the parser defaults
+``confidence`` and ``prevalence_curve``; ``predict`` adds the predictive
+values, which its ``--pi-lo``/``--pi-hi`` range asks for.
+``sensitivity``'s report holds the core sections and the sweep, and
+writes no figure.  ``config.toggles`` in ``report.json`` records the
+sections.  A verb takes only the options it reads; ``simulate-coverage``
+tests one reference point, writes no file and keeps ``--out`` alone of
+the output options.
 ``sensitivity`` takes a point per reference axis and sweeps s1 over its
 own grid.  The other verbs take a point or an interval per reference
 axis, not both.
@@ -36,7 +44,6 @@ from .probability import CellCounts, RefutationError, SRegion, estimate_joint
 from .report import (
     EXTRAPOLATION_NOTE,
     FORMATS,
-    ReportToggles,
     StudyConfig,
     run_analysis,
     run_sensitivity,
@@ -117,8 +124,8 @@ def _test_config(args) -> TestConfig:
     s_grid = getattr(args, "s_grid", TestConfig.s_grid)
     if "beta_preset" not in args:  # a verb that does not bootstrap
         return TestConfig(alpha=args.alpha, s_grid=s_grid)
-    return TestConfig.with_beta_preset(
-        args.alpha, args.beta_preset, bootstrap=args.bootstrap, seed=args.seed,
+    return TestConfig(
+        alpha=args.alpha, beta=args.alpha / args.beta_preset, bootstrap=args.bootstrap, seed=args.seed,
         theta_grid=getattr(args, "theta_grid", TestConfig.theta_grid), s_grid=s_grid,
     )
 
@@ -132,7 +139,8 @@ def _study_config(args) -> StudyConfig:
         s_region=_s_region(args),
         assumption=DependenceAssumption(args.assumption),
         test_config=test_config,
-        toggles=args.toggles,
+        prevalence_curve=getattr(args, "prevalence_curve", False),
+        confidence=getattr(args, "confidence", False),
         out_dir=args.out,
         formats=tuple(args.format),
         screen_q=getattr(args, "q", None),
@@ -150,19 +158,17 @@ def cmd_report(args) -> int:
         f"[diagbounds] config {prov['config_hash']}  seed {prov['seed']}  "
         f"alpha {prov['alpha']}  beta {prov['beta']}"
     )
-    if "apparent" in data:
-        ap = data["apparent"]
-        print(
-            f"apparent: sensitivity {ap['theta1']:.3f} "
-            f"CI [{ap['ci_theta1'][0]:.3f}, {ap['ci_theta1'][1]:.3f}]  "
-            f"specificity {ap['theta0']:.3f} "
-            f"CI [{ap['ci_theta0'][0]:.3f}, {ap['ci_theta0'][1]:.3f}]"
-        )
-    if "projections" in data:
-        p1, p0 = data["projections"]["theta1"], data["projections"]["theta0"]
-        print(f"sharp projections: sensitivity [{p1[0]:.3f}, {p1[1]:.3f}]  specificity [{p0[0]:.3f}, {p0[1]:.3f}]")
-        fnr = data["false_negative_rate"]
-        print(f"false negative rate: [{fnr[0]:.3f}, {fnr[1]:.3f}]")
+    ap = data["apparent"]
+    print(
+        f"apparent: sensitivity {ap['theta1']:.3f} "
+        f"CI [{ap['ci_theta1'][0]:.3f}, {ap['ci_theta1'][1]:.3f}]  "
+        f"specificity {ap['theta0']:.3f} "
+        f"CI [{ap['ci_theta0'][0]:.3f}, {ap['ci_theta0'][1]:.3f}]"
+    )
+    p1, p0 = data["projections"]["theta1"], data["projections"]["theta0"]
+    print(f"sharp projections: sensitivity [{p1[0]:.3f}, {p1[1]:.3f}]  specificity [{p0[0]:.3f}, {p0[1]:.3f}]")
+    fnr = data["false_negative_rate"]
+    print(f"false negative rate: [{fnr[0]:.3f}, {fnr[1]:.3f}]")
     if "confidence_set" in data:
         cs = data["confidence_set"]
         print(
@@ -254,16 +260,13 @@ def _add_coverage(p: argparse.ArgumentParser) -> None:
 
 # name: (help, handler, option groups after _add_common, defaults), in the order --help lists them.
 _VERBS = {
-    "estimate": ("apparent measures, sharp sets and comparator", cmd_report, (_add_report,),
-                 {"toggles": ReportToggles()}),
+    "estimate": ("apparent measures, sharp sets and comparator", cmd_report, (_add_report,), {}),
     "infer": ("estimate plus bootstrap confidence set", cmd_report, (_add_report, _add_bootstrap, _add_infer),
-              {"toggles": ReportToggles(confidence=True)}),
+              {"confidence": True}),
     "prevalence": ("screened-population prevalence bounds", cmd_report, (_add_report, _add_prevalence),
-                   {"toggles": ReportToggles(prevalence_curve=True)}),
-    "predict": ("predictive-value bounds", cmd_report, (_add_report, _add_predict),
-                {"toggles": ReportToggles(predictive_values=True)}),
-    "sensitivity": ("sweep the assumed reference sensitivity", cmd_sensitivity, (_add_sensitivity,),
-                    {"toggles": ReportToggles()}),
+                   {"prevalence_curve": True}),
+    "predict": ("predictive-value bounds", cmd_report, (_add_report, _add_predict), {}),
+    "sensitivity": ("sweep the assumed reference sensitivity", cmd_sensitivity, (_add_sensitivity,), {}),
     "simulate-coverage": ("Monte-Carlo acceptance of identified-set points", cmd_simulate_coverage,
                           (_add_bootstrap, _add_coverage), {}),
 }

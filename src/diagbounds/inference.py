@@ -293,7 +293,8 @@ class TestConfig:
     """Configuration for the bootstrap test and grid inversion.
 
     ``beta`` is the first-stage level; ``None`` selects the default
-    alpha/10.  ``theta_grid`` is the per-axis resolution of the
+    alpha/10, and the CLI's ``--beta-preset`` sets alpha / preset for a
+    preset in ``BETA_PRESETS``.  ``theta_grid`` is the per-axis resolution of the
     (theta1, theta0) grid (316 x 316 is about 1e5 points) and ``s_grid``
     the default number of points per axis when discretizing a rectangle
     of reference values.
@@ -328,15 +329,6 @@ class TestConfig:
     @property
     def beta_value(self) -> float:
         return self.alpha / DEFAULT_BETA_PRESET if self.beta is None else self.beta
-
-    @classmethod
-    def with_beta_preset(
-        cls, alpha: float = 0.05, divisor: int = DEFAULT_BETA_PRESET, **kwargs
-    ) -> "TestConfig":
-        """Presets for the first-stage level: alpha/10, alpha/5, alpha/20."""
-        if divisor not in BETA_PRESETS:
-            raise ValueError(f"beta preset divisor must be one of {BETA_PRESETS}, got {divisor}")
-        return cls(alpha=alpha, beta=alpha / divisor, **kwargs)
 
 
 def check_grid_size(cfg: TestConfig, n_reference: int) -> None:
@@ -1088,13 +1080,13 @@ def coverage_simulation(
     reps: int,
     cfg: TestConfig,
     theta_points: "tuple[ThetaPoint, ...] | None" = None,
-    eps: float | None = None,
 ) -> CoverageResult:
     """Monte-Carlo acceptance rates of the test at identified-set points.
 
-    Draws ``reps`` datasets of size ``n`` from ``true_p`` and records, for
-    each candidate theta (by default three interior points of the true
-    segment), the fraction of replications in which the test accepts.
+    Draws ``reps`` datasets of size ``n`` from ``true_p``, which must clear
+    ``default_cell_floor(n)``, and records, for each candidate theta (by
+    default three interior points of the true segment), the fraction of
+    replications in which the test accepts.
     Replicate r uses its own dataset substream and a derived bootstrap
     seed, so results do not depend on evaluation order; its draws are
     shared by one kernel per distinct reference point of the candidates,
@@ -1105,7 +1097,7 @@ def coverage_simulation(
     if reps > MAX_REPS:
         raise ValueError(f"reps must be at most {MAX_REPS}, got {reps}")
     _SPointKernel.check(n)
-    floor = eps if eps is not None else default_cell_floor(n)
+    floor = default_cell_floor(n)
     if not true_p.satisfies_cell_floor(floor):
         raise ValueError(
             f"true distribution violates the cell floor {floor}: cells {true_p.cells}"

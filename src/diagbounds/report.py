@@ -69,7 +69,7 @@ from .probability import (
 )
 from .svgfig import identified_set_figure, width_curve_figure
 
-__all__ = ["FORMATS", "ReportToggles", "StudyConfig", "ReportBundle", "run_analysis", "run_sensitivity"]
+__all__ = ["FORMATS", "StudyConfig", "ReportBundle", "run_analysis", "run_sensitivity"]
 
 # The artifact families ``--format`` chooses from; a file's suffix names its family.
 FORMATS = ("json", "csv", "svg")
@@ -82,24 +82,26 @@ EXTRAPOLATION_NOTE = (
 
 
 @dataclass(frozen=True)
-class ReportToggles:
-    apparent: bool = True
-    sharp: bool = True
-    frechet: bool = True
-    prevalence_curve: bool = False
-    predictive_values: bool = False
-    confidence: bool = False
-    sensitivity: bool = False
-    figures: bool = True
-
-
-@dataclass(frozen=True)
 class StudyConfig:
+    """One study and the sections of its report.
+
+    Every report holds the apparent measures with exact CIs, the sharp
+    identified set with its projections and the marginals-only comparator
+    (when a reference point is usable), and with ``out_dir`` writes their
+    tables and figures.  ``prevalence_curve`` adds the prevalence-width
+    curve (and its record at ``screen_q``, when given), a ``pretest`` range
+    the predictive values, and ``confidence`` the bootstrap confidence set.
+    ``config_dict()["toggles"]``, written as ``config.toggles`` in
+    ``report.json``, records these sections; ``run_sensitivity``'s report
+    records ``figures`` false, since it writes none.
+    """
+
     counts: CellCounts
     s_region: SRegion
     assumption: DependenceAssumption = DependenceAssumption.NO_RESTRICTION
     test_config: TestConfig = field(default_factory=TestConfig)
-    toggles: ReportToggles = field(default_factory=ReportToggles)
+    prevalence_curve: bool = False
+    confidence: bool = False
     out_dir: Path | None = None
     formats: tuple[str, ...] = FORMATS
     screen_q: float | None = None
@@ -122,7 +124,11 @@ class StudyConfig:
             "s_grid": tc.s_grid,
             "screen_q": self.screen_q,
             "pretest": None if self.pretest is None else [self.pretest.pi_lo, self.pretest.pi_hi],
-            "toggles": asdict(self.toggles),
+            "toggles": {  # the report's sections, under the keys every release has written
+                "apparent": True, "sharp": True, "frechet": True, "prevalence_curve": self.prevalence_curve,
+                "predictive_values": self.pretest is not None, "confidence": self.confidence,
+                "sensitivity": False, "figures": True,
+            },
         }
 
 
@@ -329,17 +335,13 @@ class ReportBundle:
     def estimates_table(self) -> str:
         """CSV of apparent estimates, sharp projections and the comparator."""
         rows = ["parameter,method,estimate_or_lo,hi"]
+        ap, proj, fre = self.data["apparent"], self.data["projections"], self.data.get("frechet")
         for par in ("theta1", "theta0"):
-            ap = self.data.get("apparent")
-            if ap is not None:
-                rows.append(f"{par},apparent,{ap[par]:.6f},")
-                lo, hi = ap[f"ci_{par}"]
-                rows.append(f"{par},apparent_exact_ci,{lo:.6f},{hi:.6f}")
-            proj = self.data.get("projections")
-            if proj is not None:
-                lo, hi = proj[par]
-                rows.append(f"{par},projection,{lo:.6f},{hi:.6f}")
-            fre = self.data.get("frechet")
+            rows.append(f"{par},apparent,{ap[par]:.6f},")
+            lo, hi = ap[f"ci_{par}"]
+            rows.append(f"{par},apparent_exact_ci,{lo:.6f},{hi:.6f}")
+            lo, hi = proj[par]
+            rows.append(f"{par},projection,{lo:.6f},{hi:.6f}")
             if fre is not None:
                 lo, hi = fre[par]
                 rows.append(f"{par},marginal_frechet,{lo:.6f},{hi:.6f}")
@@ -403,7 +405,7 @@ def _extremal_theta0(identified: IdentifiedSet) -> list[float]:
 
 def run_analysis(cfg: StudyConfig) -> ReportBundle:
     """Execute the configured pipeline and assemble (and write) the report."""
-    if cfg.toggles.confidence:
+    if cfg.confidence:
         check_grid_size(cfg.test_config, len(cfg.s_region))
     counts = cfg.counts
     p = estimate_joint(counts)
@@ -426,38 +428,35 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
         "notes": [EXTRAPOLATION_NOTE],
     }
 
-    if cfg.toggles.apparent:
-        t1t, t0t = apparent_measures(p)
-        ci1 = clopper_pearson(counts.n11, counts.n11 + counts.n01, cfg.test_config.alpha)
-        ci0 = clopper_pearson(counts.n00, counts.n00 + counts.n10, cfg.test_config.alpha)
-        data["apparent"] = {
-            "theta1": t1t,
-            "theta0": t0t,
-            "ci_theta1": _interval_pair(ci1),
-            "ci_theta0": _interval_pair(ci0),
-        }
+    t1t, t0t = apparent_measures(p)
+    ci1 = clopper_pearson(counts.n11, counts.n11 + counts.n01, cfg.test_config.alpha)
+    ci0 = clopper_pearson(counts.n00, counts.n00 + counts.n10, cfg.test_config.alpha)
+    data["apparent"] = {
+        "theta1": t1t,
+        "theta0": t0t,
+        "ci_theta1": _interval_pair(ci1),
+        "ci_theta0": _interval_pair(ci0),
+    }
 
-    identified = None
-    if cfg.toggles.sharp:
-        identified = sharp_union(p, cfg.s_region, cfg.assumption)
-        proj1, proj0 = identified.projections
-        data["identified_set"] = identified.to_dict()
-        data["projections"] = {
-            "theta1": _interval_pair(proj1),
-            "theta0": _interval_pair(proj0),
-        }
-        data["false_negative_rate"] = [1.0 - proj1.hi, 1.0 - proj1.lo]
-        data["false_positive_rate"] = [1.0 - proj0.hi, 1.0 - proj0.lo]
+    identified = sharp_union(p, cfg.s_region, cfg.assumption)
+    proj1, proj0 = identified.projections
+    data["identified_set"] = identified.to_dict()
+    data["projections"] = {
+        "theta1": _interval_pair(proj1),
+        "theta0": _interval_pair(proj0),
+    }
+    data["false_negative_rate"] = [1.0 - proj1.hi, 1.0 - proj1.lo]
+    data["false_positive_rate"] = [1.0 - proj0.hi, 1.0 - proj0.lo]
 
-    if cfg.toggles.frechet and (box := _frechet_box(ref)) is not None:
+    if (box := _frechet_box(ref)) is not None:
         data["frechet"] = box
 
-    if cfg.toggles.prevalence_curve and identified is not None:
+    if cfg.prevalence_curve:
         data["prevalence_curve"] = _prevalence_records(prevalence_width_curve(identified))
         if cfg.screen_q is not None:
             data["prevalence_at_q"] = _prevalence_records(prevalence_width_curve(identified, [cfg.screen_q]))[0]
 
-    if cfg.toggles.predictive_values and identified is not None and cfg.pretest is not None:
+    if cfg.pretest is not None:
         ppv, npv = predictive_value_bounds(identified, cfg.pretest)
         data["predictive_values"] = {
             "pi": [cfg.pretest.pi_lo, cfg.pretest.pi_hi],
@@ -466,7 +465,7 @@ def run_analysis(cfg: StudyConfig) -> ReportBundle:
         }
 
     cs = None
-    if cfg.toggles.confidence:
+    if cfg.confidence:
         cs = confidence_set(counts, cfg.s_region, cfg.assumption, cfg.test_config)
         proj = cs.projections
         data["confidence_set"] = {
@@ -529,7 +528,7 @@ def run_sensitivity(
         )
 
     base = run_analysis(
-        replace(cfg, toggles=ReportToggles(figures=False), out_dir=None, screen_q=None, pretest=None)
+        replace(cfg, prevalence_curve=False, confidence=False, out_dir=None, screen_q=None, pretest=None)
     )
     data = dict(base.data)
     ap = data["apparent"]
@@ -542,6 +541,7 @@ def run_sensitivity(
     }
     data["config"] = {
         **data["config"],
+        "toggles": {**data["config"]["toggles"], "figures": False},
         "sensitivity_sweep": {"s1_lo": s1_lo, "s1_hi": s1_hi, "grid": k},
     }
     data["provenance"] = {
@@ -567,11 +567,10 @@ def _write(out_dir, formats, files) -> None:
 def _analysis_files(cfg, bundle, identified, cs) -> list:
     """The (name, text maker) pairs ``run_analysis`` hands to ``_write``."""
     data = bundle.data
-    files = [("report.json", bundle.to_json), ("estimates.csv", bundle.estimates_table)]
-    if identified is not None:
-        files.append(("identified_set.csv", lambda: "\n".join(identified.to_csv_rows()) + "\n"))
-        if cfg.dump_moment_cells:
-            files.append(("moment_cells.csv", lambda: _moment_cells_csv(cfg, identified)))
+    files = [("report.json", bundle.to_json), ("estimates.csv", bundle.estimates_table),
+             ("identified_set.csv", lambda: "\n".join(identified.to_csv_rows()) + "\n")]
+    if cfg.dump_moment_cells:
+        files.append(("moment_cells.csv", lambda: _moment_cells_csv(cfg, identified)))
     if "prevalence_curve" in data:
         files.append(("prevalence_curve.csv", bundle.prevalence_curve_table))
     if cs is not None:
@@ -579,10 +578,8 @@ def _analysis_files(cfg, bundle, identified, cs) -> list:
             ("confidence_set.csv", lambda: "\n".join(cs.to_csv_rows()) + "\n"),
             ("confidence_set.json", lambda: _json_text(cs.to_dict())),
         ]
-    if not cfg.toggles.figures or identified is None:
-        return files
-    ap, fr = data.get("apparent"), data.get("frechet")
-    marks = {} if ap is None else {
+    ap, fr = data["apparent"], data.get("frechet")
+    marks = {
         "apparent": (ap["theta1"], ap["theta0"]),
         "apparent_box": (*ap["ci_theta1"], *ap["ci_theta0"]),
     }

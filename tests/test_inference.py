@@ -62,14 +62,12 @@ def _kernel(counts, a, s, boot):
 
 def test_config_validation():
     assert TestConfig(alpha=0.05).beta_value == pytest.approx(0.005)
-    assert TestConfig.with_beta_preset(0.05, 5).beta_value == pytest.approx(0.01)
-    assert TestConfig.with_beta_preset(0.05, 20).beta_value == pytest.approx(0.0025)
+    assert TestConfig(alpha=0.05, beta=0.05 / 5).beta_value == pytest.approx(0.01)
+    assert TestConfig(alpha=0.05, beta=0.05 / 20).beta_value == pytest.approx(0.0025)
     with pytest.raises(ValueError):
         TestConfig(alpha=0.05, beta=0.05)
     with pytest.raises(ValueError):
         TestConfig(alpha=0.05, bootstrap=0)
-    with pytest.raises(ValueError):
-        TestConfig.with_beta_preset(0.05, 7)
 
 
 def test_seeds_outside_64_bits_are_refused_not_aliased():
@@ -210,7 +208,7 @@ def _levels():
     out = []
     for alpha in (0.01, 0.05, 0.10, 0.20):
         for divisor in BETA_PRESETS:
-            beta = TestConfig.with_beta_preset(alpha, divisor).beta_value
+            beta = TestConfig(alpha=alpha, beta=alpha / divisor).beta_value
             out += [1.0 - beta, 1.0 - alpha + beta]
     return out
 
@@ -290,7 +288,7 @@ def test_inference_accepts_empty_cells_and_requires_two_observations():
         confidence_set(one, SRegion.singleton(0.9, 1.0), WA1, CFG)
     with pytest.raises(ValueError, match="n >= 2"):
         coverage_simulation(
-            estimate_joint(EUA), S91, WA1, n=1, reps=1, cfg=CFG, eps=0.0
+            estimate_joint(EUA), S91, WA1, n=1, reps=1, cfg=CFG
         )
 
 
@@ -486,7 +484,7 @@ def test_beta_presets_run_and_agree_qualitatively():
     mid = ThetaPoint(*seg.point_at(0.5)[0].tolist(), S91)
     apparent = ThetaPoint(0.846, 0.985, S91)
     for divisor in (5, 10, 20):
-        cfg = TestConfig.with_beta_preset(0.05, divisor, seed=20240501)
+        cfg = TestConfig(alpha=0.05, beta=0.05 / divisor, seed=20240501)
         assert not rsw2_test(EUA, mid, WA1, cfg).reject
         assert rsw2_test(EUA, apparent, WA1, cfg).reject
 
@@ -546,11 +544,12 @@ def test_coverage_simulation_mixed_reference_points():
 
 
 def test_coverage_simulation_checks_cell_floor():
+    # The default floor 1/(2n) is 0.005 at n = 100, above the thin cells.
     thin = JointTR(0.499, 0.499, 0.001, 0.001)
-    with pytest.raises(ValueError, match="cell floor"):
+    with pytest.raises(ValueError, match="cell floor 0.005"):
         coverage_simulation(
-            thin, RefPerf(0.9, 0.9), DependenceAssumption.NO_RESTRICTION, n=500, reps=5,
-            cfg=TestConfig(alpha=0.05, seed=1), eps=0.01,
+            thin, RefPerf(0.9, 0.9), DependenceAssumption.NO_RESTRICTION, n=100, reps=5,
+            cfg=TestConfig(alpha=0.05, seed=1),
         )
 
 
@@ -1179,7 +1178,7 @@ def test_envelope_bounds_every_step_one_maximum(cells, a, s, bootstrap, seed, gr
     counts = CellCounts(*cells)
     s = RefPerf(*s)
     kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
-    beta = TestConfig.with_beta_preset(0.05, preset).beta_value
+    beta = TestConfig(alpha=0.05, beta=0.05 / preset).beta_value
     u, v = _box_points(kernel, a, s, grid, "rows", seed)
     run = inference._ENVELOPE_RUN
     for x in np.unique(u):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import diagbounds
 from diagbounds import DependenceAssumption, SRegion, TestConfig
-from diagbounds.cli import _VERBS, _test_config, build_parser, main
+from diagbounds.cli import _VERBS, _study_config, _test_config, build_parser, main
 from diagbounds.datasets import list_datasets, load_dataset, read_counts
 from diagbounds.inference import (
     MAX_BOOTSTRAP, MAX_GRID_POINTS, MAX_REPS, MAX_S_GRID, MAX_THETA_GRID, check_grid_size, confidence_set,
@@ -26,7 +26,6 @@ from diagbounds.inference import (
 from diagbounds.report import (
     MAX_SWEEP_GRID,
     ReportBundle,
-    ReportToggles,
     StudyConfig,
     run_analysis,
     run_sensitivity,
@@ -121,7 +120,7 @@ def test_prevalence_and_predictive_toggles(tmp_path):
         s_region=SRegion.singleton(0.9, 1.0),
         assumption=WA1,
         test_config=TestConfig(alpha=0.05, seed=11),
-        toggles=ReportToggles(prevalence_curve=True, predictive_values=True),
+        prevalence_curve=True,
         out_dir=tmp_path,
         screen_q=104.0 / 460.0,
         pretest=PretestRange(0.1, 0.3),
@@ -142,20 +141,46 @@ def test_prevalence_and_predictive_toggles(tmp_path):
     assert (tmp_path / "fig_prevalence_width.svg").exists()
 
 
-def test_metadata_only_bundle():
-    cfg = StudyConfig(
-        counts=TABLE_DATASETS["eua_sx"],
-        s_region=SRegion.singleton(0.9, 1.0),
-        assumption=WA1,
-        toggles=ReportToggles(
-            apparent=False, sharp=False, frechet=False, figures=False
-        ),
-        label="eua",
-    )
-    bundle = run_analysis(cfg)
-    assert "apparent" not in bundle.data
-    assert "projections" not in bundle.data
-    assert "provenance" in bundle.data and "validation" in bundle.data
+# The record of a report's sections, as every earlier release wrote it in ``config.toggles``.
+_CORE_SECTIONS = {
+    "apparent": True, "confidence": False, "figures": True, "frechet": True,
+    "predictive_values": False, "prevalence_curve": False, "sensitivity": False, "sharp": True,
+}
+_VERB_SECTIONS = {
+    "estimate": ([], _CORE_SECTIONS),
+    "infer": ([], {
+        "apparent": True, "confidence": True, "figures": True, "frechet": True,
+        "predictive_values": False, "prevalence_curve": False, "sensitivity": False, "sharp": True,
+    }),
+    "prevalence": (["--q", "0.3"], {
+        "apparent": True, "confidence": False, "figures": True, "frechet": True,
+        "predictive_values": False, "prevalence_curve": True, "sensitivity": False, "sharp": True,
+    }),
+    "predict": (["--pi-lo", "0.1", "--pi-hi", "0.3"], {
+        "apparent": True, "confidence": False, "figures": True, "frechet": True,
+        "predictive_values": True, "prevalence_curve": False, "sensitivity": False, "sharp": True,
+    }),
+    "sensitivity": (["--s1-lo", "0.8", "--s1-hi", "0.9"], _CORE_SECTIONS),
+}
+
+
+def test_report_sections_follow_the_study():
+    for verb, (options, sections) in _VERB_SECTIONS.items():
+        cfg = _study_config(build_parser(verb).parse_args([verb, "--dataset", "eua_symptomatic", "--s1", "0.9",
+                                                          "--s0", "1.0", *options]))
+        assert cfg.config_dict()["toggles"] == sections, verb
+    # The sweep's report, from the sensitivity verb's study (the table's last), writes no figure and records so.
+    report = run_sensitivity(cfg, 0.8, 0.9, grid=2).data
+    assert report["config"]["toggles"] == {
+        "apparent": True, "confidence": False, "figures": False, "frechet": True,
+        "predictive_values": False, "prevalence_curve": False, "sensitivity": False, "sharp": True,
+    }
+    # A pre-test range alone asks for the predictive values.
+    from diagbounds import PretestRange
+
+    data = run_analysis(_study(None, pretest=PretestRange(0.1, 0.3))).data
+    assert set(data["predictive_values"]) == {"pi", "ppv", "npv"}
+    assert data["config"]["toggles"] == {**_CORE_SECTIONS, "predictive_values": True}
 
 
 def test_run_sensitivity_reproduces_sweep_table(tmp_path):
@@ -492,7 +517,8 @@ def test_svg_outputs_are_well_formed_xml(tmp_path):
         s_region=SRegion.singleton(0.9, 1.0),
         assumption=WA1,
         test_config=TestConfig(alpha=0.05, seed=11, theta_grid=40),
-        toggles=ReportToggles(prevalence_curve=True, confidence=True),
+        prevalence_curve=True,
+        confidence=True,
         out_dir=tmp_path,
         label="a&b<c>",  # the CLI's label is the --input file's stem
     )
@@ -535,8 +561,10 @@ _POINT = ["--dataset", "eua_symptomatic", "--s1", "0.9", "--s0", "1.0", "--assum
         ["estimate", *_POINT, "--bogus"],
         ["infer", *_POINT, "--bootstrap", "x"],
         ["simulate-coverage", *_POINT, "--reps", "2"],
+        ["infer", *_POINT, "--beta-preset", "7"],
+        ["simulate-coverage", *_POINT, "--n", "9", "--reps", "1", "--beta-preset", "7"],
     ],
-    ids=["unknown-flag", "non-numeric-bootstrap", "missing-n"],
+    ids=["unknown-flag", "non-numeric-bootstrap", "missing-n", "infer-beta-preset-7", "coverage-beta-preset-7"],
 )
 def test_cli_usage_errors_exit_invalid(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -703,7 +731,7 @@ def test_one_verb_parser_parses_helps_and_fails_as_the_full_parser(tmp_path, cap
         verb = argv[0]
         one, every = build_parser(verb), build_parser()
         parsed = _parse(one, argv, capsys)
-        assert parsed == _parse(every, argv, capsys)  # func and toggles included
+        assert parsed == _parse(every, argv, capsys)  # func and report sections included
         assert isinstance(parsed[0], dict)
         assert _subparser(one, verb).format_help() == _subparser(every, verb).format_help()
         for bad in ([verb], [*argv, "--bogus"], [*argv, "--alpha"], [*argv, "stray"]):

@@ -20,7 +20,7 @@ from diagbounds import SRegion, TestConfig, sharp_union
 from diagbounds.identification import IdentifiedSet
 from diagbounds.inference import ConfidenceSet
 from diagbounds.probability import _DISTINCT_MIN, estimate_joint
-from diagbounds.report import _DISTINCT_ROWS, ReportBundle, StudyConfig, _analysis_files, _json_text
+from diagbounds.report import _DISTINCT_ROWS, StudyConfig, _analysis_files, _json_text, run_analysis
 from diagbounds.svgfig import identified_set_figure
 
 from helpers import (
@@ -165,7 +165,8 @@ def test_confidence_set_json_writes_infinity_and_nan_as_json_does():
         np.array([math.inf, 1.2]),
     )
     cfg = StudyConfig(counts=TABLE_DATASETS["eua_sx"], s_region=SRegion.singleton(0.9, 1.0))
-    text = dict(_analysis_files(cfg, ReportBundle({}), None, cs))["confidence_set.json"]()
+    # Only the confidence set's maker is called, so no identified set is needed.
+    text = dict(_analysis_files(cfg, run_analysis(cfg), None, cs))["confidence_set.json"]()
     assert text == json.dumps(cs.to_dict(), sort_keys=True, indent=1) + "\n"
     assert '"crit": [\n  Infinity,\n  1.2\n ]' in text
     assert '"t_n": [\n  NaN,\n  0.3\n ]' in text
