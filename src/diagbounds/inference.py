@@ -90,16 +90,18 @@ at least sqrt(low) (``_equality_sd_min``).  mag and dmag at w are at least
 those at any |v| <= w under the same roundings, so the row's equality
 allowances, at w and sqrt(low), are at least each point's.
 
-The survivors of the whole block are then evaluated in batches of
-consecutive points; a row that spans two batches is a row in each.  A
-batch goes through two phases.
+The survivors of the whole block are then evaluated in batches of whole
+runs, a run being at most ``_ENVELOPE_RUN`` consecutive points of a row
+counted from its first point; a row that spans two batches is a row in
+each.  A batch goes through two phases.
 
-- *Phase A, once per row.*  The row tables, which depend on u alone: the
-  bootstrap deviations dev6 of the six inequality components, their
-  studentized maximum d6max (step one's inequality term) and base7, the
-  part of the equality component's draws that depends on u.  Then, for
-  each run of at most ``_ENVELOPE_RUN`` points of a row, an envelope
-  U(b), described below, that is at least every step-one maximum
+- *Phase A, once per row.*  The row tables keep only what must span all
+  B draws of a row: d6max, the studentized maximum of the six inequality
+  components' bootstrap deviations dev6 (step one's inequality term),
+  and top6, each component's largest deviation (for rule S).  The
+  components are streamed through the scratch, as many at a time as it
+  holds, so dev6 is never kept.  Then, for each run, an envelope U(b),
+  described below, that is at least every step-one maximum
   max(d6max(b), |d7_p(b)| / s7_p) of the run's points at every draw b.
   The m draws of largest U are the run's candidates, with
   m = max(4 top, 64) where the order statistics read are the top-th
@@ -110,6 +112,14 @@ batch goes through two phases.
   of points that take step two by the exact rules below.  Step one's
   bound bhat and the raw critical value are read as the same order
   statistics counted from the top, each with one single-kth partial sort.
+
+dev6 and base7, the part of the equality component's draws that depends
+on u alone, are formed only at the draws phase B reads: at a run's m
+candidates, gathered from the (6, B) and (B,) bootstrap tables, for the
+run's candidate tables; on all B draws, per chunk at its points; and for
+the envelope, base7 per run on all B draws.  Wherever it is formed, each
+takes the same IEEE operations in the same order, (PA + PU u) - mu and
+PA7 + PU7 u, so a value has the same bits on every path.
 
 The envelope is the larger of d6max(b) and the equality term's bound.
 d7_p(b) / sqrt(n) = a_b + v_p g_b is affine in v, with a_b = base7_b -
@@ -146,10 +156,10 @@ when c < bhat, since its recenterings, and so its step-two terms at the
 candidates, are then those of all B draws, and when c < raw crit.  The
 cut is never negative, since U is an absolute value times a positive
 scale, or +inf.  Every other point is evaluated again by the same code
-on all B draws, reading the row tables themselves without copying them.
-So is every point when m is not below B, and every point of a call with
-fewer than ``_ENVELOPE_MIN_POINTS`` points (``rsw2_test``'s one point, a
-coverage replicate's few).  The order statistics need no NaN handling,
+on all B draws, with its row's d6max and top6.  So is every point when m
+is not below B, and every point of a call with fewer than
+``_ENVELOPE_MIN_POINTS`` points (``rsw2_test``'s one point, a coverage
+replicate's few).  The order statistics need no NaN handling,
 since no term is NaN.  Step one's terms are quotients of finite numbers,
 or ``_stud``'s +-inf, and a step-two term is NaN nowhere, as above.
 
@@ -168,11 +178,12 @@ evaluated again, so no batch or chunk size changes a bit.
 *Step two's exact rules.*  Most of step two is the same at every point of
 a chunk, or cannot matter.  Step one keeps its equality term
 e = |d7| / s7 in an array of its own.  Rule E applies per chunk, and
-under it rule S per chunk and inequality component.  Every term they keep
+under it rule S per chunk and inequality component; its s7 condition is
+decided once for all the points of a phase-B call.  Every term they keep
 is the per-point formula's, so bhat and the raw critical value keep their
 bits, on candidate draws and on all B draws alike.
 
-- *Rule E, equality reuse.*  Where every s7 of the chunk is positive and
+- *Rule E, equality reuse.*  Where every s7 of the call is positive and
   both equality recenterings are +0.0 at every point, the step-two
   equality terms are (d7 + 0.0) / s7 and (-d7 + 0.0) / s7, since sqrt(n)
   times +0.0 is +0.0.  Where d7 is not zero, one of d7 and -d7 is |d7|
@@ -237,20 +248,21 @@ _RTOL = 1e-12
 # Element budgets of the kernel's float temporaries.  The screen takes a
 # reference point's (u, v) block in chunks of rows of at most
 # _SCREEN_BLOCK points.  The survivors are evaluated in batches of at most
-# rows = max(1, _EVAL_BLOCK // (12 B)) rows and _ENVELOPE_RUN rows points,
-# so of at most 2 rows runs.  Every float array of a batch with a draw
-# axis is a view of one scratch that ``evaluate`` allocates per call
-# (``_scratch_words``).  It starts with the 8 R B floats of the batch's
-# R <= rows row tables (dev6 with six components, d6max, base7), and
-# the words after them serve one phase at a time: phase A's (6, R, B)
-# temporary; the envelope's two (runs, B) arrays; the candidates' 9 runs m
-# floats of tables and phase B's three (point x m) arrays for a chunk of at
-# most c = max(1, _EVAL_BLOCK // (9 m)) points, m being the candidate
-# count; or the three (point x B) arrays of a chunk evaluated on all draws.
-# So the scratch holds 8 R B + max(6 R B, 2 runs B, 9 runs m + 3 c m,
-# 3 c B) words: at most 2.5 _EVAL_BLOCK while 12 B <= _EVAL_BLOCK, and
-# 78,364 words (1.2 _EVAL_BLOCK) at B = 500 and m = 92.  The argpartition's
-# (runs, B) and the candidates' (runs, m) indices are allocated per batch.
+# R = max(1, _EVAL_BLOCK // (2 B + 9 m)) rows and R runs (``_batch_rows``;
+# 35 at B = 500 and m = 92), m being the candidate count.  Every float
+# array of a batch with a draw axis is a view of one scratch that
+# ``evaluate`` allocates per call (``_scratch_words``).  It starts with the
+# R B floats of the batch's d6max, and the words after them serve one
+# phase at a time: phase A's (q, R, B) temporary, streaming q components
+# at a time, q as many of the six as half of _EVAL_BLOCK holds, at least
+# one; the envelope's two (runs, B) arrays; the candidates' 9 runs m floats
+# of tables and phase B's three (point x m) arrays for a chunk of at most
+# c = max(1, _EVAL_BLOCK // (9 m)) points; or the three (point x B) arrays
+# of a chunk evaluated on all draws.  So the scratch holds R B + max(q R B,
+# 2 R B, 9 R m + 3 c m, 3 c B) words: at most 1.5 _EVAL_BLOCK while
+# 2 B + 9 m <= _EVAL_BLOCK, and 68,284 words (1.04 _EVAL_BLOCK) at B = 500
+# and m = 92.  The argpartition's indices, of at most _chunk_points(B) runs
+# at a time, and the candidates' (runs, m) indices are allocated per batch.
 # Neither budget changes a result, only speed and peak memory.
 _SCREEN_BLOCK = 2**13
 _EVAL_BLOCK = 2**16
@@ -450,16 +462,22 @@ def _chunk_points(width: int) -> int:
     return max(1, _EVAL_BLOCK // (9 * width))
 
 
+def _batch_rows(draws: int, m: int) -> int:
+    """The most rows, and the most runs, of one batch: each is charged 2 B + 9 m words (the budgets' comment)."""
+    return max(1, _EVAL_BLOCK // (2 * draws + 9 * m))
+
+
 def _scratch_words(draws: int, m: int, rows: int, points: int) -> int:
     """Floats of the scratch an ``evaluate`` call's batches share (the budgets' comment).
 
-    ``rows`` and ``points`` bound the rows and points of any one batch.
+    ``rows`` bounds the rows and the runs of any one batch, ``points`` its points.
     """
-    runs = min(points, rows + points // _ENVELOPE_RUN)
-    phases = [6 * rows * draws, 3 * min(_chunk_points(draws), points) * draws]
+    # Phase A streams as many components at a time as half the budget holds, at least one.
+    phases = [min(6, max(1, _EVAL_BLOCK // max(1, 2 * rows * draws))) * rows * draws]
+    phases.append(3 * min(_chunk_points(draws), points) * draws)
     if m < draws:
-        phases += [2 * runs * draws, 9 * runs * m + 3 * min(_chunk_points(m), points) * m]
-    return 8 * rows * draws + max(phases)
+        phases += [2 * rows * draws, 9 * rows * m + 3 * min(_chunk_points(m), points) * m]
+    return rows * draws + max(phases)
 
 
 def _carve(scratch: np.ndarray, *shapes: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -472,17 +490,18 @@ def _carve(scratch: np.ndarray, *shapes: tuple[int, ...]) -> tuple[list[np.ndarr
     return views, scratch[at:]
 
 
-def _step_two_rules(lam7a, lam7b, s7, bound) -> tuple[bool, list[bool]]:
+def _step_two_rules(lam7, positive, bound) -> tuple[bool, list[bool]]:
     """The exact rules a phase-B chunk's step two takes (module docstring): (reuse, skip).
 
-    ``reuse``: rule E, the larger equality term is step one's |d7| / s7.
+    ``reuse``: rule E, the larger equality term is step one's |d7| / s7,
+    where ``positive`` (every s7 of the call is positive) and both equality
+    recenterings, ``lam7`` (points, 2), are zero at every point.
     ``skip``: rule S, per component, its terms are below zero at every
     draw, as ``bound()``, each point's term at its largest deviation,
-    shows; only under rule E.  Per-point arrays are (points,), and
-    ``bound()`` is (points, 6).  No recentering is -0.0, and any() counts
-    NaN as nonzero.
+    shows; only under rule E.  ``bound()`` is (points, 6).  No
+    recentering is -0.0, and any() counts NaN as nonzero.
     """
-    reuse = bool(s7.min() > 0.0) and not (lam7a.any() or lam7b.any())
+    reuse = positive and not lam7.any()
     return reuse, (bound().max(axis=0) < 0.0).tolist() if reuse else [False] * 6
 
 
@@ -571,8 +590,9 @@ class _SPointKernel:
         # data-side standard deviations; re-estimating the scale inside each
         # draw makes the max statistic explode in resamples that nearly
         # empty a thin cell and loses the published rejections.  The six
-        # inequality components are kept as (6, B) rows, the layout of the
-        # (6, rows, B) row tables; the equality component as (B,) vectors.
+        # inequality components are kept as (6, B) rows, which phase A
+        # streams and phase B gathers from; the equality component as (B,)
+        # vectors.
         PA, PU, PV = F @ A, F @ U, F @ V
         self.draws = F.shape[0]
         self.PA6, self.PU6 = PA[:, :6].T.copy(), PU[:, :6].T.copy()
@@ -710,115 +730,151 @@ class _SPointKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """T_n and critical value at the points (u[k], v[k]).
 
-        The points are taken in batches of consecutive points, at most
-        ``rows`` rows (runs of equal u) and ``_ENVELOPE_RUN`` times as many
-        points each; a row that spans two batches is a row in each.  ``m``
-        is the number of candidate draws per run, or B where the envelope
-        does not pay.  Every batch works in one scratch allocated here.
+        Each run of at most ``_ENVELOPE_RUN`` consecutive points of a row
+        (a run of equal u) is counted from the row's first point.  The
+        points are taken in batches of whole runs, at most ``_batch_rows``
+        rows and as many runs each; a row that spans two batches is a row
+        in each.  ``m`` is the number of candidate draws per run, or B
+        where the envelope does not pay.  Every batch works in one scratch
+        allocated here.
         """
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         mu6, s6, mu7, s7, tn = self._statistic(u, v)
         nb, n = self.draws, v.size
         tops = (_rank_from_top(nb, 1.0 - beta), _rank_from_top(nb, 1.0 - alpha + beta))
         m = min(_candidate_count(nb, max(tops), n), nb)
-        rows = max(1, _EVAL_BLOCK // (12 * nb))
+        rows = _batch_rows(nb, m)
         first = np.empty(n, dtype=bool)
         first[:1] = True
         first[1:] = u[1:] != u[:-1]
-        starts = np.append(np.flatnonzero(first), n)
+        row_at = np.append(np.flatnonzero(first), n)
         row = np.cumsum(first) - 1  # each point's row
-        points = min(n, _ENVELOPE_RUN * rows)
-        scratch = np.empty(_scratch_words(nb, m, min(rows, starts.size - 1), points))
+        # Each run's first point; on all B draws no batch needs its runs.
+        lead = first if m >= nb else (np.arange(n) - row_at[row]) % _ENVELOPE_RUN == 0
+        run = np.cumsum(lead) - 1  # each point's run
+        run_at = np.append(np.flatnonzero(lead), n)
+        scratch = np.empty(_scratch_words(nb, m, min(rows, run_at.size - 1), n))
         crit = np.empty(n)
         lo = 0
         while lo < n:
-            hi = min(lo + points, starts[min(row[lo] + rows, starts.size - 1)])
+            hi = min(row_at[min(row[lo] + rows, row_at.size - 1)], run_at[min(run[lo] + rows, run_at.size - 1)])
             part = slice(lo, hi)
+            head = first[part].copy()
+            head[0] = True
             crit[part] = self._critical_values(
-                np.r_[True, first[lo + 1 : hi]], row[part] - row[lo], u[part], v[part], mu6[part], s6[part],
+                head, row[part] - row[lo], lead[part], u[part], v[part], mu6[part], s6[part],
                 mu7[part], s7[part], tops, m, scratch,
             )
             lo = hi
         return tn, np.maximum(crit, 0.0, out=crit)
 
-    def _critical_values(self, first, row, u, v, mu6, s6, mu7, s7, tops, m, scratch) -> np.ndarray:
-        """Raw critical values of a batch of consecutive points, from their statistics and rows.
+    def _critical_values(self, first, row, lead, u, v, mu6, s6, mu7, s7, tops, m, scratch) -> np.ndarray:
+        """Raw critical values of a batch of consecutive points, from their statistics, rows and runs.
 
-        Phase A builds the row tables; phase B evaluates every point on its
-        run's ``m`` candidate draws when m is below B.  The points where
-        that is not exact, or every point when m is B, are evaluated on the
-        row tables themselves.  ``evaluate`` floors the values at zero.
+        ``first`` marks each row's first point, ``row`` is each point's row
+        and ``lead`` marks each run's first point.  Phase A builds the row
+        tables; phase B evaluates every point on its run's ``m`` candidate
+        draws when m is below B.  The points where that is not exact, or
+        every point when m is B, are evaluated on all B draws, each chunk
+        forming its points' deviations itself.  ``evaluate`` floors the
+        values at zero.
         """
-        tables, free = self._row_tables(u[first], mu6[first], s6[first], scratch)
-        every = (*tables, self.PV7[None])
+        (d6max, top6), free = self._row_tables(u[first], mu6[first], s6[first], scratch)
+        every = (None, d6max, None, self.PV7[None], top6)
         if m >= self.draws:
-            return self._order_stats(every, row, v, mu6, s6, mu7, s7, tops, free)[1]
-        raw, exact = self._on_candidates(tables, first, row, u, v, mu6, s6, mu7, s7, tops, m, free)
+            return self._order_stats(every, row, u, v, mu6, s6, mu7, s7, tops, free)[1]
+        raw, exact = self._on_candidates(d6max, row, lead, u, v, mu6, s6, mu7, s7, tops, m, free)
         if not exact.all():
             todo = ~exact
-            points = (x[todo] for x in (row, v, mu6, s6, mu7, s7))
+            points = (x[todo] for x in (row, u, v, mu6, s6, mu7, s7))
             raw[todo] = self._order_stats(every, *points, tops, free)[1]
         return raw
 
-    def _on_candidates(self, tables, first, row, u, v, mu6, s6, mu7, s7, tops, m, free):
+    def _on_candidates(self, d6max, row, lead, u, v, mu6, s6, mu7, s7, tops, m, free):
         """Raw critical values of points on their runs' ``m`` candidate draws, and which are exact.
 
-        ``row`` is each point's row of the row tables, ``first`` marks each
-        row's first point; each run of at most ``_ENVELOPE_RUN`` consecutive
-        points of a row has its own candidates, gathered into ``free``.
+        ``row`` is each point's row of ``d6max`` and ``lead`` marks each
+        run's first point; each run has its own candidates, and the
+        candidates' tables are formed into ``free``.
         """
-        dev6, d6max, base7 = tables
-        lead = (np.arange(v.size) - np.flatnonzero(first)[row]) % _ENVELOPE_RUN == 0
         runs = np.flatnonzero(lead)
         run = np.cumsum(lead) - 1  # each point's run
-        owner = row[runs]
+        owner, ur = row[runs], u[runs]
         keep, cut = self._candidates(
-            owner, u[runs], base7, d6max, np.minimum.reduceat(v, runs),
-            np.maximum.reduceat(v, runs), np.minimum.reduceat(s7, runs), m, free,
+            owner, ur, d6max, np.minimum.reduceat(v, runs), np.maximum.reduceat(v, runs),
+            np.minimum.reduceat(s7, runs), m, free,
         )
         # The envelope is spent: the candidates' tables take its place.
         shape = keep.shape
-        kept, free = _carve(free, (6, *shape), shape, shape, shape)
-        at = owner[:, None] * self.draws + keep  # into a row table's flattened draws
-        np.take(dev6.reshape(6, -1), at, axis=1, out=kept[0], mode="clip")
-        for table, out in zip((d6max, base7), kept[1:]):
-            np.take(table, at, out=out, mode="clip")
-        np.take(self.PV7, keep, out=kept[3], mode="clip")
-        bhat, raw = self._order_stats(kept, run, v, mu6, s6, mu7, s7, tops, free)
+        (dev6, d6m, base7, pv7), free = _carve(free, (6, *shape), shape, shape, shape)
+        self._tables_at(ur, mu6[runs], keep, dev6, base7, pv7)
+        np.take(d6max, owner[:, None] * self.draws + keep, out=d6m, mode="clip")
+        np.take(self.PV7, keep, out=pv7, mode="clip")
+        kept = (dev6, d6m, base7, pv7, dev6.max(axis=2))
+        bhat, raw = self._order_stats(kept, run, u, v, mu6, s6, mu7, s7, tops, free)
         cut = cut[run]
         return raw, (cut < bhat) & (cut < raw)
 
     def _row_tables(self, ur, mu6r, s6r, scratch):
-        """Phase A's tables of the rows at ``ur``, as views of ``scratch``, and the scratch after them.
+        """Phase A's tables of the rows at ``ur``: (d6max, top6), and the scratch after d6max.
 
-        The tables are dev6 (6, rows, B), the six inequality deviations;
-        d6max (rows, B), the maximum of their studentized values (step one's
-        inequality term); and base7 (rows, B), the part of the equality
-        component's draws that depends on u alone.
+        d6max (rows, B), a view of ``scratch``, is the maximum of the six
+        inequality components' studentized deviations (step one's
+        inequality term); top6 (6, rows) is each component's largest
+        deviation.  The components are streamed through the scratch after
+        d6max, as many at a time as it holds (at least one), by the
+        operations ``_tables_at`` makes at any draws.
         """
         R, B = ur.size, self.draws
-        (dev6, d6max, base7), free = _carve(scratch, (6, R, B), (R, B), (R, B))
-        np.multiply(self.PU6[:, None, :], ur[:, None], out=dev6)
-        np.add(self.PA6[:, None, :], dev6, out=dev6)
-        np.subtract(dev6, mu6r.T[:, :, None], out=dev6)
-        (z6,), _ = _carve(free, (6, R, B))
-        np.multiply(self.sqrt_n, dev6, out=z6)
-        _stud(z6, s6r.T[:, :, None], out=z6).max(axis=0, out=d6max)
-        np.add(self.PA7, np.multiply(self.PU7, ur[:, None], out=base7), out=base7)
-        return (dev6, d6max, base7), free
+        (d6max,), free = _carve(scratch, (R, B))
+        q = min(6, free.size // (R * B))  # components per pass
+        top6 = np.empty((6, R))
+        for j in range(0, 6, q):
+            J = slice(j, min(j + q, 6))
+            dev = free[: (J.stop - j) * R * B].reshape(-1, R, B)
+            np.multiply(self.PU6[J, None, :], ur[:, None], out=dev)
+            np.add(self.PA6[J, None, :], dev, out=dev)
+            np.subtract(dev, mu6r.T[J, :, None], out=dev)
+            dev.max(axis=2, out=top6[J])
+            _stud(np.multiply(self.sqrt_n, dev, out=dev), s6r.T[J, :, None], out=dev)
+            if j == 0:
+                dev.max(axis=0, out=d6max)
+            else:
+                for x in dev:
+                    np.maximum(d6max, x, out=d6max)
+        return (d6max, top6), free
 
-    def _envelope(self, owner, ur, base7, d6max, lo_v, hi_v, s7min, free) -> np.ndarray:
+    def _tables_at(self, ur, mu6r, at, dev6, base7, tmp) -> None:
+        """The rows' deviations dev6 and equality base base7 at the draws ``at``, into the given arrays.
+
+        Row k at ``ur[k]`` is taken at the draws ``at[k]``: dev6 is
+        (6, *at.shape), the six inequality deviations, and base7 at.shape,
+        the part of the equality component's draws that depends on u alone.
+        They are (PA + PU u) - mu for each inequality and PA7 + PU7 u, by
+        the operations phase A and the chunks on all B draws make, in the
+        same order.  ``tmp``, shaped as ``at``, holds each PA gather.
+        """
+        uc = ur[:, None]
+        np.multiply(np.take(self.PU6, at, axis=1, out=dev6, mode="clip"), uc, out=dev6)
+        for j in range(6):
+            np.add(np.take(self.PA6[j], at, out=tmp, mode="clip"), dev6[j], out=dev6[j])
+        np.subtract(dev6, mu6r.T[:, :, None], out=dev6)
+        np.multiply(np.take(self.PU7, at, out=base7, mode="clip"), uc, out=base7)
+        np.add(np.take(self.PA7, at, out=tmp, mode="clip"), base7, out=base7)
+
+    def _envelope(self, owner, ur, d6max, lo_v, hi_v, s7min, free) -> np.ndarray:
         """U(b) of runs at ``ur`` in rows ``owner`` whose v lie in [lo_v, hi_v], as a view of ``free``.
 
         At least every step-one maximum of a point of the run, at every
-        draw.  ``base7`` and ``d6max`` are the row tables and ``s7min`` the
-        smallest equality SD of each run's points.
+        draw.  ``d6max`` is the row table and ``s7min`` the smallest
+        equality SD of each run's points.  Each run's base7 on all B draws
+        is formed here, by ``_tables_at``'s operations.
         """
         j = 6
         mid, half = 0.5 * (lo_v + hi_v), 0.5 * (hi_v - lo_v)
         dmag = self._magnitudes(ur, np.maximum(np.abs(lo_v), np.abs(hi_v)))[3][:, j]
         (env, tmp), _ = _carve(free, (ur.size, self.draws), (ur.size, self.draws))
-        np.take(base7, owner, axis=0, out=env, mode="clip")
+        np.add(self.PA7, np.multiply(self.PU7, ur[:, None], out=env), out=env)
         np.add(env, np.multiply(mid[:, None], self.PV7, out=tmp), out=env)
         np.subtract(env, (self.fA[j] + self.fU[j] * ur + self.fV[j] * mid)[:, None], out=env)
         np.abs(env, out=env)
@@ -829,77 +885,100 @@ class _SPointKernel:
         env[s7min == 0.0] = np.inf  # |d7| / 0 is +inf wherever d7 is not zero
         return np.maximum(env, np.take(d6max, owner, axis=0, out=tmp, mode="clip"), out=env)
 
-    def _candidates(self, owner, ur, base7, d6max, lo_v, hi_v, s7min, m, free):
+    def _candidates(self, owner, ur, d6max, lo_v, hi_v, s7min, m, free):
         """Each run's ``m`` draws of largest envelope, (runs, m), and its cut.
 
         Run k lies in row ``owner[k]``.  The cut is the (m + 1)-th largest
         envelope of the run; no draw outside the candidates has a larger one.
         """
         k = self.draws - m - 1
-        env = self._envelope(owner, ur, base7, d6max, lo_v, hi_v, s7min, free)
-        order = np.argpartition(env, k, axis=1)
-        return order[:, k + 1 :].copy(), np.take_along_axis(env, order[:, k, None], axis=1)[:, 0]
+        env = self._envelope(owner, ur, d6max, lo_v, hi_v, s7min, free)
+        keep, cut = np.empty((ur.size, m), dtype=np.intp), np.empty(ur.size)
+        step = _chunk_points(self.draws)  # runs per partition: its indices take a chunk's (point x B) array
+        for lo in range(0, ur.size, step):
+            part = env[lo : lo + step]
+            order = np.argpartition(part, k, axis=1)
+            keep[lo : lo + step] = order[:, k + 1 :]
+            cut[lo : lo + step] = np.take_along_axis(part, order[:, k, None], axis=1)[:, 0]
+        return keep, cut
 
-    def _order_stats(self, tables, row, v, mu6, s6, mu7, s7, tops, free):
+    def _order_stats(self, tables, row, u, v, mu6, s6, mu7, s7, tops, free):
         """Step one's bound and step two's raw critical value at points of the tables' rows.
 
-        ``tables`` are (dev6, d6max, base7, pv7) over the draws the points
-        are evaluated on, m of them: all B, or a run's candidates; ``row``
-        is each point's row of them.  A pv7 of one row serves every row, as
+        ``tables`` are (dev6, d6max, base7, pv7, top6) over the draws the
+        points are evaluated on, m of them: all B, or a run's candidates;
+        ``row`` is each point's row of them.  On all B draws dev6 and base7
+        are None, and each chunk forms them at its points from ``u`` by
+        ``_tables_at``'s operations.  A pv7 of one row serves every row, as
         PV7 itself does on all B draws.  Both figures are read as the order
         statistics ``tops`` counted from the top.  The points are taken in
         chunks of ``_chunk_points(m)``, whose three (point x m) arrays are
         views of ``free``.  Step two takes the rules of
         ``_step_two_rules`` per chunk.
         """
-        dev6, d6max, base7, pv7 = tables
+        dev6, d6max, base7, pv7, top6 = tables
         rn, n, m = self.sqrt_n, v.size, d6max.shape[1]
         step = min(_chunk_points(m), n)
         arrays, _ = _carve(free, (step, m), (step, m), (step, m))
-        top6 = dev6.max(axis=2)  # each table row's largest deviation, (6, rows)
+        # Per call: the recenterings' centres and scales as (points, 8)
+        # columns (six inequalities, then the equality pair), the divisions
+        # and rule E's condition on s7.
+        centre = np.concatenate([mu6, mu7[:, None], -mu7[:, None]], axis=1)
+        scale = np.concatenate([s6, s7[:, None], s7[:, None]], axis=1)
+        scale /= rn
+        stud6, stud7 = _divider(s6), _divider(s7)
+        positive = bool(s7.min() > 0.0)
         bhat, raw = np.empty((2, n))
-        for lo in range(0, n, step):
-            k = slice(lo, lo + step)
-            r, vk, s7c = row[k], v[k, None], s7[k, None]
-            d7, e, g = (x[: r.size] for x in arrays)
-            stud6, stud7 = _divider(s6[k]), _divider(s7c)
+        # An infinite bound on a zero-scale component gives inf * 0 = NaN in
+        # its recentering, the one invalid operation of the loop.
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, n, step):
+                k = slice(lo, lo + step)
+                r, vk, s7c = row[k], v[k, None], s7[k, None]
+                d7, e, g = (x[: r.size] for x in arrays)
+                uk = u[k, None]
 
-            # Step 1: joint upper confidence bounds for the moments.  Every
-            # row index is in range; mode="clip" spares the copy "raise" makes.
-            # e keeps the equality term |d7| / s7 for rule E.
-            base7.take(r, axis=0, out=d7, mode="clip")
-            pv = pv7 if len(pv7) == 1 else pv7.take(r, axis=0, out=e, mode="clip")
-            np.add(d7, np.multiply(vk, pv, out=e), out=d7)
-            np.multiply(rn, np.subtract(d7, mu7[k, None], out=d7), out=d7)
-            stud7(np.abs(d7, out=e), s7c, out=e)
-            np.maximum(d6max.take(r, axis=0, out=g, mode="clip"), e, out=g)
-            bhat[k] = b = _top(g, tops[0])
+                # Step 1: joint upper confidence bounds for the moments.  Every
+                # row index is in range; mode="clip" spares the copy "raise" makes.
+                # e keeps the equality term |d7| / s7 for rule E.
+                if base7 is None:
+                    np.add(self.PA7, np.multiply(self.PU7, uk, out=d7), out=d7)
+                else:
+                    base7.take(r, axis=0, out=d7, mode="clip")
+                pv = pv7 if len(pv7) == 1 else pv7.take(r, axis=0, out=e, mode="clip")
+                np.add(d7, np.multiply(vk, pv, out=e), out=d7)
+                np.multiply(rn, np.subtract(d7, mu7[k, None], out=d7), out=d7)
+                stud7(np.abs(d7, out=e), s7c, out=e)
+                np.maximum(d6max.take(r, axis=0, out=g, mode="clip"), e, out=g)
+                bhat[k] = b = _top(g, tops[0])
 
-            # Step 2: recenter by the bounds truncated at zero.  An infinite
-            # bound on a zero-scale component gives inf * 0 = NaN, and the
-            # component drops out of the maximum (``_stud`` maps it to -inf).
-            with np.errstate(invalid="ignore"):
-                lam6 = np.minimum(mu6[k] + b[:, None] * (s6[k] / rn), 0.0)
-                lam7a = np.minimum(mu7[k] + b * (s7[k] / rn), 0.0)
-                lam7b = np.minimum(-mu7[k] + b * (s7[k] / rn), 0.0)
-            reuse, skip = _step_two_rules(
-                lam7a, lam7b, s7[k], lambda: stud6(rn * (top6.take(r, axis=1).T + lam6), s6[k])
-            )
-            if reuse:  # the maximum starts as e, and d7 is free
-                acc, t = e, d7
-            else:
-                acc, t = g, e
-                stud7(np.add(d7, rn * lam7a[:, None], out=g), s7c, out=g)
-                np.add(np.negative(d7, out=d7), rn * lam7b[:, None], out=d7)
-                np.maximum(g, stud7(d7, s7c, out=d7), out=g)
-            for j in range(6):
-                if skip[j]:
-                    continue
-                dev6[j].take(r, axis=0, out=t, mode="clip")
-                np.multiply(rn, np.add(t, lam6[:, j, None], out=t), out=t)
-                stud6(t, s6[k, j, None], out=t)
-                np.maximum(acc, t, out=acc)
-            raw[k] = _top(acc, tops[1])
+                # Step 2: recenter by the bounds truncated at zero.  A NaN
+                # recentering drops its component out of the maximum
+                # (``_stud`` maps it to -inf).
+                lam = np.minimum(centre[k] + b[:, None] * scale[k], 0.0)
+                lam6 = lam[:, :6]
+                reuse, skip = _step_two_rules(
+                    lam[:, 6:], positive, lambda: stud6(rn * (top6.take(r, axis=1).T + lam6), s6[k])
+                )
+                if reuse:  # the maximum starts as e, and d7 is free
+                    acc, t = e, d7
+                else:
+                    acc, t = g, e
+                    stud7(np.add(d7, rn * lam[:, 6, None], out=g), s7c, out=g)
+                    np.add(np.negative(d7, out=d7), rn * lam[:, 7, None], out=d7)
+                    np.maximum(g, stud7(d7, s7c, out=d7), out=g)
+                for j in range(6):
+                    if skip[j]:
+                        continue
+                    if dev6 is None:
+                        np.add(self.PA6[j], np.multiply(self.PU6[j], uk, out=t), out=t)
+                        np.subtract(t, mu6[k, j, None], out=t)
+                    else:
+                        dev6[j].take(r, axis=0, out=t, mode="clip")
+                    np.multiply(rn, np.add(t, lam6[:, j, None], out=t), out=t)
+                    stud6(t, s6[k, j, None], out=t)
+                    np.maximum(acc, t, out=acc)
+                raw[k] = _top(acc, tops[1])
         return bhat, raw
 
 
@@ -969,8 +1048,14 @@ class ConfidenceSet:
             Interval(float(self.points[:, 1].min()), float(self.points[:, 1].max())),
         )
 
-    def to_dict(self) -> dict:
+    def to_dict(self, lists: bool = True) -> dict:
+        """The set's JSON record.
+
+        With ``lists=False`` the arrays stay float64 arrays, the one theta
+        axis under both axis keys, for a writer that spells them itself.
+        """
         proj = self.projections
+        spell = np.ndarray.tolist if lists else np.asarray
         return {
             "alpha": self.config.alpha,
             "beta": self.config.beta_value,
@@ -979,15 +1064,15 @@ class ConfidenceSet:
             "quantile_method": _QUANTILE_METHOD,
             "assumption": self.assumption.value,
             "s_points": [[s.s1, s.s0] for s in self.s_points],
-            "theta1_axis": self.theta_axis.tolist(),
-            "theta0_axis": self.theta_axis.tolist(),
+            "theta1_axis": spell(self.theta_axis),
+            "theta0_axis": spell(self.theta_axis),
             "n_tested": self.n_tested,
             "n_retained": len(self),
             "theta1_projection": None if proj is None else [proj[0].lo, proj[0].hi],
             "theta0_projection": None if proj is None else [proj[1].lo, proj[1].hi],
-            "points": self.points.tolist(),
-            "t_n": self.t_n.tolist(),
-            "crit": self.crit.tolist(),
+            "points": spell(self.points),
+            "t_n": spell(self.t_n),
+            "crit": spell(self.crit),
         }
 
     def to_csv_rows(self) -> list[str]:

@@ -15,12 +15,14 @@ file is ``json.dumps(obj, sort_keys=True, indent=1)``'s text, written by
 encoder.  At any depth a list of floats, or of equal-length float rows,
 is written in one pass from ``repr``, which is what makes
 ``confidence_set.json`` fast to write.  A matrix of ``_DISTINCT_ROWS``
-rows or more, such as a confidence set's points, whose coordinates take
-a few hundred values, spells each distinct value once
+rows or more spells each distinct value once
 (``probability._distinct_texts``, which tells values apart by their
 bits, so 0.0 and -0.0 keep their own texts) and fills the rows' template
 with those texts; ``ConfidenceSet.to_csv_rows`` and the scatter figure
-spell their coordinates the same way.  A list of records (dicts that
+spell their coordinates the same way.  ``confidence_set.json`` is
+written from the set's arrays (``_confidence_set_json``): its points,
+whose coordinates take a few hundred values, fill the template straight
+from the array, and its one theta axis is spelt once for both axis keys.  A list of records (dicts that
 share one set of ``str`` keys, such as a report's segments, validation
 records and prevalence curve) is written from one row template: each key
 becomes a column, a column of floats, bools, ints, strings or Nones is
@@ -153,6 +155,8 @@ def _text(v, nl: str) -> str:
     The checks follow ``json``'s order, so subclasses (a ``bool`` is an
     ``int``, an ``np.float64`` a ``float``) are spelt as ``json`` spells them.
     """
+    if type(v) is _Spelt:
+        return v
     if isinstance(v, str):
         return encode_basestring_ascii(v)
     if v is None or v is True or v is False:
@@ -214,8 +218,7 @@ def _floats_block(v: list | tuple, nl: str) -> str | None:
         floats = tuple(chain.from_iterable(v))
         if set(map(type, floats)) != {float}:
             return None
-        row = "[" + inner + " " + ("," + inner + " ").join(["%s"] * len(v[0])) + inner + "]"
-        template = "[" + inner + ("," + inner).join([row] * len(v)) + nl + "]"
+        template = _rows_template(len(v), len(v[0]), nl)
         if len(v) >= _DISTINCT_ROWS:
             return template % tuple(_distinct_texts(np.array(floats), _float_text))
         text = template % floats
@@ -231,6 +234,44 @@ def _floats_block(v: list | tuple, nl: str) -> str | None:
 # values that never repeat they took 1.15-1.2 times as long at every size
 # (timeit, 2-core VM).
 _DISTINCT_ROWS = 128
+
+
+def _rows_template(rows: int, cols: int, nl: str) -> str:
+    """The text of a ``rows`` x ``cols`` matrix with a ``%s`` for each value."""
+    inner = nl + " "
+    row = "[" + inner + " " + ("," + inner + " ").join(["%s"] * cols) + inner + "]"
+    return "[" + inner + ("," + inner).join([row] * rows) + nl + "]"
+
+
+class _Spelt(str):
+    """A value's JSON text, spelt ahead for the depth it is placed at; ``_text`` writes it as it stands."""
+
+
+def _array_text(a: np.ndarray, nl: str) -> str:
+    """A float array's text, as ``_text`` writes the list it holds.
+
+    A non-empty matrix, such as a confidence set's points, fills its rows'
+    template with the JSON text of each distinct value, spelt once, and
+    makes no list.
+    """
+    if a.ndim != 2 or a.size == 0:
+        return _text(a.tolist(), nl)
+    return _rows_template(*a.shape, nl) % tuple(_distinct_texts(a.ravel(), _float_text))
+
+
+def _confidence_set_json(cs) -> str:
+    """``_json_text(cs.to_dict())``, each array written from itself and spelt once.
+
+    The one theta axis under both axis keys is one array, so one text.
+    """
+    record = cs.to_dict(lists=False)
+    spelt: dict[int, _Spelt] = {}
+    for key, value in record.items():
+        if isinstance(value, np.ndarray):
+            if id(value) not in spelt:
+                spelt[id(value)] = _Spelt(_array_text(value, "\n "))  # a top-level value's depth
+            record[key] = spelt[id(value)]
+    return _json_text(record)
 
 
 # Fewer records than this are written one by one: the template and its
@@ -576,7 +617,7 @@ def _analysis_files(cfg, bundle, identified, cs) -> list:
     if cs is not None:
         files += [
             ("confidence_set.csv", lambda: "\n".join(cs.to_csv_rows()) + "\n"),
-            ("confidence_set.json", lambda: _json_text(cs.to_dict())),
+            ("confidence_set.json", lambda: _confidence_set_json(cs)),
         ]
     ap, fr = data["apparent"], data.get("frechet")
     marks = {

@@ -560,6 +560,19 @@ def oracle_evaluate_row(kernel, u, v, alpha, beta):
     return tn, np.maximum(raw, 0.0), parts
 
 
+def oracle_row_tables(kernel, ur, mu6r, s6r):
+    """The full row tables of rows at ``ur``, every component and draw at once.
+
+    dev6 (rows, 6, B), the inequality deviations PA + PU u - mu; d6max
+    (rows, B), the maximum of their studentized values; top6 (rows, 6),
+    each component's largest deviation; base7 (rows, B), PA7 + PU7 u.
+    ``mu6r`` and ``s6r`` are (rows, 6).
+    """
+    dev6 = kernel.PA6 + kernel.PU6 * ur[:, None, None] - mu6r[:, :, None]
+    d6max = np.max(oracle_stud(kernel.sqrt_n * dev6, s6r[:, :, None]), axis=1)
+    return dev6, d6max, dev6.max(axis=2), kernel.PA7 + kernel.PU7 * ur[:, None]
+
+
 def _oracle_rows(kernel, u, v, alpha, beta):
     """``oracle_evaluate_row`` over points (u[k], v[k]), one row per run of equal u: T_n, crit and raw."""
     tn, crit, raw = np.empty((3, len(v)))

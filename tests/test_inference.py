@@ -46,6 +46,7 @@ from helpers import (
     oracle_evaluate,
     oracle_evaluate_row,
     oracle_raw_critical_values,
+    oracle_row_tables,
     oracle_stud,
     retains,
 )
@@ -1186,9 +1187,9 @@ def test_envelope_bounds_every_step_one_maximum(cells, a, s, bootstrap, seed, gr
         for lo in range(0, row_v.size, run):
             vr = row_v[lo : lo + run]
             mu6, s6, _, s7, _ = kernel._statistic(np.full(vr.size, x), vr)
-            (_, d6max, base7), free = kernel._row_tables(np.array([x]), mu6[:1], s6[:1], np.empty(14 * bootstrap))
+            (d6max, _), free = kernel._row_tables(np.array([x]), mu6[:1], s6[:1], np.empty(14 * bootstrap))
             env = kernel._envelope(
-                np.zeros(1, dtype=int), np.array([x]), base7, d6max,
+                np.zeros(1, dtype=int), np.array([x]), d6max,
                 vr.min(keepdims=True), vr.max(keepdims=True), s7.min(keepdims=True), free,
             )
             _, _, parts = oracle_evaluate_row(kernel, float(x), vr, 0.05, beta)
@@ -1206,15 +1207,57 @@ def test_envelope_is_infinite_where_s7_is_zero(monkeypatch):
     v = np.linspace(0.0, 0.4, 17)
     mu6, s6, _, s7, _ = kernel._statistic(np.full(v.size, x), v)
     assert s7[0] == 0.0 and np.all(s7[1:] > 0.0)
-    (_, d6max, base7), free = kernel._row_tables(np.array([x]), mu6[:1], s6[:1], np.empty(14 * 20))
+    (d6max, _), free = kernel._row_tables(np.array([x]), mu6[:1], s6[:1], np.empty(14 * 20))
     env = kernel._envelope(
-        np.zeros(1, dtype=int), np.array([x]), base7, d6max, v[:1], v[-1:], s7.min(keepdims=True), free
+        np.zeros(1, dtype=int), np.array([x]), d6max, v[:1], v[-1:], s7.min(keepdims=True), free
     )
     assert np.all(env == np.inf)
     monkeypatch.setattr(inference, "_candidate_count", _candidate_counts("top+1"))
     calls = _spy_on_order_stats(monkeypatch)
     _assert_kernel_matches_oracle(kernel, np.full(v.size, x), v, 0.05, 0.005, inference._EVAL_BLOCK)
     assert calls == [(v.size, 2), (v.size, 20)]  # top + 1 = 2 candidates, then every draw
+
+
+@settings(max_examples=120, deadline=None)
+@example(  # the row at u = 0 has s6 = 0
+    cells=[0, 25, 20, 10], a=DependenceAssumption.NO_RESTRICTION, s=(0.8, 1.0), bootstrap=37,
+    seed=912, grid=9, per_pass=1,
+)
+@example(  # the row at u = 1 has a point with s7 = 0
+    cells=[1, 0, 4, 0], a=DependenceAssumption.NO_RESTRICTION, s=(0.8, 0.5), bootstrap=37,
+    seed=0, grid=41, per_pass=6,
+)
+@given(
+    cells=st.one_of(
+        st.lists(st.integers(1, 75), min_size=4, max_size=4), _tables_with_an_empty_cell()
+    ),
+    a=st.sampled_from(list(DependenceAssumption)),
+    s=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)).filter(lambda p: p[0] + p[1] >= 1.02),
+    bootstrap=st.sampled_from([1, 37, 500]),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.integers(2, 41),
+    per_pass=st.integers(1, 6),
+)
+def test_streamed_row_tables_match_the_full_tables(cells, a, s, bootstrap, seed, grid, per_pass):
+    # Phase A streams the six components through the scratch after d6max,
+    # ``per_pass`` (rows, B) temporaries of it, and keeps d6max and top6;
+    # dev6 and base7 are formed only at the draws phase B reads.  Each
+    # equals the full row tables bit for bit, at every row of the box grid
+    # and at gathered draws, repeats included.
+    counts = CellCounts(*cells)
+    kernel = _kernel(counts, a, RefPerf(*s), bootstrap_cell_frequencies(counts, bootstrap, seed))
+    ur = np.unique(_box_points(kernel, a, RefPerf(*s), grid, "rows", seed)[0])
+    mu6, s6 = kernel._ineq_stats(ur[:, None])
+    scratch = np.empty((1 + per_pass) * ur.size * bootstrap)
+    (d6max, top6), _ = kernel._row_tables(ur, mu6, s6, scratch)
+    dev6, want_d6max, want_top6, base7 = oracle_row_tables(kernel, ur, mu6, s6)
+    assert d6max.tobytes() == want_d6max.tobytes()
+    assert top6.tobytes() == want_top6.T.tobytes()
+    at = np.random.default_rng(seed).integers(0, bootstrap, (ur.size, 1 + bootstrap // 3))
+    got6, got7, tmp = np.empty((6, *at.shape)), np.empty(at.shape), np.empty(at.shape)
+    kernel._tables_at(ur, mu6, at, got6, got7, tmp)
+    assert got6.tobytes() == np.take_along_axis(dev6, at[:, None, :], axis=2).transpose(1, 0, 2).tobytes()
+    assert got7.tobytes() == np.take_along_axis(base7, at, axis=1).tobytes()
 
 
 @settings(max_examples=120, deadline=None)
@@ -1382,16 +1425,16 @@ def test_step_two_rules_in_one_mixed_chunk(monkeypatch, count, budget):
 
 def test_step_two_rules_on_the_infer_grid_region(monkeypatch):
     # The benchmark's infer call (EUA, wa1, s1 in [0.8, 0.9] at s0 = 1.0,
-    # 316^2 grid, B = 500, seed 1) takes 32 phase-B chunks, all on 92
-    # candidate draws.  Rule E holds in every one, and of the 192 (chunk,
-    # component) pairs, 90 are skipped and 102 evaluated per point: a rule
+    # 316^2 grid, B = 500, seed 1) takes 27 phase-B chunks, all on 92
+    # candidate draws.  Rule E holds in every one, and of the 162 (chunk,
+    # component) pairs, 77 are skipped and 85 evaluated per point: a rule
     # that stops acting fails here rather than only slowing.
     chunks = _spy_on_step_two_rules(monkeypatch)
     cfg = TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=316)
     confidence_set(EUA, SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=2, s0_points=1), WA1, cfg)
-    assert len(chunks) == 32 and all(reuse for _, reuse, _ in chunks)
+    assert len(chunks) == 27 and all(reuse for _, reuse, _ in chunks)
     skipped = sum(sum(skip) for *_, skip in chunks)
-    assert (skipped, 6 * len(chunks) - skipped) == (90, 102)
+    assert (skipped, 6 * len(chunks) - skipped) == (77, 85)
 
 
 def test_every_array_of_an_evaluate_call_lives_in_one_scratch(monkeypatch):
@@ -1400,7 +1443,7 @@ def test_every_array_of_an_evaluate_call_lives_in_one_scratch(monkeypatch):
     # envelopes, candidates' tables and the chunk arrays _top sorts are
     # views of one scratch per call, and each call allocates its own.
     kernel = _kernel(EUA, WA1, S91, bootstrap_cell_frequencies(EUA, 500, 1))
-    u, v = _box_points(kernel, WA1, S91, 40, "rows", 0)
+    u, v = _box_points(kernel, WA1, S91, 60, "rows", 0)
     monkeypatch.setattr(inference, "_candidate_count", _candidate_counts("top+1"))
     calls = _spy_on_order_stats(monkeypatch)
     arrays = []
@@ -1412,17 +1455,18 @@ def test_every_array_of_an_evaluate_call_lives_in_one_scratch(monkeypatch):
         return top(x, k)
 
     def row_tables_spy(self, *args):
-        tables, free = row_tables(self, *args)
-        arrays.extend(tables)
-        return tables, free
+        (d6max, top6), free = row_tables(self, *args)
+        arrays.append(d6max)  # top6 has no draw axis
+        return (d6max, top6), free
 
     def envelope_spy(self, *args):
         arrays.append(envelope(self, *args))
         return arrays[-1]
 
     def order_stats_spy(self, tables, *args):
-        dev6, d6max, base7, pv7 = tables
-        arrays.extend((dev6, d6max, base7) if pv7.base is self.PV7 else tables)  # PV7 serves all B
+        dev6, d6max, base7, pv7, _ = tables  # top6 has no draw axis
+        # On all B draws PV7 serves every row, and each chunk forms dev6 and base7 in its own arrays.
+        arrays.extend((d6max,) if pv7.base is self.PV7 else (dev6, d6max, base7, pv7))
         return order_stats(self, tables, *args)
 
     monkeypatch.setattr(inference, "_top", top_spy)
@@ -1505,12 +1549,22 @@ def test_pinned_regions_keep_their_digests(monkeypatch, s1_points, digest, retai
     monkeypatch.setattr(_SPointKernel, "_eq_stats", eq_stats_spy)
     cfg = TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=316)
     S = SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=s1_points, s0_points=1)
+    batches = []
+    critical_values = _SPointKernel._critical_values
+
+    def batch_spy(self, *args):
+        batches.append(len(args[0]))  # a flag per point of the batch
+        return critical_values(self, *args)
+
+    monkeypatch.setattr(_SPointKernel, "_critical_values", batch_spy)
     cs = confidence_set(EUA, S, WA1, cfg)
     got = hashlib.sha256(cs.points.tobytes() + cs.t_n.tobytes() + cs.crit.tobytes()).hexdigest()
     assert (got, len(cs)) == (digest, retained)
     if s1_points == 2:
         assert {m for _, m in calls} == {92} and sum(p for p, _ in calls) == 1949
         assert screened == [[284, 64], [300, 70]]
+        # The 134 bootstrapped rows, each of one run, take 4 batches of at most 35 rows.
+        assert len(batches) <= 4 and sum(batches) == 1949
 
 
 def test_minimum_and_maximum_against_zero_give_positive_zero():
@@ -1543,6 +1597,16 @@ def _traced_peak(call):
     return result, peak
 
 
+def test_batch_scratch_stays_within_its_bound_at_b_500():
+    # A batch is charged 2 B + 9 m words per row and run: at B = 500 and
+    # the default 92 candidates it takes 35 rows, and its scratch stays
+    # within the 78,364 words the kernel needed when a batch took 10.
+    rows = inference._batch_rows(500, 92)
+    assert rows == 35
+    for points in (1, 79, 80, 2000, 10**6):
+        assert inference._scratch_words(500, 92, rows, points) <= 78_364
+
+
 def test_kernel_memory_is_bounded_by_the_budget_at_large_b():
     # At B = 20,000 a batch is one row and a phase-B chunk on all B draws one
     # point.  The row tables and the (point x draw) arrays are built per
@@ -1560,7 +1624,7 @@ def test_kernel_memory_is_one_chunk_of_single_point_rows():
     # Scattered points are rows of one point each, a batch's worst case:
     # as many rows and runs as points.  The bound is what one chunk of
     # piece = _EVAL_BLOCK // (3 B) points took before candidate draws, 17
-    # piece B floats; a batch now holds at most 1.2 _EVAL_BLOCK at B = 500.
+    # piece B floats; a batch now holds at most 1.04 _EVAL_BLOCK at B = 500.
     # Beyond one batch the peak holds per-point figures (the inputs, their
     # statistics and recenterings) and numpy's iteration buffer of
     # getbufsize() elements for each of two operands, never an array of

@@ -20,7 +20,9 @@ from diagbounds import SRegion, TestConfig, sharp_union
 from diagbounds.identification import IdentifiedSet
 from diagbounds.inference import ConfidenceSet
 from diagbounds.probability import _DISTINCT_MIN, estimate_joint
-from diagbounds.report import _DISTINCT_ROWS, StudyConfig, _analysis_files, _json_text, run_analysis
+from diagbounds.report import (
+    _DISTINCT_ROWS, StudyConfig, _analysis_files, _confidence_set_json, _json_text, run_analysis,
+)
 from diagbounds.svgfig import identified_set_figure
 
 from helpers import (
@@ -184,6 +186,22 @@ def test_csv_rows_match_the_row_oracle(data, n, elements):
     )
     cs = _confidence_set(points, t_n, crit)
     assert cs.to_csv_rows() == oracle_csv_rows(cs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 40) | st.integers(_DISTINCT_MIN // 4, _DISTINCT_MIN),
+    elements=st.sampled_from([_FLOATS, _POOL]),
+)
+def test_confidence_set_json_from_the_arrays_is_json_dumps(data, n, elements):
+    # The writer spells the points from their array (each distinct value
+    # once from _DISTINCT_MIN values on) and the one theta axis once.
+    points, t_n, crit = (
+        data.draw(arrays(np.float64, shape, elements=elements)) for shape in ((n, 4), n, n)
+    )
+    cs = _confidence_set(points, t_n, crit)
+    assert _confidence_set_json(cs) == json.dumps(cs.to_dict(), sort_keys=True, indent=1) + "\n"
 
 
 _IDENTIFIED = sharp_union(
