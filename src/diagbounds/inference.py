@@ -31,64 +31,47 @@ point whose T_n exceeds c_bar inflated by a certified rounding allowance
 is rejected without its bootstrap.
 
 *The certified cutoff.*  Take the kernel's float inputs as exact, with
-eps = 2^-53.  Each allowance is rho = ``_RTOL`` = 1e-12, about 9,000 eps,
-times a sum of absolute summands.  For a component, mag = m0 + 2|v| m1 +
-v^2 m2, with the row proof's m0, m1 and m2 on its own coefficients (m1 =
-m2 = 0 for the inequalities), bounds every summand of its variance
-E[m^2] - mu^2 and, as 2|xy| <= x^2 + y^2, of the sums behind its
-coefficients; dmag = max|A| + |u| max|U| + |v| max|V| over the cells
-bounds every |m_c|.  So the kernel's s^2 is within about 100 eps mag of
-the exact variance sigma^2, and sigma <= s (1 + e), with e = rho mag / s^2.
-Its deviations are within about 30 eps dmag of the exact ones, as is the
-Cauchy-Schwarz bound with frequencies summing to within 2 eps of 1.  A
-computed term is at most the rounded sqrt(n) |dev| / s, as the
-recentering is never positive and rounding is monotone, so at most
-(1 + 4 eps) (sqrt(X2_b) (1 + e) + d), with d = sqrt(n) rho dmag / s, e and
-d the largest over the seven components.  That grows with X2_b, whose
-computed roots are within 5 eps, so crit is at most (1 + 11 eps)
-((1 + e) c_bar + d), and the cutoff (``_cutoff``) is (1 + rho) ((1 + e)
-c_bar + d): each allowance exceeds what it covers at least 90 times.
-Where a variance is within its allowance of 0 (e at least 1, or NaN at
-s = 0) the cutoff is +inf, and the point is bootstrapped.
+eps = 2^-53.  The kernel centres each component's cell tables once by their
+means under f, A - fA and so on, every sum over the four cells taken in one
+fixed order (``moments._cell_sum``), so an SD is the L2(f) norm of the
+centred cell values at the point and nothing cancels against a squared
+mean.  A draw's deviation is read from the centred projections, PA - fA +
+u (PU - fU) (+ v (PV - fV)), with PA the draw's frequencies times A.  As
+dmag = max|A| + |u| max|U| + |v| max|V| over the cells bounds every |m_c|,
+each centred value and each deviation is within about 30 eps dmag of its
+exact value, and by the triangle inequality in L2(f) so is the SD, up to a
+few eps relative.  So one allowance, r = rho dmag / s with rho = ``_RTOL``
+= 1e-12 (about 9,000 eps), covers both: sigma <= s (1 + r), and a computed
+term, at most the rounded sqrt(n) |dev| / s as the recentering is never
+positive, is at most (1 + 4 eps) (sqrt(X2_b) (1 + r) + sqrt(n) r), r the
+largest over the seven components.  That grows with X2_b, whose computed
+roots are within 5 eps, so crit is at most (1 + 11 eps) ((1 + r) c_bar +
+sqrt(n) r), and the cutoff (``_cutoff``) is (1 + rho) ((1 + r) c_bar +
+sqrt(n) r): each allowance exceeds what it covers at least 90 times.  Where
+an SD is within its allowance of 0 (r at least 1, or NaN at s = 0) the
+cutoff is +inf, and the point is bootstrapped.  An SD of 0 means centred
+values of 0 on the occupied cells, the only cells a draw occupies, so the
+component's deviation is 0 at every draw, whatever the rounding of the
+computed one: each of its bootstrap terms is -inf (``_divider``).
 
 The screen takes the (u, v) block of a reference point row by row first.
 A row is a run of points sharing the driving coordinate u, and the six
 inequality statistics depend on u alone: their part of T_n,
 t6 = max_j sqrt(n) mu_j / s_j, and their allowances are computed once per
 row, the same elementwise values the per-point formula broadcasts.  The
-row proof bounds the equality SD below over the row's v, so the row's
-cutoff is at least each of its points' (every rounded operation of the
-allowances and of ``_cutoff`` is monotone), and T_n >= t6: a row whose t6
-exceeds its cutoff is rejected whole.  The other rows go through the
-per-point T_n in chunks of rows under a fixed element budget, and only a
-T_n between (1 + rho) c_bar, below every cutoff, and its row's cutoff
-needs its point's own.  So the survivors are exactly those of the
-per-point screen.
-
-*The row proof.*  On the kernel's coefficients of the equality component,
-its mean is a + b v, with a = fA + fU u and b = fV, and its second moment
-is p0 + 2 p1 v + p2 v^2, with p0 = fAA + 2 u fAU + u^2 fUU,
-p1 = fAV + u fUV and p2 = fVV.  Its variance is c0 + 2 c1 v + c2 v^2, with
-c0 = p0 - a^2, c1 = p1 - a b and c2 = p2 - b^2.  Over the row's v in
-[lo, hi] it is at least min(var(lo), var(hi)) - max(c2, 0) (hi - lo)^2 / 4,
-the chord through its end values minus c2 (v - lo)(hi - v), and, where
-c2 > 0, at least its global minimum c0 - c1^2 / c2.
-
-*Its rounding allowance.*  Let m0 = |fAA| + 2|u||fAU| + u^2|fUU| +
-(|fA| + |u||fU|)^2, m1 = |fAV| + |u||fUV| + (|fA| + |u||fU|)|fV|,
-m2 = fVV + fV^2 and mag = m0 + 2 w m1 + w^2 m2, with w the larger of |lo|
-and |hi|.  mag bounds the absolute summands of every variance of the
-row, as the per-point pass and the proof compute them, so each is within
-about 20 eps mag of its exact value, and c0, c1 and c2 within about 12 eps
-times m0, m1 and m2 of theirs.  The global minimum is used only where
-c2 > rho m2, with each coefficient moved against the bound by rho times
-its magnitude: c0 - rho m0 - (|c1| + rho m1)^2 / (c2 - rho m2) is at most
-the exact minimum, and where positive its roundings add about 6 eps mag.
-So at every v in [lo, hi] the kernel's variance exceeds low, the lower
-bound less rho mag, by over 200 times its rounding; where low > 0, s7 is
-at least sqrt(low) (``_equality_sd_min``).  mag and dmag at w are at least
-those at any |v| <= w under the same roundings, so the row's equality
-allowances, at w and sqrt(low), are at least each point's.
+row's equality allowance takes dmag at w = max(|lo|, |hi|), at least each
+point's, over a lower bound on the equality SD at every v of the row in
+[lo, hi]: that SD is the L2(f) norm of a + v Vc, affine in v, so it is at
+least sd(mid) - half ||Vc|| (mid and half the midpoint and half-width),
+and the computed values of the three are within about 100 eps dmag of
+theirs, so the kernel's SD is at least that less rho dmag
+(``_equality_sd_min``).  Every rounded operation of the allowances and of
+``_cutoff`` is monotone, so the row's cutoff is at least each of its
+points', and T_n >= t6: a row whose t6 exceeds its cutoff is rejected
+whole.  The other rows go through the per-point T_n in chunks of rows under
+a fixed element budget, and only a T_n between (1 + rho) c_bar, below every
+cutoff, and its row's cutoff needs its point's own.  So the survivors are
+exactly those of the per-point screen.
 
 The survivors of the whole block are then evaluated in batches of whole
 runs, a run being at most ``_ENVELOPE_RUN`` consecutive points of a row
@@ -118,37 +101,38 @@ on u alone, are formed only at the draws phase B reads: at a run's m
 candidates, gathered from the (6, B) and (B,) bootstrap tables, for the
 run's candidate tables; on all B draws, per chunk at its points; and for
 the envelope, base7 per run on all B draws.  Wherever it is formed, each
-takes the same IEEE operations in the same order, (PA + PU u) - mu and
-PA7 + PU7 u, so a value has the same bits on every path.
+takes the same IEEE operations in the same order on the centred
+projections, PA + PU u and PA7 + PU7 u, so a value has the same bits on
+every path.
 
 The envelope is the larger of d6max(b) and the equality term's bound.
-d7_p(b) / sqrt(n) = a_b + v_p g_b is affine in v, with a_b = base7_b -
-fA7 - fU7 u and g_b = PV7_b - fV7, so over the run's v in [lo, hi] its
+d7_p(b) / sqrt(n) = a_b + v_p g_b is affine in v, with a_b = base7_b and
+g_b = PV7_b, both centred projections, so over the run's v in [lo, hi] its
 absolute value is at most |a_b + mid g_b| + half |g_b|, with mid and half
 the midpoint and half-width.  This is scaled by
 sqrt(n) (1 + rho) / min s7 over the run's points, after adding the
 allowance rho mag, with mag = 2 dmag at |v| the larger of |lo| and |hi|:
-every summand of d7 / sqrt(n) is a sum over the cells of frequencies
-(summing to within 2 eps of 1) times the cell values, times 1, u or v, so
-their sum is at most mag (1 + 2 eps).  Where a run has a point with
-s7 = 0, U is +inf.
+every summand of d7 / sqrt(n), a centred projection times 1, u or v, is
+the difference of two sums over the cells of frequencies (each summing to
+within 2 eps of 1) times cell values, so it is at most mag (1 + 2 eps).
+Where a run has a point with s7 = 0, U is +inf.
 
-*Rounding allowance.*  d7 is computed by seven roundings, each an error of
-at most eps of a partial sum bounded by mag (1 + eps)^5, so it differs
-from sqrt(n) times the exact affine value by at most about 5 eps mag
-times sqrt(n).  The envelope's own arithmetic adds as much at the
-midpoint, and the rounding of mid and half adds at most 3 eps mag.  The
-multiplication by sqrt(n), the division by s7 and the envelope's last
+*Rounding allowance.*  d7 / sqrt(n) is computed from the centred
+projections by four roundings, each an error of at most eps of a partial
+sum bounded by mag (1 + eps)^3, so it differs from the exact affine value
+by at most about 4 eps mag.  The envelope's own arithmetic adds as much at
+the midpoint, and the rounding of mid and half adds at most 3 eps mag.
+The multiplication by sqrt(n), the division by s7 and the envelope's last
 scaling add at most 9 eps relative.  So the allowance rho mag exceeds the
-14 eps mag of absolute error, and the factor 1 + rho exceeds the relative
+11 eps mag of absolute error, and the factor 1 + rho exceeds the relative
 error, both by more than 600 times.  Hence U is at least every computed
 step-one maximum of the run.
 
 *Why the result is exact.*  Every step-two term is at most the step-one
 term of its component and draw.  Step two adds a recentering that is
 zero, negative, -inf, or NaN where the scale is zero, and every later
-operation is monotone in the sum.  ``_stud`` maps a NaN numerator over a
-zero scale to -inf.  So at every draw outside the candidates, both
+operation is monotone in the sum; a term over a zero scale is -inf.  So at
+every draw outside the candidates, both
 steps' maxima are at most c.  When the top-th largest candidate value
 exceeds c, every draw holding one of the top values of all B draws is a
 candidate, and the order statistic is the same value.  A point is exact
@@ -161,12 +145,12 @@ is not below B, and every point of a call with fewer than
 ``_ENVELOPE_MIN_POINTS`` points (``rsw2_test``'s one point, a coverage
 replicate's few).  The order statistics need no NaN handling,
 since no term is NaN.  Step one's terms are quotients of finite numbers,
-or ``_stud``'s +-inf, and a step-two term is NaN nowhere, as above.
+or -inf over a zero scale, and a step-two term is NaN nowhere, as above.
 
 Signed zeros: step one's terms differ from the row-by-row form's only in
 the sign of a zero.  Its equality term is |d7| / S, which is +0.0 where
 max(d7 / S, -d7 / S) may be -0.0, and is equal to it everywhere else.  At
-S = 0 both are +inf where d7 is not zero and -inf where it is.  A
+S = 0 both are -inf.  A
 reduction or a tie may also keep -0.0 where the row-by-row form kept +0.0
 (the order statistic of a bound).  np.minimum(x, 0.0) and
 np.maximum(x, 0.0) turn either zero into +0.0.  Every recentering, T_n
@@ -197,7 +181,7 @@ bits, on candidate draws and on all B draws alike.
   e >= +0.0 at every draw, so a term below zero at every draw never wins
   it.  A term is monotone in its deviation under rounding: adding the
   recentering, multiplying by sqrt(n) and dividing by a positive s6 each
-  are, and at s6 = 0 ``_stud`` maps a numerator to +-inf by its sign.  So
+  are, and at s6 = 0 every term is -inf.  So
   the term at the row's largest deviation bounds the row's terms, and a
   component is skipped where that bound is below zero at every point of
   the chunk.  Without rule E's condition the equality terms may all be
@@ -223,7 +207,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identification import DependenceAssumption, Interval, sharp_segment
-from .moments import ThetaPoint, moment_cell_tables, param_space_box
+from .moments import ThetaPoint, _cell_sum, moment_cell_tables, param_space_box
 from .probability import CellCounts, JointTR, RefPerf, SRegion, _distinct_texts, default_cell_floor
 
 __all__ = [
@@ -241,8 +225,8 @@ _QUANTILE_METHOD = "higher"
 BETA_PRESETS = (5, 10, 20)  # first-stage levels beta = alpha / preset
 DEFAULT_BETA_PRESET = 10
 
-# The one rounding allowance of the screen, the row proof and the envelope:
-# _RTOL times a sum of the absolute values of summands (module docstring).
+# The one rounding allowance of the screen, the row bound and the envelope:
+# _RTOL times dmag, a bound on every absolute cell value (module docstring).
 _RTOL = 1e-12
 
 # Element budgets of the kernel's float temporaries.  The screen takes a
@@ -505,40 +489,48 @@ def _step_two_rules(lam7, positive, bound) -> tuple[bool, list[bool]]:
     return reuse, (bound().max(axis=0) < 0.0).tolist() if reuse else [False] * 6
 
 
-def _stud(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """num / den with the zero-denominator convention, into ``out`` if given.
+def _stud(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den with the data side's zero-denominator convention.
 
     A degenerate (constant) component rejects only if its mean violates
     the inequality: positive numerator maps to +inf, non-positive to
     -inf (the component drops out of a maximum).
     """
-    return _divider(den)(num, den, out=out)
+    if (np.asarray(den) > 0.0).all():
+        return np.divide(num, den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
 
 
 def _divider(den: np.ndarray):
-    """The division ``_stud`` makes by ``den``, for a caller that divides by it more than once.
+    """The division of bootstrap terms by the SDs ``den``: np.divide where every SD is positive, else ``_drop_zero_sd``."""
+    return np.divide if (np.asarray(den) > 0.0).all() else _drop_zero_sd
 
-    np.divide where every denominator is positive (what the masked form
-    gives there, without the masks), else the masked form.
+
+def _drop_zero_sd(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """num / den, and -inf where den is 0, as an exact zero deviation gives whatever its rounding.
+
+    An SD is 0 only where the component's centred cell values are 0 on the
+    occupied cells, the only cells a draw occupies, so its deviation is 0
+    at every draw, and step two's numerator is a recentering min(mu, 0)
+    <= 0, or NaN: either way the term drops out of a maximum.
     """
-    return np.divide if (np.asarray(den) > 0.0).all() else _masked_divide
-
-
-def _masked_divide(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
-    if out is None:
-        return q
-    out[...] = q
+        out = np.divide(num, den, out=out)
+    np.copyto(out, -np.inf, where=~(np.asarray(den) > 0.0))
     return out
 
 
-def _cutoff(cbar: float, e: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The certified cutoff (1 + rho) ((1 + e) c_bar + d), +inf where e is not below 1 (module docstring)."""
+def _allowance(dmag: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The rounding allowance r = rho dmag / s of components with SD ``s`` (module docstring)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _RTOL * dmag / s
+
+
+def _cutoff(cbar: float, r: np.ndarray, sqrt_n: float) -> np.ndarray:
+    """The certified cutoff (1 + rho) ((1 + r) c_bar + sqrt(n) r), +inf where r is not below 1 (module docstring)."""
     with np.errstate(invalid="ignore"):
-        return np.where(e < 1.0, (1.0 + _RTOL) * ((1.0 + e) * cbar + d), np.inf)
+        return np.where(r < 1.0, (1.0 + _RTOL) * ((1.0 + r) * cbar + sqrt_n * r), np.inf)
 
 
 def _rejects(tn: np.ndarray, crit: np.ndarray) -> np.ndarray:
@@ -572,48 +564,44 @@ class _SPointKernel:
         self.u_is_theta1 = a is not DependenceAssumption.WRONGLY_AGREE_Y0
         U, V = self.orient(B, C)
 
-        f = np.asarray(counts.cells, dtype=float) / n
-        F = boot_freqs
-
-        def proj(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-            return w @ (t1 * t2)
-
-        # Data-side affine/quadratic coefficients, shape (8,).
-        self.fA, self.fU, self.fV = f @ A, f @ U, f @ V
-        self.fAA = proj(f, A, A)
-        self.fAU = proj(f, A, U)
-        self.fAV = proj(f, A, V)
-        self.fUU = proj(f, U, U)
-        self.fUV = proj(f, U, V)
-        self.fVV = proj(f, V, V)
-        # Bootstrap-side means.  Bootstrap deviations are studentized by the
-        # data-side standard deviations; re-estimating the scale inside each
-        # draw makes the max statistic explode in resamples that nearly
-        # empty a thin cell and loses the published rejections.  The six
-        # inequality components are kept as (6, B) rows, which phase A
-        # streams and phase B gathers from; the equality component as (B,)
-        # vectors.
-        PA, PU, PV = F @ A, F @ U, F @ V
-        self.draws = F.shape[0]
-        self.PA6, self.PU6 = PA[:, :6].T.copy(), PU[:, :6].T.copy()
-        self.PA7, self.PU7, self.PV7 = PA[:, 6].copy(), PU[:, 6].copy(), PV[:, 6].copy()
-        # The envelope's slope in v.
-        self.slope7 = np.abs(self.PV7 - self.fV[6])
-        # The summand bounds of ``_magnitudes``, per component: mag's coefficients
-        # of 1, 2|u|, u^2, 2|v|, 2|u||v| and v^2, and dmag's of 1, |u| and |v|.
-        j = slice(0, 7)
-        aA, aU, aV = (np.abs(x[j]) for x in (self.fA, self.fU, self.fV))
-        products = np.abs([self.fAA[j], self.fAU[j], self.fUU[j], self.fAV[j], self.fUV[j], self.fVV[j]])
-        self.mag_coef = products + [aA * aA, aA * aU, aU * aU, aA * aV, aU * aV, aV * aV]
-        self.amax, self.umax, self.vmax = (np.abs(T[:, j]).max(axis=0) for T in (A, U, V))
+        # The seven components' columns that are read: A and U of the six
+        # inequalities and the equality, and V of the equality alone (the
+        # inequalities do not load on v; the negated equality is implied).
+        # Each is centred once by its mean under f, so every SD is the
+        # L2(f) norm of centred cell values: nothing cancels (module docstring).
+        self.f = np.asarray(counts.cells, dtype=float) / n
+        table = np.concatenate([A[:, :7], U[:, :7], V[:, 6:7]], axis=1)
+        mean = _cell_sum(self.f[:, None], table)
+        centred = table - mean
+        self.fA, self.fU, self.fV = mean[:7], mean[7:14], mean[14]
+        self.Ac, self.Uc, self.Vc = centred[:, :7], centred[:, 7:14], centred[:, 14]
+        # Bootstrap-side projections, each centred by its data-side mean,
+        # (15, B): a draw's deviation of a component's mean is PA + PU u
+        # (+ PV v).
+        # Bootstrap deviations are studentized by the data-side standard
+        # deviations; re-estimating the scale inside each draw makes the max
+        # statistic explode in resamples that nearly empty a thin cell and
+        # loses the published rejections.  The six inequality components are
+        # kept as (6, B) rows, which phase A streams and phase B gathers
+        # from; the equality component as (B,) vectors.
+        P = _cell_sum(np.ascontiguousarray(boot_freqs.T)[:, None, :], table[:, :, None])
+        P -= mean[:, None]
+        self.draws = P.shape[1]
+        self.PA6, self.PA7, self.PU6, self.PU7, self.PV7 = P[:6], P[6], P[7:13], P[13], P[14]
+        self.slope7 = np.abs(self.PV7)  # the envelope's slope in v
+        # The bounds of ``_magnitudes``: each column's largest absolute cell value.
+        largest = np.abs(table).max(axis=0)
+        self.amax, self.umax, self.vmax = largest[:7], largest[7:14], np.zeros(7)
+        self.vmax[6] = largest[14]
 
     @staticmethod
     def check(n: int) -> None:
         """The test's one precondition on the data: n >= 2 observations.
 
         Empty cells are allowed.  A component constant over the occupied
-        cells has zero variance and ``_stud``'s convention decides it;
-        bootstrap draws never occupy an empty cell.
+        cells has zero SD: ``_stud``'s convention decides its part of T_n,
+        and as bootstrap draws never occupy an empty cell, its bootstrap
+        terms are -inf (``_divider``).
         """
         if n < 2:
             raise ValueError(f"the test requires n >= 2 observations, got {n}")
@@ -626,23 +614,21 @@ class _SPointKernel:
     # In ``_ineq_stats`` ``u`` is a scalar or has a trailing axis of length
     # one, which broadcasts against the six components.
 
+    def _norm(self, x: np.ndarray) -> np.ndarray:
+        """The L2(f) norm of centred cell values ``x``, cells first: an SD."""
+        return np.sqrt(_cell_sum(self.f.reshape((4,) + (1,) * (x.ndim - 1)), x * x))
+
     def _ineq_stats(self, u) -> tuple[np.ndarray, np.ndarray]:
         mu = self.fA[:6] + self.fU[:6] * u
-        var = self.fAA[:6] + 2.0 * u * self.fAU[:6] + u * u * self.fUU[:6] - mu * mu
-        return mu, np.sqrt(np.maximum(var, 0.0))
+        cells = (4,) + (1,) * (np.ndim(u) - 1) + (6,)
+        return mu, self._norm(self.Ac[:, :6].reshape(cells) + u * self.Uc[:, :6].reshape(cells))
 
     def _eq_stats(self, u, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         j = 6
-        mu = self.fA[j] + self.fU[j] * u + self.fV[j] * v
-        var = (
-            self.fAA[j]
-            + 2.0 * u * self.fAU[j]
-            + u * u * self.fUU[j]
-            + 2.0 * v * (self.fAV[j] + u * self.fUV[j])
-            + v * v * self.fVV[j]
-            - mu * mu
-        )
-        return mu, np.sqrt(np.maximum(var, 0.0))
+        mu = self.fA[j] + self.fU[j] * u + self.fV * v
+        cells = (4,) + (1,) * len(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        x = (self.Ac[:, j].reshape(cells) + u * self.Uc[:, j].reshape(cells)) + v * self.Vc.reshape(cells)
+        return mu, self._norm(x)
 
     def _t6(self, mu6: np.ndarray, s6: np.ndarray) -> np.ndarray:
         """The largest studentized inequality statistic, over the trailing axis of six."""
@@ -670,11 +656,10 @@ class _SPointKernel:
         """
         mu6, s6 = self._ineq_stats(u[:, None])
         w = np.abs(v)
-        m0, m1, mag, dmag = self._magnitudes(u, w.max())
-        e6, d6 = (x.max(axis=-1) for x in self._allowance(mag[:, :6], dmag[:, :6], s6))
-        sd7 = self._equality_sd_min(u, v.min(), v.max(), m0[:, 6], m1[:, 6], mag[:, 6])
-        e7, d7 = self._allowance(mag[:, 6], dmag[:, 6], sd7)
-        cut = _cutoff(cbar, np.maximum(e6, e7), np.maximum(d6, d7))  # at least each point's of the row
+        dmag = self._magnitudes(u, w.max())
+        r6 = _allowance(dmag[:, :6], s6).max(axis=-1)
+        r7 = _allowance(dmag[:, 6], self._equality_sd_min(u, v.min(), v.max(), dmag[:, 6]))
+        cut = _cutoff(cbar, np.maximum(r6, r7), self.sqrt_n)  # at least each point's of the row
         rows = np.flatnonzero(~(self._t6(mu6, s6) > cut))
         step = max(1, _SCREEN_BLOCK // v.size)
         found = [(rows[:0], rows[:0])]  # no survivor where every row is claimed
@@ -685,43 +670,24 @@ class _SPointKernel:
             keep = ~(tn > cut[r, None])
             i, c = np.nonzero(keep & (tn > (1.0 + _RTOL) * cbar))
             if i.size:
-                _, _, mag, dmag = self._magnitudes(u[r[i]], w[c])
-                e7, d7 = self._allowance(mag[:, 6], dmag[:, 6], s7[i, c])
-                keep[i, c] = ~(tn[i, c] > _cutoff(cbar, np.maximum(e6[r[i]], e7), np.maximum(d6[r[i]], d7)))
+                r7 = _allowance(self._magnitudes(u[r[i]], w[c])[:, 6], s7[i, c])
+                keep[i, c] = ~(tn[i, c] > _cutoff(cbar, np.maximum(r6[r[i]], r7), self.sqrt_n))
             i, c = np.nonzero(keep)
             found.append((r[i], c))
         rows, cols = zip(*found)
         return np.concatenate(rows), np.concatenate(cols)
 
-    def _magnitudes(self, u, w) -> tuple[np.ndarray, ...]:
-        """The seven components' summand bounds at u and |v| = w, broadcast: (m0, m1, mag, dmag), each (..., 7)."""
-        cAA, cAU, cUU, cAV, cUV, cVV = self.mag_coef
-        au, w = np.abs(u)[..., None], np.asarray(w)[..., None]
-        m0, m1 = cAA + 2.0 * au * cAU + au * au * cUU, cAV + au * cUV
-        return m0, m1, m0 + 2.0 * w * m1 + w * w * cVV, self.amax + au * self.umax + w * self.vmax
+    def _magnitudes(self, u, w) -> np.ndarray:
+        """dmag of the seven components at u and |v| = w, broadcast, (..., 7): a bound on every |m_c|."""
+        return self.amax + np.abs(u)[..., None] * self.umax + np.asarray(w)[..., None] * self.vmax
 
-    def _allowance(self, mag, dmag, s):
-        """The allowances e = rho mag / s^2 and d = sqrt(n) rho dmag / s of components with SD ``s``."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _RTOL * mag / (s * s), self.sqrt_n * _RTOL * dmag / s
-
-    def _equality_sd_min(self, u: np.ndarray, lo: float, hi: float, m0, m1, mag) -> np.ndarray:
+    def _equality_sd_min(self, u: np.ndarray, lo: float, hi: float, dmag) -> np.ndarray:
         """Per row at ``u``, a lower bound on the kernel's equality SD at every v in [lo, hi], or 0.
 
-        The row proof (module docstring), on the equality column of ``_magnitudes`` at max(|lo|, |hi|).
+        sd(mid) - half ||Vc||, less the allowance rho dmag at max(|lo|, |hi|) (module docstring).
         """
-        j, rho = 6, _RTOL
-        a = self.fA[j] + self.fU[j] * u  # the mean at v = 0; its slope in v is b
-        b = self.fV[j]
-        p0 = self.fAA[j] + 2.0 * u * self.fAU[j] + u * u * self.fUU[j]
-        p1 = self.fAV[j] + u * self.fUV[j]
-        c0, c1, c2 = p0 - a * a, p1 - a * b, self.fVV[j] - b * b
-        m2 = self.mag_coef[5][j]
-        var_lo, var_hi = (c0 + 2.0 * c1 * x + c2 * x * x for x in (lo, hi))
-        var_min = np.minimum(var_lo, var_hi) - max(c2, 0.0) * (hi - lo) ** 2 / 4.0
-        if c2 > rho * m2:  # the global minimum c0 - c1^2 / c2, for coefficients off by rho m
-            var_min = np.maximum(var_min, c0 - rho * m0 - (np.abs(c1) + rho * m1) ** 2 / (c2 - rho * m2))
-        return np.sqrt(np.maximum(var_min - rho * mag, 0.0))
+        _, sd = self._eq_stats(u, 0.5 * (lo + hi))
+        return np.maximum(sd - 0.5 * (hi - lo) * self._norm(self.Vc) - _RTOL * dmag, 0.0)
 
     # -- full evaluation ------------------------------------------------
 
@@ -779,7 +745,7 @@ class _SPointKernel:
         forming its points' deviations itself.  ``evaluate`` floors the
         values at zero.
         """
-        (d6max, top6), free = self._row_tables(u[first], mu6[first], s6[first], scratch)
+        (d6max, top6), free = self._row_tables(u[first], s6[first], scratch)
         every = (None, d6max, None, self.PV7[None], top6)
         if m >= self.draws:
             return self._order_stats(every, row, u, v, mu6, s6, mu7, s7, tops, free)[1]
@@ -807,7 +773,7 @@ class _SPointKernel:
         # The envelope is spent: the candidates' tables take its place.
         shape = keep.shape
         (dev6, d6m, base7, pv7), free = _carve(free, (6, *shape), shape, shape, shape)
-        self._tables_at(ur, mu6[runs], keep, dev6, base7, pv7)
+        self._tables_at(ur, keep, dev6, base7, pv7)
         np.take(d6max, owner[:, None] * self.draws + keep, out=d6m, mode="clip")
         np.take(self.PV7, keep, out=pv7, mode="clip")
         kept = (dev6, d6m, base7, pv7, dev6.max(axis=2))
@@ -815,7 +781,7 @@ class _SPointKernel:
         cut = cut[run]
         return raw, (cut < bhat) & (cut < raw)
 
-    def _row_tables(self, ur, mu6r, s6r, scratch):
+    def _row_tables(self, ur, s6r, scratch):
         """Phase A's tables of the rows at ``ur``: (d6max, top6), and the scratch after d6max.
 
         d6max (rows, B), a view of ``scratch``, is the maximum of the six
@@ -829,14 +795,14 @@ class _SPointKernel:
         (d6max,), free = _carve(scratch, (R, B))
         q = min(6, free.size // (R * B))  # components per pass
         top6 = np.empty((6, R))
+        stud6 = _divider(s6r)
         for j in range(0, 6, q):
             J = slice(j, min(j + q, 6))
             dev = free[: (J.stop - j) * R * B].reshape(-1, R, B)
             np.multiply(self.PU6[J, None, :], ur[:, None], out=dev)
             np.add(self.PA6[J, None, :], dev, out=dev)
-            np.subtract(dev, mu6r.T[J, :, None], out=dev)
             dev.max(axis=2, out=top6[J])
-            _stud(np.multiply(self.sqrt_n, dev, out=dev), s6r.T[J, :, None], out=dev)
+            stud6(np.multiply(self.sqrt_n, dev, out=dev), s6r.T[J, :, None], out=dev)
             if j == 0:
                 dev.max(axis=0, out=d6max)
             else:
@@ -844,13 +810,13 @@ class _SPointKernel:
                     np.maximum(d6max, x, out=d6max)
         return (d6max, top6), free
 
-    def _tables_at(self, ur, mu6r, at, dev6, base7, tmp) -> None:
+    def _tables_at(self, ur, at, dev6, base7, tmp) -> None:
         """The rows' deviations dev6 and equality base base7 at the draws ``at``, into the given arrays.
 
         Row k at ``ur[k]`` is taken at the draws ``at[k]``: dev6 is
         (6, *at.shape), the six inequality deviations, and base7 at.shape,
         the part of the equality component's draws that depends on u alone.
-        They are (PA + PU u) - mu for each inequality and PA7 + PU7 u, by
+        They are PA + PU u for each inequality and PA7 + PU7 u, by
         the operations phase A and the chunks on all B draws make, in the
         same order.  ``tmp``, shaped as ``at``, holds each PA gather.
         """
@@ -858,7 +824,6 @@ class _SPointKernel:
         np.multiply(np.take(self.PU6, at, axis=1, out=dev6, mode="clip"), uc, out=dev6)
         for j in range(6):
             np.add(np.take(self.PA6[j], at, out=tmp, mode="clip"), dev6[j], out=dev6[j])
-        np.subtract(dev6, mu6r.T[:, :, None], out=dev6)
         np.multiply(np.take(self.PU7, at, out=base7, mode="clip"), uc, out=base7)
         np.add(np.take(self.PA7, at, out=tmp, mode="clip"), base7, out=base7)
 
@@ -870,13 +835,11 @@ class _SPointKernel:
         equality SD of each run's points.  Each run's base7 on all B draws
         is formed here, by ``_tables_at``'s operations.
         """
-        j = 6
         mid, half = 0.5 * (lo_v + hi_v), 0.5 * (hi_v - lo_v)
-        dmag = self._magnitudes(ur, np.maximum(np.abs(lo_v), np.abs(hi_v)))[3][:, j]
+        dmag = self._magnitudes(ur, np.maximum(np.abs(lo_v), np.abs(hi_v)))[:, 6]
         (env, tmp), _ = _carve(free, (ur.size, self.draws), (ur.size, self.draws))
         np.add(self.PA7, np.multiply(self.PU7, ur[:, None], out=env), out=env)
         np.add(env, np.multiply(mid[:, None], self.PV7, out=tmp), out=env)
-        np.subtract(env, (self.fA[j] + self.fU[j] * ur + self.fV[j] * mid)[:, None], out=env)
         np.abs(env, out=env)
         np.add(env, np.multiply(half[:, None], self.slope7, out=tmp), out=env)
         np.add(env, (2.0 * _RTOL * dmag)[:, None], out=env)
@@ -947,7 +910,7 @@ class _SPointKernel:
                     base7.take(r, axis=0, out=d7, mode="clip")
                 pv = pv7 if len(pv7) == 1 else pv7.take(r, axis=0, out=e, mode="clip")
                 np.add(d7, np.multiply(vk, pv, out=e), out=d7)
-                np.multiply(rn, np.subtract(d7, mu7[k, None], out=d7), out=d7)
+                np.multiply(rn, d7, out=d7)
                 stud7(np.abs(d7, out=e), s7c, out=e)
                 np.maximum(d6max.take(r, axis=0, out=g, mode="clip"), e, out=g)
                 bhat[k] = b = _top(g, tops[0])
@@ -972,7 +935,6 @@ class _SPointKernel:
                         continue
                     if dev6 is None:
                         np.add(self.PA6[j], np.multiply(self.PU6[j], uk, out=t), out=t)
-                        np.subtract(t, mu6[k, j, None], out=t)
                     else:
                         dev6[j].take(r, axis=0, out=t, mode="clip")
                     np.multiply(rn, np.add(t, lam6[:, j, None], out=t), out=t)

@@ -184,13 +184,30 @@ def param_space_box(
     return ((0.0, hi1), (0.0, hi0))
 
 
+def _cell_sum(w, t) -> np.ndarray:
+    """((w0 t0 + w1 t1) + w2 t2) + w3 t3: a weighted sum over the leading cell axis, in one fixed order.
+
+    ``w`` and ``t`` broadcast together, each with the four cells first.
+    Every operation is an IEEE elementwise one, so the sum has the same
+    bits on every CPU, unlike a BLAS product, whose kernel picks its own
+    order.
+    """
+    out = np.multiply(w[0], t[0])
+    term = np.empty_like(out)
+    for c in (1, 2, 3):
+        out += np.multiply(w[c], t[c], out=term)
+    return out
+
+
 def moment_stats(p: JointTR, system: MomentSystem) -> MomentStats:
     """Closed-form means and SDs of the components under the cells ``p``.
 
     Under the plug-in ``estimate_joint(counts)`` these are the exact
-    per-observation averages (1/n) sum m_j(W_i) and their uncentered
+    per-observation averages (1/n) sum m_j(W_i) and their centered
     variance, because m_j(W_i) takes one of four values determined by the
-    cell of W_i.  Raw counts are refused rather than used as weights.
+    cell of W_i.  Each variance is the weighted sum of the squared centered
+    cell values, so nothing cancels.  Raw counts are refused rather than
+    used as weights.
     """
     if not isinstance(p, JointTR):
         raise TypeError(
@@ -199,10 +216,9 @@ def moment_stats(p: JointTR, system: MomentSystem) -> MomentStats:
         )
     weights = np.asarray(p.cells, dtype=float)
     values = system.cell_values
-    means = weights @ values
-    second = weights @ (values * values)
-    var = np.maximum(second - means * means, 0.0)
-    return MomentStats(means=means, sds=np.sqrt(var))
+    means = _cell_sum(weights[:, None], values)
+    centred = values - means
+    return MomentStats(means=means, sds=np.sqrt(_cell_sum(weights[:, None], centred * centred)))
 
 
 def _h_correlation_sq(eps: float) -> float:

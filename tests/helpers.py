@@ -41,7 +41,7 @@ from diagbounds import (
 from diagbounds.derived import SIGN_TOL
 from diagbounds.exactci import _BISECT_TOL, regularized_incomplete_beta
 from diagbounds.identification import LINE_TOL, IdentifiedSet, Interval
-from diagbounds.inference import _stud
+from diagbounds.inference import _divider
 from diagbounds.probability import PREVALENCE_GUARD, PROB_TOL, DerivedRY, ValidationReport, derived_joint_ry
 from diagbounds.svgfig import SvgCanvas, _padded_box
 
@@ -519,25 +519,44 @@ def oracle_predictive_value_bounds(identified, pi):
 
 
 def oracle_stud(num, den):
+    """A data-side statistic: num / den, and +-inf by the numerator's sign where den is 0 (-inf at 0)."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
 
 
-def oracle_evaluate_row(kernel, u, v, alpha, beta):
-    """T_n, critical values and step-two recenterings along ``v`` at one ``u``."""
+def oracle_term(num, den):
+    """A bootstrap term: num / den, and -inf where den is 0, whatever the numerator."""
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, num / den, -np.inf)
+
+
+def oracle_evaluate_row(kernel, u, v, alpha, beta, exact_zero=False):
+    """T_n, critical values and step-two recenterings along ``v`` at one ``u``.
+
+    With ``exact_zero`` each deviation of a component whose SD is 0 is
+    exactly 0 and every term takes the data side's division
+    (``oracle_stud``): the terms that exact zero deviations give.
+    """
+    div = oracle_stud if exact_zero else oracle_term
     rn = kernel.sqrt_n
     mu6, s6 = kernel._ineq_stats(u)
-    dev6 = kernel.PA6.T + kernel.PU6.T * u - mu6  # (B, 6)
-    d6max = np.max(oracle_stud(rn * dev6, s6), axis=1)
+    dev6 = kernel.PA6.T + kernel.PU6.T * u  # (B, 6)
+    if exact_zero:
+        dev6[:, s6 == 0.0] = 0.0
+    d6max = np.max(div(rn * dev6, s6), axis=1)
     scale = np.where(s6 > 0.0, s6 / rn, 0.0)
     base7 = kernel.PA7 + kernel.PU7 * u
     _, _, mu7, s7, tn = kernel._statistic(u, v)
     s7c = s7[:, None]
 
-    d7 = rn * (base7[None, :] + v[:, None] * kernel.PV7[None, :] - mu7[:, None])
-    g1 = np.maximum(d6max[None, :], np.maximum(oracle_stud(d7, s7c), oracle_stud(-d7, s7c)))
+    d7 = rn * (base7[None, :] + v[:, None] * kernel.PV7[None, :])
+    if exact_zero:
+        d7[s7 == 0.0] = 0.0
+    g1 = np.maximum(d6max[None, :], np.maximum(div(d7, s7c), div(-d7, s7c)))
     bhat = np.quantile(g1, 1.0 - beta, axis=-1, method="higher")
 
     scale7 = np.where(s7 > 0.0, s7 / rn, 0.0)
@@ -546,12 +565,12 @@ def oracle_evaluate_row(kernel, u, v, alpha, beta):
         lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
         lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
 
-    gmax = oracle_stud(rn * (dev6[None, :, 0] + lam6[:, 0, None]), s6[0])
+    gmax = div(rn * (dev6[None, :, 0] + lam6[:, 0, None]), s6[0])
     for j in range(1, 6):
         num = rn * (dev6[None, :, j] + lam6[:, j, None])
-        np.maximum(gmax, oracle_stud(num, s6[j]), out=gmax)
-    np.maximum(gmax, oracle_stud(d7 + rn * lam7a[:, None], s7c), out=gmax)
-    np.maximum(gmax, oracle_stud(-d7 + rn * lam7b[:, None], s7c), out=gmax)
+        np.maximum(gmax, div(num, s6[j]), out=gmax)
+    np.maximum(gmax, div(d7 + rn * lam7a[:, None], s7c), out=gmax)
+    np.maximum(gmax, div(-d7 + rn * lam7b[:, None], s7c), out=gmax)
     raw = np.quantile(gmax, 1.0 - alpha + beta, axis=-1, method="higher")
     parts = {
         "s6": s6, "s7": s7, "dev6": dev6, "lam6": lam6, "lam7a": lam7a, "lam7b": lam7b,
@@ -560,16 +579,16 @@ def oracle_evaluate_row(kernel, u, v, alpha, beta):
     return tn, np.maximum(raw, 0.0), parts
 
 
-def oracle_row_tables(kernel, ur, mu6r, s6r):
+def oracle_row_tables(kernel, ur, s6r):
     """The full row tables of rows at ``ur``, every component and draw at once.
 
-    dev6 (rows, 6, B), the inequality deviations PA + PU u - mu; d6max
+    dev6 (rows, 6, B), the inequality deviations PA + PU u; d6max
     (rows, B), the maximum of their studentized values; top6 (rows, 6),
     each component's largest deviation; base7 (rows, B), PA7 + PU7 u.
-    ``mu6r`` and ``s6r`` are (rows, 6).
+    ``s6r`` is (rows, 6).
     """
-    dev6 = kernel.PA6 + kernel.PU6 * ur[:, None, None] - mu6r[:, :, None]
-    d6max = np.max(oracle_stud(kernel.sqrt_n * dev6, s6r[:, :, None]), axis=1)
+    dev6 = kernel.PA6 + kernel.PU6 * ur[:, None, None]
+    d6max = np.max(oracle_term(kernel.sqrt_n * dev6, s6r[:, :, None]), axis=1)
     return dev6, d6max, dev6.max(axis=2), kernel.PA7 + kernel.PU7 * ur[:, None]
 
 
@@ -623,8 +642,7 @@ def oracle_critical_values(kernel, u, v, alpha, beta):
     # Row tables.  z6 holds the step-two terms recentered by +0.0; d6max, their maximum, is step one's.
     ur, s6c = u[first], s6[first][:, :, None]
     np.add(kernel.PA6, np.multiply(kernel.PU6, ur[:, None, None], out=dev6), out=dev6)
-    np.subtract(dev6, mu6[first][:, :, None], out=dev6)
-    _stud(np.multiply(rn, np.add(dev6, 0.0, out=z6), out=z6), s6c, out=z6)
+    _divider(s6c)(np.multiply(rn, np.add(dev6, 0.0, out=z6), out=z6), s6c, out=z6)
     np.max(z6, axis=1, out=d6max)
     top6 = np.max(dev6, axis=2)
     np.add(kernel.PA7, np.multiply(kernel.PU7, ur[:, None], out=base7), out=base7)
@@ -633,8 +651,9 @@ def oracle_critical_values(kernel, u, v, alpha, beta):
     # Step 1.
     np.take(base7, row, axis=0, out=d7)
     np.add(d7, np.multiply(v[:, None], kernel.PV7, out=w), out=d7)
-    np.multiply(rn, np.subtract(d7, mu7[:, None], out=d7), out=d7)
-    _stud(np.abs(d7, out=g), s7c, out=g)
+    np.multiply(rn, d7, out=d7)
+    stud7 = _divider(s7c)
+    stud7(np.abs(d7, out=g), s7c, out=g)
     np.maximum(np.take(d6max, row, axis=0), g, out=g)
     bhat = np.quantile(g, 1.0 - beta, axis=-1, method="higher")
 
@@ -644,7 +663,7 @@ def oracle_critical_values(kernel, u, v, alpha, beta):
         lam6 = np.minimum(mu6 + bhat[:, None] * scale, 0.0)
         lam7a = np.minimum(mu7 + bhat * scale7, 0.0)
         lam7b = np.minimum(-mu7 + bhat * scale7, 0.0)
-    top = _stud(rn * (top6[row] + lam6), s6)
+    top = _divider(s6)(rn * (top6[row] + lam6), s6)
     skip = np.logical_and.reduceat(top < 0.0, starts, axis=0).tolist()
     zero = np.logical_and.reduceat(lam6 == 0.0, starts, axis=0).tolist()
     g.fill(-np.inf)
@@ -658,11 +677,11 @@ def oracle_critical_values(kernel, u, v, alpha, beta):
                 np.maximum(gr, z6[r, j], out=gr)
                 continue
             np.multiply(rn, np.add(dev6[r, j], lam6[lo:hi, j, None], out=wr), out=wr)
-            np.maximum(gr, _stud(wr, s6[lo, j], out=wr), out=gr)
+            np.maximum(gr, _divider(s6[lo, j])(wr, s6[lo, j], out=wr), out=gr)
     np.add(d7, rn * lam7a[:, None], out=w)
-    np.maximum(g, _stud(w, s7c, out=w), out=g)
+    np.maximum(g, stud7(w, s7c, out=w), out=g)
     np.add(np.negative(d7, out=w), rn * lam7b[:, None], out=w)
-    np.maximum(g, _stud(w, s7c, out=w), out=g)
+    np.maximum(g, stud7(w, s7c, out=w), out=g)
     return tn, np.maximum(np.quantile(g, 1.0 - alpha + beta, axis=-1, method="higher"), 0.0)
 
 

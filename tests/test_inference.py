@@ -1,8 +1,13 @@
 import hashlib
 import inspect
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,6 +35,7 @@ from diagbounds.inference import (
     BETA_PRESETS,
     _rank_from_top,
     _rejects,
+    _divider,
     _SPointKernel,
     _stud,
     _Substreams,
@@ -48,6 +54,7 @@ from helpers import (
     oracle_raw_critical_values,
     oracle_row_tables,
     oracle_stud,
+    oracle_term,
     retains,
 )
 
@@ -172,6 +179,10 @@ def test_reject_rule_rejects_non_finite_statistics():
 def test_stud_zero_denominator_conventions():
     out = _stud(np.array([1.0, -1.0, 0.0]), np.array([0.0, 0.0, 0.0]))
     assert out[0] == np.inf and out[1] == -np.inf and out[2] == -np.inf
+    # A bootstrap term of a zero-SD component is -inf whatever its numerator.
+    den = np.array([0.0, 0.0, 0.0, 2.0])
+    out = _divider(den)(np.array([1.0, -1.0, 0.0, 1.0]), den)
+    assert out.tolist() == [-np.inf, -np.inf, -np.inf, 0.5]
 
 
 def _same_bits(got, want):
@@ -198,10 +209,12 @@ def test_stud_fast_path_matches_the_masked_formula(num, den):
     if isinstance(den, list):  # one denominator per numerator
         den = np.array(den[: num.size])
     assert _same_bits(_stud(num, den), oracle_stud(num, den))
+    assert _same_bits(_divider(den)(num, den), oracle_term(num, den))
     # A column of denominators against a (rows, draws) block, as in the kernel.
     block = np.tile(num, (np.size(den), 1))
     col = np.reshape(den, (-1, 1))
     assert _same_bits(_stud(block, col), oracle_stud(block, col))
+    assert _same_bits(_divider(col)(block, col, out=np.empty_like(block)), oracle_term(block, col))
 
 
 def _levels():
@@ -693,9 +706,9 @@ def test_screened_confidence_set_equals_unscreened_with_empty_cells(
     cells, a, S, bootstrap, seed, grid, alpha
 ):
     # With two occupied cells every component attains the chi-square bound
-    # at every point, so crit sits at c_bar up to the rounding of the
-    # E[m^2] - mu^2 variances; the certified cutoff is the invariant that
-    # keeps both sets equal.
+    # at every point, so crit sits at c_bar up to the rounding of the SDs
+    # and deviations; the certified cutoff is the invariant that keeps both
+    # sets equal.
     cfg = TestConfig(alpha=alpha, seed=seed, bootstrap=bootstrap, theta_grid=grid)
     _assert_matches_unscreened(CellCounts(*cells), S, a, cfg)
 
@@ -819,24 +832,17 @@ def test_ill_conditioned_reference_point_passes_no_point_through_the_screen():
 def _row_cutoff(kernel, u, v, cbar):
     """The certified cutoff of ``cbar`` along one row, restated with a scalar u.
 
-    Each component's allowances e = rho mag / s^2 and d = sqrt(n) rho
-    dmag / s, with its summand bounds mag and dmag from the kernel's
-    coefficients; +inf where a variance is within its allowance of 0.
+    Each component's allowance r = rho dmag / s, with dmag = max|A| +
+    |u| max|U| + |v| max|V| over its cells, and the row's largest; +inf
+    where an SD is within its allowance of 0.
     """
-    rho, rn = inference._RTOL, kernel.sqrt_n
+    rho = inference._RTOL
     _, s6 = kernel._ineq_stats(u)
     _, s7 = kernel._eq_stats(u, v)
-    cAA, cAU, cUU, cAV, cUV, cVV = kernel.mag_coef
-    au, av = abs(u), np.abs(v)
-    m0 = cAA + 2.0 * au * cAU + au * au * cUU
-    m1 = cAV + au * cUV
-    dmag = kernel.amax + au * kernel.umax
-    mag7 = m0[6] + 2.0 * av * m1[6] + av * av * cVV[6]
-    dmag7 = dmag[6] + av * kernel.vmax[6]
+    dmag = kernel.amax + abs(u) * kernel.umax
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.maximum(np.max(rho * m0[:6] / (s6 * s6)), rho * mag7 / (s7 * s7))
-        d = np.maximum(np.max(rn * rho * dmag[:6] / s6), rn * rho * dmag7 / s7)
-    return inference._cutoff(cbar, e, d)
+        r = np.maximum(np.max(rho * dmag[:6] / s6), rho * (dmag[6] + np.abs(v) * kernel.vmax[6]) / s7)
+    return inference._cutoff(cbar, r, kernel.sqrt_n)
 
 
 def _row_screen(kernel, u, v, cbar):
@@ -916,13 +922,11 @@ def test_block_screen_matches_the_row_by_row_screen(cells, a, S, grid, cbar, bud
     cbar=st.floats(0.0, 5.0),
 )
 def test_row_proof_holds_the_equality_gate_at_every_v(cells, a, s, grid, ends, cbar):
-    # For an interval [lo, hi] of v, the row proof's bound on the equality
-    # SD is at most the kernel's SD at every v in it, at its ends and
-    # between them.  Where the bound certifies a row (its allowance e is
-    # below 1), every point's equality variance exceeds its own allowance
-    # and its allowances are at most the row's.  And the screen of the axis
-    # points in [lo, hi], tables with empty cells among them, keeps what the
-    # row-by-row screen keeps.
+    # For an interval [lo, hi] of v, the row bound sd(mid) - half ||Vc||,
+    # less its allowance, is at most the kernel's equality SD at every v in
+    # it, at its ends and between them, and each point's allowance is at
+    # most its row's.  And the screen of the axis points in [lo, hi], tables
+    # with empty cells among them, keeps what the row-by-row screen keeps.
     counts = CellCounts(*cells)
     s = RefPerf(*s)
     kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 2, 0))
@@ -933,17 +937,15 @@ def test_row_proof_holds_the_equality_gate_at_every_v(cells, a, s, grid, ends, c
     )
     i, j = sorted(e % v.size for e in ends)
     lo, hi = v[i], v[j]
-    m0, m1, mag, dmag = kernel._magnitudes(u, max(abs(lo), abs(hi)))
-    sd = kernel._equality_sd_min(u, lo, hi, m0[:, 6], m1[:, 6], mag[:, 6])
-    e_row, d_row = kernel._allowance(mag[:, 6], dmag[:, 6], sd)
+    dmag = kernel._magnitudes(u, max(abs(lo), abs(hi)))[:, 6]
+    sd = kernel._equality_sd_min(u, lo, hi, dmag)
+    r_row = inference._allowance(dmag, sd)
     vs = np.concatenate([v[i : j + 1], [lo, hi], np.linspace(lo, hi, 200)])
     _, s7 = kernel._eq_stats(u[:, None], vs)
     assert np.all(s7 >= sd[:, None])
-    _, _, mag, dmag = kernel._magnitudes(u[:, None], np.abs(vs))
-    e, d = kernel._allowance(mag[..., 6], dmag[..., 6], s7)
-    held = e_row < 1.0
-    assert np.all(e[held] < 1.0)
-    assert np.all(e[held] <= e_row[held, None]) and np.all(d[held] <= d_row[held, None])
+    r = inference._allowance(kernel._magnitudes(u[:, None], np.abs(vs))[..., 6], s7)
+    held = r_row < 1.0  # the row's SD bound certifies it: so does each point's SD
+    assert np.all(r[held] < 1.0) and np.all(r[held] <= r_row[held, None])
     w = v[i : j + 1]
     rows, cols = kernel.screen(u, w, cbar)
     got = np.zeros((u.size, w.size), dtype=bool)
@@ -1034,11 +1036,11 @@ def _direct_moments(counts, theta, a, boot):
     f0=st.floats(0.0, 1.0),
 )
 def test_kernel_variances_match_per_observation_sums(cells, a, s, f1, f0):
-    # The kernel computes each variance as E[m^2] - mu^2 and each bootstrap
-    # deviation from its coefficient tables.  Each must agree with the exact
-    # per-observation sum to a tenth of its rounding allowance: rho mag for
-    # a variance, rho dmag for a deviation, mag and dmag being the
-    # component's summand bounds at the point.
+    # The kernel computes each SD as the L2(f) norm of centred cell values
+    # and each bootstrap deviation from its centred projections.  Each must
+    # agree with the exact per-observation sum to a tenth of its rounding
+    # allowance rho dmag, dmag being the component's bound on every |m_c|
+    # at the point.
     counts = CellCounts(*cells)
     s = RefPerf(*s)
     (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
@@ -1052,13 +1054,10 @@ def test_kernel_variances_match_per_observation_sums(cells, a, s, f1, f0):
     mean, var, dev = (x[:7] for x in _direct_moments(counts, theta, a, boot))
     np.testing.assert_allclose(np.concatenate([mu6, mu7]), mean, rtol=1e-12, atol=1e-12)
     # The deviations as phase A and phase B compute them, before sqrt(n).
-    got_dev = np.vstack([
-        kernel.PA6 + kernel.PU6 * u - mu6[:, None],
-        kernel.PA7 + kernel.PU7 * u + v * kernel.PV7 - mu7,
-    ])
-    _, _, mag, dmag = kernel._magnitudes(u, abs(v))
+    got_dev = np.vstack([kernel.PA6 + kernel.PU6 * u, kernel.PA7 + kernel.PU7 * u + v * kernel.PV7])
+    dmag = kernel._magnitudes(u, abs(v))
     rho = inference._RTOL
-    assert np.all(np.abs(np.concatenate([s6 * s6, s7 * s7]) - var) <= rho * mag / 10)
+    assert np.all(np.abs(np.concatenate([s6, s7]) - np.sqrt(var)) <= rho * dmag / 10)
     assert np.all(np.abs(got_dev - dev) <= rho * dmag[:, None] / 10)
 
 
@@ -1186,8 +1185,8 @@ def test_envelope_bounds_every_step_one_maximum(cells, a, s, bootstrap, seed, gr
         row_v = v[u == x]
         for lo in range(0, row_v.size, run):
             vr = row_v[lo : lo + run]
-            mu6, s6, _, s7, _ = kernel._statistic(np.full(vr.size, x), vr)
-            (d6max, _), free = kernel._row_tables(np.array([x]), mu6[:1], s6[:1], np.empty(14 * bootstrap))
+            _, s6, _, s7, _ = kernel._statistic(np.full(vr.size, x), vr)
+            (d6max, _), free = kernel._row_tables(np.array([x]), s6[:1], np.empty(14 * bootstrap))
             env = kernel._envelope(
                 np.zeros(1, dtype=int), np.array([x]), d6max,
                 vr.min(keepdims=True), vr.max(keepdims=True), s7.min(keepdims=True), free,
@@ -1205,9 +1204,9 @@ def test_envelope_is_infinite_where_s7_is_zero(monkeypatch):
     a, s, x = DependenceAssumption.NO_RESTRICTION, RefPerf(0.8, 0.5), 1.0
     kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 20, 0))
     v = np.linspace(0.0, 0.4, 17)
-    mu6, s6, _, s7, _ = kernel._statistic(np.full(v.size, x), v)
+    _, s6, _, s7, _ = kernel._statistic(np.full(v.size, x), v)
     assert s7[0] == 0.0 and np.all(s7[1:] > 0.0)
-    (d6max, _), free = kernel._row_tables(np.array([x]), mu6[:1], s6[:1], np.empty(14 * 20))
+    (d6max, _), free = kernel._row_tables(np.array([x]), s6[:1], np.empty(14 * 20))
     env = kernel._envelope(
         np.zeros(1, dtype=int), np.array([x]), d6max, v[:1], v[-1:], s7.min(keepdims=True), free
     )
@@ -1247,15 +1246,15 @@ def test_streamed_row_tables_match_the_full_tables(cells, a, s, bootstrap, seed,
     counts = CellCounts(*cells)
     kernel = _kernel(counts, a, RefPerf(*s), bootstrap_cell_frequencies(counts, bootstrap, seed))
     ur = np.unique(_box_points(kernel, a, RefPerf(*s), grid, "rows", seed)[0])
-    mu6, s6 = kernel._ineq_stats(ur[:, None])
+    _, s6 = kernel._ineq_stats(ur[:, None])
     scratch = np.empty((1 + per_pass) * ur.size * bootstrap)
-    (d6max, top6), _ = kernel._row_tables(ur, mu6, s6, scratch)
-    dev6, want_d6max, want_top6, base7 = oracle_row_tables(kernel, ur, mu6, s6)
+    (d6max, top6), _ = kernel._row_tables(ur, s6, scratch)
+    dev6, want_d6max, want_top6, base7 = oracle_row_tables(kernel, ur, s6)
     assert d6max.tobytes() == want_d6max.tobytes()
     assert top6.tobytes() == want_top6.T.tobytes()
     at = np.random.default_rng(seed).integers(0, bootstrap, (ur.size, 1 + bootstrap // 3))
     got6, got7, tmp = np.empty((6, *at.shape)), np.empty(at.shape), np.empty(at.shape)
-    kernel._tables_at(ur, mu6, at, got6, got7, tmp)
+    kernel._tables_at(ur, at, got6, got7, tmp)
     assert got6.tobytes() == np.take_along_axis(dev6, at[:, None, :], axis=2).transpose(1, 0, 2).tobytes()
     assert got7.tobytes() == np.take_along_axis(base7, at, axis=1).tobytes()
 
@@ -1466,7 +1465,7 @@ def test_every_array_of_an_evaluate_call_lives_in_one_scratch(monkeypatch):
     def order_stats_spy(self, tables, *args):
         dev6, d6max, base7, pv7, _ = tables  # top6 has no draw axis
         # On all B draws PV7 serves every row, and each chunk forms dev6 and base7 in its own arrays.
-        arrays.extend((d6max,) if pv7.base is self.PV7 else (dev6, d6max, base7, pv7))
+        arrays.extend((d6max,) if np.shares_memory(pv7, self.PV7) else (dev6, d6max, base7, pv7))
         return order_stats(self, tables, *args)
 
     monkeypatch.setattr(inference, "_top", top_spy)
@@ -1516,21 +1515,21 @@ def test_reference_point_with_no_survivors(monkeypatch, a, n_tested):
     "s1_points, digest, retained",
     [
         pytest.param(
-            2, "d8349115aba4a9f04575d3d2edf9b971ffb9076ce520a089cccd223e342b6604", 1323, id="infer-grid"
+            2, "ad708e6d7c7ce6c82b0890a16067cb7bffdd13967f4a80da44b6b6c3fe9dda39", 1323, id="infer-grid"
         ),
         pytest.param(
-            10, "15ec192a9653ac7337609cead2b79ee7bb2ca46c3a7ddcf374ad7c77a714b680", 6630, id="ten-points"
+            10, "3e3389efa9ee6932df3c597f1d3ab4d5ae78d037316905e369df81670e64aeb3", 6630, id="ten-points"
         ),
     ],
 )
 def test_pinned_regions_keep_their_digests(monkeypatch, s1_points, digest, retained):
     # EUA under wa1 over s1 in [0.8, 0.9] at s0 = 1.0, 316^2 grid, B = 500,
-    # seed 1: the sha256 of the points, t_n and crit bytes, as the kernel
-    # gave them before candidate draws.  On the two-point region every
+    # seed 1: the sha256 of the points, t_n and crit bytes, the same on
+    # every CPU.  On the two-point region every
     # survivor is exact on its 92 candidate draws, none is evaluated again
     # on all B: a loosened envelope fails here rather than only slowing.
-    # The row screen rejects 220 of 284 and 230 of 300 rows whole, and the
-    # per-point screen runs on the other 64 and 70: a loosened row proof
+    # The row screen rejects 203 of 284 and 230 of 300 rows whole, and the
+    # per-point screen runs on the other 81 and 70: a loosened row bound
     # fails here rather than only slowing.
     calls = _spy_on_order_stats(monkeypatch)
     screened = []  # [rows, rows of the per-point pass] per reference point
@@ -1562,7 +1561,7 @@ def test_pinned_regions_keep_their_digests(monkeypatch, s1_points, digest, retai
     assert (got, len(cs)) == (digest, retained)
     if s1_points == 2:
         assert {m for _, m in calls} == {92} and sum(p for p, _ in calls) == 1949
-        assert screened == [[284, 64], [300, 70]]
+        assert screened == [[284, 81], [300, 70]]
         # The 134 bootstrapped rows, each of one run, take 4 batches of at most 35 rows.
         assert len(batches) <= 4 and sum(batches) == 1949
 
@@ -1666,3 +1665,82 @@ def test_screen_memory_stays_below_a_mask_of_the_whole_block():
     (rows, _), peak = _traced_peak(lambda: kernel.screen(u, v, cbar))
     assert 0 < rows.size < u.size * v.size // 50
     assert peak < u.size * v.size, (peak, u.size * v.size)
+
+
+def test_the_infer_grid_region_has_the_same_bits_on_every_cpu():
+    # OpenBLAS picks its kernels per CPU, and OPENBLAS_CORETYPE forces one
+    # (x86-64 names; the Haswell and Zen kernels need AVX2).  No sum over the
+    # cells goes through BLAS, so child processes under the CPU's own pick
+    # and three forced core types print one digest of the infer-grid region.
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+    code = (
+        "import hashlib\n"
+        "from diagbounds import DependenceAssumption, SRegion, TestConfig, confidence_set\n"
+        "from diagbounds.datasets import load_dataset\n"
+        "cs = confidence_set(load_dataset('eua_symptomatic'), SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=2),\n"
+        "                    DependenceAssumption.WRONGLY_AGREE_Y1,\n"
+        "                    TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=316))\n"
+        "print(hashlib.sha256(cs.points.tobytes() + cs.t_n.tobytes() + cs.crit.tobytes()).hexdigest())\n"
+    )
+    root = str(Path(inference.__file__).resolve().parents[1])
+    digests = set()
+    for core in (None, "Prescott", "Haswell", "Zen"):
+        env = {k: x for k, x in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join([root, *filter(None, [env.get("PYTHONPATH")])])
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        digests.add(run.stdout.strip())
+    assert digests == {"ad708e6d7c7ce6c82b0890a16067cb7bffdd13967f4a80da44b6b6c3fe9dda39"}
+
+
+def test_an_empty_cell_table_has_no_infinite_step_one_bound(monkeypatch):
+    # (0, 3, 0, 4) occupies two cells.  Where a component's centred cell
+    # values are 0 on both, its SD is 0 and its exact deviation is 0 at every
+    # draw; a positive rounding-noise deviation over that zero SD would make
+    # step one's bound +inf.
+    bounds = []
+    order_stats = _SPointKernel._order_stats
+
+    def spy(self, *args):
+        bhat, raw = order_stats(self, *args)
+        bounds.append(bhat)
+        return bhat, raw
+
+    monkeypatch.setattr(_SPointKernel, "_order_stats", spy)
+    cfg = TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=100)
+    for a in DependenceAssumption:
+        for s in ((0.9, 1.0), (0.8, 0.7)):
+            confidence_set(CellCounts(0, 3, 0, 4), SRegion.singleton(*s), a, cfg)
+    bhat = np.concatenate(bounds)
+    assert len(bounds) == 54 and np.isfinite(bhat).all()
+
+
+@settings(max_examples=60, deadline=None)
+@example(  # the equality's SD is 0 at (u, v) = (4/99, 95/99) and its deviations are rounding noise
+    cells=[0, 3, 0, 4], a=DependenceAssumption.NO_RESTRICTION, s=(0.9, 1.0), bootstrap=500, seed=1, grid=100,
+)
+@example(  # an inequality's SD is 0 on the row u = 0
+    cells=[0, 3, 0, 4], a=DependenceAssumption.WRONGLY_AGREE_Y1, s=(0.8, 0.7), bootstrap=37, seed=0, grid=12,
+)
+@given(
+    cells=_tables_with_an_empty_cell(),
+    a=st.sampled_from(list(DependenceAssumption)),
+    s=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)).filter(lambda p: p[0] + p[1] >= 1.02),
+    bootstrap=st.sampled_from([1, 37, 500]),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.integers(2, 41),
+)
+def test_a_zero_sd_component_takes_exact_zero_deviations(cells, a, s, bootstrap, seed, grid):
+    # Wherever the kernel's SD is 0, its T_n and critical values are those
+    # of exactly +-0 deviations at every draw, divided by the data side's
+    # convention: no rounding noise reaches a term.
+    counts, s = CellCounts(*cells), RefPerf(*s)
+    kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, bootstrap, seed))
+    u, v = _box_points(kernel, a, s, grid, "rows", seed)
+    tn, crit = kernel.evaluate(u, v, 0.05, 0.005)
+    for x in np.unique(u):
+        k = u == x
+        want_tn, want_crit, _ = oracle_evaluate_row(kernel, float(x), v[k], 0.05, 0.005, exact_zero=True)
+        assert tn[k].tobytes() == want_tn.tobytes() and crit[k].tobytes() == want_crit.tobytes()

@@ -794,7 +794,7 @@ _GOLDEN = {
         "[diagbounds] config 3966f1d5fd829781  seed 0  alpha 0.05  beta 0.005\n" + _SUMMARY
         + "confidence set: retained 6 of 840 grid points; theta1 [0.7241379310344828, 0.8620689655172413]"
         "  theta0 [0.9655172413793103, 1.0]\n",
-        "bce29bc3bab8f4be604e7a09ffaa2d75",
+        "b0be1f0fc6d92a28a0b3063e8fad021c",
     ),
     "prevalence": (
         ["prevalence", *_POINT, "--q", "0.23"],
@@ -831,7 +831,7 @@ _GOLDEN = {
         "[diagbounds] config 6929f1956dcc2913  seed 0  alpha 0.05  beta 0.005\n" + _RECT_SUMMARY
         + "confidence set: retained 72 of 7380 grid points; theta1 [0.6206896551724138, 0.9310344827586207]"
         "  theta0 [0.9310344827586207, 1.0]\n",
-        "0bb2d224d02dbffe732714c18e1f87d3",
+        "5e81ad486edb8c1814085dd7381f5bd4",
     ),
     "prevalence-rect": (
         ["prevalence", *_RECT3, "--q", "0.23"],
