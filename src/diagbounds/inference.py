@@ -47,12 +47,18 @@ positive, is at most (1 + 4 eps) (sqrt(X2_b) (1 + r) + sqrt(n) r), r the
 largest over the seven components.  That grows with X2_b, whose computed
 roots are within 5 eps, so crit is at most (1 + 11 eps) ((1 + r) c_bar +
 sqrt(n) r), and the cutoff (``_cutoff``) is (1 + rho) ((1 + r) c_bar +
-sqrt(n) r): each allowance exceeds what it covers at least 90 times.  Where
-an SD is within its allowance of 0 (r at least 1, or NaN at s = 0) the
-cutoff is +inf, and the point is bootstrapped.  An SD of 0 means centred
-values of 0 on the occupied cells, the only cells a draw occupies, so the
-component's deviation is 0 at every draw, whatever the rounding of the
-computed one: each of its bootstrap terms is -inf (``_divider``).
+sqrt(n) r): each allowance exceeds what it covers at least 90 times.
+
+An SD within its allowance of 0, s <= rho dmag (r at least 1), is rounding
+noise, as the computed deviations are then: the component is taken as
+constant on the occupied cells (``_SPointKernel._flat``).  Its SD becomes
+0, and so does its mean where that too is within rho dmag of 0.  A
+constant component's deviation is 0 at every draw, as a draw occupies
+only occupied cells, so each of its bootstrap terms is -inf
+(``_divider``), whatever the rounding of the computed deviation, and its
+part of T_n is +inf where its mean is positive and -inf elsewhere
+(``_stud``).  Where an SD is 0 the cutoff is +inf (r is +inf, or NaN at
+dmag = 0), and the point is bootstrapped.
 
 The screen takes the (u, v) block of a reference point row by row first.
 A row is a run of points sharing the driving coordinate u, and the six
@@ -65,7 +71,8 @@ point's, over a lower bound on the equality SD at every v of the row in
 least sd(mid) - half ||Vc|| (mid and half the midpoint and half-width),
 and the computed values of the three are within about 100 eps dmag of
 theirs, so the kernel's SD is at least that less rho dmag
-(``_equality_sd_min``).  Every rounded operation of the allowances and of
+(``_equality_sd_min``), which is taken as 0 where it is within rho dmag of
+0, as a point's SD is.  Every rounded operation of the allowances and of
 ``_cutoff`` is monotone, so the row's cutoff is at least each of its
 points', and T_n >= t6: a row whose t6 exceeds its cutoff is rejected
 whole.  The other rows go through the per-point T_n in chunks of rows under
@@ -503,7 +510,13 @@ def _stud(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _divider(den: np.ndarray):
-    """The division of bootstrap terms by the SDs ``den``: np.divide where every SD is positive, else ``_drop_zero_sd``."""
+    """The division of bootstrap terms by the SDs ``den``: np.divide where every SD is positive, else ``_drop_zero_sd``.
+
+    Chosen once per call: ``_drop_zero_sd`` at every division made an
+    ``evaluate`` call on the ``infer-grid`` region's survivors 14% slower
+    (9.2 against 8.0 ms), and a test of ``den`` inside each division 6%
+    (timeit, alternating rounds, 2-core VM).
+    """
     return np.divide if (np.asarray(den) > 0.0).all() else _drop_zero_sd
 
 
@@ -593,15 +606,20 @@ class _SPointKernel:
         largest = np.abs(table).max(axis=0)
         self.amax, self.umax, self.vmax = largest[:7], largest[7:14], np.zeros(7)
         self.vmax[6] = largest[14]
+        # ``_flat``'s bounds on the allowances of the inequalities and of the
+        # equality, at |u|, |v| <= 1, as every theta lies in [0, 1]^2.
+        x = largest.tolist()
+        self.flat_top = _RTOL * (max(x[:6]) + max(x[7:13])), _RTOL * ((x[6] + x[13]) + x[14])
 
     @staticmethod
     def check(n: int) -> None:
         """The test's one precondition on the data: n >= 2 observations.
 
         Empty cells are allowed.  A component constant over the occupied
-        cells has zero SD: ``_stud``'s convention decides its part of T_n,
-        and as bootstrap draws never occupy an empty cell, its bootstrap
-        terms are -inf (``_divider``).
+        cells, to within its rounding allowance, has zero SD (``_flat``):
+        ``_stud``'s convention decides its part of T_n, and as bootstrap
+        draws never occupy an empty cell, its bootstrap terms are -inf
+        (``_divider``).
         """
         if n < 2:
             raise ValueError(f"the test requires n >= 2 observations, got {n}")
@@ -621,14 +639,33 @@ class _SPointKernel:
     def _ineq_stats(self, u) -> tuple[np.ndarray, np.ndarray]:
         mu = self.fA[:6] + self.fU[:6] * u
         cells = (4,) + (1,) * (np.ndim(u) - 1) + (6,)
-        return mu, self._norm(self.Ac[:, :6].reshape(cells) + u * self.Uc[:, :6].reshape(cells))
+        sd = self._norm(self.Ac[:, :6].reshape(cells) + u * self.Uc[:, :6].reshape(cells))
+        return self._flat(mu, sd, False, u)
 
     def _eq_stats(self, u, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         j = 6
         mu = self.fA[j] + self.fU[j] * u + self.fV * v
         cells = (4,) + (1,) * len(np.broadcast_shapes(np.shape(u), np.shape(v)))
         x = (self.Ac[:, j].reshape(cells) + u * self.Uc[:, j].reshape(cells)) + v * self.Vc.reshape(cells)
-        return mu, self._norm(x)
+        return self._flat(mu, self._norm(x), True, u, v)
+
+    def _flat(self, mu, sd, eq: bool, u, v=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Means and SDs at (u, v), each component whose SD is within its allowance of 0 taken as constant.
+
+        The components are the equality where ``eq``, else the six
+        inequalities.  Such an SD, at most rho dmag (its allowance r is at
+        least 1), is rounding noise, so it becomes 0, and so does its mean
+        where that too is within rho dmag of 0 (module docstring).  dmag is
+        ``_magnitudes``' bound.  u and v lie in [0, 1], as theta does.
+        """
+        # Rounding is monotone: no point's allowance exceeds its components' at |u| = |v| = 1.
+        if not sd.size or sd.min() > self.flat_top[eq]:
+            return mu, sd
+        u, v = np.abs(u), np.abs(v)
+        j = 6 if eq else slice(0, 6)
+        tol = _RTOL * ((self.amax[j] + u * self.umax[j]) + v * self.vmax[j])
+        flat = sd <= tol
+        return np.where(flat & (np.abs(mu) <= tol), 0.0, mu), np.where(flat, 0.0, sd)
 
     def _t6(self, mu6: np.ndarray, s6: np.ndarray) -> np.ndarray:
         """The largest studentized inequality statistic, over the trailing axis of six."""
@@ -684,10 +721,14 @@ class _SPointKernel:
     def _equality_sd_min(self, u: np.ndarray, lo: float, hi: float, dmag) -> np.ndarray:
         """Per row at ``u``, a lower bound on the kernel's equality SD at every v in [lo, hi], or 0.
 
-        sd(mid) - half ||Vc||, less the allowance rho dmag at max(|lo|, |hi|) (module docstring).
+        sd(mid) - half ||Vc||, less the allowance rho dmag at max(|lo|, |hi|),
+        and 0 where that is within the allowance of 0, as a point's SD is
+        (module docstring).
         """
         _, sd = self._eq_stats(u, 0.5 * (lo + hi))
-        return np.maximum(sd - 0.5 * (hi - lo) * self._norm(self.Vc) - _RTOL * dmag, 0.0)
+        tol = _RTOL * dmag
+        sd = sd - 0.5 * (hi - lo) * self._norm(self.Vc) - tol
+        return np.where(sd > tol, sd, 0.0)
 
     # -- full evaluation ------------------------------------------------
 

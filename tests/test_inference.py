@@ -1040,7 +1040,8 @@ def test_kernel_variances_match_per_observation_sums(cells, a, s, f1, f0):
     # and each bootstrap deviation from its centred projections.  Each must
     # agree with the exact per-observation sum to a tenth of its rounding
     # allowance rho dmag, dmag being the component's bound on every |m_c|
-    # at the point.
+    # at the point; an SD the kernel takes as 0 (``_flat``), and a mean it
+    # takes as 0 with it, must be within that allowance of 0.
     counts = CellCounts(*cells)
     s = RefPerf(*s)
     (lo1, hi1), (lo0, hi0) = param_space_box(a, s)
@@ -1052,12 +1053,17 @@ def test_kernel_variances_match_per_observation_sums(cells, a, s, f1, f0):
     mu7, s7 = kernel._eq_stats(u, np.array([v]))
     # The kernel's seven components: six inequalities and the equality pair.
     mean, var, dev = (x[:7] for x in _direct_moments(counts, theta, a, boot))
-    np.testing.assert_allclose(np.concatenate([mu6, mu7]), mean, rtol=1e-12, atol=1e-12)
     # The deviations as phase A and phase B compute them, before sqrt(n).
     got_dev = np.vstack([kernel.PA6 + kernel.PU6 * u, kernel.PA7 + kernel.PU7 * u + v * kernel.PV7])
     dmag = kernel._magnitudes(u, abs(v))
     rho = inference._RTOL
-    assert np.all(np.abs(np.concatenate([s6, s7]) - np.sqrt(var)) <= rho * dmag / 10)
+    mu, sd = np.concatenate([mu6, mu7]), np.concatenate([s6, s7])
+    flat = sd == 0.0
+    zero = flat & (mu == 0.0)
+    assert np.all(np.sqrt(var[flat]) <= 1.1 * rho * dmag[flat])
+    assert np.all(np.abs(mean[zero]) <= 1.1 * rho * dmag[zero])
+    np.testing.assert_allclose(mu[~zero], mean[~zero], rtol=1e-12, atol=1e-12)
+    assert np.all(np.abs(sd - np.sqrt(var))[~flat] <= rho * dmag[~flat] / 10)
     assert np.all(np.abs(got_dev - dev) <= rho * dmag[:, None] / 10)
 
 
@@ -1402,7 +1408,9 @@ def test_step_two_rules_in_one_mixed_chunk(monkeypatch, count, budget):
     # negative equality recentering next to points where both are 0, and
     # components recentered by +0.0 at some points and by less at others.
     # So the chunk takes no rule E, hence no rule S.  At budget 1 every
-    # point is a chunk of its own.
+    # point is a chunk of its own, and each row a call of its own.  As s7 is
+    # 0 on the box's anti-diagonal, every row has an s7 = 0 point, and rule
+    # E's s7 condition, decided per call, holds only once those are left out.
     counts = CellCounts(1, 0, 4, 0)
     a, s = DependenceAssumption.NO_RESTRICTION, RefPerf(0.8, 0.5)
     kernel = _kernel(counts, a, s, bootstrap_cell_frequencies(counts, 200, 0))
@@ -1416,6 +1424,8 @@ def test_step_two_rules_in_one_mixed_chunk(monkeypatch, count, budget):
     _assert_kernel_matches_oracle(kernel, u, v, 0.05, 0.005, budget)
     if budget == 1:
         assert {points for points, *_ in chunks} == {1}
+        chunks.clear()
+        _assert_kernel_matches_oracle(kernel, u[s7 > 0.0], v[s7 > 0.0], 0.05, 0.005, budget)
         assert any(reuse for _, reuse, _ in chunks)  # the rules act on points of their own
     else:
         points, reuse, skip = chunks[0]
@@ -1709,12 +1719,44 @@ def test_an_empty_cell_table_has_no_infinite_step_one_bound(monkeypatch):
         return bhat, raw
 
     monkeypatch.setattr(_SPointKernel, "_order_stats", spy)
+    counts = CellCounts(0, 3, 0, 4)
     cfg = TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=100)
     for a in DependenceAssumption:
         for s in ((0.9, 1.0), (0.8, 0.7)):
-            confidence_set(CellCounts(0, 3, 0, 4), SRegion.singleton(*s), a, cfg)
+            confidence_set(counts, SRegion.singleton(*s), a, cfg)
     bhat = np.concatenate(bounds)
-    assert len(bounds) == 54 and np.isfinite(bhat).all()
+    # Every call shares the seed's draws, so step one's chi-square bound is
+    # one scalar; a noise-inflated bound would exceed it.
+    c1 = inference._chi_square_bound(counts, bootstrap_cell_frequencies(counts, 500, 1), 1.0 - cfg.beta_value)
+    assert len(bounds) == 54 and np.all(bhat <= (1.0 + 1e-9) * c1)
+
+
+def test_an_sd_within_its_allowance_of_0_is_0():
+    # Under wa1 the fifth inequality's cell values on the two occupied cells
+    # of (0, 3, 0, 4) are 0 at theta1 = s1.  One ulp either side they are
+    # rounding noise, and so is their SD (about 4e-17, far below its
+    # allowance rho dmag): the component is taken as constant there too, so
+    # the three rows take exactly zero deviations, and their critical values
+    # agree (to the ulp that theta1 moves the other components by) and stay
+    # within the chi-square bound.  Read from the noise, crit would be 7.0
+    # below s1 and 2.625 above it, against 2.29 at s1.
+    counts = CellCounts(0, 3, 0, 4)
+    s = SRegion.rectangle(0.8, 0.9, 1.0, 1.0, s1_points=10).points[2]
+    assert s.s1 == 0.8222222222222223
+    boot = bootstrap_cell_frequencies(counts, 500, 1)
+    kernel = _kernel(counts, WA1, s, boot)
+    v = np.linspace(0.0, 1.0, 316)
+    cbar = inference._chi_square_bound(counts, boot, 1.0 - 0.05 + 0.005)
+    crits = []
+    for u in (np.nextafter(s.s1, 0.0), s.s1, np.nextafter(s.s1, 1.0)):
+        assert kernel._ineq_stats(u)[1][4] == 0.0
+        tn, crit = kernel.evaluate(np.full(v.size, u), v, 0.05, 0.005)
+        want_tn, want_crit, _ = oracle_evaluate_row(kernel, u, v, 0.05, 0.005, exact_zero=True)
+        assert tn.tobytes() == want_tn.tobytes() and crit.tobytes() == want_crit.tobytes()
+        assert np.all(crit <= (1.0 + 1e-9) * cbar)
+        crits.append(crit)
+    np.testing.assert_allclose(crits[0], crits[1], rtol=1e-15)
+    np.testing.assert_allclose(crits[2], crits[1], rtol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
