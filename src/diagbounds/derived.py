@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .identification import IdentifiedSet, Interval, _first
+from .identification import IdentifiedSet, Interval, _clamp01, _first
 
 __all__ = [
     "PretestRange",
@@ -81,11 +81,6 @@ class PrevalenceCurve(NamedTuple):
     rect_q_consistent: np.ndarray
 
 
-def _clamp(x: np.ndarray) -> np.ndarray:
-    """``min(max(x, 0.0), 1.0)`` as Python evaluates it: -0.0 stays -0.0."""
-    return np.where(x > 1.0, 1.0, np.where(x < 0.0, 0.0, x))
-
-
 def _ratio_bounds(
     qs: list[float], points: np.ndarray, vacuous: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,7 +105,7 @@ def _ratio_bounds(
     for v in values[1:]:  # Python's min and max: the first of equal values
         lo, hi = np.where(v < lo, v, lo), np.where(v > hi, v, hi)
     ok = (hi >= 0.0) & (lo <= 1.0) | vacuous
-    return np.where(vacuous, 0.0, _clamp(lo)), np.where(vacuous, 1.0, _clamp(hi)), ok
+    return np.where(vacuous, 0.0, _clamp01(lo)), np.where(vacuous, 1.0, _clamp01(hi)), ok
 
 
 def _hull(qs: list[float], points: np.ndarray, vacuous: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:

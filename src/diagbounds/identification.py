@@ -191,6 +191,7 @@ def _max(a, b):
 
 
 def _clamp01(x):
+    """``min(max(x, 0.0), 1.0)`` as Python evaluates it, at a point or elementwise: -0.0 and NaN stay."""
     return _where(x < 0.0, 0.0, _min(x, 1.0))
 
 

@@ -239,8 +239,9 @@ _RTOL = 1e-12
 # Element budgets of the kernel's float temporaries.  The screen takes a
 # reference point's (u, v) block in chunks of rows of at most
 # _SCREEN_BLOCK points.  The survivors are evaluated in batches of at most
-# R = max(1, _EVAL_BLOCK // (2 B + 9 m)) rows and R runs (``_batch_rows``;
-# 35 at B = 500 and m = 92), m being the candidate count.  Every float
+# R = max(1, _EVAL_BLOCK // (2 B + 9 m)) runs (``_batch_rows``; 35 at
+# B = 500 and m = 92), m being the candidate count, so of at most R rows,
+# each run lying in one row.  Every float
 # array of a batch with a draw axis is a view of one scratch that
 # ``evaluate`` allocates per call (``_scratch_words``).  It starts with the
 # R B floats of the batch's d6max, and the words after them serve one
@@ -252,8 +253,9 @@ _RTOL = 1e-12
 # of a chunk evaluated on all draws.  So the scratch holds R B + max(q R B,
 # 2 R B, 9 R m + 3 c m, 3 c B) words: at most 1.5 _EVAL_BLOCK while
 # 2 B + 9 m <= _EVAL_BLOCK, and 68,284 words (1.04 _EVAL_BLOCK) at B = 500
-# and m = 92.  The argpartition's indices, of at most _chunk_points(B) runs
-# at a time, and the candidates' (runs, m) indices are allocated per batch.
+# and m = 92.  The argpartition's (runs, B) indices, as many as the
+# envelope's floats, and the candidates' (runs, m) indices are allocated per
+# batch; the former are freed before phase B.
 # Neither budget changes a result, only speed and peak memory.
 _SCREEN_BLOCK = 2**13
 _EVAL_BLOCK = 2**16
@@ -454,7 +456,7 @@ def _chunk_points(width: int) -> int:
 
 
 def _batch_rows(draws: int, m: int) -> int:
-    """The most rows, and the most runs, of one batch: each is charged 2 B + 9 m words (the budgets' comment)."""
+    """The most runs of one batch, and so the most rows: each is charged 2 B + 9 m words (the budgets' comment)."""
     return max(1, _EVAL_BLOCK // (2 * draws + 9 * m))
 
 
@@ -739,11 +741,11 @@ class _SPointKernel:
 
         Each run of at most ``_ENVELOPE_RUN`` consecutive points of a row
         (a run of equal u) is counted from the row's first point.  The
-        points are taken in batches of whole runs, at most ``_batch_rows``
-        rows and as many runs each; a row that spans two batches is a row
-        in each.  ``m`` is the number of candidate draws per run, or B
-        where the envelope does not pay.  Every batch works in one scratch
-        allocated here.
+        points are taken in batches of at most ``_batch_rows`` whole runs,
+        so of at most as many rows, each run lying in one row; a row that
+        spans two batches is a row in each.  ``m`` is the number of
+        candidate draws per run, or B where the envelope does not pay.
+        Every batch works in one scratch allocated here.
         """
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         mu6, s6, mu7, s7, tn = self._statistic(u, v)
@@ -754,17 +756,16 @@ class _SPointKernel:
         first = np.empty(n, dtype=bool)
         first[:1] = True
         first[1:] = u[1:] != u[:-1]
-        row_at = np.append(np.flatnonzero(first), n)
         row = np.cumsum(first) - 1  # each point's row
         # Each run's first point; on all B draws no batch needs its runs.
-        lead = first if m >= nb else (np.arange(n) - row_at[row]) % _ENVELOPE_RUN == 0
+        lead = first if m >= nb else (np.arange(n) - np.flatnonzero(first)[row]) % _ENVELOPE_RUN == 0
         run = np.cumsum(lead) - 1  # each point's run
         run_at = np.append(np.flatnonzero(lead), n)
         scratch = np.empty(_scratch_words(nb, m, min(rows, run_at.size - 1), n))
         crit = np.empty(n)
         lo = 0
         while lo < n:
-            hi = min(row_at[min(row[lo] + rows, row_at.size - 1)], run_at[min(run[lo] + rows, run_at.size - 1)])
+            hi = run_at[min(run[lo] + rows, run_at.size - 1)]
             part = slice(lo, hi)
             head = first[part].copy()
             head[0] = True
@@ -897,14 +898,9 @@ class _SPointKernel:
         """
         k = self.draws - m - 1
         env = self._envelope(owner, ur, d6max, lo_v, hi_v, s7min, free)
-        keep, cut = np.empty((ur.size, m), dtype=np.intp), np.empty(ur.size)
-        step = _chunk_points(self.draws)  # runs per partition: its indices take a chunk's (point x B) array
-        for lo in range(0, ur.size, step):
-            part = env[lo : lo + step]
-            order = np.argpartition(part, k, axis=1)
-            keep[lo : lo + step] = order[:, k + 1 :]
-            cut[lo : lo + step] = np.take_along_axis(part, order[:, k, None], axis=1)[:, 0]
-        return keep, cut
+        order = np.argpartition(env, k, axis=1)
+        # A copy, so that the (runs, B) indices are freed before phase B.
+        return order[:, k + 1 :].copy(), np.take_along_axis(env, order[:, k, None], axis=1)[:, 0]
 
     def _order_stats(self, tables, row, u, v, mu6, s6, mu7, s7, tops, free):
         """Step one's bound and step two's raw critical value at points of the tables' rows.
@@ -1051,14 +1047,13 @@ class ConfidenceSet:
             Interval(float(self.points[:, 1].min()), float(self.points[:, 1].max())),
         )
 
-    def to_dict(self, lists: bool = True) -> dict:
-        """The set's JSON record.
+    def to_dict(self) -> dict:
+        """The set's JSON record, its arrays as float64 arrays and the one theta axis under both axis keys.
 
-        With ``lists=False`` the arrays stay float64 arrays, the one theta
-        axis under both axis keys, for a writer that spells them itself.
+        ``report._confidence_set_json`` writes it; ``.tolist()`` of each
+        array gives the record ``json`` writes.
         """
         proj = self.projections
-        spell = np.ndarray.tolist if lists else np.asarray
         return {
             "alpha": self.config.alpha,
             "beta": self.config.beta_value,
@@ -1067,15 +1062,15 @@ class ConfidenceSet:
             "quantile_method": _QUANTILE_METHOD,
             "assumption": self.assumption.value,
             "s_points": [[s.s1, s.s0] for s in self.s_points],
-            "theta1_axis": spell(self.theta_axis),
-            "theta0_axis": spell(self.theta_axis),
+            "theta1_axis": self.theta_axis,
+            "theta0_axis": self.theta_axis,
             "n_tested": self.n_tested,
             "n_retained": len(self),
             "theta1_projection": None if proj is None else [proj[0].lo, proj[0].hi],
             "theta0_projection": None if proj is None else [proj[1].lo, proj[1].hi],
-            "points": spell(self.points),
-            "t_n": spell(self.t_n),
-            "crit": spell(self.crit),
+            "points": self.points,
+            "t_n": self.t_n,
+            "crit": self.crit,
         }
 
     def to_csv_rows(self) -> list[str]:

@@ -13,21 +13,19 @@ one of the requested ``FORMATS``, making its text only then.  Every JSON
 file is ``json.dumps(obj, sort_keys=True, indent=1)``'s text, written by
 ``_json_text`` directly rather than by ``json``'s pure-Python indenting
 encoder.  At any depth a list of floats, or of equal-length float rows,
-is written in one pass from ``repr``, which is what makes
-``confidence_set.json`` fast to write.  A matrix of ``_DISTINCT_ROWS``
-rows or more spells each distinct value once
-(``probability._distinct_texts``, which tells values apart by their
-bits, so 0.0 and -0.0 keep their own texts) and fills the rows' template
-with those texts; ``ConfidenceSet.to_csv_rows`` and the scatter figure
-spell their coordinates the same way.  ``confidence_set.json`` is
+is written in one pass from ``repr``.  ``confidence_set.json`` is
 written from the set's arrays (``_confidence_set_json``): its points,
-whose coordinates take a few hundred values, fill the template straight
-from the array, and its one theta axis is spelt once for both axis keys.  A list of records (dicts that
-share one set of ``str`` keys, such as a report's segments, validation
-records and prevalence curve) is written from one row template: each key
-becomes a column, a column of floats, bools, ints, strings or Nones is
-spelt in one pass, a column of equal-length lists of them is split into
-one column per position, and one ``%`` fills every row.
+whose coordinates take a few hundred values, fill the rows' template with
+the text of each distinct value, spelt once
+(``probability._distinct_texts``, which tells values apart by their
+bits, so 0.0 and -0.0 keep their own texts), and its one theta axis is
+spelt once for both axis keys; ``ConfidenceSet.to_csv_rows`` and the
+scatter figure spell their coordinates the same way.  A list of records
+(dicts that share one set of ``str`` keys, such as a report's segments,
+validation records and prevalence curve) is written from one row
+template: each key becomes a column, a column of finite floats, bools or
+Nones is spelt in one pass, a column of equal-length lists of them is
+split into one column per position, and one ``%`` fills every row.
 """
 
 from __future__ import annotations
@@ -207,8 +205,6 @@ def _floats_block(v: list | tuple, nl: str) -> str | None:
     The list is joined from ``repr``; the rows fill one ``%s`` template,
     which writes a float as its ``repr``.  A finite ``repr`` holds no
     ``inf`` or ``nan``, so the two replaces touch only the non-finite ones.
-    A matrix of ``_DISTINCT_ROWS`` rows or more fills the template with
-    the JSON text of each distinct value, spelt once.
     """
     inner = nl + " "
     kinds = set(map(type, v))
@@ -218,22 +214,10 @@ def _floats_block(v: list | tuple, nl: str) -> str | None:
         floats = tuple(chain.from_iterable(v))
         if set(map(type, floats)) != {float}:
             return None
-        template = _rows_template(len(v), len(v[0]), nl)
-        if len(v) >= _DISTINCT_ROWS:
-            return template % tuple(_distinct_texts(np.array(floats), _float_text))
-        text = template % floats
+        text = _rows_template(len(v), len(v[0]), nl) % floats
     else:
         return None
     return text.replace("inf", "Infinity").replace("nan", "NaN")
-
-
-# Matrices of fewer rows are written from the values themselves: spelling
-# each distinct value once costs more below it.  On n x 2 matrices drawn
-# from a 316-point axis the two ways cost the same near 110 rows, and the
-# distinct values took 0.81 and 0.33 times as long at 200 and 1,323 rows; on
-# values that never repeat they took 1.15-1.2 times as long at every size
-# (timeit, 2-core VM).
-_DISTINCT_ROWS = 128
 
 
 def _rows_template(rows: int, cols: int, nl: str) -> str:
@@ -264,7 +248,7 @@ def _confidence_set_json(cs) -> str:
 
     The one theta axis under both axis keys is one array, so one text.
     """
-    record = cs.to_dict(lists=False)
+    record = cs.to_dict()
     spelt: dict[int, _Spelt] = {}
     for key, value in record.items():
         if isinstance(value, np.ndarray):
@@ -317,26 +301,16 @@ def _records_block(v: list | tuple, nl: str) -> str | None:
 
 
 def _json_column(values: list) -> list | None:
-    """Objects whose ``%s`` is each value's JSON text, when every value is a float, or a bool, an int, a str, a None.
+    """Objects whose ``%s`` is each value's JSON text, when the values are all floats, all bools or all Nones; else None.
 
-    A float's ``%s`` is its ``repr``, as is an int's; the others are
-    spelt here.  An infinity or a NaN makes a column's sum non-finite, so
-    a column with a finite sum needs no ``json`` words for them; any other
-    float column is spelt value by value.
+    A float's ``%s`` is its ``repr``; the others are spelt here.  An
+    infinity or a NaN makes a column's sum non-finite, so a float column
+    with a finite sum needs no ``json`` words; any other is None.
     """
     kinds = set(map(type, values))
-    if len(kinds) != 1:
-        return None
-    (kind,) = kinds
-    if kind is float:
-        if math.isfinite(sum(values)):
-            return values
-        return list(map(_float_text, values))
-    if kind is int:
-        return values
-    if kind is str:
-        return list(map(encode_basestring_ascii, values))
-    if kind is bool or kind is type(None):
+    if kinds == {float}:
+        return values if math.isfinite(sum(values)) else None
+    if kinds == {bool} or kinds == {type(None)}:
         return [_CONSTANT_WORDS[x] for x in values]
     return None
 

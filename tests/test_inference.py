@@ -43,7 +43,7 @@ from diagbounds.inference import (
     bootstrap_cell_frequencies,
 )
 from diagbounds.moments import build_moment_system, moment_cell_tables, param_space_box
-from diagbounds.report import _json_text
+from diagbounds.report import _confidence_set_json
 
 from helpers import (
     TABLE_DATASETS,
@@ -364,10 +364,10 @@ def test_confidence_set_grid_order():
 
 def test_confidence_set_serialization_roundtrip():
     cs = confidence_set(EUA, SRegion.singleton(0.9, 1.0), WA1, TestConfig(alpha=0.05, seed=3, theta_grid=40))
-    d = cs.to_dict()
+    d = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in cs.to_dict().items()}
     assert d["n_retained"] == len(cs)
     assert d["quantile_method"] == "higher"
-    assert json.loads(_json_text(d)) == d  # floats included, exactly
+    assert json.loads(_confidence_set_json(cs)) == d  # floats included, exactly
     rows = cs.to_csv_rows()
     assert rows[0] == "theta1,theta0,s1,s0,Tn,crit,accepted"
     assert len(rows) == len(cs) + 1
@@ -381,7 +381,7 @@ def test_confidence_set_serialization_roundtrip():
 def test_empty_confidence_set_serialization():
     # At s = (0.55, 0.5) no grid point of EUA survives.
     cs = confidence_set(EUA, SRegion.singleton(0.55, 0.5), WA1, TestConfig(alpha=0.05, seed=3, theta_grid=40))
-    text = _json_text(cs.to_dict())
+    text = _confidence_set_json(cs)
     assert '\n "points": [],\n' in text and json.loads(text)["points"] == []
     assert cs.to_csv_rows() == ["theta1,theta0,s1,s0,Tn,crit,accepted"]
 
@@ -1444,6 +1444,28 @@ def test_step_two_rules_on_the_infer_grid_region(monkeypatch):
     assert len(chunks) == 27 and all(reuse for _, reuse, _ in chunks)
     skipped = sum(sum(skip) for *_, skip in chunks)
     assert (skipped, 6 * len(chunks) - skipped) == (77, 85)
+
+
+def test_long_rows_are_split_into_runs_exact_on_their_candidates(monkeypatch):
+    # A small table keeps long rows of survivors, which no benchmark call
+    # does: each is cut into runs of _ENVELOPE_RUN points, and every
+    # bootstrapped point is exact on its run's candidate draws.  With one
+    # run per row the envelope over a row's whole v range is too loose, and
+    # thousands of these points go back to all B draws.
+    calls = _spy_on_order_stats(monkeypatch)
+    runs, candidates = [], _SPointKernel._candidates
+
+    def candidates_spy(self, owner, ur, *args):
+        runs.append(ur.copy())
+        return candidates(self, owner, ur, *args)
+
+    monkeypatch.setattr(_SPointKernel, "_candidates", candidates_spy)
+    cfg = TestConfig(alpha=0.05, seed=1, bootstrap=500, theta_grid=150)
+    confidence_set(CellCounts(3, 1, 2, 5), SRegion.singleton(0.9, 1.0), WA1, cfg)
+    assert {m for _, m in calls} == {92}
+    assert sum(size for size, _ in calls) == 20_897
+    runs = np.concatenate(runs)  # each run's u, so a row's u once per run
+    assert runs.size > np.unique(runs).size
 
 
 def test_every_array_of_an_evaluate_call_lives_in_one_scratch(monkeypatch):

@@ -20,9 +20,7 @@ from diagbounds import SRegion, TestConfig, sharp_union
 from diagbounds.identification import IdentifiedSet
 from diagbounds.inference import ConfidenceSet
 from diagbounds.probability import _DISTINCT_MIN, estimate_joint
-from diagbounds.report import (
-    _DISTINCT_ROWS, StudyConfig, _analysis_files, _confidence_set_json, _json_text, run_analysis,
-)
+from diagbounds.report import StudyConfig, _analysis_files, _confidence_set_json, _json_text, run_analysis
 from diagbounds.svgfig import identified_set_figure
 
 from helpers import (
@@ -48,9 +46,9 @@ _LEAVES = (
 _MATRICES = st.integers(1, 4).flatmap(
     lambda m: st.lists(st.lists(_FLOATS, min_size=m, max_size=m), min_size=1, max_size=6)
 )
-# Matrices long enough to be written from their distinct values.
+# Long matrices of repeating values, as a sensitivity sweep's s_points are.
 _LONG_MATRICES = st.integers(1, 4).flatmap(
-    lambda m: st.lists(st.lists(_POOL, min_size=m, max_size=m), min_size=_DISTINCT_ROWS, max_size=_DISTINCT_ROWS + 9)
+    lambda m: st.lists(st.lists(_POOL, min_size=m, max_size=m), min_size=128, max_size=137)
 )
 _VALUES = (
     st.lists(_FLOATS, max_size=8)  # the fast path when non-empty
@@ -123,6 +121,8 @@ _DICTS = (
 @example({"curve": [{"q": q, "sharp": [0.0, q], "rect": [-0.0, math.inf], "vacuous": False} for q in (0.0, 0.5, 1.0)]})
 @example([{"a%s": 1.0, "é%": "x%sy"}] * 3)
 @example([{"a": [], "b": [[]]}] * 3)
+@example([{"n": n, "label": t, "x": x} for n, t, x in ((1, "a", math.inf), (-2, "b%s", 0.5), (3, "é", math.nan))])
+@example([{"x": 1e308, "pair": [0.5, 1e308]}] * 3)  # finite values whose sum is not
 @example({"points": [[x, 1.0] for x in (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.5, 0.0)] * 16})
 @example({"points": [[x, 1.0] for x in (0.0, -0.0, math.inf, math.nan, 5e-324)] * 25})  # one row short
 @given(obj=_DICTS | _VALUES | _RECORDS | _EMPTIES | _LEAVES | _SAME_KEYED
@@ -158,6 +158,12 @@ def _confidence_set(points, t_n, crit) -> ConfidenceSet:
     )
 
 
+def _json_dumps(cs: ConfidenceSet) -> str:
+    """``json``'s text of the set's record, its arrays as lists."""
+    record = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in cs.to_dict().items()}
+    return json.dumps(record, sort_keys=True, indent=1) + "\n"
+
+
 def test_confidence_set_json_writes_infinity_and_nan_as_json_does():
     # Nothing guarantees a finite crit: an infinite step-two term in enough
     # draws makes it +inf, and T_n <= +inf is retained.
@@ -169,7 +175,7 @@ def test_confidence_set_json_writes_infinity_and_nan_as_json_does():
     cfg = StudyConfig(counts=TABLE_DATASETS["eua_sx"], s_region=SRegion.singleton(0.9, 1.0))
     # Only the confidence set's maker is called, so no identified set is needed.
     text = dict(_analysis_files(cfg, run_analysis(cfg), None, cs))["confidence_set.json"]()
-    assert text == json.dumps(cs.to_dict(), sort_keys=True, indent=1) + "\n"
+    assert text == _json_dumps(cs)
     assert '"crit": [\n  Infinity,\n  1.2\n ]' in text
     assert '"t_n": [\n  NaN,\n  0.3\n ]' in text
 
@@ -201,7 +207,7 @@ def test_confidence_set_json_from_the_arrays_is_json_dumps(data, n, elements):
         data.draw(arrays(np.float64, shape, elements=elements)) for shape in ((n, 4), n, n)
     )
     cs = _confidence_set(points, t_n, crit)
-    assert _confidence_set_json(cs) == json.dumps(cs.to_dict(), sort_keys=True, indent=1) + "\n"
+    assert _confidence_set_json(cs) == _json_dumps(cs)
 
 
 _IDENTIFIED = sharp_union(
